@@ -37,6 +37,16 @@ def alpha_m_step(v_before: float, v_after: float, cost_sum: float) -> float:
     return (v_before - v_after) / cost_sum
 
 
+def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:
+    """:func:`alpha_m_step` over several stretches, given their drops ``v_before - v_after``."""
+    negative = cost_sums < 0.0
+    if negative.any():
+        raise ConfigError(f"cost_sum must be nonnegative, got {cost_sums[negative][0]}")
+    zero = cost_sums == 0.0
+    # Zero-cost stretches keep the 1.0 that ``out`` starts with.
+    return np.divide(drops, cost_sums, out=zero.astype(float), where=~zero)
+
+
 def rho(v_before: float, v_after: float, cost_sum: float, alpha_bar: float) -> float:
     """Slack of the relaxed descent inequality at threshold ``alpha_bar``."""
     if cost_sum < 0.0:

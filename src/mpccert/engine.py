@@ -33,6 +33,7 @@ from .certify import (
     Certificate,
     SlackAccumulator,
     alpha_m_step,
+    alpha_m_steps,
     update_acceptable,
 )
 from .errors import ConfigError
@@ -383,20 +384,11 @@ def run_closed_loop(
         v_start = sol.value
         close_pending(v_start)
 
-        prefix_costs = np.cumsum(sol.stage_costs)
-        probe_values = [solver.value_of(sol.trajectory[j], horizon) for j in range(1, horizon)]
-        probe_alphas = np.array(
-            [
-                alpha_m_step(v_start, probe_values[j - 1], prefix_costs[j - 1])
-                for j in range(1, horizon)
-            ]
-        )
-        probe_rhos = np.array(
-            [
-                v_start - probe_values[j - 1] - config.alpha_bar * prefix_costs[j - 1]
-                for j in range(1, horizon)
-            ]
-        )
+        # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1.
+        drops = v_start - solver.values_of(sol.trajectory[1:horizon], horizon)
+        prefix_costs = np.cumsum(sol.stage_costs)[: horizon - 1]
+        probe_alphas = alpha_m_steps(drops, prefix_costs)
+        probe_rhos = drops - config.alpha_bar * prefix_costs
 
         forced = config.forced_m_at(iteration)
         if forced is not None:

@@ -19,6 +19,17 @@ from .errors import AdmissibilityError, ConfigError, PlantFormatError
 _EQUILIBRIUM_TOL = 1e-12
 
 
+def quad_form(P: np.ndarray, X: np.ndarray):
+    """``x' P x`` for every row ``x`` of ``X``.
+
+    ``P`` is one matrix or a stack of one matrix per row.  Each row goes
+    through the same BLAS calls as ``x @ P @ x`` on a single vector, so
+    batched and one-at-a-time values agree bit for bit.  A single vector
+    gives a NumPy scalar.
+    """
+    return ((X[..., None, :] @ P) @ X[..., None])[..., 0, 0]
+
+
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (dim,):
@@ -166,15 +177,16 @@ class LinearQuadraticInstance:
         return self.B.shape[1]
 
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``A x + B u``; also for stacks of column states ``(..., n, 1)``."""
         return self.A @ x + self.B @ u
 
-    def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
-        return float(x @ self.Q @ x + u @ self.R @ u)
+    def stage_cost(self, x: np.ndarray, u: np.ndarray):
+        """``x'Qx + u'Ru``, row-wise when ``x`` and ``u`` stack several rows."""
+        return quad_form(self.Q, x) + quad_form(self.R, u)
 
     def min_stage_cost(self, x: np.ndarray) -> float:
         # R is positive definite, so the minimiser over u is u = 0.
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.Q @ x)
+        return float(quad_form(self.Q, np.asarray(x, dtype=float)))
 
     def to_model(self) -> SystemModel:
         return SystemModel(

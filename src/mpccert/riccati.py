@@ -16,6 +16,16 @@ Two open-loop control laws are provided on top of the same ladder:
 Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
+
+A solver builds one plan operator per horizon on the first request at
+that horizon and keeps it: the negated gains ``-K`` of every step, taken
+from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
+:meth:`FiniteHorizonSolver.solve` walks one state through the operator,
+:meth:`FiniteHorizonSolver.rollout` walks a ``(B, n)`` batch of states,
+and :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
+batch.  All of them share one step and one quadratic-form kernel with
+the single-state path, so a batched result equals the corresponding
+single-state result bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .model import LinearQuadraticInstance
+from .model import LinearQuadraticInstance, quad_form
 
 
 @dataclass(frozen=True)
@@ -110,10 +120,9 @@ class RiccatiLadder:
             self._gains[j] = np.linalg.solve(B.T @ P @ B + R, B.T @ P @ A)
         return self._gains[j]
 
-    def value(self, x, j: int) -> float:
-        """Return ``x' P_j x``."""
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.matrix(j) @ x)
+    def value(self, x, j: int):
+        """Return ``x' P_j x``, row-wise when ``x`` stacks several states."""
+        return quad_form(self.matrix(j), np.asarray(x, dtype=float))
 
     def matrices(self) -> list[np.ndarray]:
         """Return ``[P_1, ..., P_N]``."""
@@ -141,53 +150,94 @@ class FiniteHorizonSolver:
     """Shared machinery for the two linear-quadratic planners.
 
     Instances keep one growing :class:`RiccatiLadder` and reuse it for
-    every horizon up to the largest seen so far.
+    every horizon up to the largest seen so far, plus one cached plan
+    operator per horizon requested.
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
         self.model = lq.to_model()
         self.ladder = RiccatiLadder(lq, horizon)
+        self._operators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def value_of(self, x, horizon: int) -> float:
-        """Value of the ``horizon``-step problem at ``x``, no plan built."""
+    def _states(self, x, ndim: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = self.lq.state_dim
+        if x.ndim != ndim or x.shape[-1] != n:
+            want = f"({n},)" if ndim == 1 else f"(B, {n})"
+            raise ConfigError(f"state must have shape {want}, got {x.shape}")
+        return x
+
+    def _values(self, x: np.ndarray, horizon: int):
         if horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {horizon}")
         self.ladder.extend(max(horizon, 1))
         return self.ladder.value(x, horizon)
 
+    def value_of(self, x, horizon: int) -> float:
+        """Value of the ``horizon``-step problem at ``x``, no plan built."""
+        return float(self._values(self._states(x, 1), horizon))
+
+    def values_of(self, X, horizon: int) -> np.ndarray:
+        """:meth:`value_of` at every row of the ``(B, n)`` array ``X``."""
+        return self._values(self._states(X, 2), horizon)
+
     def _gain_index(self, horizon: int, k: int) -> int:
         raise NotImplementedError
 
+    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(-K_{g(N, k)}, P_{N-k})`` stacked over ``k < N``, built once per ``N``."""
+        op = self._operators.get(horizon)
+        if op is None:
+            if horizon < 1:
+                raise ConfigError(f"horizon must be at least 1, got {horizon}")
+            ladder = self.ladder
+            ladder.extend(horizon)
+            steps = range(horizon)
+            neg_gains = np.stack([-ladder.gain(self._gain_index(horizon, k)) for k in steps])
+            tails = np.stack([ladder.matrix(horizon - k) for k in steps])
+            op = self._operators[horizon] = (neg_gains, tails)
+        return op
+
+    def _step(self, neg_gain: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply ``u = -K x`` to column states ``(..., n, 1)``; returns ``(u, x_next)``."""
+        u = neg_gain @ x
+        return u, self.lq.dynamics(x, u)
+
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``."""
-        if horizon < 1:
-            raise ConfigError(f"horizon must be at least 1, got {horizon}")
-        self.ladder.extend(horizon)
-        lq = self.lq
-        x = np.asarray(x, dtype=float)
-        if x.shape != (lq.state_dim,):
-            raise ConfigError(f"state must have shape ({lq.state_dim},), got {x.shape}")
-        states = np.empty((horizon + 1, lq.state_dim))
-        controls = np.empty((horizon, lq.control_dim))
-        costs = np.empty(horizon)
-        tails = np.empty(horizon)
-        states[0] = x
-        for k in range(horizon):
-            xk = states[k]
-            tails[k] = self.ladder.value(xk, horizon - k)
-            u = -self.ladder.gain(self._gain_index(horizon, k)) @ xk
-            controls[k] = u
-            costs[k] = lq.stage_cost(xk, u)
-            states[k + 1] = lq.dynamics(xk, u)
+        neg_gains, tails = self._operator(horizon)
+        col = self._states(x, 1)[:, None]
+        states, controls = [col], []
+        for neg_gain in neg_gains:
+            u, col = self._step(neg_gain, col)
+            controls.append(u)
+            states.append(col)
+        trajectory = np.array(states)[..., 0]
+        controls = np.array(controls)[..., 0]
+        tail_values = quad_form(tails, trajectory[:-1])
         return OpenLoopSolution(
             horizon=horizon,
             controls=controls,
-            trajectory=states,
-            stage_costs=costs,
-            value=float(tails[0]),
-            tail_values=tails,
+            trajectory=trajectory,
+            stage_costs=self.lq.stage_cost(trajectory[:-1], controls),
+            value=float(tail_values[0]),
+            tail_values=tail_values,
         )
+
+    def rollout(self, X, horizon: int, steps: int) -> np.ndarray:
+        """States after ``steps`` steps of the ``horizon``-step plan from each row of ``X``.
+
+        Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
+        full plans are stored.
+        """
+        neg_gains, _ = self._operator(horizon)
+        if not 0 <= steps <= horizon:
+            raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
+        cols = self._states(X, 2)[..., None]
+        for neg_gain in neg_gains[:steps]:
+            _, cols = self._step(neg_gain, cols)
+        return np.array(cols[..., 0])
 
 
 class LqLadderSolver(FiniteHorizonSolver):

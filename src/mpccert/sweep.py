@@ -294,18 +294,24 @@ def value_drop_grid(
     Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
     ``[-extent, extent]`` and ``drops[i, j]`` is the drop at the state
     ``(axis[i], axis[j])``.  Negative entries mark states where applying
-    ``m`` steps of the plan increases the finite-horizon value.
+    ``m`` steps of the plan increases the finite-horizon value.  The
+    whole grid goes through the planner as one batch, see
+    :meth:`FiniteHorizonSolver.rollout` and
+    :meth:`FiniteHorizonSolver.values_of`.
     """
+    if solver.lq.state_dim != 2:
+        raise ConfigError(
+            f"value_drop_grid needs a 2-state plant, got state_dim={solver.lq.state_dim}"
+        )
+    if horizon < 2:
+        raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
     if not 1 <= m < horizon:
         raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
     axis = np.linspace(-extent, extent, n)
-    drops = np.empty((n, n))
-    for i, x1 in enumerate(axis):
-        for j, x2 in enumerate(axis):
-            x = np.array([x1, x2])
-            sol = solver.solve(x, horizon)
-            drops[i, j] = sol.value - solver.value_of(sol.trajectory[m], horizon)
-    return axis, drops
+    states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    after = solver.rollout(states, horizon, m)
+    drops = solver.values_of(states, horizon) - solver.values_of(after, horizon)
+    return axis, drops.reshape(n, n)
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:

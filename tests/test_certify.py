@@ -7,6 +7,7 @@ from mpccert.certify import (
     alpha_asymptotic,
     alpha_from_slack,
     alpha_m_step,
+    alpha_m_steps,
     certificates_to_csv,
     rho,
     splice_control,
@@ -20,6 +21,16 @@ def test_alpha_m_step_basic():
     assert alpha_m_step(5.0, 5.0, 0.0) == 1.0
     with pytest.raises(ConfigError):
         alpha_m_step(5.0, 4.0, -1.0)
+
+
+def test_alpha_m_steps_matches_scalar_rule():
+    v_before = 5.1
+    v_after = np.array([4.0, 5.1, -0.3, 5.1])
+    costs = np.array([3.0, 0.0, 0.7, 2.0])
+    expected = [alpha_m_step(v_before, va, c) for va, c in zip(v_after, costs)]
+    assert alpha_m_steps(v_before - v_after, costs).tolist() == expected
+    with pytest.raises(ConfigError):
+        alpha_m_steps(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
 
 
 def test_two_step_degrees_at_reference_states(solver):

@@ -192,3 +192,27 @@ def test_solve_alias_and_horizon_validation(solver):
         solver.solve(x, 0)
     with pytest.raises(ConfigError):
         solver.value_of(x, -1)
+
+
+def test_state_shape_validation(solver):
+    for bad in (np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ConfigError, match="state must have shape"):
+            solver.value_of(bad, 3)
+        with pytest.raises(ConfigError, match="state must have shape"):
+            solver.solve(bad, 3)
+    for bad in (np.zeros(2), np.zeros((4, 3))):
+        with pytest.raises(ConfigError, match=r"state must have shape \(B, 2\)"):
+            solver.values_of(bad, 3)
+        with pytest.raises(ConfigError, match=r"state must have shape \(B, 2\)"):
+            solver.rollout(bad, 3, 1)
+
+
+def test_rollout_step_bounds(solver):
+    X = np.array([[0.3, 0.8]])
+    assert np.array_equal(solver.rollout(X, 3, 0), X)
+    with pytest.raises(ConfigError):
+        solver.rollout(X, 3, 4)
+    with pytest.raises(ConfigError):
+        solver.rollout(X, 3, -1)
+    with pytest.raises(ConfigError):
+        solver.rollout(X, 0, 0)

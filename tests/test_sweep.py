@@ -5,6 +5,7 @@ import pytest
 
 from mpccert.engine import AlgorithmConfig
 from mpccert.errors import ConfigError, SolverError
+from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqLadderSolver
 from mpccert.sweep import (
     failure_set,
@@ -161,6 +162,20 @@ def test_value_drop_grid_validates_m(solver):
         value_drop_grid(solver, 3, 0)
     with pytest.raises(ConfigError):
         value_drop_grid(solver, 3, 3)
+
+
+def test_value_drop_grid_rejects_short_horizon(solver):
+    for horizon in (0, 1):
+        with pytest.raises(ConfigError, match="horizon >= 2"):
+            value_drop_grid(solver, horizon, 1)
+
+
+def test_value_drop_grid_rejects_non_planar_plant():
+    lq3 = LinearQuadraticInstance(
+        A=1.1 * np.eye(3), B=np.ones((3, 1)), Q=np.eye(3), R=np.eye(1)
+    )
+    with pytest.raises(ConfigError, match="2-state plant"):
+        value_drop_grid(LqLadderSolver(lq3, 3), 3, 1)
 
 
 def test_sweep_csv_layout(model, solver, tmp_path):

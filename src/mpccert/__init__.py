@@ -22,6 +22,7 @@ from .certify import (
 )
 from .engine import (
     AlgorithmConfig,
+    BatchRun,
     ClosedLoopTrace,
     UpdateSchedule,
     WindowRecord,
@@ -29,6 +30,7 @@ from .engine import (
     run_alg2,
     run_alg3,
     run_alg4,
+    run_batch,
     run_closed_loop,
     shrink_horizon_check,
 )
@@ -74,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError",
     "AlgorithmConfig",
+    "BatchRun",
     "Certificate",
     "CertificateError",
     "ClosedLoopTrace",
@@ -110,6 +113,7 @@ __all__ = [
     "run_alg2",
     "run_alg3",
     "run_alg4",
+    "run_batch",
     "run_closed_loop",
     "shrink_horizon_check",
     "solve",

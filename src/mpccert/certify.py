@@ -125,16 +125,35 @@ class SlackAccumulator:
         return self.total
 
 
+def row_sums(a: np.ndarray, length, start=None) -> np.ndarray:
+    """``np.sum(a[i, start[i]:start[i] + length[i]])`` for every row ``i`` of ``a``.
+
+    ``start`` defaults to 0.  Rows of equal length are summed as one
+    C-contiguous block: ``np.sum`` over its last axis reduces each row
+    exactly like the 1-D sum of that row (pairwise beyond 8 terms), so
+    the result does not depend on which rows share a call.  Padding rows
+    to a common length with zeros would not keep that.
+    """
+    length = np.asarray(length)
+    start = np.zeros_like(length) if start is None else np.asarray(start)
+    out = np.empty(len(a))
+    for n in set(length.tolist()):
+        sel = np.flatnonzero(length == n)
+        cols = start[sel, None] + np.arange(n)
+        out[sel] = np.sum(a[sel[:, None], cols], axis=1)
+    return out
+
+
 def update_acceptable(
     sol_old: OpenLoopSolution,
     sol_new: OpenLoopSolution,
-    j: int,
-    m: int,
+    j: int | np.ndarray,
+    m: int | np.ndarray,
     alpha_bar: float,
     *,
-    end_value: float,
+    end_value: float | np.ndarray,
     cert_slack: float = DEFAULT_CERT_SLACK,
-) -> bool:
+) -> bool | np.ndarray:
     """Decide whether a mid-stretch re-plan may replace the running plan.
 
     ``sol_old`` is the committed plan, of which ``j`` steps have been
@@ -147,16 +166,22 @@ def update_acceptable(
 
     holds up to ``cert_slack``, where ``paid`` is the cost of the old
     prefix and ``planned`` the cost of the new segment.
+
+    With batches of plans (see ``FiniteHorizonSolver.plans``), ``j``,
+    ``m`` and ``end_value`` hold one entry per plan and the answer is a
+    boolean array; single plans give a ``bool``.
     """
-    if not 1 <= j < m:
+    j, m = np.asarray(j), np.asarray(m)
+    if np.any(j < 1) or np.any(j >= m):
         raise ConfigError(f"need 1 <= j < m, got j={j}, m={m}")
-    if m - j > sol_new.horizon:
+    if np.any(m - j > sol_new.horizon):
         raise ConfigError(
             f"candidate needs {m - j} steps but the new plan has {sol_new.horizon}"
         )
-    paid = float(np.sum(sol_old.stage_costs[:j]))
-    planned = float(np.sum(sol_new.stage_costs[: m - j]))
-    return end_value + alpha_bar * (paid + planned) <= sol_old.value + cert_slack
+    paid = row_sums(np.atleast_2d(sol_old.stage_costs), np.atleast_1d(j))
+    planned = row_sums(np.atleast_2d(sol_new.stage_costs), np.atleast_1d(m - j))
+    ok = end_value + alpha_bar * (paid + planned) <= sol_old.value + cert_slack
+    return ok if j.ndim else bool(ok[0])
 
 
 def splice_control(

@@ -59,6 +59,13 @@ def _parse_horizons(text: str) -> list[int]:
         raise ConfigError(f"invalid --horizons value {text!r}, expected comma-separated integers") from None
 
 
+def _check_workers(args) -> None:
+    # Sweeps run as one in-process batch; the option stays for
+    # compatibility with existing command lines.
+    if args.workers < 1:
+        raise ConfigError(f"workers must be positive, got {args.workers}")
+
+
 def _ensure_out(args) -> str | None:
     if args.out is None:
         return None
@@ -136,7 +143,8 @@ def cmd_sweep(args) -> int:
     config = _make_config(args)
     solver = LqLadderSolver(lq, config.horizon)
     initial_set = parse_initial_set(args.set)
-    report = sweep(solver.model, solver, initial_set, config, workers=args.workers)
+    _check_workers(args)
+    report = sweep(solver.model, solver, initial_set, config)
 
     entries = {
         "set": report.set_name,
@@ -161,9 +169,8 @@ def cmd_horizon_table(args) -> int:
     lq = load_plant(args.plant)
     initial_set = parse_initial_set(args.set)
     horizons = _parse_horizons(args.horizons)
-    rows = horizon_comparison(
-        lq, initial_set, horizons, alpha_bar=args.alpha_bar, workers=args.workers
-    )
+    _check_workers(args)
+    rows = horizon_comparison(lq, initial_set, horizons, alpha_bar=args.alpha_bar)
     print("N,alpha_prop1_min,alpha_cor3_min")
     for n, col_a, col_b in rows:
         print(f"{n},{col_a:.17g},{col_b:.17g}")
@@ -174,7 +181,8 @@ def cmd_horizon_table(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = reference_checks(workers=args.workers)
+    _check_workers(args)
+    results = reference_checks()
     text = format_results(results)
     print(text)
     out = _ensure_out(args)
@@ -211,11 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="fix the applied steps per iteration (int or comma list)",
         )
+
+    def add_workers(p):
         p.add_argument(
-            "--seed",
+            "--workers",
             type=int,
-            default=None,
-            help="reserved; the bundled experiments are deterministic",
+            default=1,
+            help="accepted for compatibility (must be positive); sweeps run as one in-process batch",
         )
 
     p = sub.add_parser("riccati", help="print the value-recursion matrices")
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_run_options(p)
     p.add_argument("--set", required=True, help="initial set, e.g. unit-circle:128")
-    p.add_argument("--workers", type=int, default=1)
+    add_workers(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("horizon-table", help="certified degrees per horizon")
@@ -241,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="initial set, e.g. unit-circle:128")
     p.add_argument("--horizons", required=True, help="comma list, e.g. 2,3,4,5,10,20")
     p.add_argument("--alpha-bar", required=True, type=float)
-    p.add_argument("--workers", type=int, default=1)
+    add_workers(p)
     p.set_defaults(func=cmd_horizon_table)
 
     p = sub.add_parser("reproduce-paper", help="run the bundled reference checks")
     add_common(p, plant=False)
-    p.add_argument("--workers", type=int, default=1)
+    add_workers(p)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import AlgorithmConfig, run_closed_loop
+from .engine import AlgorithmConfig, run_batch
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver
 from .sweep import failure_set, sweep, unit_circle, value_drop_grid
@@ -72,7 +72,7 @@ def _value_check(name, computed, expected, tol) -> CheckResult:
     )
 
 
-def reference_checks(workers: int = 1, drop_grid_n: int = 41) -> list[CheckResult]:
+def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     """Run the full bundle; returns one result per check."""
     lq = reference_instance()
     solver = LqLadderSolver(lq, 4)
@@ -144,8 +144,7 @@ def reference_checks(workers: int = 1, drop_grid_n: int = 41) -> list[CheckResul
     zero_cfg = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0)
     all_ones = 0
     converged = 0
-    for x in grid.points:
-        trace = run_closed_loop(model, solver, x, zero_cfg)
+    for trace in run_batch(model, solver, grid.points, zero_cfg, traces=True).traces:
         if trace.status == "converged":
             converged += 1
         if len(trace.schedule.m_values) and int(np.max(trace.schedule.m_values)) == 1:
@@ -162,7 +161,7 @@ def reference_checks(workers: int = 1, drop_grid_n: int = 41) -> list[CheckResul
     )
 
     alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
-    alg1_report = sweep(model, solver, grid, alg1_cfg, workers=workers)
+    alg1_report = sweep(model, solver, grid, alg1_cfg)
     failures = alg1_report.failure_indices()
     results.append(
         CheckResult(
@@ -173,7 +172,7 @@ def reference_checks(workers: int = 1, drop_grid_n: int = 41) -> list[CheckResul
     )
 
     watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    watchdog_report = sweep(model, solver, grid, watchdog_cfg, workers=workers)
+    watchdog_report = sweep(model, solver, grid, watchdog_cfg)
     cor3_min = watchdog_report.alpha_cor3_min()
     results.append(
         CheckResult(

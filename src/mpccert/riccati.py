@@ -20,11 +20,12 @@ applies, and its realized open-loop cost can exceed the value.
 A solver builds one plan operator per horizon on the first request at
 that horizon and keeps it: the negated gains ``-K`` of every step, taken
 from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
-:meth:`FiniteHorizonSolver.solve` walks one state through the operator,
-:meth:`FiniteHorizonSolver.rollout` walks a ``(B, n)`` batch of states,
-and :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
-batch.  All of them share one step and one quadratic-form kernel with
-the single-state path, so a batched result equals the corresponding
+:meth:`FiniteHorizonSolver.plans` walks a ``(B, n)`` batch of states
+through the operator and :meth:`FiniteHorizonSolver.solve` is its
+one-row case; :meth:`FiniteHorizonSolver.rollout` walks a batch without
+storing plans, and :meth:`FiniteHorizonSolver.values_of` evaluates
+``x' P_N x`` on a batch.  All of them share one step and one
+quadratic-form kernel, so a batched result equals the corresponding
 single-state result bit for bit.
 """
 
@@ -41,6 +42,10 @@ from .model import LinearQuadraticInstance, quad_form
 @dataclass(frozen=True)
 class OpenLoopSolution:
     """An open-loop plan over a finite horizon.
+
+    :meth:`FiniteHorizonSolver.plans` returns the same record for a
+    batch of plans: every array below gains a leading batch axis and
+    ``value`` is an array with one entry per plan.
 
     Attributes
     ----------
@@ -204,25 +209,41 @@ class FiniteHorizonSolver:
         u = neg_gain @ x
         return u, self.lq.dynamics(x, u)
 
-    def solve(self, x, horizon: int) -> OpenLoopSolution:
-        """Build the open-loop plan of the given length from ``x``."""
+    def plans(self, X, horizon: int) -> OpenLoopSolution:
+        """Open-loop plans of the given length from every row of the ``(B, n)`` array ``X``.
+
+        Every array field of the result gains a leading batch axis, and
+        ``value`` is the ``(B,)`` array of ``x' P_N x``.
+        """
         neg_gains, tails = self._operator(horizon)
-        col = self._states(x, 1)[:, None]
-        states, controls = [col], []
+        cols = self._states(X, 2)[..., None]
+        states, controls = [cols], []
         for neg_gain in neg_gains:
-            u, col = self._step(neg_gain, col)
+            u, cols = self._step(neg_gain, cols)
             controls.append(u)
-            states.append(col)
-        trajectory = np.array(states)[..., 0]
-        controls = np.array(controls)[..., 0]
-        tail_values = quad_form(tails, trajectory[:-1])
+            states.append(cols)
+        trajectory = np.stack(states, axis=1)[..., 0]
+        controls = np.stack(controls, axis=1)[..., 0]
+        tail_values = quad_form(tails, trajectory[:, :-1])
         return OpenLoopSolution(
             horizon=horizon,
             controls=controls,
             trajectory=trajectory,
-            stage_costs=self.lq.stage_cost(trajectory[:-1], controls),
-            value=float(tail_values[0]),
+            stage_costs=self.lq.stage_cost(trajectory[:, :-1], controls),
+            value=tail_values[:, 0],
             tail_values=tail_values,
+        )
+
+    def solve(self, x, horizon: int) -> OpenLoopSolution:
+        """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
+        plan = self.plans(self._states(x, 1)[None], horizon)
+        return OpenLoopSolution(
+            horizon=horizon,
+            controls=plan.controls[0],
+            trajectory=plan.trajectory[0],
+            stage_costs=plan.stage_costs[0],
+            value=float(plan.value[0]),
+            tail_values=plan.tail_values[0],
         )
 
     def rollout(self, X, horizon: int, steps: int) -> np.ndarray:

@@ -6,17 +6,20 @@ helpers here also cover the derived experiments (horizon comparison
 tables, value-drop maps) and the CSV emitters used by the command-line
 front end.  All floating-point output uses ``%.17g`` so that reruns are
 byte-comparable.
+
+The points of a set run as one lockstep batch in this process (see
+:func:`mpccert.engine.run_batch`), and the point records come straight
+from the batch's per-row statistics, without a full trace per point.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import AlgorithmConfig, run_closed_loop
+from .engine import AlgorithmConfig, run_batch, run_closed_loop
 from .errors import ConfigError, MpcCertError
 from .model import SystemModel
 from .riccati import FiniteHorizonSolver, LqLadderSolver
@@ -146,6 +149,29 @@ class SweepReport:
         }
 
 
+def _batch_records(
+    model: SystemModel,
+    solver: FiniteHorizonSolver,
+    config: AlgorithmConfig,
+    points: np.ndarray,
+) -> list[PointRecord]:
+    """Point records of the whole set, run as one lockstep batch."""
+    batch = run_batch(model, solver, points, config)
+    return [
+        PointRecord(
+            index=i + 1,
+            x0=tuple(float(v) for v in x0),
+            status=batch.status[i],
+            startup_alpha=float(batch.startup_onestep_alpha[i]),
+            min_onestep_alpha=float(batch.min_onestep_alpha[i]),
+            min_mstep_alpha=float(batch.min_window_alpha[i]),
+            alpha_cor3=float(batch.alpha_cor3[i]),
+            warning=bool(batch.warning_count[i] > 0),
+        )
+        for i, x0 in enumerate(points)
+    ]
+
+
 def _evaluate_point(
     model: SystemModel,
     solver: FiniteHorizonSolver,
@@ -153,6 +179,7 @@ def _evaluate_point(
     index: int,
     x0: np.ndarray,
 ) -> PointRecord:
+    """Record of one point run on its own, with its error if the run fails."""
     try:
         trace = run_closed_loop(model, solver, x0, config)
     except (MpcCertError, np.linalg.LinAlgError) as exc:
@@ -180,54 +207,28 @@ def _evaluate_point(
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(lq, solver_cls, config) -> None:
-    solver = solver_cls(lq, config.horizon)
-    _WORKER_STATE["model"] = solver.model
-    _WORKER_STATE["solver"] = solver
-    _WORKER_STATE["config"] = config
-
-
-def _run_worker_point(item) -> PointRecord:
-    index, x0 = item
-    return _evaluate_point(
-        _WORKER_STATE["model"],
-        _WORKER_STATE["solver"],
-        _WORKER_STATE["config"],
-        index,
-        np.asarray(x0, dtype=float),
-    )
-
-
 def sweep(
     model: SystemModel,
     solver: FiniteHorizonSolver,
     initial_set: InitialSet,
     config: AlgorithmConfig,
-    workers: int = 1,
 ) -> SweepReport:
     """Run the configured closed loop from every point of the set.
 
-    Per-point failures are recorded, not raised.  With ``workers > 1``
-    the points are distributed over a process pool; results are sorted
-    by index, so the report does not depend on the worker count.
+    All points run as one lockstep batch (see :func:`run_batch`).
+    Per-point failures are recorded, not raised: when the batch fails,
+    its points run again one at a time through :func:`run_closed_loop`,
+    so each error lands on its own point and every other record is the
+    same as in the batch.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be positive, got {workers}")
-    items = list(enumerate(np.asarray(initial_set.points, dtype=float), start=1))
-    if workers == 1:
-        records = [_evaluate_point(model, solver, config, k, x0) for k, x0 in items]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(solver.lq, type(solver), config),
-        ) as pool:
-            records = pool.map(_run_worker_point, items)
-    records.sort(key=lambda r: r.index)
+    points = np.asarray(initial_set.points, dtype=float)
+    try:
+        records = _batch_records(model, solver, config, points)
+    except (MpcCertError, np.linalg.LinAlgError):
+        records = [
+            _evaluate_point(model, solver, config, k, x0)
+            for k, x0 in enumerate(points, start=1)
+        ]
     return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
 
 
@@ -246,7 +247,6 @@ def horizon_comparison(
     initial_set: InitialSet,
     horizons,
     alpha_bar: float = 0.01,
-    workers: int = 1,
 ) -> list[tuple[int, float, float]]:
     """Certified degrees as the horizon grows.
 
@@ -267,14 +267,12 @@ def horizon_comparison(
             solver,
             initial_set,
             AlgorithmConfig(variant="alg1", horizon=n, alpha_bar=0.0),
-            workers=workers,
         )
         posteriori = sweep(
             solver.model,
             solver,
             initial_set,
             AlgorithmConfig(variant="alg3", horizon=n, alpha_bar=alpha_bar, forced_m=1),
-            workers=workers,
         )
         col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori.records]))
         col_b = posteriori.alpha_cor3_min()

@@ -42,13 +42,13 @@ def _report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def watchdog_report(model, solver, grid):
     config = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    return sweep(model, solver, grid, config, workers=4)
+    return sweep(model, solver, grid, config)
 
 
 @pytest.fixture(scope="module")
 def loop_closing_report(model, solver, grid):
     config = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.01)
-    return sweep(model, solver, grid, config, workers=4)
+    return sweep(model, solver, grid, config)
 
 
 @pytest.fixture(scope="module")

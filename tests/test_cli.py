@@ -93,6 +93,8 @@ def test_run_forced_single_step(tmp_path):
         ["run", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--x0", "0,1,2"],
         ["run", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--x0", "zero,one"],
         ["sweep", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "circle:8"],
+        ["sweep", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8", "--workers", "0"],
+        ["horizon-table", "--plant", PLANT, "--set", "unit-circle:8", "--horizons", "2,3", "--alpha-bar", "0.01", "--workers", "0"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -161,7 +163,7 @@ def test_horizon_table_matches_library(tmp_path, capsys):
     capsys.readouterr()
     lines = (tmp_path / "horizon_table.csv").read_text().splitlines()
     assert lines[0] == "N,alpha_prop1_min,alpha_cor3_min"
-    rows = horizon_comparison(reference_instance(), unit_circle(8), (2, 3), alpha_bar=0.01, workers=1)
+    rows = horizon_comparison(reference_instance(), unit_circle(8), (2, 3), alpha_bar=0.01)
     for line, row in zip(lines[1:], rows):
         n, a, b = line.split(",")
         assert int(n) == row[0]

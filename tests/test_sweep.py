@@ -8,6 +8,9 @@ from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqLadderSolver
 from mpccert.sweep import (
+    InitialSet,
+    SweepReport,
+    _evaluate_point,
     failure_set,
     horizon_comparison,
     parse_initial_set,
@@ -60,19 +63,29 @@ def test_sweep_records_are_ordered_and_indexed(model, solver):
     assert agg["errors"] == 0
 
 
-def test_worker_pool_matches_serial(model, solver, grid, tmp_path):
+def test_batched_sweep_matches_one_at_a_time(model, solver, grid, tmp_path):
+    # A sweep runs its whole set as one lockstep batch; running every
+    # point on its own (a one-row batch each) must give the same bytes.
     config = _cfg("alg3", 0.01, forced_m=1)
-    serial = sweep(model, solver, grid, config, workers=1)
-    pooled = sweep(model, solver, grid, config, workers=4)
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "pooled.csv"
-    write_sweep_csv(serial, a)
-    write_sweep_csv(pooled, b)
+    batched = sweep(model, solver, grid, config)
+    one_at_a_time = SweepReport(
+        set_name=grid.name,
+        config=config,
+        records=tuple(
+            _evaluate_point(model, solver, config, k, x0)
+            for k, x0 in enumerate(grid.points, start=1)
+        ),
+    )
+    a = tmp_path / "batched.csv"
+    b = tmp_path / "one_at_a_time.csv"
+    write_sweep_csv(batched, a)
+    write_sweep_csv(one_at_a_time, b)
     assert filecmp.cmp(a, b, shallow=False)
+    assert batched.records == one_at_a_time.records
 
 
 def test_startup_failure_arcs(model, solver, grid):
-    report = sweep(model, solver, grid, _cfg("alg1", 0.01), workers=4)
+    report = sweep(model, solver, grid, _cfg("alg1", 0.01))
     assert report.failure_indices() == ARC_INDICES
     assert len(ARC_INDICES) == 44
     # All runs still converge: a longer prefix certifies wherever the
@@ -82,7 +95,7 @@ def test_startup_failure_arcs(model, solver, grid):
 
 def test_longer_horizon_clears_the_arcs(lq, grid):
     solver = LqLadderSolver(lq, 4)
-    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01, horizon=4), workers=4)
+    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01, horizon=4))
     assert report.failure_indices() == ()
 
 
@@ -93,14 +106,14 @@ def test_longer_horizon_clears_the_arcs(lq, grid):
 def test_forced_watchdog_warning_counts(lq, grid, horizon, expected_warned):
     solver = LqLadderSolver(lq, horizon)
     config = _cfg("alg3", 0.01, horizon=horizon, forced_m=1)
-    report = sweep(solver.model, solver, grid, config, workers=4)
+    report = sweep(solver.model, solver, grid, config)
     assert len(report.warned_indices()) == expected_warned
     assert report.warned_indices() == report.failure_indices()
 
 
 def test_warning_set_equals_adaptive_failure_set(model, solver, grid):
-    adaptive = sweep(model, solver, grid, _cfg("alg1", 0.01), workers=4)
-    watchdog = sweep(model, solver, grid, _cfg("alg3", 0.01, forced_m=1), workers=4)
+    adaptive = sweep(model, solver, grid, _cfg("alg1", 0.01))
+    watchdog = sweep(model, solver, grid, _cfg("alg3", 0.01, forced_m=1))
     fa, fb, same = failure_set(adaptive, watchdog)
     assert same
     assert fa == fb == ARC_INDICES
@@ -108,9 +121,9 @@ def test_warning_set_equals_adaptive_failure_set(model, solver, grid):
 
 def test_failure_sets_can_differ(lq, model, solver, grid):
     small = unit_circle(16)
-    a = sweep(model, solver, small, _cfg("alg1", 0.01), workers=1)
+    a = sweep(model, solver, small, _cfg("alg1", 0.01))
     solver4 = LqLadderSolver(lq, 4)
-    b = sweep(solver4.model, solver4, small, _cfg("alg1", 0.01, horizon=4), workers=1)
+    b = sweep(solver4.model, solver4, small, _cfg("alg1", 0.01, horizon=4))
     fa, fb, same = failure_set(a, b)
     assert not same
     assert fb == ()
@@ -118,7 +131,7 @@ def test_failure_sets_can_differ(lq, model, solver, grid):
 
 
 def test_horizon_comparison_rows(lq, grid, tmp_path):
-    rows = horizon_comparison(lq, grid, (2, 3, 5), alpha_bar=0.01, workers=4)
+    rows = horizon_comparison(lq, grid, (2, 3, 5), alpha_bar=0.01)
     expected = [
         (2, -2.2400881673236372, 0.26346140408863206),
         (3, 0.002678286627097865, 0.6668265032310869),
@@ -192,18 +205,23 @@ def test_sweep_csv_layout(model, solver, tmp_path):
 
 
 class _FaultySolver(LqLadderSolver):
-    """Raises for one marker state so error capture can be exercised."""
+    """Raises for one marker state so error capture can be exercised.
 
-    def solve(self, x, horizon):
-        if abs(float(x[0]) - 1.0) < 1e-12 and abs(float(x[1])) < 1e-12:
+    Faults on the batched plan entry point, so a batch that holds the
+    marker fails as a whole and a plan from any other state succeeds.
+    """
+
+    def plans(self, X, horizon):
+        X = np.asarray(X, dtype=float)
+        if np.any((np.abs(X[:, 0] - 1.0) < 1e-12) & (np.abs(X[:, 1]) < 1e-12)):
             raise SolverError("marker state rejected")
-        return super().solve(x, horizon)
+        return super().plans(X, horizon)
 
 
 def test_sweep_captures_per_point_errors(lq):
     solver = _FaultySolver(lq, 3)
     grid = unit_circle(4)  # point 4 is (1, 0)
-    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01), workers=1)
+    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01))
     assert report.error_indices() == (4,)
     bad = report.records[3]
     assert bad.status == "error"
@@ -211,4 +229,26 @@ def test_sweep_captures_per_point_errors(lq):
     assert np.isnan(bad.alpha_cor3)
     good = report.records[0]
     assert good.error is None
+    assert report.aggregates()["errors"] == 1
+
+
+def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
+    # Negating the 16-point circle puts the marker (1, 0) at index 8.
+    # The failing batch re-runs point by point: the error stays on its
+    # own point and every other record equals the one a clean solver
+    # gives.
+    grid = InitialSet(name="negated-circle:16", points=-unit_circle(16).points)
+    assert np.allclose(grid.points[7], [1.0, 0.0], rtol=0.0, atol=1e-12)
+    config = _cfg("alg3", 0.01)
+    solver = _FaultySolver(lq, 3)
+    report = sweep(solver.model, solver, grid, config)
+    clean_solver = LqLadderSolver(lq, 3)
+    clean = sweep(clean_solver.model, clean_solver, grid, config)
+    assert report.error_indices() == (8,)
+    assert report.records[7].status == "error"
+    assert "marker state rejected" in report.records[7].error
+    assert clean.error_indices() == ()
+    for k, (rec, ref) in enumerate(zip(report.records, clean.records), start=1):
+        if k != 8:
+            assert rec == ref
     assert report.aggregates()["errors"] == 1

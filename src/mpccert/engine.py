@@ -50,7 +50,7 @@ from .certify import (
     update_acceptable,
 )
 from .errors import ConfigError
-from .model import SystemModel
+from .model import SystemModel, row_dot
 from .riccati import FiniteHorizonSolver, OpenLoopSolution
 
 VARIANTS = ("alg1", "alg2", "alg3", "alg4")
@@ -526,9 +526,7 @@ class _Lockstep:
         while True:
             rows = np.flatnonzero(self.running)
             d = self.x[rows] - self.model.equilibrium_state
-            # Row-wise x'x through stacked matmul rounds like the 1-D
-            # ``np.linalg.norm``; ``norm(d, axis=1)`` does not.
-            at_rest = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= cfg.termination_radius
+            at_rest = np.sqrt(row_dot(d, d)) <= cfg.termination_radius
             self._stop(rows[at_rest], STATUS_CONVERGED)
             rows = rows[~at_rest]
             if iteration >= cfg.max_iterations:

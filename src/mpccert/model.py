@@ -5,6 +5,15 @@ The central object is :class:`SystemModel`, a discrete-time plant
 and an equilibrium pair at which both the dynamics are at rest and the
 cost vanishes.  :class:`LinearQuadraticInstance` is the concrete family
 used throughout the experiments: linear dynamics with quadratic cost.
+
+Every product of a matrix with states or controls goes through one row
+kernel, :func:`matvec`, with :func:`row_dot` and :func:`quad_form` on top
+of it.  The kernel works on whole arrays of rows ``(..., n)`` with
+elementwise ufuncs, one IEEE multiply or add per element, and adds the
+terms of each sum left to right.  A row therefore gives the same bits
+whether it is a lone vector, a row of a batch or part of a strided view,
+and a batch costs a fixed number of ufunc calls however many rows it
+holds, where a stacked ``@`` makes one BLAS call per row.
 """
 
 from __future__ import annotations
@@ -19,15 +28,41 @@ from .errors import AdmissibilityError, ConfigError, PlantFormatError
 _EQUILIBRIUM_TOL = 1e-12
 
 
-def quad_form(P: np.ndarray, X: np.ndarray):
-    """``x' P x`` for every row ``x`` of ``X``.
+def _sum_last(terms: np.ndarray):
+    """``terms[..., 0] + terms[..., 1] + ...``, added left to right."""
+    acc = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        acc = acc + terms[..., j]
+    return acc
 
-    ``P`` is one matrix or a stack of one matrix per row.  Each row goes
-    through the same BLAS calls as ``x @ P @ x`` on a single vector, so
-    batched and one-at-a-time values agree bit for bit.  A single vector
-    gives a NumPy scalar.
+
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M x`` for every row of ``x``: ``(..., r, c)`` and ``(..., c)`` give ``(..., r)``.
+
+    One ufunc multiplies every entry ``M[..., i, j]`` by the column
+    ``x[..., j]``; the ``c`` terms of output ``i`` are then added left to
+    right, ``((M_i0 x_0 + M_i1 x_1) + M_i2 x_2) + ...``.  ``M`` is one
+    matrix or a stack of matrices that broadcasts against the leading
+    axes of ``x``.  The products are laid out in Fortran order, which
+    keeps the row axis innermost, so each ufunc runs one long loop.
     """
-    return ((X[..., None, :] @ P) @ X[..., None])[..., 0, 0]
+    return _sum_last(np.multiply(M, x[..., None, :], order="F"))
+
+
+def row_dot(x: np.ndarray, y: np.ndarray):
+    """``x' y`` for every row: ``x_0 y_0 + x_1 y_1 + ...``, added left to right."""
+    return _sum_last(np.multiply(x, y, order="F"))
+
+
+def quad_form(P: np.ndarray, X: np.ndarray):
+    """``x' P x`` for every row ``x`` of ``X``, as ``row_dot(x, matvec(P, x))``.
+
+    The summation order is fixed: ``y_i = P_i0 x_0 + P_i1 x_1 + ...`` and
+    then ``x_0 y_0 + x_1 y_1 + ...``, each left to right.  ``P`` is one
+    matrix or a stack of matrices that broadcasts against the leading
+    axes of ``X``.  A single vector gives a NumPy scalar.
+    """
+    return row_dot(X, matvec(P, X))
 
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
@@ -177,8 +212,8 @@ class LinearQuadraticInstance:
         return self.B.shape[1]
 
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``A x + B u``; also for stacks of column states ``(..., n, 1)``."""
-        return self.A @ x + self.B @ u
+        """``A x + B u`` through :func:`matvec`, row-wise on ``(..., n)`` states."""
+        return matvec(self.A, x) + matvec(self.B, u)
 
     def stage_cost(self, x: np.ndarray, u: np.ndarray):
         """``x'Qx + u'Ru``, row-wise when ``x`` and ``u`` stack several rows."""

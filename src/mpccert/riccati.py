@@ -24,9 +24,14 @@ from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
 through the operator and :meth:`FiniteHorizonSolver.solve` is its
 one-row case; :meth:`FiniteHorizonSolver.rollout` walks a batch without
 storing plans, and :meth:`FiniteHorizonSolver.values_of` evaluates
-``x' P_N x`` on a batch.  All of them share one step and one
-quadratic-form kernel, so a batched result equals the corresponding
-single-state result bit for bit.
+``x' P_N x`` on a batch.  Every product goes through the elementwise row
+kernel of :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
+:func:`~mpccert.model.quad_form`): each step applies ``u = -K x`` and
+then the plant's own ``A x + B u``, on whole ``(B, n)`` arrays, and a
+row's arithmetic does not depend on the batch around it.  So a batched
+result equals the corresponding single-state result bit for bit, and a
+plan's states are exactly what :func:`mpccert.model.step` gives when it
+replays the plan's controls.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .model import LinearQuadraticInstance, quad_form
+from .model import LinearQuadraticInstance, matvec, quad_form
 
 
 @dataclass(frozen=True)
@@ -205,8 +210,8 @@ class FiniteHorizonSolver:
         return op
 
     def _step(self, neg_gain: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``u = -K x`` to column states ``(..., n, 1)``; returns ``(u, x_next)``."""
-        u = neg_gain @ x
+        """Apply ``u = -K x`` to row states ``(..., n)``; returns ``(u, x_next)``."""
+        u = matvec(neg_gain, x)
         return u, self.lq.dynamics(x, u)
 
     def plans(self, X, horizon: int) -> OpenLoopSolution:
@@ -216,14 +221,12 @@ class FiniteHorizonSolver:
         ``value`` is the ``(B,)`` array of ``x' P_N x``.
         """
         neg_gains, tails = self._operator(horizon)
-        cols = self._states(X, 2)[..., None]
-        states, controls = [cols], []
-        for neg_gain in neg_gains:
-            u, cols = self._step(neg_gain, cols)
-            controls.append(u)
-            states.append(cols)
-        trajectory = np.stack(states, axis=1)[..., 0]
-        controls = np.stack(controls, axis=1)[..., 0]
+        X = self._states(X, 2)
+        trajectory = np.empty((len(X), horizon + 1, self.lq.state_dim))
+        controls = np.empty((len(X), horizon, self.lq.control_dim))
+        trajectory[:, 0] = X
+        for k, neg_gain in enumerate(neg_gains):
+            controls[:, k], trajectory[:, k + 1] = self._step(neg_gain, trajectory[:, k])
         tail_values = quad_form(tails, trajectory[:, :-1])
         return OpenLoopSolution(
             horizon=horizon,
@@ -255,10 +258,10 @@ class FiniteHorizonSolver:
         neg_gains, _ = self._operator(horizon)
         if not 0 <= steps <= horizon:
             raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
-        cols = self._states(X, 2)[..., None]
+        x = self._states(X, 2)
         for neg_gain in neg_gains[:steps]:
-            _, cols = self._step(neg_gain, cols)
-        return np.array(cols[..., 0])
+            _, x = self._step(neg_gain, x)
+        return np.array(x)
 
 
 class LqLadderSolver(FiniteHorizonSolver):

@@ -154,12 +154,13 @@ def _batch_records(
     solver: FiniteHorizonSolver,
     config: AlgorithmConfig,
     points: np.ndarray,
+    first: int,
 ) -> list[PointRecord]:
-    """Point records of the whole set, run as one lockstep batch."""
+    """Records of ``points`` run as one lockstep batch; the first has index ``first``."""
     batch = run_batch(model, solver, points, config)
     return [
         PointRecord(
-            index=i + 1,
+            index=first + i,
             x0=tuple(float(v) for v in x0),
             status=batch.status[i],
             startup_alpha=float(batch.startup_onestep_alpha[i]),
@@ -170,6 +171,29 @@ def _batch_records(
         )
         for i, x0 in enumerate(points)
     ]
+
+
+def _records(
+    model: SystemModel,
+    solver: FiniteHorizonSolver,
+    config: AlgorithmConfig,
+    points: np.ndarray,
+    first: int,
+) -> list[PointRecord]:
+    """Records of ``points``, splitting a failing batch in halves until each error has its point.
+
+    One failing point among ``B`` costs at most ``2 ceil(log2 B) + 1``
+    runs, batches and single runs together.
+    """
+    if len(points) == 1:
+        return [_evaluate_point(model, solver, config, first, points[0])]
+    try:
+        return _batch_records(model, solver, config, points, first)
+    except (MpcCertError, np.linalg.LinAlgError):
+        half = len(points) // 2
+        return _records(model, solver, config, points[:half], first) + _records(
+            model, solver, config, points[half:], first + half
+        )
 
 
 def _evaluate_point(
@@ -216,19 +240,13 @@ def sweep(
     """Run the configured closed loop from every point of the set.
 
     All points run as one lockstep batch (see :func:`run_batch`).
-    Per-point failures are recorded, not raised: when the batch fails,
-    its points run again one at a time through :func:`run_closed_loop`,
-    so each error lands on its own point and every other record is the
-    same as in the batch.
+    Per-point failures are recorded, not raised: a batch that fails is
+    split in halves and each half runs again, down to single points run
+    through :func:`run_closed_loop`, so each error lands on its own
+    point and every other record is the same as in the whole batch.
     """
     points = np.asarray(initial_set.points, dtype=float)
-    try:
-        records = _batch_records(model, solver, config, points)
-    except (MpcCertError, np.linalg.LinAlgError):
-        records = [
-            _evaluate_point(model, solver, config, k, x0)
-            for k, x0 in enumerate(points, start=1)
-        ]
+    records = _records(model, solver, config, points, 1)
     return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
 
 

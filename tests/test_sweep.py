@@ -1,4 +1,5 @@
 import filecmp
+import importlib
 
 import numpy as np
 import pytest
@@ -252,3 +253,38 @@ def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
         if k != 8:
             assert rec == ref
     assert report.aggregates()["errors"] == 1
+
+
+def test_failing_batch_is_bisected(lq, monkeypatch):
+    # One marker in 128 points: the failing batch splits in halves down
+    # to the marker, so the sweep costs about two batch runs per halving,
+    # not one run per point, and every record is the one-at-a-time record.
+    # The package re-exports the function ``sweep`` under the module's name.
+    sweep_module = importlib.import_module("mpccert.sweep")
+    calls = {"batch": 0, "single": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sweep_module, "run_batch", counted("batch", sweep_module.run_batch))
+    monkeypatch.setattr(
+        sweep_module, "run_closed_loop", counted("single", sweep_module.run_closed_loop)
+    )
+    grid = unit_circle(128)  # point 128 is (1, 0)
+    config = _cfg("alg1", 0.01)
+    solver = _FaultySolver(lq, 3)
+    report = sweep(solver.model, solver, grid, config)
+    assert calls["batch"] + calls["single"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
+    assert report.error_indices() == (128,)
+    one_at_a_time = [
+        _evaluate_point(solver.model, solver, config, k, x0)
+        for k, x0 in enumerate(grid.points, start=1)
+    ]
+    assert list(report.records[:-1]) == one_at_a_time[:-1]
+    bad, ref = report.records[-1], one_at_a_time[-1]
+    assert (bad.index, bad.x0, bad.status, bad.error) == (ref.index, ref.x0, ref.status, ref.error)
+    assert "marker state rejected" in bad.error

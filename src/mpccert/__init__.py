@@ -26,10 +26,6 @@ from .engine import (
     ClosedLoopTrace,
     UpdateSchedule,
     WindowRecord,
-    run_alg1,
-    run_alg2,
-    run_alg3,
-    run_alg4,
     run_batch,
     run_closed_loop,
     shrink_horizon_check,
@@ -55,16 +51,12 @@ from .riccati import (
     LqLadderSolver,
     OpenLoopSolution,
     RiccatiLadder,
-    lq_solve,
     riccati_fixed_point,
-    riccati_ladder,
-    solve,
 )
 from .sweep import (
     InitialSet,
     PointRecord,
     SweepReport,
-    failure_set,
     horizon_comparison,
     sweep,
     unit_circle,
@@ -100,23 +92,15 @@ __all__ = [
     "alpha_from_slack",
     "alpha_m_step",
     "certificates_to_csv",
-    "failure_set",
     "horizon_comparison",
     "load_plant",
-    "lq_solve",
     "reference_checks",
     "reference_instance",
     "rho",
     "riccati_fixed_point",
-    "riccati_ladder",
-    "run_alg1",
-    "run_alg2",
-    "run_alg3",
-    "run_alg4",
     "run_batch",
     "run_closed_loop",
     "shrink_horizon_check",
-    "solve",
     "splice_control",
     "step",
     "sweep",

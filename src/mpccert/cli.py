@@ -27,7 +27,7 @@ from .engine import AlgorithmConfig, run_closed_loop
 from .errors import ConfigError, MpcCertError, SolverError
 from .model import load_plant
 from .refchecks import format_results, reference_checks
-from .riccati import LqLadderSolver, riccati_ladder
+from .riccati import LqLadderSolver, RiccatiLadder
 from .sweep import (
     horizon_comparison,
     parse_initial_set,
@@ -94,7 +94,7 @@ def _print_summary(entries: dict) -> None:
 
 def cmd_riccati(args) -> int:
     lq = load_plant(args.plant)
-    ladder = riccati_ladder(lq, args.horizon)
+    ladder = RiccatiLadder(lq, args.horizon)
     for j, mat in enumerate(ladder.matrices(), start=1):
         print(f"P_{j} =")
         for row in mat:
@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
     lq = load_plant(args.plant)
     config = _make_config(args)
     solver = LqLadderSolver(lq, config.horizon)
-    trace = run_closed_loop(solver.model, solver, _parse_x0(args.x0), config)
+    trace = run_closed_loop(solver, _parse_x0(args.x0), config)
 
     entries = {"x0": args.x0, **trace.summary()}
     _print_summary(entries)
@@ -144,7 +144,7 @@ def cmd_sweep(args) -> int:
     solver = LqLadderSolver(lq, config.horizon)
     initial_set = parse_initial_set(args.set)
     _check_workers(args)
-    report = sweep(solver.model, solver, initial_set, config)
+    report = sweep(solver, initial_set, config)
 
     entries = {
         "set": report.set_name,

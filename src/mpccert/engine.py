@@ -20,11 +20,14 @@ loop is closed:
   re-planning of ``alg2``; re-plans are accepted when the account would
   stay nonnegative.
 
-There is one engine: :func:`run_batch` runs a ``(B, n)`` array of
-initial states in lockstep.  Every row keeps its own state, horizon,
-pending interval, slack account, anchor plan and counts in arrays, and
-all rows pass through the same outer iteration together, so forced
-lengths and shrink requests apply per iteration as in a single run.
+Every entry point takes the solver and nothing else about the plant:
+the solver's ``model`` supplies the state and control dimensions and
+the equilibrium.  There is one engine: :func:`run_batch` runs a
+``(B, n)`` array of initial states in lockstep.  Every row keeps its
+own state, horizon, pending interval, slack account, anchor plan and
+counts in arrays, and all rows pass through the same outer iteration
+together, so forced lengths and shrink requests apply per iteration as
+in a single run.
 Rows at the same horizon share one batched plan or value call, which
 does the same arithmetic on each row as on a lone state, so every row
 of a batch matches its own one-row run bit for bit.
@@ -35,7 +38,7 @@ traces only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +53,7 @@ from .certify import (
     update_acceptable,
 )
 from .errors import ConfigError
-from .model import SystemModel, row_dot
+from .model import row_dot
 from .riccati import FiniteHorizonSolver, OpenLoopSolution
 
 VARIANTS = ("alg1", "alg2", "alg3", "alg4")
@@ -394,7 +397,10 @@ class _Lockstep:
     Rows planning at the same horizon share one batched solver call.
     """
 
-    def __init__(self, model, solver, X0, config: AlgorithmConfig, keep_traces: bool):
+    def __init__(
+        self, solver: FiniteHorizonSolver, X0, config: AlgorithmConfig, keep_traces: bool
+    ):
+        model = solver.model
         X = np.array(X0, dtype=float)
         n = model.state_dim
         if X.ndim != 2 or X.shape[1] != n:
@@ -725,7 +731,6 @@ class _Lockstep:
 
 
 def run_batch(
-    model: SystemModel,
     solver: FiniteHorizonSolver,
     X0,
     config: AlgorithmConfig,
@@ -738,36 +743,15 @@ def run_batch(
     rows share solver calls but no arithmetic.  An error in any row's
     run aborts the whole batch.
     """
-    state = _Lockstep(model, solver, X0, config, traces)
+    state = _Lockstep(solver, X0, config, traces)
     state.run()
     return state.outcome()
 
 
-def run_closed_loop(
-    model: SystemModel, solver: FiniteHorizonSolver, x0, config: AlgorithmConfig
-) -> ClosedLoopTrace:
+def run_closed_loop(solver: FiniteHorizonSolver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
     """Run the configured variant until the state reaches the equilibrium."""
     x = np.asarray(x0, dtype=float)
-    if x.shape != (model.state_dim,):
-        raise ConfigError(f"x0 must have shape ({model.state_dim},), got {x.shape}")
-    return run_batch(model, solver, x[None], config, traces=True).traces[0]
-
-
-def run_alg1(model, solver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
-    """Adaptive commitment length, no re-planning, no slack account."""
-    return run_closed_loop(model, solver, x0, replace(config, variant="alg1"))
-
-
-def run_alg2(model, solver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
-    """Adaptive commitment with mid-stretch re-planning."""
-    return run_closed_loop(model, solver, x0, replace(config, variant="alg2"))
-
-
-def run_alg3(model, solver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
-    """Adaptive commitment with a slack account and warnings."""
-    return run_closed_loop(model, solver, x0, replace(config, variant="alg3"))
-
-
-def run_alg4(model, solver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
-    """Slack account combined with mid-stretch re-planning."""
-    return run_closed_loop(model, solver, x0, replace(config, variant="alg4"))
+    n = solver.model.state_dim
+    if x.shape != (n,):
+        raise ConfigError(f"x0 must have shape ({n},), got {x.shape}")
+    return run_batch(solver, x[None], config, traces=True).traces[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .engine import AlgorithmConfig, run_batch
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver
-from .sweep import failure_set, sweep, unit_circle, value_drop_grid
+from .sweep import sweep, unit_circle, value_drop_grid
 
 GRID_POINTS = 128
 
@@ -76,7 +76,6 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     """Run the full bundle; returns one result per check."""
     lq = reference_instance()
     solver = LqLadderSolver(lq, 4)
-    model = solver.model
     grid = unit_circle(GRID_POINTS)
     results: list[CheckResult] = []
 
@@ -111,11 +110,9 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     # One-step degree at startup over the circle, per planning horizon.
     startup = {}
     for n in (3, 4):
-        values = []
-        for x in grid.points:
-            sol = solver.solve(x, n)
-            values.append((sol.value - solver.value_of(sol.trajectory[1], n)) / float(sol.stage_costs[0]))
-        startup[n] = np.array(values)
+        plans = solver.plans(grid.points, n)
+        v_next = solver.values_of(plans.trajectory[:, 1], n)
+        startup[n] = (plans.value - v_next) / plans.stage_costs[:, 0]
     negative_n3 = int(np.sum(startup[3] < 0.0))
     negative_n4 = int(np.sum(startup[4] < 0.0))
     results.append(
@@ -144,7 +141,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     zero_cfg = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0)
     all_ones = 0
     converged = 0
-    for trace in run_batch(model, solver, grid.points, zero_cfg, traces=True).traces:
+    for trace in run_batch(solver, grid.points, zero_cfg, traces=True).traces:
         if trace.status == "converged":
             converged += 1
         if len(trace.schedule.m_values) and int(np.max(trace.schedule.m_values)) == 1:
@@ -161,7 +158,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     )
 
     alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
-    alg1_report = sweep(model, solver, grid, alg1_cfg)
+    alg1_report = sweep(solver, grid, alg1_cfg)
     failures = alg1_report.failure_indices()
     results.append(
         CheckResult(
@@ -172,7 +169,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     )
 
     watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    watchdog_report = sweep(model, solver, grid, watchdog_cfg)
+    watchdog_report = sweep(solver, grid, watchdog_cfg)
     cor3_min = watchdog_report.alpha_cor3_min()
     results.append(
         CheckResult(
@@ -193,7 +190,9 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    fa, fb, same = failure_set(alg1_report, watchdog_report)
+    fa = alg1_report.failure_indices()
+    fb = watchdog_report.failure_indices()
+    same = fa == fb
     results.append(
         CheckResult(
             name="warning-set-coincidence",

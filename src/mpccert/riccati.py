@@ -83,8 +83,10 @@ class OpenLoopSolution:
 class RiccatiLadder:
     """The matrices ``P_0, P_1, ..., P_N`` of the value recursion.
 
-    ``P_0`` is the zero matrix, ``P_1 = Q``.  Feedback gains
-    ``K_j = (B' P_j B + R)^{-1} B' P_j A`` are cached on first use.
+    ``P_0`` is the zero matrix, ``P_1 = Q``.  Appending a rung ``P_j``
+    solves ``B' P_j B + R`` once, against ``[B' P_j | B' P_j A]``: the
+    first block gives the correction that builds ``P_{j+1}``, the second
+    the feedback gain ``K_j = (B' P_j B + R)^{-1} B' P_j A``.
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int):
@@ -92,29 +94,37 @@ class RiccatiLadder:
             raise ConfigError(f"horizon must be at least 1, got {horizon}")
         self.lq = lq
         n = lq.state_dim
-        self._matrices = [np.zeros((n, n)), lq.Q.copy()]
-        self._gains: dict[int, np.ndarray] = {}
+        self._matrices: list[np.ndarray] = []
+        self._gains: list[np.ndarray] = []
+        self._append(np.zeros((n, n)))
+        self._append(lq.Q.copy())
         self.extend(horizon)
 
     @property
     def horizon(self) -> int:
         return len(self._matrices) - 1
 
+    def _append(self, P: np.ndarray) -> None:
+        """Add ``P`` as the next rung, with its gain and the reduced matrix for the rung after."""
+        A, B, n = self.lq.A, self.lq.B, self.lq.state_dim
+        PB = P @ B
+        try:
+            Y = np.linalg.solve(B.T @ PB + self.lq.R, np.hstack([PB.T, PB.T @ A]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"singular control weight at ladder step {len(self._matrices)}"
+            ) from exc
+        self._matrices.append(P)
+        self._gains.append(Y[:, n:])
+        self._reduced = P - PB @ Y[:, :n]
+
     def extend(self, horizon: int) -> None:
         """Grow the ladder so that ``matrix(horizon)`` is available."""
-        A, B, Q, R = self.lq.A, self.lq.B, self.lq.Q, self.lq.R
+        A, Q = self.lq.A, self.lq.Q
         while self.horizon < horizon:
-            P = self._matrices[-1]
-            PB = P @ B
-            try:
-                correction = PB @ np.linalg.solve(B.T @ PB + R, PB.T)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"singular control weight at ladder step {self.horizon}"
-                ) from exc
-            nxt = A.T @ (P - correction) @ A + Q
+            nxt = A.T @ self._reduced @ A + Q
             # Symmetrise to keep round-off from drifting over long ladders.
-            self._matrices.append(0.5 * (nxt + nxt.T))
+            self._append(0.5 * (nxt + nxt.T))
 
     def matrix(self, j: int) -> np.ndarray:
         """Return ``P_j`` for ``0 <= j <= horizon``."""
@@ -123,11 +133,8 @@ class RiccatiLadder:
         return self._matrices[j]
 
     def gain(self, j: int) -> np.ndarray:
-        """Return ``K_j``; ``K_0`` is the zero gain."""
-        if j not in self._gains:
-            P = self.matrix(j)
-            B, R, A = self.lq.B, self.lq.R, self.lq.A
-            self._gains[j] = np.linalg.solve(B.T @ P @ B + R, B.T @ P @ A)
+        """Return ``K_j`` for ``0 <= j <= horizon``; ``K_0`` is the zero gain."""
+        self.matrix(j)
         return self._gains[j]
 
     def value(self, x, j: int):
@@ -137,11 +144,6 @@ class RiccatiLadder:
     def matrices(self) -> list[np.ndarray]:
         """Return ``[P_1, ..., P_N]``."""
         return list(self._matrices[1:])
-
-
-def riccati_ladder(lq: LinearQuadraticInstance, horizon: int) -> RiccatiLadder:
-    """Compute the value recursion up to the given horizon."""
-    return RiccatiLadder(lq, horizon)
 
 
 def riccati_fixed_point(
@@ -289,19 +291,3 @@ class LqBellmanSolver(FiniteHorizonSolver):
 
     def _gain_index(self, horizon: int, k: int) -> int:
         return horizon - k - 1
-
-
-def lq_solve(
-    lq: LinearQuadraticInstance, x, horizon: int, law: str = "ladder"
-) -> OpenLoopSolution:
-    """One-shot plan from a bare instance; ``law`` picks the solver class."""
-    if law == "ladder":
-        return LqLadderSolver(lq, horizon).solve(x, horizon)
-    if law == "bellman":
-        return LqBellmanSolver(lq, horizon).solve(x, horizon)
-    raise ConfigError(f"unknown law {law!r}, expected 'ladder' or 'bellman'")
-
-
-def solve(solver: FiniteHorizonSolver, x, horizon: int) -> OpenLoopSolution:
-    """Module-level alias for ``solver.solve(x, horizon)``."""
-    return solver.solve(x, horizon)

@@ -7,7 +7,8 @@ tables, value-drop maps) and the CSV emitters used by the command-line
 front end.  All floating-point output uses ``%.17g`` so that reruns are
 byte-comparable.
 
-The points of a set run as one lockstep batch in this process (see
+Every experiment takes a solver, which carries its planning model.  The
+points of a set run as one lockstep batch in this process (see
 :func:`mpccert.engine.run_batch`), and the point records come straight
 from the batch's per-row statistics, without a full trace per point.
 """
@@ -21,7 +22,6 @@ import numpy as np
 
 from .engine import AlgorithmConfig, run_batch, run_closed_loop
 from .errors import ConfigError, MpcCertError
-from .model import SystemModel
 from .riccati import FiniteHorizonSolver, LqLadderSolver
 
 _SWEEP_COLUMNS = ("k", "x1", "x2", "alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
@@ -99,11 +99,14 @@ class SweepReport:
     records: tuple[PointRecord, ...]
 
     def failure_indices(self) -> tuple[int, ...]:
-        """Points at which the run's threshold test failed at startup.
+        """Points at which the variant's own failure test fired.
 
-        For the variants without a slack account this is the set where
-        the first plan's one-step degree misses ``alpha_bar``; for the
-        watchdog variants it is the set where a warning was issued.
+        * ``alg1``/``alg2`` (no slack account): the startup-threshold
+          set, where the first plan's one-step degree misses
+          ``alpha_bar``.
+        * ``alg3``/``alg4`` (watchdog): :meth:`warned_indices`, the
+          points where a warning was issued.  Error records carry
+          ``warning=False``, so they never count.
         """
         if self.config.variant in ("alg1", "alg2"):
             return tuple(
@@ -111,7 +114,7 @@ class SweepReport:
                 for r in self.records
                 if r.error is None and r.startup_alpha < self.config.alpha_bar
             )
-        return tuple(r.index for r in self.records if r.error is None and r.warning)
+        return self.warned_indices()
 
     def warned_indices(self) -> tuple[int, ...]:
         return tuple(r.index for r in self.records if r.warning)
@@ -150,14 +153,13 @@ class SweepReport:
 
 
 def _batch_records(
-    model: SystemModel,
     solver: FiniteHorizonSolver,
     config: AlgorithmConfig,
     points: np.ndarray,
     first: int,
 ) -> list[PointRecord]:
     """Records of ``points`` run as one lockstep batch; the first has index ``first``."""
-    batch = run_batch(model, solver, points, config)
+    batch = run_batch(solver, points, config)
     return [
         PointRecord(
             index=first + i,
@@ -174,7 +176,6 @@ def _batch_records(
 
 
 def _records(
-    model: SystemModel,
     solver: FiniteHorizonSolver,
     config: AlgorithmConfig,
     points: np.ndarray,
@@ -186,18 +187,17 @@ def _records(
     runs, batches and single runs together.
     """
     if len(points) == 1:
-        return [_evaluate_point(model, solver, config, first, points[0])]
+        return [_evaluate_point(solver, config, first, points[0])]
     try:
-        return _batch_records(model, solver, config, points, first)
+        return _batch_records(solver, config, points, first)
     except (MpcCertError, np.linalg.LinAlgError):
         half = len(points) // 2
-        return _records(model, solver, config, points[:half], first) + _records(
-            model, solver, config, points[half:], first + half
+        return _records(solver, config, points[:half], first) + _records(
+            solver, config, points[half:], first + half
         )
 
 
 def _evaluate_point(
-    model: SystemModel,
     solver: FiniteHorizonSolver,
     config: AlgorithmConfig,
     index: int,
@@ -205,7 +205,7 @@ def _evaluate_point(
 ) -> PointRecord:
     """Record of one point run on its own, with its error if the run fails."""
     try:
-        trace = run_closed_loop(model, solver, x0, config)
+        trace = run_closed_loop(solver, x0, config)
     except (MpcCertError, np.linalg.LinAlgError) as exc:
         nan = float("nan")
         return PointRecord(
@@ -232,10 +232,7 @@ def _evaluate_point(
 
 
 def sweep(
-    model: SystemModel,
-    solver: FiniteHorizonSolver,
-    initial_set: InitialSet,
-    config: AlgorithmConfig,
+    solver: FiniteHorizonSolver, initial_set: InitialSet, config: AlgorithmConfig
 ) -> SweepReport:
     """Run the configured closed loop from every point of the set.
 
@@ -246,18 +243,8 @@ def sweep(
     point and every other record is the same as in the whole batch.
     """
     points = np.asarray(initial_set.points, dtype=float)
-    records = _records(model, solver, config, points, 1)
+    records = _records(solver, config, points, 1)
     return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
-
-
-def failure_set(report_a: SweepReport, report_b: SweepReport) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Compare the failure sets of two sweeps over the same initial set.
-
-    Returns both index tuples and whether they coincide exactly.
-    """
-    fa = report_a.failure_indices()
-    fb = report_b.failure_indices()
-    return fa, fb, fa == fb
 
 
 def horizon_comparison(
@@ -280,14 +267,8 @@ def horizon_comparison(
     rows = []
     for n in horizons:
         solver = LqLadderSolver(lq, n)
-        apriori = sweep(
-            solver.model,
-            solver,
-            initial_set,
-            AlgorithmConfig(variant="alg1", horizon=n, alpha_bar=0.0),
-        )
+        apriori = sweep(solver, initial_set, AlgorithmConfig(variant="alg1", horizon=n, alpha_bar=0.0))
         posteriori = sweep(
-            solver.model,
             solver,
             initial_set,
             AlgorithmConfig(variant="alg3", horizon=n, alpha_bar=alpha_bar, forced_m=1),

@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from mpccert.certify import alpha_m_step, splice_control, update_acceptable
-from mpccert.engine import AlgorithmConfig, run_alg1, run_alg2, run_alg3, run_closed_loop
+from mpccert.engine import AlgorithmConfig, run_closed_loop
 from mpccert.model import trajectory_cost
 from mpccert.refchecks import two_step_values
-from mpccert.riccati import riccati_ladder
-from mpccert.sweep import failure_set, sweep
+from mpccert.riccati import RiccatiLadder
+from mpccert.sweep import sweep
 
 X_A = np.array([0.0, 1.0])
 X_B = np.array([1.0, 0.0])
@@ -40,15 +40,15 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def watchdog_report(model, solver, grid):
+def watchdog_report(solver, grid):
     config = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    return sweep(model, solver, grid, config)
+    return sweep(solver, grid, config)
 
 
 @pytest.fixture(scope="module")
-def loop_closing_report(model, solver, grid):
+def loop_closing_report(solver, grid):
     config = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.01)
-    return sweep(model, solver, grid, config)
+    return sweep(solver, grid, config)
 
 
 @pytest.fixture(scope="module")
@@ -126,11 +126,11 @@ def test_criterion_4_two_step_always_certifies(startup_probes):
     )
 
 
-def test_criterion_5_loop_closing_certification(model, solver, grid, loop_closing_report):
+def test_criterion_5_loop_closing_certification(solver, grid, loop_closing_report):
     all_single = True
     all_converged = True
     for x in grid.points:
-        trace = run_alg2(model, solver, x, AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0))
+        trace = run_closed_loop(solver, x, AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0))
         all_single = all_single and all(m == 1 for m in trace.schedule.m_values)
         all_converged = all_converged and trace.status == "converged"
     failures = loop_closing_report.failure_indices()
@@ -193,7 +193,7 @@ def test_criterion_6a_grid_minimum_certified_degree(lq, watchdog_report):
 
 def test_criterion_6b_warning_set_coincidence(watchdog_report, loop_closing_report):
     warned = watchdog_report.warned_indices()
-    failed, _, _ = failure_set(loop_closing_report, loop_closing_report)
+    failed = loop_closing_report.failure_indices()
     ok = warned == failed == ARC_INDICES
     _report(
         "criterion 6b (warning set equals failure set)",
@@ -221,14 +221,14 @@ def test_criterion_7a_tail_value_consistency(lq, solver, bellman):
     )
 
 
-def test_criterion_7b_slack_telescoping(model, solver):
+def test_criterion_7b_slack_telescoping(solver):
     worst = 0.0
     runs = 0
     for variant in ("alg1", "alg2", "alg3", "alg4"):
         for alpha_bar in (0.01, 0.5):
             for x0 in (X_A, np.array([0.6, -0.8])):
                 config = AlgorithmConfig(variant=variant, horizon=3, alpha_bar=alpha_bar)
-                trace = run_closed_loop(model, solver, x0, config)
+                trace = run_closed_loop(solver, x0, config)
                 runs += 1
                 v0 = trace.certificates[0].v_before
                 paid = 0.0
@@ -272,7 +272,7 @@ def test_criterion_7c_splice_soundness(model, solver):
 
 
 def test_criterion_7d_ladder_shape(lq):
-    ladder = riccati_ladder(lq, 20)
+    ladder = RiccatiLadder(lq, 20)
     sym = True
     psd = True
     monotone = True
@@ -291,7 +291,7 @@ def test_criterion_7d_ladder_shape(lq):
     )
 
 
-def test_criterion_7e_watchdog_reduces_to_adaptive(model, solver):
+def test_criterion_7e_watchdog_reduces_to_adaptive(solver):
     rng = np.random.default_rng(21)
     cases = [(X_A, 0.3), (np.array([0.6, -0.8]), 0.01)]
     for _ in range(8):
@@ -299,11 +299,11 @@ def test_criterion_7e_watchdog_reduces_to_adaptive(model, solver):
     checked = 0
     equal = True
     for x0, alpha_bar in cases:
-        t1 = run_alg1(model, solver, x0, AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=alpha_bar))
+        t1 = run_closed_loop(solver, x0, AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=alpha_bar))
         if t1.exit_count:
             continue
         checked += 1
-        t3 = run_alg3(model, solver, x0, AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=alpha_bar))
+        t3 = run_closed_loop(solver, x0, AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=alpha_bar))
         equal = (
             equal
             and t3.schedule.times == t1.schedule.times

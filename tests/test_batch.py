@@ -198,9 +198,9 @@ def engine_solver(lq):
 def test_batch_run_matches_one_row_runs(engine_solver, config, case):
     points, order = case
     s = engine_solver
-    batch = run_batch(s.model, s, points[order], config, traces=True)
+    batch = run_batch(s, points[order], config, traces=True)
     for row, i in enumerate(order):
-        single = run_closed_loop(s.model, s, points[i], config)
+        single = run_closed_loop(s, points[i], config)
         _assert_same_run(batch.traces[row], single)
         assert batch.status[row] == single.status
         for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
@@ -208,7 +208,7 @@ def test_batch_run_matches_one_row_runs(engine_solver, config, case):
         assert batch.warning_count[row] == single.warning_count
         assert batch.exit_count[row] == single.exit_count
     # Statistics without traces are the same numbers.
-    bare = run_batch(s.model, s, points[order], config)
+    bare = run_batch(s, points[order], config)
     assert bare.traces is None and bare.status == batch.status
     for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
         assert np.array_equal(getattr(bare, name), getattr(batch, name), equal_nan=True)
@@ -217,7 +217,7 @@ def test_batch_run_matches_one_row_runs(engine_solver, config, case):
 def test_origin_row_converges_at_once(engine_solver):
     s = engine_solver
     config = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    batch = run_batch(s.model, s, np.array([CIRCLE[3], np.zeros(2)]), config, traces=True)
+    batch = run_batch(s, np.array([CIRCLE[3], np.zeros(2)]), config, traces=True)
     origin = batch.traces[1]
     assert origin.status == "converged"
     assert origin.certificates == () and origin.schedule.times == (0,)
@@ -231,8 +231,8 @@ def test_sign_flip_keeps_schedules_and_alphas(engine_solver, config, x0):
     # The loop is linear and the costs quadratic; IEEE negation is exact,
     # so -x0 takes the same decisions with the same numbers.
     s = engine_solver
-    a = run_closed_loop(s.model, s, x0, config)
-    b = run_closed_loop(s.model, s, -x0, config)
+    a = run_closed_loop(s, x0, config)
+    b = run_closed_loop(s, -x0, config)
     assert a.status == b.status
     assert a.schedule.times == b.schedule.times
     assert np.array_equal(a.states, -b.states)

@@ -38,11 +38,11 @@ def test_every_traced_name_resolves(spans):
             assert callable(getattr(owner, attr, None)), f"{name}: {module_name}.{attr} is gone"
 
 
-def test_traced_run_entry_point_returns_a_trace(spans, model, solver):
+def test_traced_run_entry_point_returns_a_trace(spans, solver):
     # The span wrapper around ``mpccert.sweep.run_closed_loop`` reads the
     # trace's iteration count, applied costs, certificates and windows.
     run = importlib.import_module("mpccert.sweep").run_closed_loop
-    trace = run(model, solver, np.array([0.0, 1.0]), AlgorithmConfig("alg2", 3, 0.5))
+    trace = run(solver, np.array([0.0, 1.0]), AlgorithmConfig("alg2", 3, 0.5))
     assert isinstance(trace, ClosedLoopTrace)
     assert trace.iterations == len(trace.windows) > 0
     assert sum(w.closes for w in trace.windows) >= 0

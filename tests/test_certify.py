@@ -96,7 +96,7 @@ def test_update_acceptable_validates_offsets(solver):
         update_acceptable(sol, sol2, j=1, m=6, alpha_bar=0.5, end_value=1.0)
 
 
-def test_accepted_updates_preserve_window_inequality(solver, model):
+def test_accepted_updates_preserve_window_inequality(solver):
     # Whenever the budget check accepts a replacement, the realized
     # two-step window still satisfies the descent inequality at the
     # same threshold.

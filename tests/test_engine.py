@@ -4,10 +4,6 @@ import pytest
 from mpccert.engine import (
     AlgorithmConfig,
     UpdateSchedule,
-    run_alg1,
-    run_alg2,
-    run_alg3,
-    run_alg4,
     run_closed_loop,
     shrink_horizon_check,
 )
@@ -56,22 +52,22 @@ def test_update_schedule_validation():
 # --- frozen reference runs ---------------------------------------------------
 
 
-def test_alg1_reference_runs(model, solver):
-    trace = run_alg1(model, solver, X_A, _cfg("alg1", 0.5))
+def test_alg1_reference_runs(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg1", 0.5))
     assert trace.status == "exit-strategy-failed"
     assert trace.iterations == 33
     assert trace.exit_count == 3
     assert [w.committed_m for w in trace.windows][:12] == [2, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1]
     assert trace.windows[0].window_alpha == pytest.approx(0.514376631, abs=1e-8)
 
-    trace_b = run_alg1(model, solver, X_B, _cfg("alg1", 0.5))
+    trace_b = run_closed_loop(solver, X_B, _cfg("alg1", 0.5))
     assert trace_b.status == "exit-strategy-failed"
     assert trace_b.exit_count == 4
     assert trace_b.windows[0].window_alpha == pytest.approx(0.747027227, abs=1e-8)
 
 
-def test_alg2_reference_runs(model, solver):
-    trace = run_alg2(model, solver, X_A, _cfg("alg2", 0.5))
+def test_alg2_reference_runs(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg2", 0.5))
     assert trace.status == "exit-strategy-failed"
     assert trace.iterations == 32
     assert len(trace.certificates) == 38
@@ -82,7 +78,7 @@ def test_alg2_reference_runs(model, solver):
     assert trace.certificates[0].alpha == pytest.approx(0.327854988, abs=1e-8)
     assert trace.alpha_cor3 == pytest.approx(0.676922253, abs=1e-8)
 
-    trace_b = run_alg2(model, solver, X_B, _cfg("alg2", 0.5))
+    trace_b = run_closed_loop(solver, X_B, _cfg("alg2", 0.5))
     assert trace_b.iterations == 30
     assert len(trace_b.certificates) == 37
     assert [w.committed_m for w in trace_b.windows][:10] == [2, 1, 2, 1, 1, 1, 1, 1, 1, 2]
@@ -90,8 +86,8 @@ def test_alg2_reference_runs(model, solver):
     assert trace_b.alpha_cor3 == pytest.approx(0.795249510, abs=1e-8)
 
 
-def test_single_step_watchdog_reference_run(model, solver):
-    trace = run_alg3(model, solver, X_A, _cfg("alg3", 0.01, forced_m=1))
+def test_single_step_watchdog_reference_run(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg3", 0.01, forced_m=1))
     assert trace.status == "converged"
     assert trace.iterations == 38
     assert trace.warning_count == 0
@@ -110,8 +106,8 @@ def test_single_step_watchdog_reference_run(model, solver):
         assert s == pytest.approx(row[3], abs=1e-8)
 
 
-def test_alg4_reference_run(model, solver):
-    trace = run_alg4(model, solver, X_A, _cfg("alg4", 0.5))
+def test_alg4_reference_run(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg4", 0.5))
     assert trace.status == "converged"
     assert trace.warning_count == 0
     assert len(trace.certificates) == 38
@@ -120,27 +116,27 @@ def test_alg4_reference_run(model, solver):
     assert trace.slack.total == pytest.approx(1.335562215, abs=1e-8)
 
 
-def test_forced_window_probe(model, solver):
+def test_forced_window_probe(solver):
     # Forcing two applied steps commits the two-step degree regardless
     # of the threshold.
-    trace = run_alg1(model, solver, X_A, _cfg("alg1", 0.9, forced_m=2))
+    trace = run_closed_loop(solver, X_A, _cfg("alg1", 0.9, forced_m=2))
     assert trace.exit_count == 0
     assert trace.windows[0].committed_m == 2
     assert trace.windows[0].window_alpha == pytest.approx(0.514376631, abs=1e-8)
 
 
-def test_forced_m_sequence_repeats_last_value(model, solver):
-    trace = run_alg1(model, solver, X_A, _cfg("alg1", 0.5, forced_m=[2, 1]))
+def test_forced_m_sequence_repeats_last_value(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg1", 0.5, forced_m=[2, 1]))
     ms = [w.committed_m for w in trace.windows]
     assert ms[0] == 2
     assert all(m == 1 for m in ms[1:])
 
 
-def test_forced_watchdog_warns_at_bad_startup(model, solver, grid):
+def test_forced_watchdog_warns_at_bad_startup(solver, grid):
     # Point 5 of the circle starts with a one-step degree below 0.01;
     # single-step forcing must warn immediately and keep going.
     bad = grid.points[4]
-    trace = run_alg3(model, solver, bad, _cfg("alg3", 0.01, forced_m=1))
+    trace = run_closed_loop(solver, bad, _cfg("alg3", 0.01, forced_m=1))
     assert trace.status == "warning-issued"
     assert trace.windows[0].warning_event
     assert trace.windows[0].committed_m == 1
@@ -148,16 +144,16 @@ def test_forced_watchdog_warns_at_bad_startup(model, solver, grid):
     assert len(trace.slack.values) == len(trace.certificates)
 
 
-def test_natural_warning_and_exit_at_high_threshold(model, solver, grid):
+def test_natural_warning_and_exit_at_high_threshold(solver, grid):
     # At threshold 0.6, point 9 fails both prefix probes at startup
     # (frozen: alpha_1 = -0.545, alpha_2 = 0.590), so the adaptive
     # variant exits and the watchdog warns, both at the first window.
     x = grid.points[8]
-    t1 = run_alg1(model, solver, x, _cfg("alg1", 0.6))
+    t1 = run_closed_loop(solver, x, _cfg("alg1", 0.6))
     assert t1.status == "exit-strategy-failed"
     assert t1.windows[0].exit_event
     assert t1.windows[0].committed_m == 1
-    t3 = run_alg3(model, solver, x, _cfg("alg3", 0.6))
+    t3 = run_closed_loop(solver, x, _cfg("alg3", 0.6))
     assert t3.status == "warning-issued"
     assert t3.windows[0].warning_event
     assert t3.windows[0].committed_m == 1
@@ -165,13 +161,13 @@ def test_natural_warning_and_exit_at_high_threshold(model, solver, grid):
     assert t3.windows[0].probe_alphas[1] == pytest.approx(0.590334, abs=1e-5)
 
 
-def test_slack_can_cover_an_uncertified_window(model, solver):
+def test_slack_can_cover_an_uncertified_window(solver):
     # From (0,1) at threshold 0.5 the third window after the banked
     # surplus fails both probes; the account covers the better prefix,
     # so the watchdog variant commits two steps where the adaptive
     # variant falls back to one.
-    t1 = run_alg1(model, solver, X_A, _cfg("alg1", 0.5))
-    t3 = run_alg3(model, solver, X_A, _cfg("alg3", 0.5))
+    t1 = run_closed_loop(solver, X_A, _cfg("alg1", 0.5))
+    t3 = run_closed_loop(solver, X_A, _cfg("alg3", 0.5))
     assert t3.status == "converged"
     assert t3.warning_count == 0
     m1 = [w.committed_m for w in t1.windows][:6]
@@ -191,7 +187,7 @@ ALL_VARIANTS = ("alg1", "alg2", "alg3", "alg4")
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("alpha_bar", (0.0, 0.01, 0.5))
 def test_schedule_soundness_and_replay(model, solver, variant, alpha_bar):
-    trace = run_closed_loop(model, solver, X_A, _cfg(variant, alpha_bar))
+    trace = run_closed_loop(solver, X_A, _cfg(variant, alpha_bar))
     assert trace.schedule.times[0] == 0
     assert int(np.sum(trace.schedule.m_values)) == len(trace.applied_controls)
     assert np.all(trace.schedule.m_values >= 1)
@@ -204,11 +200,11 @@ def test_schedule_soundness_and_replay(model, solver, variant, alpha_bar):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("alpha_bar", (0.0, 0.01, 0.5))
-def test_slack_telescoping(model, solver, variant, alpha_bar):
+def test_slack_telescoping(solver, variant, alpha_bar):
     # The banked slack always equals the total value drop minus the
     # threshold-weighted cost, interval by interval.
     for x0 in (X_A, np.array([0.6, -0.8])):
-        trace = run_closed_loop(model, solver, x0, _cfg(variant, alpha_bar))
+        trace = run_closed_loop(solver, x0, _cfg(variant, alpha_bar))
         v0 = trace.certificates[0].v_before
         paid = 0.0
         for cert, s in zip(trace.certificates, trace.slack.values):
@@ -218,8 +214,8 @@ def test_slack_telescoping(model, solver, variant, alpha_bar):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_certificate_chain_is_contiguous(model, solver, variant):
-    trace = run_closed_loop(model, solver, X_A, _cfg(variant, 0.5))
+def test_certificate_chain_is_contiguous(solver, variant):
+    trace = run_closed_loop(solver, X_A, _cfg(variant, 0.5))
     assert len(trace.certificates) == len(trace.schedule.times) - 1
     for a, b in zip(trace.certificates, trace.certificates[1:]):
         assert a.v_after == b.v_before
@@ -230,11 +226,11 @@ def test_certificate_chain_is_contiguous(model, solver, variant):
         assert cert.m == nxt - sigma
 
 
-def test_descent_bound_from_any_nonnegative_slack_point(model, solver):
+def test_descent_bound_from_any_nonnegative_slack_point(solver):
     # Whenever the account is nonnegative after an interval, the state
     # reached there is certified against the starting value.
     for variant, alpha_bar in (("alg3", 0.5), ("alg4", 0.5), ("alg3", 0.01)):
-        trace = run_closed_loop(model, solver, X_A, _cfg(variant, alpha_bar))
+        trace = run_closed_loop(solver, X_A, _cfg(variant, alpha_bar))
         v0 = trace.certificates[0].v_before
         paid = 0.0
         hit = 0
@@ -246,24 +242,24 @@ def test_descent_bound_from_any_nonnegative_slack_point(model, solver):
         assert hit > 0
 
 
-def test_performance_bound_when_all_intervals_certify(model, solver, grid):
+def test_performance_bound_when_all_intervals_certify(solver, grid):
     # With every interval's surplus nonnegative, the threshold bounds
     # the whole realized cost against the initial value.
     for x0 in (X_B, grid.points[40], grid.points[100]):
-        trace = run_alg1(model, solver, x0, _cfg("alg1", 0.01))
+        trace = run_closed_loop(solver, x0, _cfg("alg1", 0.01))
         assert trace.status == "converged"
         assert all(c.rho >= 0.0 for c in trace.certificates)
         assert 0.01 * trace.total_cost <= trace.certificates[0].v_before + 1e-10
 
 
-def test_monotone_value_decrease_at_certified_windows(model, solver):
-    trace = run_alg1(model, solver, X_A, _cfg("alg1", 0.01))
+def test_monotone_value_decrease_at_certified_windows(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg1", 0.01))
     assert trace.exit_count == 0
     for w in trace.windows:
         assert w.v_end < w.v_start
 
 
-def test_watchdog_reduces_to_adaptive_when_silent(model, solver, grid):
+def test_watchdog_reduces_to_adaptive_when_silent(solver, grid):
     # Exact trace equality whenever the adaptive variant never needs
     # its fallback.
     cases = [(X_A, 0.3), (np.array([0.6, -0.8]), 0.01)]
@@ -272,11 +268,11 @@ def test_watchdog_reduces_to_adaptive_when_silent(model, solver, grid):
         cases.append((rng.uniform(-1.5, 1.5, size=2), 0.3))
     checked = 0
     for x0, alpha_bar in cases:
-        t1 = run_alg1(model, solver, x0, _cfg("alg1", alpha_bar))
+        t1 = run_closed_loop(solver, x0, _cfg("alg1", alpha_bar))
         if t1.exit_count:
             continue
         checked += 1
-        t3 = run_alg3(model, solver, x0, _cfg("alg3", alpha_bar))
+        t3 = run_closed_loop(solver, x0, _cfg("alg3", alpha_bar))
         assert t3.schedule.times == t1.schedule.times
         assert np.array_equal(t3.states, t1.states)
         assert np.array_equal(t3.applied_controls, t1.applied_controls)
@@ -285,22 +281,22 @@ def test_watchdog_reduces_to_adaptive_when_silent(model, solver, grid):
     assert checked >= 2
 
 
-def test_determinism(model, solver):
-    a = run_alg4(model, solver, X_A, _cfg("alg4", 0.5))
-    b = run_alg4(model, solver, X_A, _cfg("alg4", 0.5))
+def test_determinism(solver):
+    a = run_closed_loop(solver, X_A, _cfg("alg4", 0.5))
+    b = run_closed_loop(solver, X_A, _cfg("alg4", 0.5))
     assert np.array_equal(a.states, b.states)
     assert a.certificates == b.certificates
     assert a.slack.values == b.slack.values
 
 
-def test_startup_failures_do_not_exhaust_all_prefixes(model, solver, grid):
+def test_startup_failures_do_not_exhaust_all_prefixes(solver, grid):
     # At the 0.01 threshold the one-step probe fails on part of the
     # circle, but a longer prefix always certifies: the adaptive
     # variant never takes its fallback there, so the meaningful
     # failure set at this threshold is the startup one-step set.
     startup_failures = 0
     for x0 in grid.points:
-        trace = run_alg1(model, solver, x0, _cfg("alg1", 0.01))
+        trace = run_closed_loop(solver, x0, _cfg("alg1", 0.01))
         assert trace.exit_count == 0
         assert trace.status == "converged"
         if trace.startup_onestep_alpha < 0.01:
@@ -308,8 +304,8 @@ def test_startup_failures_do_not_exhaust_all_prefixes(model, solver, grid):
     assert startup_failures == 44
 
 
-def test_immediate_convergence_at_equilibrium(model, solver):
-    trace = run_alg2(model, solver, np.zeros(2), _cfg("alg2", 0.5))
+def test_immediate_convergence_at_equilibrium(solver):
+    trace = run_closed_loop(solver, np.zeros(2), _cfg("alg2", 0.5))
     assert trace.status == "converged"
     assert trace.certificates == ()
     assert trace.schedule.times == (0,)
@@ -317,18 +313,18 @@ def test_immediate_convergence_at_equilibrium(model, solver):
     assert np.isnan(trace.alpha_cor3)
 
 
-def test_max_iterations_and_status_precedence(model, solver):
-    capped = run_alg3(model, solver, X_A, _cfg("alg3", 0.5, max_iterations=5))
+def test_max_iterations_and_status_precedence(solver):
+    capped = run_closed_loop(solver, X_A, _cfg("alg3", 0.5, max_iterations=5))
     assert capped.status == "max-iterations"
     assert capped.iterations == 5
     # A flagged fallback overrides the base status.
-    flagged = run_alg1(model, solver, X_A, _cfg("alg1", 0.5, max_iterations=5))
+    flagged = run_closed_loop(solver, X_A, _cfg("alg1", 0.5, max_iterations=5))
     assert flagged.exit_count > 0
     assert flagged.status == "exit-strategy-failed"
 
 
-def test_summary_keys(model, solver):
-    trace = run_alg1(model, solver, X_A, _cfg("alg1", 0.5))
+def test_summary_keys(solver):
+    trace = run_closed_loop(solver, X_A, _cfg("alg1", 0.5))
     summary = trace.summary()
     for key in (
         "variant",
@@ -358,9 +354,9 @@ def test_shrink_check_validation(solver):
     assert not shrink_horizon_check(solver, x, 5, 3, slack_total=0.0)
 
 
-def test_mid_run_shrink_keeps_certificates_sound(model, solver):
+def test_mid_run_shrink_keeps_certificates_sound(solver):
     cfg = _cfg("alg3", 0.01, horizon=5, shrink_schedule={5: 3})
-    trace = run_closed_loop(model, solver, X_A, cfg)
+    trace = run_closed_loop(solver, X_A, cfg)
     assert trace.status == "converged"
     horizons = [w.horizon for w in trace.windows]
     assert horizons[4] == 5
@@ -374,9 +370,9 @@ def test_mid_run_shrink_keeps_certificates_sound(model, solver):
         assert s == pytest.approx(v0 - cert.v_after - 0.01 * paid, abs=1e-9)
 
 
-def test_uncovered_shrink_request_is_ignored(model, solver):
+def test_uncovered_shrink_request_is_ignored(solver):
     # Requesting the shrink at the very first window, with nothing
     # banked, fails the check and the run keeps its horizon.
     cfg = _cfg("alg3", 0.01, horizon=5, shrink_schedule={0: 3})
-    trace = run_closed_loop(model, solver, X_A, cfg)
+    trace = run_closed_loop(solver, X_A, cfg)
     assert all(w.horizon == 5 for w in trace.windows)

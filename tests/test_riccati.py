@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mpccert.errors import ConfigError
+from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import (
     LqBellmanSolver,
     LqLadderSolver,
-    lq_solve,
+    RiccatiLadder,
     riccati_fixed_point,
-    riccati_ladder,
-    solve,
 )
 
 # Hand-checked second rung: P_2 = Q + A'A - (A'B)(B'B + R)^{-1}(B'A)
@@ -22,7 +21,7 @@ P_INF = np.array([[5.098399378801, 3.210349332439], [3.210349332439, 7.406837722
 
 
 def test_ladder_matches_frozen_rungs(lq):
-    ladder = riccati_ladder(lq, 4)
+    ladder = RiccatiLadder(lq, 4)
     assert np.allclose(ladder.matrix(1), np.eye(2), atol=1e-15)
     assert np.allclose(ladder.matrix(2), P2, atol=1e-12)
     assert np.allclose(ladder.matrix(3), P3, atol=1e-9)
@@ -31,7 +30,7 @@ def test_ladder_matches_frozen_rungs(lq):
 
 
 def test_ladder_symmetry_psd_monotone(lq):
-    ladder = riccati_ladder(lq, 20)
+    ladder = RiccatiLadder(lq, 20)
     previous = np.zeros((2, 2))
     for j in range(1, 21):
         p = ladder.matrix(j)
@@ -44,20 +43,90 @@ def test_ladder_symmetry_psd_monotone(lq):
 
 
 def test_ladder_index_bounds(lq):
-    ladder = riccati_ladder(lq, 3)
-    with pytest.raises(ConfigError):
-        ladder.matrix(4)
-    with pytest.raises(ConfigError):
-        ladder.matrix(-1)
+    ladder = RiccatiLadder(lq, 3)
+    for j in (-1, 4):
+        with pytest.raises(ConfigError):
+            ladder.matrix(j)
+        with pytest.raises(ConfigError):
+            ladder.gain(j)
     ladder.extend(5)
     assert ladder.matrix(5).shape == (2, 2)
+    assert ladder.gain(5).shape == (1, 2)
 
 
 def test_fixed_point_matches_frozen_limit(lq):
     p_inf = riccati_fixed_point(lq)
     assert np.allclose(p_inf, P_INF, atol=1e-6)
-    ladder = riccati_ladder(lq, 40)
+    ladder = RiccatiLadder(lq, 40)
     assert np.allclose(ladder.matrix(40), p_inf, atol=1e-9)
+
+
+# (state_dim, control_dim) of the in-test plants, two plants each.
+SHAPES = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2))
+
+
+def _plant(n, c, seed):
+    # A random plant whose open loop is unstable (spectral radius 1.2).
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 1.2 / np.max(np.abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n, c))
+    M = rng.normal(size=(n, n))
+    Q = M @ M.T + 0.5 * np.eye(n)
+    M = rng.normal(size=(c, c))
+    R = M @ M.T + np.eye(c)
+    return LinearQuadraticInstance(A=A, B=B, Q=0.5 * (Q + Q.T), R=0.5 * (R + R.T))
+
+
+def _plants():
+    return [_plant(n, c, 100 * n + 10 * c + k) for n, c in SHAPES for k in range(2)]
+
+
+def _textbook_ladder(lq, horizon):
+    # P_{j+1} = Q + A'P_j A - A'P_j B (R + B'P_j B)^{-1} B'P_j A from P_0 = 0,
+    # with K_j = (R + B'P_j B)^{-1} B'P_j A, through an explicit inverse.
+    A, B, Q, R = lq.A, lq.B, lq.Q, lq.R
+    P = np.zeros_like(Q)
+    rungs, gains = [], []
+    for _ in range(horizon + 1):
+        G = np.linalg.inv(R + B.T @ P @ B)
+        rungs.append(P)
+        gains.append(G @ B.T @ P @ A)
+        P = Q + A.T @ P @ A - A.T @ P @ B @ G @ B.T @ P @ A
+    return rungs, gains
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), np.finfo(float).tiny)
+
+
+def test_ladder_matches_textbook_recursion():
+    for lq in _plants():
+        ladder = RiccatiLadder(lq, 20)
+        rungs, gains = _textbook_ladder(lq, 20)
+        for j in range(21):
+            assert _rel(ladder.matrix(j), rungs[j]) <= 1e-12
+            assert _rel(ladder.gain(j), gains[j]) <= 1e-12
+        assert not np.any(ladder.gain(0))
+
+
+def test_grown_ladder_equals_one_built_at_once(lq):
+    for plant in [lq] + _plants():
+        grown = RiccatiLadder(plant, 1)
+        for horizon in (3, 10, 20):
+            grown.extend(horizon)
+        built = RiccatiLadder(plant, 20)
+        assert grown.horizon == built.horizon == 20
+        for j in range(21):
+            assert np.array_equal(grown.matrix(j), built.matrix(j))
+            assert np.array_equal(grown.gain(j), built.gain(j))
+
+
+def test_fixed_point_matches_scipy_dare(lq):
+    linalg = pytest.importorskip("scipy.linalg")
+    for plant in [lq] + _plants():
+        expected = linalg.solve_discrete_are(plant.A, plant.B, plant.Q, plant.R)
+        assert _rel(riccati_fixed_point(plant), expected) <= 1e-12
 
 
 def test_values_at_reference_states(solver):
@@ -176,18 +245,21 @@ def test_one_step_optimality_gap(solver, bellman):
         assert gap == pytest.approx(expected, abs=1e-8)
 
 
-def test_lq_solve_dispatch(lq):
+def test_the_two_laws_differ(lq):
     x = np.array([0.3, 0.8])
-    assert lq_solve(lq, x, 3, law="ladder").controls[0, 0] != pytest.approx(
-        lq_solve(lq, x, 3, law="bellman").controls[0, 0]
+    assert LqLadderSolver(lq, 3).solve(x, 3).controls[0, 0] != pytest.approx(
+        LqBellmanSolver(lq, 3).solve(x, 3).controls[0, 0]
     )
-    with pytest.raises(ConfigError):
-        lq_solve(lq, x, 3, law="newton")
 
 
 def test_solve_alias_and_horizon_validation(solver):
+    # ``solve`` is the one-row case of ``plans``.
     x = np.array([0.3, 0.8])
-    assert solve(solver, x, 4).value == pytest.approx(solver.value_of(x, 4))
+    sol = solver.solve(x, 4)
+    plan = solver.plans(x[None], 4)
+    assert np.array_equal(sol.controls, plan.controls[0])
+    assert np.array_equal(sol.trajectory, plan.trajectory[0])
+    assert sol.value == plan.value[0] == pytest.approx(solver.value_of(x, 4))
     with pytest.raises(ConfigError):
         solver.solve(x, 0)
     with pytest.raises(ConfigError):

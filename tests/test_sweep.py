@@ -12,7 +12,6 @@ from mpccert.sweep import (
     InitialSet,
     SweepReport,
     _evaluate_point,
-    failure_set,
     horizon_comparison,
     parse_initial_set,
     sweep,
@@ -52,9 +51,9 @@ def test_parse_initial_set():
             parse_initial_set(bad)
 
 
-def test_sweep_records_are_ordered_and_indexed(model, solver):
+def test_sweep_records_are_ordered_and_indexed(solver):
     grid = unit_circle(8)
-    report = sweep(model, solver, grid, _cfg("alg1", 0.01))
+    report = sweep(solver, grid, _cfg("alg1", 0.01))
     assert [r.index for r in report.records] == list(range(1, 9))
     for rec, x0 in zip(report.records, grid.points):
         assert rec.x0 == tuple(x0)
@@ -64,16 +63,16 @@ def test_sweep_records_are_ordered_and_indexed(model, solver):
     assert agg["errors"] == 0
 
 
-def test_batched_sweep_matches_one_at_a_time(model, solver, grid, tmp_path):
+def test_batched_sweep_matches_one_at_a_time(solver, grid, tmp_path):
     # A sweep runs its whole set as one lockstep batch; running every
     # point on its own (a one-row batch each) must give the same bytes.
     config = _cfg("alg3", 0.01, forced_m=1)
-    batched = sweep(model, solver, grid, config)
+    batched = sweep(solver, grid, config)
     one_at_a_time = SweepReport(
         set_name=grid.name,
         config=config,
         records=tuple(
-            _evaluate_point(model, solver, config, k, x0)
+            _evaluate_point(solver, config, k, x0)
             for k, x0 in enumerate(grid.points, start=1)
         ),
     )
@@ -85,8 +84,8 @@ def test_batched_sweep_matches_one_at_a_time(model, solver, grid, tmp_path):
     assert batched.records == one_at_a_time.records
 
 
-def test_startup_failure_arcs(model, solver, grid):
-    report = sweep(model, solver, grid, _cfg("alg1", 0.01))
+def test_startup_failure_arcs(solver, grid):
+    report = sweep(solver, grid, _cfg("alg1", 0.01))
     assert report.failure_indices() == ARC_INDICES
     assert len(ARC_INDICES) == 44
     # All runs still converge: a longer prefix certifies wherever the
@@ -96,7 +95,7 @@ def test_startup_failure_arcs(model, solver, grid):
 
 def test_longer_horizon_clears_the_arcs(lq, grid):
     solver = LqLadderSolver(lq, 4)
-    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01, horizon=4))
+    report = sweep(solver, grid, _cfg("alg1", 0.01, horizon=4))
     assert report.failure_indices() == ()
 
 
@@ -107,28 +106,24 @@ def test_longer_horizon_clears_the_arcs(lq, grid):
 def test_forced_watchdog_warning_counts(lq, grid, horizon, expected_warned):
     solver = LqLadderSolver(lq, horizon)
     config = _cfg("alg3", 0.01, horizon=horizon, forced_m=1)
-    report = sweep(solver.model, solver, grid, config)
+    report = sweep(solver, grid, config)
     assert len(report.warned_indices()) == expected_warned
     assert report.warned_indices() == report.failure_indices()
 
 
-def test_warning_set_equals_adaptive_failure_set(model, solver, grid):
-    adaptive = sweep(model, solver, grid, _cfg("alg1", 0.01))
-    watchdog = sweep(model, solver, grid, _cfg("alg3", 0.01, forced_m=1))
-    fa, fb, same = failure_set(adaptive, watchdog)
-    assert same
-    assert fa == fb == ARC_INDICES
+def test_warning_set_equals_adaptive_failure_indices(solver, grid):
+    adaptive = sweep(solver, grid, _cfg("alg1", 0.01))
+    watchdog = sweep(solver, grid, _cfg("alg3", 0.01, forced_m=1))
+    assert adaptive.failure_indices() == watchdog.failure_indices() == ARC_INDICES
 
 
-def test_failure_sets_can_differ(lq, model, solver, grid):
+def test_failure_indices_can_differ(lq, solver, grid):
     small = unit_circle(16)
-    a = sweep(model, solver, small, _cfg("alg1", 0.01))
+    a = sweep(solver, small, _cfg("alg1", 0.01))
     solver4 = LqLadderSolver(lq, 4)
-    b = sweep(solver4.model, solver4, small, _cfg("alg1", 0.01, horizon=4))
-    fa, fb, same = failure_set(a, b)
-    assert not same
-    assert fb == ()
-    assert fa != ()
+    b = sweep(solver4, small, _cfg("alg1", 0.01, horizon=4))
+    assert b.failure_indices() == ()
+    assert a.failure_indices() != ()
 
 
 def test_horizon_comparison_rows(lq, grid, tmp_path):
@@ -192,8 +187,8 @@ def test_value_drop_grid_rejects_non_planar_plant():
         value_drop_grid(LqLadderSolver(lq3, 3), 3, 1)
 
 
-def test_sweep_csv_layout(model, solver, tmp_path):
-    report = sweep(model, solver, unit_circle(4), _cfg("alg1", 0.01))
+def test_sweep_csv_layout(solver, tmp_path):
+    report = sweep(solver, unit_circle(4), _cfg("alg1", 0.01))
     path = tmp_path / "points.csv"
     write_sweep_csv(report, path)
     lines = path.read_text().splitlines()
@@ -222,7 +217,7 @@ class _FaultySolver(LqLadderSolver):
 def test_sweep_captures_per_point_errors(lq):
     solver = _FaultySolver(lq, 3)
     grid = unit_circle(4)  # point 4 is (1, 0)
-    report = sweep(solver.model, solver, grid, _cfg("alg1", 0.01))
+    report = sweep(solver, grid, _cfg("alg1", 0.01))
     assert report.error_indices() == (4,)
     bad = report.records[3]
     assert bad.status == "error"
@@ -242,9 +237,9 @@ def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
     assert np.allclose(grid.points[7], [1.0, 0.0], rtol=0.0, atol=1e-12)
     config = _cfg("alg3", 0.01)
     solver = _FaultySolver(lq, 3)
-    report = sweep(solver.model, solver, grid, config)
+    report = sweep(solver, grid, config)
     clean_solver = LqLadderSolver(lq, 3)
-    clean = sweep(clean_solver.model, clean_solver, grid, config)
+    clean = sweep(clean_solver, grid, config)
     assert report.error_indices() == (8,)
     assert report.records[7].status == "error"
     assert "marker state rejected" in report.records[7].error
@@ -277,11 +272,11 @@ def test_failing_batch_is_bisected(lq, monkeypatch):
     grid = unit_circle(128)  # point 128 is (1, 0)
     config = _cfg("alg1", 0.01)
     solver = _FaultySolver(lq, 3)
-    report = sweep(solver.model, solver, grid, config)
+    report = sweep(solver, grid, config)
     assert calls["batch"] + calls["single"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
     assert report.error_indices() == (128,)
     one_at_a_time = [
-        _evaluate_point(solver.model, solver, config, k, x0)
+        _evaluate_point(solver, config, k, x0)
         for k, x0 in enumerate(grid.points, start=1)
     ]
     assert list(report.records[:-1]) == one_at_a_time[:-1]

@@ -23,14 +23,17 @@ loop is closed:
 Every entry point takes the solver and nothing else about the plant:
 the solver's ``model`` supplies the state and control dimensions and
 the equilibrium.  There is one engine: :func:`run_batch` runs a
-``(B, n)`` array of initial states in lockstep.  Every row keeps its
-own state, horizon, pending interval, slack account, anchor plan and
-counts in arrays, and all rows pass through the same outer iteration
-together, so forced lengths and shrink requests apply per iteration as
-in a single run.
-Rows at the same horizon share one batched plan or value call, which
-does the same arithmetic on each row as on a lone state, so every row
-of a batch matches its own one-row run bit for bit.
+``(B, n)`` array of initial states in lockstep, under one configuration
+or one per row.  Every row keeps its own state, configuration, horizon,
+pending interval, slack account, anchor plan and counts in arrays, and
+all rows pass through the same outer iteration together, so forced
+lengths and shrink requests apply per iteration as in a single run.
+All rows share one plan call and one value call per step, whatever their
+horizons: the solver walks the rows at each horizon through that
+horizon's operator in one batched pass, which does the same arithmetic
+on each row as on a lone state.  So every row of a batch matches its
+own one-row run bit for bit, whichever rows and configurations share
+the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.
@@ -38,7 +41,7 @@ traces only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +128,19 @@ class AlgorithmConfig:
                     raise ConfigError(
                         f"forced_m value {v} outside [1, {self.horizon - 1}]"
                     )
+        if self.shrink_schedule:
+            # Reject every schedule that could fail mid-run, whichever of
+            # its requests are granted.
+            targets = [self.shrink_schedule[i] for i in sorted(self.shrink_schedule)]
+            if min(self.shrink_schedule) < 0 or not all(2 <= n <= self.horizon for n in targets):
+                raise ConfigError(
+                    f"shrink_schedule {self.shrink_schedule} needs iterations >= 0 "
+                    f"and targets in [2, {self.horizon}]"
+                )
+            if any(b > a for a, b in zip(targets, targets[1:])):
+                raise ConfigError(f"shrink_schedule {self.shrink_schedule} targets must not grow")
+            if max(self._forced_values(), default=1) >= min(targets):
+                raise ConfigError(f"forced_m {self.forced_m} does not fit the shrunk horizon {min(targets)}")
 
     def _forced_values(self) -> tuple[int, ...]:
         if self.forced_m is None:
@@ -284,10 +300,10 @@ class ClosedLoopTrace:
 def shrink_horizon_check(
     solver: FiniteHorizonSolver,
     x,
-    horizon: int,
+    horizon: int | np.ndarray,
     n_new: int,
     slack_total: float | np.ndarray = 0.0,
-    cert_slack: float = DEFAULT_CERT_SLACK,
+    cert_slack: float | np.ndarray = DEFAULT_CERT_SLACK,
 ) -> bool | np.ndarray:
     """Decide whether the horizon may shrink to ``n_new`` at state ``x``.
 
@@ -297,61 +313,81 @@ def shrink_horizon_check(
     the switch is allowed when the account survives it.  ``n_new``
     equal to the current horizon is a no-op and always allowed.
 
-    ``x`` may also be a ``(B, n)`` array, with ``slack_total`` holding one
-    account per row; the answer is then one boolean per row.
+    ``x`` may also be a ``(B, n)`` array, with ``horizon``, ``slack_total``
+    and ``cert_slack`` holding one value per row or one for all; the
+    answer is then one boolean per row.
     """
     if n_new < 2:
         raise ConfigError(f"shrunk horizon must be at least 2, got {n_new}")
-    if n_new > horizon:
+    if np.any(n_new > np.asarray(horizon)):
         raise ConfigError(
-            f"horizon may only shrink: requested {n_new}, currently {horizon}"
+            f"horizon may only shrink: requested {n_new}, currently {np.min(horizon)}"
         )
     X = np.asarray(x, dtype=float)
     rows = np.atleast_2d(X)
-    if n_new == horizon:
+    same = np.broadcast_to(n_new == np.asarray(horizon), len(rows))
+    if same.all():
         ok = np.ones(len(rows), dtype=bool)
     else:
         drop = solver.values_of(rows, n_new) - solver.values_of(rows, horizon)
-        ok = slack_total + drop >= -cert_slack
+        ok = same | (slack_total + drop >= -cert_slack)
     return ok if X.ndim == 2 else bool(ok[0])
 
 
 def _select_m(
-    variant: str,
+    watchdog: np.ndarray,
+    forced: np.ndarray,
     probe_alphas: np.ndarray,
     probe_rhos: np.ndarray,
-    alpha_bar: float,
+    alpha_bar: np.ndarray,
     slack_total: np.ndarray,
-    forced: int | None,
+    width: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pick each row's commitment length; returns ``(m, exit_event, warning_event)``."""
-    rows = len(probe_alphas)
-    no_event = np.zeros(rows, dtype=bool)
-    watchdog = variant in ("alg3", "alg4")
-    if forced is not None:
+    """Pick each row's commitment length; returns ``(m, exit_event, warning_event)``.
+
+    Row ``i`` looks at its first ``width[i]`` prefixes only (an int width
+    covers every column).  ``forced[i]`` is the length it is forced to
+    apply, 0 when it chooses for itself; ``watchdog[i]`` marks the
+    variants with a slack account.  Each rule runs on the whole batch
+    when any row follows it, and ``np.where`` picks each row's result.
+    """
+    cols = np.arange(probe_rhos.shape[1])
+    valid = True if np.ndim(width) == 0 else cols < width[:, None]
+    is_forced = forced > 0
+    m, exit_event, warning_event = forced, np.zeros(len(forced), bool), np.zeros(len(forced), bool)
+    plain = ~watchdog & ~is_forced
+    if plain.any():
+        # No slack account: the first prefix certified on its own.  When
+        # none is, close the loop immediately and flag the run rather than
+        # stopping the plant.
+        certified = valid & (probe_alphas >= alpha_bar[:, None])
+        found = certified.any(axis=1)
+        m = np.where(plain, np.where(found, certified.argmax(axis=1) + 1, 1), m)
+        exit_event = plain & ~found
+    free = watchdog & ~is_forced
+    if free.any():
+        # argmax gives the first prefix certified on its own, and for
+        # slack-covered rows the smallest maximiser of rho.
+        rhos = np.where(valid, probe_rhos, -np.inf)
+        certified = rhos >= 0.0
+        found = certified.any(axis=1)
+        covered = ~found & (slack_total + rhos.max(axis=1) >= 0.0)
+        chosen = np.where(found, certified.argmax(axis=1) + 1, np.where(covered, rhos.argmax(axis=1) + 1, 1))
+        m = np.where(free, chosen, m)
+        warning_event = free & ~found & ~covered
+    held = watchdog & is_forced
+    if held.any():
         # The account is only allowed to look at the window it is
         # actually forced to apply.
-        warned = slack_total + probe_rhos[:, :forced].max(axis=1) < 0.0 if watchdog else no_event
-        return np.full(rows, forced), no_event, warned
-    if not watchdog:
-        certified = probe_alphas >= alpha_bar
-        found = certified.any(axis=1)
-        # No prefix certifies on its own: close the loop immediately and
-        # flag the run rather than stopping the plant.
-        return np.where(found, certified.argmax(axis=1) + 1, 1), ~found, no_event
-    certified = probe_rhos >= 0.0
-    found = certified.any(axis=1)
-    covered = ~found & (slack_total + probe_rhos.max(axis=1) >= 0.0)
-    # argmax gives the first prefix certified on its own, and for
-    # slack-covered rows the smallest maximiser of rho.
-    m = np.where(found, certified.argmax(axis=1) + 1, np.where(covered, probe_rhos.argmax(axis=1) + 1, 1))
-    return m, no_event, ~found & ~covered
+        in_window = np.where(cols < forced[:, None], probe_rhos, -np.inf)
+        warning_event |= held & (slack_total + in_window.max(axis=1) < 0.0)
+    return m, exit_event, warning_event
 
 
 def _plan_rows(plan: OpenLoopSolution, sel) -> OpenLoopSolution:
     """The plans of a batch selected by ``sel``."""
     return OpenLoopSolution(
-        horizon=plan.horizon,
+        horizon=plan.horizon if np.ndim(plan.horizon) == 0 else plan.horizon[sel],
         controls=plan.controls[sel],
         trajectory=plan.trajectory[sel],
         stage_costs=plan.stage_costs[sel],
@@ -374,9 +410,10 @@ def _running_min(current: np.ndarray, new: np.ndarray) -> np.ndarray:
 class BatchRun:
     """Outcome of :func:`run_batch`, one entry per initial state in input order.
 
-    Each statistic equals the :class:`ClosedLoopTrace` property of the
-    same name for that row's run.  ``traces`` holds the full traces when
-    they were asked for and is ``None`` otherwise.
+    Each statistic equals the :class:`ClosedLoopTrace` property (or
+    ``summary()`` entry) of the same name for that row's run.  ``traces``
+    holds the full traces when they were asked for and is ``None``
+    otherwise.
     """
 
     status: tuple[str, ...]
@@ -386,31 +423,64 @@ class BatchRun:
     alpha_cor3: np.ndarray
     exit_count: np.ndarray
     warning_count: np.ndarray
+    intervals: np.ndarray
+    applied_steps: np.ndarray
     traces: tuple[ClosedLoopTrace, ...] | None = None
+
+    def select(self, rows: slice) -> "BatchRun":
+        """The runs of the rows in the slice ``rows``, as a batch of their own."""
+        return BatchRun(
+            **{
+                f.name: None if getattr(self, f.name) is None else getattr(self, f.name)[rows]
+                for f in fields(self)
+            }
+        )
 
 
 class _Lockstep:
     """State of a lockstep run: every array holds one entry per row.
 
-    Rows advance through synchronous iterations, so ``forced_m_at`` and
-    ``shrink_schedule`` are read once per iteration for all of them.
-    Rows planning at the same horizon share one batched solver call.
+    Each row carries its own configuration.  What the loop reads at every
+    step is kept per row: horizon, threshold, tolerances, iteration cap
+    and the variant's two flags (slack watchdog, mid-stretch re-planning).
+    ``forced_m_at`` and ``shrink_schedule`` are read once per distinct
+    configuration per iteration, since rows advance through synchronous
+    iterations.  All rows share one plan or value call per step: the
+    solver takes the rows' horizons as an array and walks all rows at the
+    same horizon through one batched plan.
     """
 
-    def __init__(
-        self, solver: FiniteHorizonSolver, X0, config: AlgorithmConfig, keep_traces: bool
-    ):
+    def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
         model = solver.model
         X = np.array(X0, dtype=float)
         n = model.state_dim
         if X.ndim != 2 or X.shape[1] != n:
             raise ConfigError(f"initial states must have shape (B, {n}), got {X.shape}")
         rows = len(X)
-        self.model, self.solver, self.config = model, solver, config
+        self.model, self.solver = model, solver
+        self.configs, self.kind = _distinct_configs(config, rows)
+
+        def per_row(values, dtype):
+            return np.array(values, dtype=dtype)[self.kind]
+
+        cfgs = self.configs
+        self.horizon = per_row([c.horizon for c in cfgs], int)
+        # Without differing horizons or shrink schedules the rows keep one
+        # horizon for good, and every solver call takes it as an int.
+        self.shared_horizon = (
+            cfgs[0].horizon
+            if all(c.horizon == cfgs[0].horizon and not c.shrink_schedule for c in cfgs)
+            else None
+        )
+        self.alpha_bar = per_row([c.alpha_bar for c in cfgs], float)
+        self.cert_slack = per_row([c.cert_slack for c in cfgs], float)
+        self.radius = per_row([c.termination_radius for c in cfgs], float)
+        self.max_iterations = per_row([c.max_iterations for c in cfgs], int)
+        self.watchdog = per_row([c.variant in ("alg3", "alg4") for c in cfgs], bool)
+        self.replanning = per_row([c.variant in ("alg2", "alg4") for c in cfgs], bool)
         self.keep = keep_traces
         self.x0 = X
         self.x = X.copy()
-        self.horizon = np.full(rows, config.horizon)
         self.t = np.zeros(rows, dtype=int)
         self.running = np.ones(rows, dtype=bool)
         self.status = [STATUS_MAX_ITERATIONS] * rows
@@ -438,9 +508,9 @@ class _Lockstep:
         self.since = np.zeros(rows, dtype=int)
         self.closes = np.zeros(rows, dtype=int)
         self.tail = np.zeros(rows, dtype=int)
-        # The plan each row is applying, padded to the initial horizon
-        # (shrinking only ever shortens plans).
-        H, c = config.horizon, model.control_dim
+        # The plan each row is applying, padded to the longest initial
+        # horizon (shrinking only ever shortens plans).
+        H, c = max(cfg.horizon for cfg in cfgs), model.control_dim
         self.anchor = OpenLoopSolution(
             horizon=H,
             controls=np.zeros((rows, H, c)),
@@ -460,22 +530,17 @@ class _Lockstep:
             self.slack_values = [[] for _ in range(rows)]
             self.windows = [[] for _ in range(rows)]
 
-    def _groups(self, rows: np.ndarray):
-        """``(N, rows planning at horizon N)`` for each horizon among ``rows``."""
-        horizons = self.horizon[rows]
-        distinct = set(horizons.tolist())
-        if len(distinct) == 1:
-            yield distinct.pop(), rows
-            return
-        for n in sorted(distinct):
-            yield n, rows[horizons == n]
+    def _per_config(self, rows: np.ndarray, value) -> np.ndarray:
+        """``value(config)`` for each row's configuration, computed once per configuration."""
+        return np.array([value(cfg) for cfg in self.configs])[self.kind[rows]]
+
+    def _horizon(self, rows: np.ndarray):
+        """The rows' current horizons: one int when all rows share it for good, else an array."""
+        return self.horizon[rows] if self.shared_horizon is None else self.shared_horizon
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
         """Value of each row's state at its current horizon."""
-        out = np.empty(len(self.x))
-        for n, p in self._groups(rows):
-            out[p] = self.solver.values_of(self.x[p], n)
-        return out[rows]
+        return self.solver.values_of(self.x[rows], self._horizon(rows))
 
     def _close(self, rows: np.ndarray, v_here: np.ndarray) -> None:
         """Close the pending interval of each row that has one at value ``v_here``."""
@@ -485,7 +550,7 @@ class _Lockstep:
             return
         cost = self.cost_sum[rows]
         v_before = self.v_before[rows]
-        self.slack[rows] += v_before - v_here - self.config.alpha_bar * cost
+        self.slack[rows] += v_before - v_here - self.alpha_bar[rows] * cost
         first = self.intervals[rows] == 0
         self.v_initial[rows[first]] = v_before[first]
         self.v_final[rows] = v_here
@@ -500,7 +565,7 @@ class _Lockstep:
                         v_before=float(vb),
                         v_after=float(va),
                         cost_sum=float(cs),
-                        alpha_bar=self.config.alpha_bar,
+                        alpha_bar=self.configs[self.kind[i]].alpha_bar,
                     )
                 )
                 self.slack_values[i].append(float(self.slack[i]))
@@ -517,7 +582,7 @@ class _Lockstep:
         self.cost_sum[rows] = 0.0
 
     def _set_anchor(self, rows: np.ndarray, plan: OpenLoopSolution) -> None:
-        n = plan.horizon
+        n = plan.controls.shape[1]
         a = self.anchor
         a.controls[rows, :n] = plan.controls
         a.trajectory[rows, : n + 1] = plan.trajectory
@@ -527,17 +592,17 @@ class _Lockstep:
         self.since[rows] = 0
 
     def run(self) -> None:
-        cfg = self.config
         iteration = 0
         while True:
             rows = np.flatnonzero(self.running)
             d = self.x[rows] - self.model.equilibrium_state
-            at_rest = np.sqrt(row_dot(d, d)) <= cfg.termination_radius
+            at_rest = np.sqrt(row_dot(d, d)) <= self.radius[rows]
             self._stop(rows[at_rest], STATUS_CONVERGED)
             rows = rows[~at_rest]
-            if iteration >= cfg.max_iterations:
-                self._stop(rows, STATUS_MAX_ITERATIONS)
-            if not self.running.any():
+            capped = iteration >= self.max_iterations[rows]
+            self._stop(rows[capped], STATUS_MAX_ITERATIONS)
+            rows = rows[~capped]
+            if rows.size == 0:
                 return
             self._iterate(rows, iteration)
             iteration += 1
@@ -547,91 +612,95 @@ class _Lockstep:
             return
         self._close(rows, self._values(rows))
         self.running[rows] = False
-        if self.config.variant in ("alg1", "alg2"):
-            flagged, flag = self.exits, STATUS_EXIT_FAILED
-        else:
-            flagged, flag = self.warnings, STATUS_WARNING
         for i in rows:
-            self.status[i] = flag if flagged[i] > 0 else status
+            if self.watchdog[i]:
+                self.status[i] = STATUS_WARNING if self.warnings[i] > 0 else status
+            else:
+                self.status[i] = STATUS_EXIT_FAILED if self.exits[i] > 0 else status
+
+    def _shrink(self, rows: np.ndarray, iteration: int) -> None:
+        """Grant each shrink request due at this iteration where the slack covers it."""
+        for k, cfg in enumerate(self.configs):
+            n_new = (cfg.shrink_schedule or {}).get(iteration)
+            if n_new is None:
+                continue
+            p = rows[self.kind[rows] == k]
+            if p.size:
+                ok = shrink_horizon_check(
+                    self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
+                )
+                self.horizon[p[ok]] = n_new
 
     def _iterate(self, rows: np.ndarray, iteration: int) -> None:
         """One outer iteration: probe, commit, apply, record the window."""
-        cfg, solver = self.config, self.solver
-        if cfg.shrink_schedule and iteration in cfg.shrink_schedule:
-            n_new = cfg.shrink_schedule[iteration]
-            for n, p in self._groups(rows):
-                ok = shrink_horizon_check(solver, self.x[p], n, n_new, self.slack[p], cfg.cert_slack)
-                self.horizon[p[ok]] = n_new
-
-        forced = cfg.forced_m_at(iteration)
-        probes = []
-        for n, p in self._groups(rows):
-            plan = solver.plans(self.x[p], n)
-            self._close(p, plan.value)
-            # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1.
-            ends = plan.trajectory[:, 1:n].reshape(-1, self.model.state_dim)
-            drops = plan.value[:, None] - solver.values_of(ends, n).reshape(len(p), n - 1)
-            prefix_costs = np.cumsum(plan.stage_costs, axis=1)[:, : n - 1]
-            probe_alphas = alpha_m_steps(drops, prefix_costs)
-            probe_rhos = drops - cfg.alpha_bar * prefix_costs
-            if forced is not None and forced > n - 1:
-                raise ConfigError(f"forced_m value {forced} outside [1, {n - 1}]")
-            m, exit_event, warning_event = _select_m(
-                cfg.variant, probe_alphas, probe_rhos, cfg.alpha_bar, self.slack[p], forced
-            )
-            self.m[p] = m
-            self.exits[p] += exit_event
-            self.warnings[p] += warning_event
-            self.v_start[p] = plan.value
-            self._open(p, plan.value)
-            self._set_anchor(p, plan)
-            onestep = probe_alphas[:, 0]
-            if iteration == 0:
-                self.startup[p] = onestep
-                self.min_onestep[p] = onestep
-            else:
-                self.min_onestep[p] = _running_min(self.min_onestep[p], onestep)
-            if self.keep:
-                probes.append((n, p, probe_alphas, probe_rhos, exit_event, warning_event))
+        solver = self.solver
+        self._shrink(rows, iteration)
+        forced = self._per_config(rows, lambda cfg: cfg.forced_m_at(iteration) or 0)
+        horizon = self._horizon(rows)
+        plan = solver.plans(self.x[rows], horizon)
+        self._close(rows, plan.value)
+        # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1,
+        # padded to the longest horizon among the rows.
+        width = plan.controls.shape[1] - 1
+        drops = plan.value[:, None] - solver.values_of(plan.trajectory[:, 1 : width + 1], horizon)
+        prefix_costs = np.cumsum(plan.stage_costs, axis=1)[:, :width]
+        alpha_bar = self.alpha_bar[rows]
+        probe_alphas = alpha_m_steps(drops, prefix_costs)
+        probe_rhos = drops - alpha_bar[:, None] * prefix_costs
+        m, exit_event, warning_event = _select_m(
+            self.watchdog[rows], forced, probe_alphas, probe_rhos, alpha_bar, self.slack[rows], horizon - 1
+        )
+        self.m[rows] = m
+        self.exits[rows] += exit_event
+        self.warnings[rows] += warning_event
+        self.v_start[rows] = plan.value
+        self._open(rows, plan.value)
+        self._set_anchor(rows, plan)
+        onestep = probe_alphas[:, 0]
+        if iteration == 0:
+            self.startup[rows] = onestep
+            self.min_onestep[rows] = onestep
+        else:
+            self.min_onestep[rows] = _running_min(self.min_onestep[rows], onestep)
 
         window_time = self.t[rows]
         self.closes[rows] = 0
         self._apply(rows)
         v_end = self._values(rows)
-        cost = row_sums(self.costs[rows], self.m[rows], start=window_time)
+        cost = row_sums(self.costs[rows], m, start=window_time)
         window_alpha = alpha_m_steps(self.v_start[rows] - v_end, cost)
         self.min_window[rows] = (
             window_alpha if iteration == 0 else _running_min(self.min_window[rows], window_alpha)
         )
         if not self.keep:
             return
-        position = {int(i): k for k, i in enumerate(rows)}
-        for n, p, probe_alphas, probe_rhos, exit_event, warning_event in probes:
-            for r, i in enumerate(p):
-                k = position[int(i)]
-                self.windows[i].append(
-                    WindowRecord(
-                        index=iteration,
-                        time=int(window_time[k]),
-                        horizon=n,
-                        v_start=float(self.v_start[i]),
-                        probe_alphas=probe_alphas[r],
-                        probe_rhos=probe_rhos[r],
-                        committed_m=int(self.m[i]),
-                        forced=forced is not None,
-                        exit_event=bool(exit_event[r]),
-                        warning_event=bool(warning_event[r]),
-                        closes=int(self.closes[i]),
-                        v_end=float(v_end[k]),
-                        cost=float(cost[k]),
-                    )
+        horizons = self.horizon[rows]
+        for k, i in enumerate(rows):
+            w = horizons[k] - 1
+            self.windows[i].append(
+                WindowRecord(
+                    index=iteration,
+                    time=int(window_time[k]),
+                    horizon=int(horizons[k]),
+                    v_start=float(self.v_start[i]),
+                    probe_alphas=probe_alphas[k, :w],
+                    probe_rhos=probe_rhos[k, :w],
+                    committed_m=int(m[k]),
+                    forced=bool(forced[k]),
+                    exit_event=bool(exit_event[k]),
+                    warning_event=bool(warning_event[k]),
+                    closes=int(self.closes[i]),
+                    v_end=float(v_end[k]),
+                    cost=float(cost[k]),
                 )
+            )
 
     def _apply(self, rows: np.ndarray) -> None:
         """Apply each row's committed steps; alg2/alg4 try a re-plan after each but the last."""
         m = self.m[rows]
         applied = np.zeros(len(rows), dtype=int)
-        replanning = self.config.variant in ("alg2", "alg4")
+        replanning = self.replanning[rows]
+        replans = replanning.any()
         for _ in range(int(m.max())):
             live = applied < m
             p = rows[live]
@@ -642,10 +711,11 @@ class _Lockstep:
             self.cost_sum[p] += cost
             self.since[p] = k + 1
             applied[live] += 1
-            more = live & (applied < m)
-            if replanning and more.any():
-                self.tail[rows[more]] = (m - applied)[more]
-                self._replan(rows[more])
+            if replans:
+                more = replanning & live & (applied < m)
+                if more.any():
+                    self.tail[rows[more]] = (m - applied)[more]
+                    self._replan(rows[more])
 
     def _log_step(self, rows: np.ndarray, u: np.ndarray, cost: np.ndarray) -> None:
         t = self.t[rows]
@@ -661,43 +731,52 @@ class _Lockstep:
         self.t[rows] = t + 1
 
     def _replan(self, rows: np.ndarray) -> None:
-        """Plan afresh mid-stretch; rows whose check passes switch to the new plan."""
-        cfg, solver = self.config, self.solver
-        for n, p in self._groups(rows):
-            plan = solver.plans(self.x[p], n)
-            tail = self.tail[p]
-            end_value = solver.values_of(plan.trajectory[np.arange(len(p)), tail], n)
-            since = self.since[p]
-            if cfg.variant == "alg2":
-                ok = update_acceptable(
-                    _plan_rows(self.anchor, p),
-                    plan,
-                    j=since,
-                    m=since + tail,
-                    alpha_bar=cfg.alpha_bar,
-                    end_value=end_value,
-                    cert_slack=cfg.cert_slack,
-                )
-            else:
-                paid = row_sums(self.anchor.stage_costs[p], since)
-                rho_close = self.anchor.value[p] - plan.value - cfg.alpha_bar * paid
-                tail_cost = row_sums(plan.stage_costs, tail)
-                rho_tail = plan.value - end_value - cfg.alpha_bar * tail_cost
-                ok = self.slack[p] + rho_close + rho_tail >= -cfg.cert_slack
-            p, plan = p[ok], _plan_rows(plan, ok)
-            self._close(p, plan.value)
-            self._open(p, plan.value)
-            self._set_anchor(p, plan)
-            self.closes[p] += 1
+        """Plan afresh mid-stretch; rows whose check passes switch to the new plan.
+
+        alg2 rows accept when the stretch as a whole still meets the
+        threshold (:func:`update_acceptable`), alg4 rows when their slack
+        account stays nonnegative.
+        """
+        solver = self.solver
+        horizon = self._horizon(rows)
+        plan = solver.plans(self.x[rows], horizon)
+        tail = self.tail[rows]
+        end_value = solver.values_of(plan.trajectory[np.arange(len(rows)), tail], horizon)
+        since = self.since[rows]
+        alpha_bar, cert_slack = self.alpha_bar[rows], self.cert_slack[rows]
+        watchdog = self.watchdog[rows]
+        budget = account = None
+        if not watchdog.all():
+            budget = update_acceptable(
+                _plan_rows(self.anchor, rows),
+                plan,
+                j=since,
+                m=since + tail,
+                alpha_bar=alpha_bar,
+                end_value=end_value,
+                cert_slack=cert_slack,
+            )
+        if watchdog.any():
+            paid = row_sums(self.anchor.stage_costs[rows], since)
+            rho_close = self.anchor.value[rows] - plan.value - alpha_bar * paid
+            tail_cost = row_sums(plan.stage_costs, tail)
+            rho_tail = plan.value - end_value - alpha_bar * tail_cost
+            account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
+        if budget is None or account is None:
+            ok = account if budget is None else budget
+        else:
+            ok = np.where(watchdog, account, budget)
+        p, plan = rows[ok], _plan_rows(plan, ok)
+        self._close(p, plan.value)
+        self._open(p, plan.value)
+        self._set_anchor(p, plan)
+        self.closes[p] += 1
 
     def outcome(self) -> BatchRun:
-        total_cost = [float(np.sum(self.costs[i, :t])) for i, t in enumerate(self.t)]
-        alpha_cor3 = np.array(
-            [
-                alpha_m_step(float(vi), float(vf), c) if k else float("nan")
-                for vi, vf, c, k in zip(self.v_initial, self.v_final, total_cost, self.intervals)
-            ]
-        )
+        # Summed as one block per run length, each row gets the bits of its
+        # own 1-D sum (see row_sums).
+        realized = alpha_m_steps(self.v_initial - self.v_final, row_sums(self.costs, self.t))
+        alpha_cor3 = np.where(self.intervals > 0, realized, np.nan)
         traces = None
         if self.keep:
             traces = tuple(self._trace(i) for i in range(len(self.x)))
@@ -709,13 +788,15 @@ class _Lockstep:
             alpha_cor3=alpha_cor3,
             exit_count=self.exits,
             warning_count=self.warnings,
+            intervals=self.intervals,
+            applied_steps=self.t,
             traces=traces,
         )
 
     def _trace(self, i: int) -> ClosedLoopTrace:
         t = int(self.t[i])
         return ClosedLoopTrace(
-            config=self.config,
+            config=self.configs[self.kind[i]],
             x0=self.x0[i],
             status=self.status[i],
             schedule=UpdateSchedule(times=tuple(self.times[i])),
@@ -730,18 +811,30 @@ class _Lockstep:
         )
 
 
+def _distinct_configs(config, rows: int) -> tuple[list[AlgorithmConfig], np.ndarray]:
+    """The distinct configuration objects among the rows, and each row's index into them."""
+    config = [config] * rows if isinstance(config, AlgorithmConfig) else list(config)
+    if len(config) != rows or not all(isinstance(cfg, AlgorithmConfig) for cfg in config):
+        raise ConfigError(f"need one AlgorithmConfig per initial state, got {len(config)} items for {rows}")
+    distinct = {id(cfg): cfg for cfg in config}
+    index = {key: k for k, key in enumerate(distinct)}
+    return list(distinct.values()), np.array([index[id(cfg)] for cfg in config], dtype=int)
+
+
 def run_batch(
     solver: FiniteHorizonSolver,
     X0,
-    config: AlgorithmConfig,
+    config: AlgorithmConfig | Sequence[AlgorithmConfig],
     *,
     traces: bool = False,
 ) -> BatchRun:
     """Run the configured variant from every row of the ``(B, n)`` array ``X0`` in lockstep.
 
-    Every row's run is the same as its own one-row batch, bit for bit:
-    rows share solver calls but no arithmetic.  An error in any row's
-    run aborts the whole batch.
+    ``config`` is one configuration for all rows or a sequence with one
+    per row; rows may then differ in variant, horizon, threshold, forced
+    lengths and shrink schedule.  Every row's run is the same as its own
+    one-row batch, bit for bit: rows share solver calls but no
+    arithmetic.  An error in any row's run aborts the whole batch.
     """
     state = _Lockstep(solver, X0, config, traces)
     state.run()

@@ -21,7 +21,7 @@ import numpy as np
 from .engine import AlgorithmConfig, run_batch
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver
-from .sweep import sweep, unit_circle, value_drop_grid
+from .sweep import SweepReport, point_records, unit_circle, value_drop_grid
 
 GRID_POINTS = 128
 
@@ -49,19 +49,23 @@ def two_step_values(solver: FiniteHorizonSolver, x, horizon: int = 3):
 
     Returns ``(v_held, alpha_held, v_replanned, alpha_replanned)`` where
     the ``v`` entries are the finite-horizon value at the state reached
-    after two steps.
+    after two steps.  ``x`` is one state, giving floats, or a ``(B, n)``
+    array of states, giving four ``(B,)`` arrays; the arithmetic on each
+    row is the same.
     """
-    sol = solver.solve(x, horizon)
+    X = np.asarray(x, dtype=float)
+    sol = solver.plans(np.atleast_2d(X), horizon)
     v0 = sol.value
-    v_held = solver.value_of(sol.trajectory[2], horizon)
-    cost_held = float(sol.stage_costs[0] + sol.stage_costs[1])
+    v_held = solver.values_of(sol.trajectory[:, 2], horizon)
+    cost_held = sol.stage_costs[:, 0] + sol.stage_costs[:, 1]
     alpha_held = (v0 - v_held) / cost_held
 
-    sol2 = solver.solve(sol.trajectory[1], horizon)
-    v_replanned = solver.value_of(sol2.trajectory[1], horizon)
-    cost_replanned = float(sol.stage_costs[0] + sol2.stage_costs[0])
+    sol2 = solver.plans(sol.trajectory[:, 1], horizon)
+    v_replanned = solver.values_of(sol2.trajectory[:, 1], horizon)
+    cost_replanned = sol.stage_costs[:, 0] + sol2.stage_costs[:, 0]
     alpha_replanned = (v0 - v_replanned) / cost_replanned
-    return v_held, alpha_held, v_replanned, alpha_replanned
+    out = (v_held, alpha_held, v_replanned, alpha_replanned)
+    return out if X.ndim == 2 else tuple(float(v[0]) for v in out)
 
 
 def _value_check(name, computed, expected, tol) -> CheckResult:
@@ -127,7 +131,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    two_step = np.array([two_step_values(solver, x)[1] for x in grid.points])
+    two_step = two_step_values(solver, grid.points)[1]
     results.append(
         CheckResult(
             name="two-step-positive-everywhere",
@@ -136,16 +140,27 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    # Re-planning variant at zero threshold: single-step schedules and
-    # convergence everywhere.
+    # The three closed-loop experiments at horizon 3 run as one lockstep
+    # batch, one block of circle points per configuration.
     zero_cfg = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0)
-    all_ones = 0
-    converged = 0
-    for trace in run_batch(solver, grid.points, zero_cfg, traces=True).traces:
-        if trace.status == "converged":
-            converged += 1
-        if len(trace.schedule.m_values) and int(np.max(trace.schedule.m_values)) == 1:
-            all_ones += 1
+    alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
+    watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
+    configs = (zero_cfg, alg1_cfg, watchdog_cfg)
+    batch = run_batch(
+        solver,
+        np.tile(grid.points, (len(configs), 1)),
+        [config for config in configs for _ in grid.points],
+    )
+    zero, alg1, watchdog = (
+        batch.select(slice(k * GRID_POINTS, (k + 1) * GRID_POINTS)) for k in range(len(configs))
+    )
+
+    # Re-planning variant at zero threshold: single-step schedules and
+    # convergence everywhere.  Every interval spans at least one step, so
+    # a run has only single-step intervals when it has as many intervals
+    # as applied steps.
+    all_ones = int(np.sum((zero.intervals > 0) & (zero.intervals == zero.applied_steps)))
+    converged = zero.status.count("converged")
     results.append(
         CheckResult(
             name="zero-threshold-standard-mpc",
@@ -157,8 +172,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
-    alg1_report = sweep(solver, grid, alg1_cfg)
+    alg1_report = SweepReport(grid.name, alg1_cfg, tuple(point_records(alg1, grid.points)))
     failures = alg1_report.failure_indices()
     results.append(
         CheckResult(
@@ -168,8 +182,9 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    watchdog_report = sweep(solver, grid, watchdog_cfg)
+    watchdog_report = SweepReport(
+        grid.name, watchdog_cfg, tuple(point_records(watchdog, grid.points))
+    )
     cor3_min = watchdog_report.alpha_cor3_min()
     results.append(
         CheckResult(

@@ -24,7 +24,10 @@ from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
 through the operator and :meth:`FiniteHorizonSolver.solve` is its
 one-row case; :meth:`FiniteHorizonSolver.rollout` walks a batch without
 storing plans, and :meth:`FiniteHorizonSolver.values_of` evaluates
-``x' P_N x`` on a batch.  Every product goes through the elementwise row
+``x' P_N x`` on a batch.  ``plans`` and ``values_of`` also take one
+horizon per row: the rows at each horizon then go through that
+horizon's operator together, and plans are padded with zeros to the
+call's longest horizon.  Every product goes through the elementwise row
 kernel of :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
 :func:`~mpccert.model.quad_form`): each step applies ``u = -K x`` and
 then the plant's own ``A x + B u``, on whole ``(B, n)`` arrays, and a
@@ -52,6 +55,11 @@ class OpenLoopSolution:
     batch of plans: every array below gains a leading batch axis and
     ``value`` is an array with one entry per plan.
 
+    With one horizon per row, ``horizon`` is that ``(B,)`` array and the
+    arrays run to the longest of them.  A row at horizon ``N`` is zero
+    from step ``N`` on in ``controls``, ``stage_costs`` and
+    ``tail_values``, and from ``trajectory[N + 1]`` on.
+
     Attributes
     ----------
     horizon : int
@@ -68,7 +76,7 @@ class OpenLoopSolution:
         at ``trajectory[k]``.
     """
 
-    horizon: int
+    horizon: int | np.ndarray
     controls: np.ndarray
     trajectory: np.ndarray
     stage_costs: np.ndarray
@@ -190,9 +198,31 @@ class FiniteHorizonSolver:
         """Value of the ``horizon``-step problem at ``x``, no plan built."""
         return float(self._values(self._states(x, 1), horizon))
 
-    def values_of(self, X, horizon: int) -> np.ndarray:
-        """:meth:`value_of` at every row of the ``(B, n)`` array ``X``."""
-        return self._values(self._states(X, 2), horizon)
+    def values_of(self, X, horizon) -> np.ndarray:
+        """:meth:`value_of` at every row of the ``(B, n)`` array ``X``.
+
+        ``X`` may also hold several states per row, ``(B, ..., n)``, and the
+        result then has shape ``X.shape[:-1]``.  ``horizon`` is one horizon
+        for all rows or a ``(B,)`` array of them.
+        """
+        X = self._states(X, max(np.ndim(X), 2))
+        horizon = self._per_row(horizon, len(X))
+        if np.ndim(horizon) == 0:
+            return self._values(X, horizon)
+        out = np.empty(X.shape[:-1])
+        for n, rows in _by_horizon(horizon):
+            out[rows] = self._values(X[rows], n)
+        return out
+
+    @staticmethod
+    def _per_row(horizon, rows: int):
+        """``horizon`` as one int when every row shares it, else as a ``(rows,)`` array."""
+        h = np.asarray(horizon)
+        if h.ndim == 0:
+            return int(h)
+        if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
+            raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
+        return int(h[0]) if (h == h[0]).all() else h
 
     def _gain_index(self, horizon: int, k: int) -> int:
         raise NotImplementedError
@@ -216,14 +246,33 @@ class FiniteHorizonSolver:
         u = matvec(neg_gain, x)
         return u, self.lq.dynamics(x, u)
 
-    def plans(self, X, horizon: int) -> OpenLoopSolution:
+    def plans(self, X, horizon) -> OpenLoopSolution:
         """Open-loop plans of the given length from every row of the ``(B, n)`` array ``X``.
 
         Every array field of the result gains a leading batch axis, and
-        ``value`` is the ``(B,)`` array of ``x' P_N x``.
+        ``value`` is the ``(B,)`` array of ``x' P_N x``.  ``horizon`` is one
+        horizon for all rows or a ``(B,)`` array of them; rows of mixed
+        horizons are padded as :class:`OpenLoopSolution` describes, and
+        each row gets the same bits as a call at its own horizon.
         """
-        neg_gains, tails = self._operator(horizon)
         X = self._states(X, 2)
+        horizon = self._per_row(horizon, len(X))
+        if np.ndim(horizon) == 0:
+            return self._plans(X, horizon)
+        longest = int(horizon.max())
+        n, c = self.lq.state_dim, self.lq.control_dim
+        shapes = dict(controls=(longest, c), trajectory=(longest + 1, n), stage_costs=(longest,), tail_values=(longest,))
+        padded = {name: np.zeros((len(X),) + shape) for name, shape in shapes.items()}
+        for N, rows in _by_horizon(horizon):
+            plan = self._plans(X[rows], N)
+            for name, array in padded.items():
+                part = getattr(plan, name)
+                array[rows, : part.shape[1]] = part
+        return OpenLoopSolution(horizon=horizon, value=padded["tail_values"][:, 0], **padded)
+
+    def _plans(self, X: np.ndarray, horizon: int) -> OpenLoopSolution:
+        """:meth:`plans` at one horizon shared by every row: one walk through its operator."""
+        neg_gains, tails = self._operator(horizon)
         trajectory = np.empty((len(X), horizon + 1, self.lq.state_dim))
         controls = np.empty((len(X), horizon, self.lq.control_dim))
         trajectory[:, 0] = X
@@ -291,3 +340,9 @@ class LqBellmanSolver(FiniteHorizonSolver):
 
     def _gain_index(self, horizon: int, k: int) -> int:
         return horizon - k - 1
+
+
+def _by_horizon(horizon: np.ndarray):
+    """``(N, rows at horizon N)`` for each distinct horizon of a per-row array, shortest first."""
+    for n in np.unique(horizon).tolist():
+        yield n, np.flatnonzero(horizon == n)

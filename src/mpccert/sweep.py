@@ -11,6 +11,8 @@ Every experiment takes a solver, which carries its planning model.  The
 points of a set run as one lockstep batch in this process (see
 :func:`mpccert.engine.run_batch`), and the point records come straight
 from the batch's per-row statistics, without a full trace per point.
+The horizon table runs all its horizons and both its configurations as
+one batch too, since the rows of a batch may differ in configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import AlgorithmConfig, run_batch, run_closed_loop
+from .engine import AlgorithmConfig, BatchRun, run_batch, run_closed_loop
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
 
@@ -152,48 +154,37 @@ class SweepReport:
         }
 
 
-def _batch_records(
-    solver: FiniteHorizonSolver,
-    config: AlgorithmConfig,
-    points: np.ndarray,
-    first: int,
-) -> list[PointRecord]:
-    """Records of ``points`` run as one lockstep batch; the first has index ``first``."""
-    batch = run_batch(solver, points, config)
-    return [
-        PointRecord(
-            index=first + i,
-            x0=tuple(float(v) for v in x0),
-            status=batch.status[i],
-            startup_alpha=float(batch.startup_onestep_alpha[i]),
-            min_onestep_alpha=float(batch.min_onestep_alpha[i]),
-            min_mstep_alpha=float(batch.min_window_alpha[i]),
-            alpha_cor3=float(batch.alpha_cor3[i]),
-            warning=bool(batch.warning_count[i] > 0),
-        )
-        for i, x0 in enumerate(points)
-    ]
+def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[PointRecord]:
+    """One record per row of a finished batch; the row of ``points[0]`` gets index ``first``."""
+    stats = zip(
+        batch.status,
+        batch.startup_onestep_alpha.tolist(),
+        batch.min_onestep_alpha.tolist(),
+        batch.min_window_alpha.tolist(),
+        batch.alpha_cor3.tolist(),
+        (batch.warning_count > 0).tolist(),
+    )
+    x0s = np.asarray(points, dtype=float).tolist()
+    return [PointRecord(first + i, tuple(x0), *row) for i, (x0, row) in enumerate(zip(x0s, stats))]
 
 
-def _records(
-    solver: FiniteHorizonSolver,
-    config: AlgorithmConfig,
-    points: np.ndarray,
-    first: int,
-) -> list[PointRecord]:
+def _records(solver: FiniteHorizonSolver, config, points: np.ndarray, first: int) -> list[PointRecord]:
     """Records of ``points``, splitting a failing batch in halves until each error has its point.
 
-    One failing point among ``B`` costs at most ``2 ceil(log2 B) + 1``
-    runs, batches and single runs together.
+    ``config`` is one configuration or a sequence of one per point, as
+    :func:`run_batch` takes it.  One failing point among ``B`` costs at
+    most ``2 ceil(log2 B) + 1`` runs, batches and single runs together.
     """
+    shared = isinstance(config, AlgorithmConfig)
     if len(points) == 1:
-        return [_evaluate_point(solver, config, first, points[0])]
+        return [_evaluate_point(solver, config if shared else config[0], first, points[0])]
     try:
-        return _batch_records(solver, config, points, first)
+        return point_records(run_batch(solver, points, config), points, first)
     except (MpcCertError, np.linalg.LinAlgError):
         half = len(points) // 2
-        return _records(solver, config, points[:half], first) + _records(
-            solver, config, points[half:], first + half
+        head, rest = (config, config) if shared else (config[:half], config[half:])
+        return _records(solver, head, points[:half], first) + _records(
+            solver, rest, points[half:], first + half
         )
 
 
@@ -260,21 +251,33 @@ def horizon_comparison(
     threshold (the a-priori style bound); the second is the worst
     whole-run realized degree under single-step application with a
     watchdog at ``alpha_bar`` (the a-posteriori style bound).
+
+    Every (horizon, configuration, point) row runs in one lockstep batch
+    on one solver, with a failing batch split as in :func:`sweep`; each
+    row's record is the one the two sweeps at its horizon would give.
     """
     horizons = tuple(horizons)
     if not horizons:
         raise ConfigError("need at least one horizon to compare")
-    rows = []
-    for n in horizons:
-        solver = LqLadderSolver(lq, n)
-        apriori = sweep(solver, initial_set, AlgorithmConfig(variant="alg1", horizon=n, alpha_bar=0.0))
-        posteriori = sweep(
-            solver,
-            initial_set,
+    configs = [
+        config
+        for n in horizons
+        for config in (
+            AlgorithmConfig(variant="alg1", horizon=n, alpha_bar=0.0),
             AlgorithmConfig(variant="alg3", horizon=n, alpha_bar=alpha_bar, forced_m=1),
         )
-        col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori.records]))
-        col_b = posteriori.alpha_cor3_min()
+    ]
+    points = np.asarray(initial_set.points, dtype=float)
+    solver = LqLadderSolver(lq, max(horizons))
+    records = _records(
+        solver, [config for config in configs for _ in points], np.tile(points, (len(configs), 1)), 1
+    )
+    size = len(points)
+    blocks = [tuple(records[k * size : (k + 1) * size]) for k in range(len(configs))]
+    rows = []
+    for n, apriori, posteriori, config in zip(horizons, blocks[::2], blocks[1::2], configs[1::2]):
+        col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori]))
+        col_b = SweepReport(initial_set.name, config, posteriori).alpha_cor3_min()
         rows.append((int(n), col_a, col_b))
     return rows
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mpccert.certify import row_sums
 from mpccert.engine import AlgorithmConfig, run_batch, run_closed_loop
+from mpccert.errors import ConfigError
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver
 from mpccert.sweep import unit_circle, value_drop_grid
 
@@ -52,6 +53,46 @@ def test_batch_matches_single_state(planners, law, horizon, X):
         assert plan.value == s.value_of(x, horizon)
         for k in range(horizon):
             assert plan.tail_values[k] == s.value_of(plan.trajectory[k], horizon - k)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda cls: cls.__name__)
+@settings(max_examples=30, deadline=None)
+@given(X=batches, data=st.data())
+def test_per_row_horizons_match_own_horizon_calls(planners, law, X, data):
+    # One call over rows of mixed horizons gives each row the bits of a
+    # call at its own horizon, zero-padded to the longest.
+    s = planners[law]
+    horizon = np.array(data.draw(st.lists(st.sampled_from(HORIZONS), min_size=len(X), max_size=len(X))))
+    plan = s.plans(X, horizon)
+    values = s.values_of(X, horizon)
+    ends = s.values_of(plan.trajectory, horizon)
+    longest = int(horizon.max())
+    assert plan.controls.shape == (len(X), longest, 1)
+    for i, n in enumerate(horizon):
+        own = s.solve(X[i], n)
+        assert plan.trajectory[i, : n + 1].tolist() == own.trajectory.tolist()
+        assert plan.controls[i, :n].tolist() == own.controls.tolist()
+        assert plan.stage_costs[i, :n].tolist() == own.stage_costs.tolist()
+        assert plan.tail_values[i, :n].tolist() == own.tail_values.tolist()
+        assert plan.value[i] == values[i] == own.value
+        assert ends[i].tolist() == [s.value_of(x, n) for x in plan.trajectory[i]]
+        for padding in (plan.trajectory[i, n + 1 :], plan.controls[i, n:], plan.stage_costs[i, n:]):
+            assert not padding.any()
+
+
+def test_per_row_horizon_validation(planners):
+    s = planners[LqLadderSolver]
+    X = np.ones((3, 2))
+    for bad in (np.array([3, 3]), np.array([3.0, 3.0, 3.0]), np.array([[3, 3, 3]])):
+        with pytest.raises(ConfigError, match="one integer horizon per row"):
+            s.plans(X, bad)
+        with pytest.raises(ConfigError, match="one integer horizon per row"):
+            s.values_of(X, bad)
+    with pytest.raises(ConfigError):
+        s.plans(X, np.array([3, 0, 2]))
+    with pytest.raises(ConfigError):
+        s.values_of(X, np.array([3, -1, 2]))
+    assert s.values_of(X, np.array([3, 0, 2]))[1] == s.value_of(X[1], 0)
 
 
 def _drop_grid_oracle(solver, horizon, m, extent=1.5, n=101):
@@ -176,8 +217,22 @@ def engine_solver(lq):
     return LqLadderSolver(lq, 2)
 
 
+def _config_of(config, i: int) -> AlgorithmConfig:
+    """Point ``i``'s configuration: ``config`` itself, or the ``i``-th of a cycled list."""
+    return config if isinstance(config, AlgorithmConfig) else config[i % len(config)]
+
+
+# One configuration for the whole batch, or one per point drawn from the
+# list, so that a batch mixes horizons, shrinks, forced lengths, variants
+# and iteration caps.
+configs = st.one_of(
+    st.sampled_from(ENGINE_CONFIGS),
+    st.lists(st.sampled_from(ENGINE_CONFIGS), min_size=1, max_size=6),
+)
+
+
 @settings(max_examples=50, deadline=None)
-@given(config=st.sampled_from(ENGINE_CONFIGS), case=initial_sets())
+@given(config=configs, case=initial_sets())
 @example(
     config=AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1),
     case=(np.array([np.zeros(2), CIRCLE[4], 1e3 * CIRCLE[9]]), np.array([2, 0, 1])),
@@ -188,30 +243,53 @@ def engine_solver(lq):
     case=(_MIXED, np.arange(len(_MIXED))[::-1]),
 )
 @example(
-    config=AlgorithmConfig(variant="alg4", horizon=3, alpha_bar=0.5),
-    case=(_MIXED, np.arange(len(_MIXED))),
-)
-@example(
     config=AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.3, shrink_schedule={1: 3}),
     case=(_MIXED, np.arange(len(_MIXED))[::-1]),
 )
+# Every configuration in one batch, each on points at several scales.
+@example(config=ENGINE_CONFIGS, case=(_MIXED, np.arange(len(_MIXED))))
+@example(config=ENGINE_CONFIGS[::-1], case=(_MIXED, np.arange(len(_MIXED))[::-1]))
 def test_batch_run_matches_one_row_runs(engine_solver, config, case):
     points, order = case
     s = engine_solver
-    batch = run_batch(s, points[order], config, traces=True)
+    shared = isinstance(config, AlgorithmConfig)
+    row_config = config if shared else [_config_of(config, i) for i in order]
+    batch = run_batch(s, points[order], row_config, traces=True)
     for row, i in enumerate(order):
-        single = run_closed_loop(s, points[i], config)
+        own = _config_of(config, i)
+        single = run_closed_loop(s, points[i], own)
         _assert_same_run(batch.traces[row], single)
+        assert batch.traces[row].config is own
         assert batch.status[row] == single.status
         for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
             assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
         assert batch.warning_count[row] == single.warning_count
         assert batch.exit_count[row] == single.exit_count
+        assert batch.intervals[row] == single.summary()["intervals"]
+        assert batch.applied_steps[row] == single.summary()["applied_steps"]
     # Statistics without traces are the same numbers.
-    bare = run_batch(s, points[order], config)
+    bare = run_batch(s, points[order], row_config)
     assert bare.traces is None and bare.status == batch.status
-    for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
+    for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3",
+                 "intervals", "applied_steps"):
         assert np.array_equal(getattr(bare, name), getattr(batch, name), equal_nan=True)
+
+
+def test_batch_config_validation(engine_solver):
+    config = ENGINE_CONFIGS[0]
+    with pytest.raises(ConfigError, match="one AlgorithmConfig per initial state, got 2 items for 3"):
+        run_batch(engine_solver, CIRCLE[:3], [config, config])
+    with pytest.raises(ConfigError, match="one AlgorithmConfig per initial state"):
+        run_batch(engine_solver, CIRCLE[:2], [config, "alg1"])
+
+
+def test_select_keeps_a_slice_of_rows(engine_solver):
+    batch = run_batch(engine_solver, CIRCLE[:6], ENGINE_CONFIGS[:6], traces=True)
+    part = batch.select(slice(2, 5))
+    assert part.status == batch.status[2:5] and part.traces == batch.traces[2:5]
+    for name in ("startup_onestep_alpha", "min_window_alpha", "alpha_cor3", "warning_count", "intervals"):
+        assert np.array_equal(getattr(part, name), getattr(batch, name)[2:5])
+    assert run_batch(engine_solver, CIRCLE[:6], ENGINE_CONFIGS[0]).select(slice(1)).traces is None
 
 
 def test_origin_row_converges_at_once(engine_solver):
@@ -243,3 +321,23 @@ def test_sign_flip_keeps_schedules_and_alphas(engine_solver, config, x0):
         assert wa.committed_m == wb.committed_m
     for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
         assert _same_float(getattr(a, name), getattr(b, name)), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=st.sampled_from(ENGINE_CONFIGS), x0=_point, k=st.integers(-8, 8))
+@example(config=ENGINE_CONFIGS[5], x0=1e3 * CIRCLE[3], k=8)
+@example(config=ENGINE_CONFIGS[8], x0=CIRCLE[11], k=-8)
+def test_scaling_by_a_power_of_two_scales_values_exactly(engine_solver, config, x0, k):
+    # Multiplying by 2**k is exact in binary floating point, every value
+    # is a quadratic form and every degree a quotient of two of them.  So
+    # the runs from x0 and 2**k x0 take the same decisions on the same
+    # degrees while values scale by 4**k, up to where the absolute
+    # termination radius ends one run before the other.
+    s = engine_solver
+    a = run_closed_loop(s, x0, config)
+    b = run_closed_loop(s, 2.0**k * x0, config)
+    common = max(min(len(a.windows), len(b.windows)) - 1, 0)
+    for wa, wb in zip(a.windows[:common], b.windows[:common]):
+        assert wa.committed_m == wb.committed_m
+        assert np.array_equal(wa.probe_alphas, wb.probe_alphas)
+        assert wb.v_start == 4.0**k * wa.v_start

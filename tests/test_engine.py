@@ -40,6 +40,45 @@ def test_config_validation():
     assert _cfg("alg1", 1.0).alpha_bar == 1.0
 
 
+# Each shrink schedule below is rejected when the configuration is built:
+# run as it was, it could fail only mid-run, once a request is granted or
+# reached, and in a batch that failure would abort every other row.
+
+
+def test_shrink_schedule_rejects_negative_iteration():
+    with pytest.raises(ConfigError, match="iterations >= 0"):
+        _cfg("alg3", 0.01, horizon=5, shrink_schedule={-1: 3})
+
+
+def test_shrink_schedule_rejects_target_below_two():
+    with pytest.raises(ConfigError, match=r"targets in \[2, 5\]"):
+        _cfg("alg3", 0.01, horizon=5, shrink_schedule={0: 1})
+
+
+def test_shrink_schedule_rejects_target_above_horizon():
+    with pytest.raises(ConfigError, match=r"targets in \[2, 5\]"):
+        _cfg("alg3", 0.01, horizon=5, shrink_schedule={0: 9})
+
+
+def test_shrink_schedule_rejects_forced_m_too_long_for_the_target():
+    # forced_m = 3 fits horizon 5 but not the shrunk horizon 3.
+    with pytest.raises(ConfigError, match="does not fit the shrunk horizon 3"):
+        _cfg("alg3", 0.01, horizon=5, forced_m=3, shrink_schedule={2: 3})
+    with pytest.raises(ConfigError, match="does not fit the shrunk horizon 3"):
+        _cfg("alg4", 0.01, horizon=5, forced_m=[1, 3], shrink_schedule={2: 4, 6: 3})
+
+
+def test_shrink_schedule_rejects_growing_targets():
+    # Once the shrink to 3 is granted, a request for 4 would be a growth.
+    with pytest.raises(ConfigError, match="must not grow"):
+        _cfg("alg3", 0.01, horizon=5, shrink_schedule={2: 3, 5: 4})
+
+
+def test_valid_shrink_schedules_are_accepted():
+    _cfg("alg3", 0.01, horizon=5, shrink_schedule={0: 5, 2: 4, 5: 4, 9: 2})
+    _cfg("alg4", 0.01, horizon=5, forced_m=[2, 1], shrink_schedule={1: 3})
+
+
 def test_update_schedule_validation():
     with pytest.raises(ConfigError):
         UpdateSchedule(times=(1, 2))
@@ -352,6 +391,20 @@ def test_shrink_check_validation(solver):
     # The one-time value drop must be covered by banked slack.
     assert shrink_horizon_check(solver, x, 5, 3, slack_total=10.0)
     assert not shrink_horizon_check(solver, x, 5, 3, slack_total=0.0)
+
+
+def test_shrink_check_takes_one_horizon_per_row(solver):
+    # A row already at the target is a no-op whatever its slack; the
+    # others are decided as on their own.
+    X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    horizon = np.array([5, 3, 4])
+    slack = np.array([0.0, -1.0, 10.0])
+    ok = shrink_horizon_check(solver, X, horizon, 3, slack)
+    assert ok.tolist() == [
+        shrink_horizon_check(solver, x, int(n), 3, float(v)) for x, n, v in zip(X, horizon, slack)
+    ] == [False, True, True]
+    with pytest.raises(ConfigError, match="may only shrink"):
+        shrink_horizon_check(solver, X, np.array([5, 2, 4]), 3)
 
 
 def test_mid_run_shrink_keeps_certificates_sound(solver):

@@ -144,6 +144,61 @@ def test_horizon_comparison_rows(lq, grid, tmp_path):
     assert len(lines) == 4
 
 
+def _horizon_table_oracle(lq, initial_set, horizons, alpha_bar=0.01, solver_class=LqLadderSolver):
+    """The per-horizon loop horizon_comparison replaced: one solver and two sweeps per N."""
+    rows = []
+    for n in horizons:
+        solver = solver_class(lq, n)
+        apriori = sweep(solver, initial_set, _cfg("alg1", 0.0, horizon=n))
+        posteriori = sweep(solver, initial_set, _cfg("alg3", alpha_bar, horizon=n, forced_m=1))
+        col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori.records]))
+        rows.append((n, col_a, posteriori.alpha_cor3_min()))
+    return rows
+
+
+def _counting(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_horizon_comparison_matches_per_horizon_sweeps(lq, monkeypatch):
+    # Every (horizon, configuration, point) row runs in one lockstep batch,
+    # and the table is the one the per-horizon sweeps give, bit for bit.
+    grid = unit_circle(32)
+    horizons = (2, 3, 4, 5, 10, 20)
+    oracle = _horizon_table_oracle(lq, grid, horizons)
+    calls = _counting(monkeypatch, importlib.import_module("mpccert.sweep"), ("run_batch", "run_closed_loop"))
+    assert horizon_comparison(lq, grid, horizons) == oracle
+    assert calls == {"run_batch": 1, "run_closed_loop": 0}
+    assert horizon_comparison(lq, grid, (20, 2, 5), alpha_bar=0.3) == _horizon_table_oracle(
+        lq, grid, (20, 2, 5), alpha_bar=0.3
+    )
+
+
+def test_horizon_comparison_isolates_failing_rows(lq, monkeypatch):
+    # The marker (1, 0) is the last point of the circle, so each of the six
+    # blocks of the one batch holds a failing row.  Halving runs each of
+    # them on its own, and the table equals the per-horizon sweeps on the
+    # same faulty solver, which leave that point out of both minima.
+    sweep_module = importlib.import_module("mpccert.sweep")
+    monkeypatch.setattr(sweep_module, "LqLadderSolver", _FaultySolver)
+    grid = unit_circle(16)
+    oracle = _horizon_table_oracle(lq, grid, (2, 3, 10), solver_class=_FaultySolver)
+    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
+    assert horizon_comparison(lq, grid, (2, 3, 10)) == oracle
+    assert calls["run_closed_loop"] >= 6
+
+
 def test_horizon_comparison_validates_input(lq, grid):
     with pytest.raises(ConfigError):
         horizon_comparison(lq, grid, (1, 3))
@@ -256,24 +311,12 @@ def test_failing_batch_is_bisected(lq, monkeypatch):
     # not one run per point, and every record is the one-at-a-time record.
     # The package re-exports the function ``sweep`` under the module's name.
     sweep_module = importlib.import_module("mpccert.sweep")
-    calls = {"batch": 0, "single": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(sweep_module, "run_batch", counted("batch", sweep_module.run_batch))
-    monkeypatch.setattr(
-        sweep_module, "run_closed_loop", counted("single", sweep_module.run_closed_loop)
-    )
+    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
     grid = unit_circle(128)  # point 128 is (1, 0)
     config = _cfg("alg1", 0.01)
     solver = _FaultySolver(lq, 3)
     report = sweep(solver, grid, config)
-    assert calls["batch"] + calls["single"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
+    assert calls["run_batch"] + calls["run_closed_loop"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
     assert report.error_indices() == (128,)
     one_at_a_time = [
         _evaluate_point(solver, config, k, x0)

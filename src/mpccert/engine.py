@@ -465,13 +465,6 @@ class _Lockstep:
 
         cfgs = self.configs
         self.horizon = per_row([c.horizon for c in cfgs], int)
-        # Without differing horizons or shrink schedules the rows keep one
-        # horizon for good, and every solver call takes it as an int.
-        self.shared_horizon = (
-            cfgs[0].horizon
-            if all(c.horizon == cfgs[0].horizon and not c.shrink_schedule for c in cfgs)
-            else None
-        )
         self.alpha_bar = per_row([c.alpha_bar for c in cfgs], float)
         self.cert_slack = per_row([c.cert_slack for c in cfgs], float)
         self.radius = per_row([c.termination_radius for c in cfgs], float)
@@ -534,13 +527,9 @@ class _Lockstep:
         """``value(config)`` for each row's configuration, computed once per configuration."""
         return np.array([value(cfg) for cfg in self.configs])[self.kind[rows]]
 
-    def _horizon(self, rows: np.ndarray):
-        """The rows' current horizons: one int when all rows share it for good, else an array."""
-        return self.horizon[rows] if self.shared_horizon is None else self.shared_horizon
-
     def _values(self, rows: np.ndarray) -> np.ndarray:
         """Value of each row's state at its current horizon."""
-        return self.solver.values_of(self.x[rows], self._horizon(rows))
+        return self.solver.values_of(self.x[rows], self.horizon[rows])
 
     def _close(self, rows: np.ndarray, v_here: np.ndarray) -> None:
         """Close the pending interval of each row that has one at value ``v_here``."""
@@ -636,7 +625,7 @@ class _Lockstep:
         solver = self.solver
         self._shrink(rows, iteration)
         forced = self._per_config(rows, lambda cfg: cfg.forced_m_at(iteration) or 0)
-        horizon = self._horizon(rows)
+        horizon = self.horizon[rows]
         plan = solver.plans(self.x[rows], horizon)
         self._close(rows, plan.value)
         # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1,
@@ -738,13 +727,16 @@ class _Lockstep:
         account stays nonnegative.
         """
         solver = self.solver
-        horizon = self._horizon(rows)
+        horizon = self.horizon[rows]
         plan = solver.plans(self.x[rows], horizon)
         tail = self.tail[rows]
         end_value = solver.values_of(plan.trajectory[np.arange(len(rows)), tail], horizon)
         since = self.since[rows]
         alpha_bar, cert_slack = self.alpha_bar[rows], self.cert_slack[rows]
         watchdog = self.watchdog[rows]
+        # Each rule is computed only when some row uses it: computing both
+        # on every re-plan costs single-variant sweeps about a tenth of
+        # their engine time.
         budget = account = None
         if not watchdog.all():
             budget = update_acceptable(

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import AlgorithmConfig, run_batch
+from .errors import MpcCertError
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver
-from .sweep import SweepReport, point_records, unit_circle, value_drop_grid
+from .sweep import SweepReport, point_records, sweep, unit_circle, value_drop_grid
 
 GRID_POINTS = 128
 
@@ -146,14 +147,25 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
     alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
     watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
     configs = (zero_cfg, alg1_cfg, watchdog_cfg)
-    batch = run_batch(
-        solver,
-        np.tile(grid.points, (len(configs), 1)),
-        [config for config in configs for _ in grid.points],
-    )
-    zero, alg1, watchdog = (
-        batch.select(slice(k * GRID_POINTS, (k + 1) * GRID_POINTS)) for k in range(len(configs))
-    )
+    try:
+        batch = run_batch(
+            solver,
+            np.tile(grid.points, (len(configs), 1)),
+            [config for config in configs for _ in grid.points],
+        )
+        zero, alg1, watchdog = (
+            batch.select(slice(k * GRID_POINTS, (k + 1) * GRID_POINTS)) for k in range(len(configs))
+        )
+        alg1_report, watchdog_report = (
+            SweepReport(grid.name, cfg, tuple(point_records(block, grid.points)))
+            for cfg, block in ((alg1_cfg, alg1), (watchdog_cfg, watchdog))
+        )
+    except (MpcCertError, np.linalg.LinAlgError):
+        # As in a sweep, a failing point costs only its own record in the
+        # two threshold experiments; the zero-threshold check counts whole
+        # runs and lets its error through.
+        zero = run_batch(solver, grid.points, zero_cfg)
+        alg1_report, watchdog_report = (sweep(solver, grid, cfg) for cfg in (alg1_cfg, watchdog_cfg))
 
     # Re-planning variant at zero threshold: single-step schedules and
     # convergence everywhere.  Every interval spans at least one step, so
@@ -172,7 +184,6 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    alg1_report = SweepReport(grid.name, alg1_cfg, tuple(point_records(alg1, grid.points)))
     failures = alg1_report.failure_indices()
     results.append(
         CheckResult(
@@ -182,9 +193,6 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    watchdog_report = SweepReport(
-        grid.name, watchdog_cfg, tuple(point_records(watchdog, grid.points))
-    )
     cor3_min = watchdog_report.alpha_cor3_min()
     results.append(
         CheckResult(

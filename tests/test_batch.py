@@ -243,6 +243,10 @@ configs = st.one_of(
     case=(_MIXED, np.arange(len(_MIXED))[::-1]),
 )
 @example(
+    config=AlgorithmConfig(variant="alg4", horizon=3, alpha_bar=0.5),
+    case=(_MIXED, np.arange(len(_MIXED))),
+)
+@example(
     config=AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.3, shrink_schedule={1: 3}),
     case=(_MIXED, np.arange(len(_MIXED))[::-1]),
 )

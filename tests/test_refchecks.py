@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 
+from mpccert.errors import MpcCertError
 from mpccert.refchecks import reference_checks, two_step_values
 
 
@@ -49,3 +50,20 @@ def test_reference_checks_run_one_closed_loop_batch(monkeypatch):
     details = {r.name: r.detail for r in results}
     assert details["zero-threshold-standard-mpc"] == "128/128 single-step schedules, 128/128 converged"
     assert details["startup-failure-set"] == "44 of 128 points below threshold 0.01 at startup"
+
+
+def test_reference_checks_fall_back_to_sweeps_when_the_batch_fails(monkeypatch):
+    # A run error in the mixed batch sends the two threshold experiments
+    # through sweeps, which isolate errors per point; with no point
+    # actually failing, every result is the same as from the one batch.
+    refchecks = importlib.import_module("mpccert.refchecks")
+    expected = reference_checks()
+    run_batch = refchecks.run_batch
+
+    def failing_mixed_batch(solver, X0, config, **kwargs):
+        if len(X0) > refchecks.GRID_POINTS:
+            raise MpcCertError("injected")
+        return run_batch(solver, X0, config, **kwargs)
+
+    monkeypatch.setattr(refchecks, "run_batch", failing_mixed_batch)
+    assert reference_checks() == expected

@@ -42,9 +42,8 @@ def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:
     negative = cost_sums < 0.0
     if negative.any():
         raise ConfigError(f"cost_sum must be nonnegative, got {cost_sums[negative][0]}")
-    zero = cost_sums == 0.0
     # Zero-cost stretches keep the 1.0 that ``out`` starts with.
-    return np.divide(drops, cost_sums, out=zero.astype(float), where=~zero)
+    return np.divide(drops, cost_sums, out=np.ones_like(cost_sums, dtype=float), where=cost_sums != 0.0)
 
 
 def rho(v_before: float, v_after: float, cost_sum: float, alpha_bar: float) -> float:
@@ -136,12 +135,21 @@ def row_sums(a: np.ndarray, length, start=None) -> np.ndarray:
     """
     length = np.asarray(length)
     start = np.zeros_like(length) if start is None else np.asarray(start)
+    if length.size and length.min() == length.max():
+        return _block_sums(a, np.arange(len(a)), start, int(length[0]))
     out = np.empty(len(a))
     for n in set(length.tolist()):
         sel = np.flatnonzero(length == n)
-        cols = start[sel, None] + np.arange(n)
-        out[sel] = np.sum(a[sel[:, None], cols], axis=1)
+        out[sel] = _block_sums(a, sel, start[sel], n)
     return out
+
+
+def _block_sums(a: np.ndarray, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+    """:func:`row_sums` of the given rows, all of length ``n``."""
+    if n == 1:
+        # The sum of one term adds it to 0.0, as np.sum does (-0.0 gives 0.0).
+        return 0.0 + a[rows, start]
+    return np.sum(a[rows[:, None], start[:, None] + np.arange(n)], axis=1)
 
 
 def update_acceptable(

@@ -24,16 +24,19 @@ Every entry point takes the solver and nothing else about the plant:
 the solver's ``model`` supplies the state and control dimensions and
 the equilibrium.  There is one engine: :func:`run_batch` runs a
 ``(B, n)`` array of initial states in lockstep, under one configuration
-or one per row.  Every row keeps its own state, configuration, horizon,
-pending interval, slack account, anchor plan and counts in arrays, and
-all rows pass through the same outer iteration together, so forced
-lengths and shrink requests apply per iteration as in a single run.
-All rows share one plan call and one value call per step, whatever their
-horizons: the solver walks the rows at each horizon through that
-horizon's operator in one batched pass, which does the same arithmetic
-on each row as on a lone state.  So every row of a batch matches its
-own one-row run bit for bit, whichever rows and configurations share
-the batch.
+or one per row.  Every running row keeps its own state, configuration,
+horizon, pending interval, slack account and counts in dense arrays that
+hold the running rows only; rows that stop write their results once and
+drop out.  All rows pass through the same outer iteration together, so
+forced lengths and shrink requests apply per iteration as in a single
+run.  Each iteration makes one plan-and-probe call for all rows,
+whatever their horizons: the solver walks the rows at each horizon
+through that horizon's operator in one batched pass, which does the same
+arithmetic on each row as on a lone state, and also returns the value at
+every prefix end.  The plans it returns are the plans the rows apply, so
+windows need no copy; only mid-stretch re-plans of ``alg2``/``alg4``
+make further calls.  So every row of a batch matches its own one-row
+run bit for bit, whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.
@@ -41,7 +44,7 @@ traces only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +94,17 @@ class AlgorithmConfig:
         iteration (a sequence gives per-iteration values, the last one
         repeating).  Prefix inspection still runs, and the watchdog
         variants still keep their account, restricted to the forced
-        window.
-    shrink_schedule : dict or None
+        window.  A sequence is stored as a tuple.
+    shrink_schedule : dict, sequence of pairs, or None
         Map from iteration index to a smaller horizon to request at the
         start of that iteration; applied only if the slack check passes.
+        Stored as a tuple of ``(iteration, horizon)`` pairs in iteration
+        order.
+
+    Both containers are copied into tuples on construction, so
+    configurations are immutable values: equal configurations hash alike
+    and share one group in a batch, and changing the caller's list or
+    dict afterwards changes nothing.
     """
 
     variant: str
@@ -104,9 +114,16 @@ class AlgorithmConfig:
     termination_radius: float = 1e-8
     cert_slack: float = DEFAULT_CERT_SLACK
     forced_m: int | Sequence[int] | None = None
-    shrink_schedule: dict[int, int] | None = None
+    shrink_schedule: dict[int, int] | tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        if isinstance(self.forced_m, (int, np.integer)):
+            object.__setattr__(self, "forced_m", int(self.forced_m))
+        elif self.forced_m is not None:
+            object.__setattr__(self, "forced_m", tuple(int(v) for v in self.forced_m))
+        if self.shrink_schedule is not None:
+            schedule = tuple(sorted((int(i), int(n)) for i, n in dict(self.shrink_schedule).items()))
+            object.__setattr__(self, "shrink_schedule", schedule or None)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.horizon < 2:
@@ -131,23 +148,23 @@ class AlgorithmConfig:
         if self.shrink_schedule:
             # Reject every schedule that could fail mid-run, whichever of
             # its requests are granted.
-            targets = [self.shrink_schedule[i] for i in sorted(self.shrink_schedule)]
-            if min(self.shrink_schedule) < 0 or not all(2 <= n <= self.horizon for n in targets):
+            targets = [n for _, n in self.shrink_schedule]
+            if self.shrink_schedule[0][0] < 0 or not all(2 <= n <= self.horizon for n in targets):
                 raise ConfigError(
-                    f"shrink_schedule {self.shrink_schedule} needs iterations >= 0 "
+                    f"shrink_schedule {dict(self.shrink_schedule)} needs iterations >= 0 "
                     f"and targets in [2, {self.horizon}]"
                 )
             if any(b > a for a, b in zip(targets, targets[1:])):
-                raise ConfigError(f"shrink_schedule {self.shrink_schedule} targets must not grow")
+                raise ConfigError(f"shrink_schedule {dict(self.shrink_schedule)} targets must not grow")
             if max(self._forced_values(), default=1) >= min(targets):
                 raise ConfigError(f"forced_m {self.forced_m} does not fit the shrunk horizon {min(targets)}")
 
     def _forced_values(self) -> tuple[int, ...]:
         if self.forced_m is None:
             return ()
-        if isinstance(self.forced_m, (int, np.integer)):
-            return (int(self.forced_m),)
-        return tuple(int(v) for v in self.forced_m)
+        if isinstance(self.forced_m, int):
+            return (self.forced_m,)
+        return self.forced_m
 
     def forced_m_at(self, iteration: int) -> int | None:
         values = self._forced_values()
@@ -352,15 +369,19 @@ def _select_m(
     when any row follows it, and ``np.where`` picks each row's result.
     """
     cols = np.arange(probe_rhos.shape[1])
-    valid = True if np.ndim(width) == 0 else cols < width[:, None]
+    # Masks are laid out like the probes, row axis innermost, so that
+    # reductions over prefixes run down whole columns.
+    valid = None if np.ndim(width) == 0 else np.less(cols, width[:, None], order="F")
     is_forced = forced > 0
     m, exit_event, warning_event = forced, np.zeros(len(forced), bool), np.zeros(len(forced), bool)
-    plain = ~watchdog & ~is_forced
+    plain = ~(watchdog | is_forced)
     if plain.any():
         # No slack account: the first prefix certified on its own.  When
         # none is, close the loop immediately and flag the run rather than
         # stopping the plant.
-        certified = valid & (probe_alphas >= alpha_bar[:, None])
+        certified = probe_alphas >= alpha_bar[:, None]
+        if valid is not None:
+            certified &= valid
         found = certified.any(axis=1)
         m = np.where(plain, np.where(found, certified.argmax(axis=1) + 1, 1), m)
         exit_event = plain & ~found
@@ -368,7 +389,7 @@ def _select_m(
     if free.any():
         # argmax gives the first prefix certified on its own, and for
         # slack-covered rows the smallest maximiser of rho.
-        rhos = np.where(valid, probe_rhos, -np.inf)
+        rhos = probe_rhos if valid is None else np.where(valid, probe_rhos, -np.inf)
         certified = rhos >= 0.0
         found = certified.any(axis=1)
         covered = ~found & (slack_total + rhos.max(axis=1) >= 0.0)
@@ -379,7 +400,7 @@ def _select_m(
     if held.any():
         # The account is only allowed to look at the window it is
         # actually forced to apply.
-        in_window = np.where(cols < forced[:, None], probe_rhos, -np.inf)
+        in_window = np.where(np.less(cols, forced[:, None], order="F"), probe_rhos, -np.inf)
         warning_event |= held & (slack_total + in_window.max(axis=1) < 0.0)
     return m, exit_event, warning_event
 
@@ -438,309 +459,327 @@ class BatchRun:
 
 
 class _Lockstep:
-    """State of a lockstep run: every array holds one entry per row.
+    """State of a lockstep run over the rows still running.
 
-    Each row carries its own configuration.  What the loop reads at every
-    step is kept per row: horizon, threshold, tolerances, iteration cap
-    and the variant's two flags (slack watchdog, mid-stretch re-planning).
-    ``forced_m_at`` and ``shrink_schedule`` are read once per distinct
-    configuration per iteration, since rows advance through synchronous
-    iterations.  All rows share one plan or value call per step: the
-    solver takes the rows' horizons as an array and walks all rows at the
-    same horizon through one batched plan.
+    Every per-row array (:data:`_ROW_FIELDS`) holds the running rows only,
+    densely and in one order, and ``ids`` maps them back to input order.
+    Rows that stop are closed, their results are written once into the
+    input-order outputs, and every per-row array is compacted with one
+    mask, so no step goes through a row index.
+
+    Each row carries its own configuration: horizon, threshold,
+    tolerances, iteration cap and the variant's two flags (slack watchdog,
+    mid-stretch re-planning) are per-row arrays; forced lengths and shrink
+    requests are read per distinct configuration, at the iterations where
+    they can change.
+
+    Windows are plan-resident: the arrays of the iteration's plan are what
+    the rows apply.  Rows that do not re-plan (``alg1``/``alg3``, and
+    ``alg2``/``alg4`` rows committing one step) apply their committed
+    prefix with one gather and one scatter; only re-planning rows step one
+    control at a time, and an accepted re-plan overwrites its own rows of
+    the plan.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
         model = solver.model
         X = np.array(X0, dtype=float)
-        n = model.state_dim
+        n, c = model.state_dim, model.control_dim
         if X.ndim != 2 or X.shape[1] != n:
             raise ConfigError(f"initial states must have shape (B, {n}), got {X.shape}")
         rows = len(X)
-        self.model, self.solver = model, solver
-        self.configs, self.kind = _distinct_configs(config, rows)
+        self.model, self.solver, self.keep = model, solver, keep_traces
+        self.row_configs = _row_configs(config, rows)
+        self.configs, self.kind = _distinct_configs(self.row_configs)
 
         def per_row(values, dtype):
             return np.array(values, dtype=dtype)[self.kind]
 
         cfgs = self.configs
-        self.horizon = per_row([c.horizon for c in cfgs], int)
-        self.alpha_bar = per_row([c.alpha_bar for c in cfgs], float)
-        self.cert_slack = per_row([c.cert_slack for c in cfgs], float)
-        self.radius = per_row([c.termination_radius for c in cfgs], float)
-        self.max_iterations = per_row([c.max_iterations for c in cfgs], int)
-        self.watchdog = per_row([c.variant in ("alg3", "alg4") for c in cfgs], bool)
-        self.replanning = per_row([c.variant in ("alg2", "alg4") for c in cfgs], bool)
-        self.keep = keep_traces
+        self.ids = np.arange(rows)
+        self.horizon = per_row([cfg.horizon for cfg in cfgs], int)
+        self.alpha_bar = per_row([cfg.alpha_bar for cfg in cfgs], float)
+        self.cert_slack = per_row([cfg.cert_slack for cfg in cfgs], float)
+        self.radius = per_row([cfg.termination_radius for cfg in cfgs], float)
+        self.max_iterations = per_row([cfg.max_iterations for cfg in cfgs], int)
+        self.watchdog = per_row([cfg.variant in ("alg3", "alg4") for cfg in cfgs], bool)
+        self.replanning = per_row([cfg.variant in ("alg2", "alg4") for cfg in cfgs], bool)
+        # Forced lengths change only while some sequence has entries left;
+        # shrink requests are looked up by iteration.
+        self.forced = np.zeros(rows, dtype=int)
+        self.forced_until = max(len(cfg._forced_values()) for cfg in cfgs) if rows else 0
+        self.shrinks: dict[int, list[tuple[int, int]]] = {}
+        for k, cfg in enumerate(cfgs):
+            for iteration, n_new in cfg.shrink_schedule or ():
+                self.shrinks.setdefault(iteration, []).append((k, n_new))
         self.x0 = X
         self.x = X.copy()
         self.t = np.zeros(rows, dtype=int)
-        self.running = np.ones(rows, dtype=bool)
-        self.status = [STATUS_MAX_ITERATIONS] * rows
         # The interval running since the last time the loop was closed:
-        # start time, value at its start, cost paid so far.  It is closed
-        # lazily, once the value at its end state (at the then-current
-        # horizon) is known.
-        self.pending = np.zeros(rows, dtype=bool)
+        # start time, value at its start, cost paid so far.  Every running
+        # row has one from its first iteration on; it is closed once the
+        # value at its end state (at the then-current horizon) is known.
         self.sigma = np.zeros(rows, dtype=int)
         self.v_before = np.zeros(rows)
         self.cost_sum = np.zeros(rows)
+        # Value of each row's state at its horizon, once it has planned.
+        self.v_now = np.zeros(rows)
         self.slack = np.zeros(rows)
         self.intervals = np.zeros(rows, dtype=int)
         self.v_initial = np.full(rows, np.nan)
-        self.v_final = np.full(rows, np.nan)
         self.exits = np.zeros(rows, dtype=int)
         self.warnings = np.zeros(rows, dtype=int)
         self.startup = np.full(rows, np.nan)
         self.min_onestep = np.full(rows, np.nan)
         self.min_window = np.full(rows, np.nan)
-        # Per iteration: committed length, value at the start, steps taken
-        # along the current anchor plan, re-plans accepted, steps left.
-        self.m = np.zeros(rows, dtype=int)
-        self.v_start = np.zeros(rows)
-        self.since = np.zeros(rows, dtype=int)
-        self.closes = np.zeros(rows, dtype=int)
-        self.tail = np.zeros(rows, dtype=int)
-        # The plan each row is applying, padded to the longest initial
-        # horizon (shrinking only ever shortens plans).
-        H, c = max(cfg.horizon for cfg in cfgs), model.control_dim
-        self.anchor = OpenLoopSolution(
-            horizon=H,
-            controls=np.zeros((rows, H, c)),
-            trajectory=np.zeros((rows, H + 1, n)),
-            stage_costs=np.zeros((rows, H)),
-            value=np.zeros(rows),
-            tail_values=np.zeros((rows, H)),
-        )
         # Applied costs by time; states and controls only for traces.
         self.costs = np.zeros((rows, 16))
+        self.states = self.controls = None
+        # Input-order results, written once per row when it stops.
+        self.status = [None] * rows
+        self.results = {
+            name: np.empty_like(self.v_now if own is None else getattr(self, own)) for name, own in _RESULTS
+        }
+        self.traces = None
         if keep_traces:
             self.states = np.zeros((rows, 17, n))
             self.states[:, 0] = X
             self.controls = np.zeros((rows, 16, c))
+            self.traces = [None] * rows
+            # Kept by input index, so they need no compaction.
             self.times = [[0] for _ in range(rows)]
             self.certificates = [[] for _ in range(rows)]
             self.slack_values = [[] for _ in range(rows)]
             self.windows = [[] for _ in range(rows)]
+        self._horizon_changed()
 
-    def _per_config(self, rows: np.ndarray, value) -> np.ndarray:
-        """``value(config)`` for each row's configuration, computed once per configuration."""
-        return np.array([value(cfg) for cfg in self.configs])[self.kind[rows]]
+    def _horizon_changed(self) -> None:
+        """Set ``self.N``: the shared horizon as an int, or the per-row array."""
+        h = self.horizon
+        self.N = int(h[0]) if h.size and (h == h[0]).all() else h
 
-    def _values(self, rows: np.ndarray) -> np.ndarray:
-        """Value of each row's state at its current horizon."""
-        return self.solver.values_of(self.x[rows], self.horizon[rows])
-
-    def _close(self, rows: np.ndarray, v_here: np.ndarray) -> None:
-        """Close the pending interval of each row that has one at value ``v_here``."""
-        has = self.pending[rows]
-        rows, v_here = rows[has], v_here[has]
-        if rows.size == 0:
-            return
-        cost = self.cost_sum[rows]
-        v_before = self.v_before[rows]
-        self.slack[rows] += v_before - v_here - self.alpha_bar[rows] * cost
-        first = self.intervals[rows] == 0
-        self.v_initial[rows[first]] = v_before[first]
-        self.v_final[rows] = v_here
-        self.pending[rows] = False
+    def _close(self, sel, v_here: np.ndarray) -> None:
+        """Close the pending interval of the rows ``sel`` (a slice or indices) at value ``v_here``."""
+        cost = self.cost_sum[sel]
+        v_before = self.v_before[sel]
+        self.slack[sel] += v_before - v_here - self.alpha_bar[sel] * cost
         if self.keep:
-            for i, vb, va, cs in zip(rows, v_before, v_here, cost):
+            rows = np.arange(len(self.ids))[sel]
+            for k, vb, va, cs in zip(rows, v_before, v_here, cost):
+                i = self.ids[k]
                 self.certificates[i].append(
                     Certificate.build(
-                        n=int(self.intervals[i]),
-                        sigma=int(self.sigma[i]),
-                        m=int(self.t[i] - self.sigma[i]),
+                        n=int(self.intervals[k]),
+                        sigma=int(self.sigma[k]),
+                        m=int(self.t[k] - self.sigma[k]),
                         v_before=float(vb),
                         v_after=float(va),
                         cost_sum=float(cs),
-                        alpha_bar=self.configs[self.kind[i]].alpha_bar,
+                        alpha_bar=self.row_configs[i].alpha_bar,
                     )
                 )
-                self.slack_values[i].append(float(self.slack[i]))
-                self.times[i].append(int(self.t[i]))
-        self.intervals[rows] += 1
-
-    def _open(self, rows: np.ndarray, v_start: np.ndarray) -> None:
-        """Start an interval at each row that has none pending."""
-        fresh = ~self.pending[rows]
-        rows = rows[fresh]
-        self.pending[rows] = True
-        self.sigma[rows] = self.t[rows]
-        self.v_before[rows] = v_start[fresh]
-        self.cost_sum[rows] = 0.0
-
-    def _set_anchor(self, rows: np.ndarray, plan: OpenLoopSolution) -> None:
-        n = plan.controls.shape[1]
-        a = self.anchor
-        a.controls[rows, :n] = plan.controls
-        a.trajectory[rows, : n + 1] = plan.trajectory
-        a.stage_costs[rows, :n] = plan.stage_costs
-        a.value[rows] = plan.value
-        a.tail_values[rows, :n] = plan.tail_values
-        self.since[rows] = 0
+                self.slack_values[i].append(float(self.slack[k]))
+                self.times[i].append(int(self.t[k]))
+        self.intervals[sel] += 1
 
     def run(self) -> None:
         iteration = 0
-        while True:
-            rows = np.flatnonzero(self.running)
-            d = self.x[rows] - self.model.equilibrium_state
-            at_rest = np.sqrt(row_dot(d, d)) <= self.radius[rows]
-            self._stop(rows[at_rest], STATUS_CONVERGED)
-            rows = rows[~at_rest]
-            capped = iteration >= self.max_iterations[rows]
-            self._stop(rows[capped], STATUS_MAX_ITERATIONS)
-            rows = rows[~capped]
-            if rows.size == 0:
-                return
-            self._iterate(rows, iteration)
+        while self.ids.size:
+            d = self.x - self.model.equilibrium_state
+            at_rest = np.sqrt(row_dot(d, d)) <= self.radius
+            stop = at_rest | (iteration >= self.max_iterations)
+            if stop.any():
+                self._retire(stop, at_rest, iteration)
+                if not self.ids.size:
+                    return
+            self._iterate(iteration)
             iteration += 1
 
-    def _stop(self, rows: np.ndarray, status: str) -> None:
-        if rows.size == 0:
-            return
-        self._close(rows, self._values(rows))
-        self.running[rows] = False
-        for i in rows:
-            if self.watchdog[i]:
-                self.status[i] = STATUS_WARNING if self.warnings[i] > 0 else status
+    def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
+        """Close the rows in ``stop``, write their results, and drop them from every per-row array."""
+        sel = np.flatnonzero(stop)
+        v_final = np.full(sel.size, np.nan)
+        if iteration > 0:
+            # Every row that has planned has an interval pending.
+            v_final = self.v_now[sel]
+            self._close(sel, v_final)
+        ids = self.ids[sel]
+        for i, k, rested in zip(ids.tolist(), sel.tolist(), at_rest[sel].tolist()):
+            if self.watchdog[k] and self.warnings[k]:
+                self.status[i] = STATUS_WARNING
+            elif not self.watchdog[k] and self.exits[k]:
+                self.status[i] = STATUS_EXIT_FAILED
             else:
-                self.status[i] = STATUS_EXIT_FAILED if self.exits[i] > 0 else status
+                self.status[i] = STATUS_CONVERGED if rested else STATUS_MAX_ITERATIONS
+        # Summed as one block per run length, each row gets the bits of its
+        # own 1-D sum (see row_sums).
+        realized = alpha_m_steps(self.v_initial[sel] - v_final, row_sums(self.costs[sel], self.t[sel]))
+        self.results["alpha_cor3"][ids] = np.where(self.intervals[sel] > 0, realized, np.nan)
+        for name, own in _RESULTS:
+            if own is not None:
+                self.results[name][ids] = getattr(self, own)[sel]
+        if self.keep:
+            for k, i in zip(sel, ids):
+                self.traces[i] = self._trace(k, i)
+        keep = np.flatnonzero(~stop)
+        for name in _ROW_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+        self._horizon_changed()
 
-    def _shrink(self, rows: np.ndarray, iteration: int) -> None:
+    def _shrink(self, iteration: int) -> None:
         """Grant each shrink request due at this iteration where the slack covers it."""
-        for k, cfg in enumerate(self.configs):
-            n_new = (cfg.shrink_schedule or {}).get(iteration)
-            if n_new is None:
-                continue
-            p = rows[self.kind[rows] == k]
+        for k, n_new in self.shrinks[iteration]:
+            p = np.flatnonzero(self.kind == k)
             if p.size:
                 ok = shrink_horizon_check(
                     self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
                 )
                 self.horizon[p[ok]] = n_new
+        self._horizon_changed()
 
-    def _iterate(self, rows: np.ndarray, iteration: int) -> None:
-        """One outer iteration: probe, commit, apply, record the window."""
-        solver = self.solver
-        self._shrink(rows, iteration)
-        forced = self._per_config(rows, lambda cfg: cfg.forced_m_at(iteration) or 0)
-        horizon = self.horizon[rows]
-        plan = solver.plans(self.x[rows], horizon)
-        self._close(rows, plan.value)
+    def _iterate(self, iteration: int) -> None:
+        """One outer iteration: plan and probe, commit, apply, record the window."""
+        if iteration in self.shrinks:
+            self._shrink(iteration)
+        if iteration < self.forced_until:
+            self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
+        horizon = self.N
+        plan, ends = self.solver.probe(self.x, horizon)
+        v_start = plan.value
+        if iteration:
+            self._close(slice(None), v_start)
+        else:
+            self.v_initial = v_start
         # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1,
         # padded to the longest horizon among the rows.
-        width = plan.controls.shape[1] - 1
-        drops = plan.value[:, None] - solver.values_of(plan.trajectory[:, 1 : width + 1], horizon)
-        prefix_costs = np.cumsum(plan.stage_costs, axis=1)[:, :width]
-        alpha_bar = self.alpha_bar[rows]
+        drops = v_start[:, None] - ends
+        prefix_costs = np.cumsum(plan.stage_costs[:, : ends.shape[1]], axis=1)
+        alpha_bar = self.alpha_bar
         probe_alphas = alpha_m_steps(drops, prefix_costs)
         probe_rhos = drops - alpha_bar[:, None] * prefix_costs
         m, exit_event, warning_event = _select_m(
-            self.watchdog[rows], forced, probe_alphas, probe_rhos, alpha_bar, self.slack[rows], horizon - 1
+            self.watchdog, self.forced, probe_alphas, probe_rhos, alpha_bar, self.slack, horizon - 1
         )
-        self.m[rows] = m
-        self.exits[rows] += exit_event
-        self.warnings[rows] += warning_event
-        self.v_start[rows] = plan.value
-        self._open(rows, plan.value)
-        self._set_anchor(rows, plan)
+        self.exits += exit_event
+        self.warnings += warning_event
         onestep = probe_alphas[:, 0]
         if iteration == 0:
-            self.startup[rows] = onestep
-            self.min_onestep[rows] = onestep
+            self.startup = self.min_onestep = onestep
         else:
-            self.min_onestep[rows] = _running_min(self.min_onestep[rows], onestep)
+            self.min_onestep = _running_min(self.min_onestep, onestep)
 
-        window_time = self.t[rows]
-        self.closes[rows] = 0
-        self._apply(rows)
-        v_end = self._values(rows)
-        cost = row_sums(self.costs[rows], m, start=window_time)
-        window_alpha = alpha_m_steps(self.v_start[rows] - v_end, cost)
-        self.min_window[rows] = (
-            window_alpha if iteration == 0 else _running_min(self.min_window[rows], window_alpha)
-        )
+        # Open every row's interval at the plan's start and apply it.
+        window_time = self.t.copy()
+        self.sigma = self.t.copy()
+        self.v_before = v_start.copy()
+        self.closes = np.zeros(len(m), dtype=int) if self.keep else None
+        self.v_now = ends[np.arange(len(m)), m - 1]
+        self._reserve(int((window_time + m).max()))
+        stepping = self.replanning & (m > 1)
+        if stepping.any():
+            self._commit(np.flatnonzero(~stepping), plan, m, prefix_costs)
+            self._step(np.flatnonzero(stepping), plan, m)
+        else:
+            self._commit(slice(None), plan, m, prefix_costs)
+        cost = row_sums(self.costs, m, start=window_time)
+        window_alpha = alpha_m_steps(v_start - self.v_now, cost)
+        self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
         if not self.keep:
             return
-        horizons = self.horizon[rows]
-        for k, i in enumerate(rows):
+        horizons = self.horizon
+        for k, i in enumerate(self.ids.tolist()):
             w = horizons[k] - 1
             self.windows[i].append(
                 WindowRecord(
                     index=iteration,
                     time=int(window_time[k]),
                     horizon=int(horizons[k]),
-                    v_start=float(self.v_start[i]),
+                    v_start=float(v_start[k]),
                     probe_alphas=probe_alphas[k, :w],
                     probe_rhos=probe_rhos[k, :w],
                     committed_m=int(m[k]),
-                    forced=bool(forced[k]),
+                    forced=bool(self.forced[k]),
                     exit_event=bool(exit_event[k]),
                     warning_event=bool(warning_event[k]),
-                    closes=int(self.closes[i]),
-                    v_end=float(v_end[k]),
+                    closes=int(self.closes[k]),
+                    v_end=float(self.v_now[k]),
                     cost=float(cost[k]),
                 )
             )
 
-    def _apply(self, rows: np.ndarray) -> None:
-        """Apply each row's committed steps; alg2/alg4 try a re-plan after each but the last."""
-        m = self.m[rows]
-        applied = np.zeros(len(rows), dtype=int)
-        replanning = self.replanning[rows]
-        replans = replanning.any()
-        for _ in range(int(m.max())):
-            live = applied < m
-            p = rows[live]
-            k = self.since[p]
-            self.x[p] = self.anchor.trajectory[p, k + 1]
-            cost = self.anchor.stage_costs[p, k]
-            self._log_step(p, self.anchor.controls[p, k], cost)
-            self.cost_sum[p] += cost
-            self.since[p] = k + 1
-            applied[live] += 1
-            if replans:
-                more = replanning & live & (applied < m)
-                if more.any():
-                    self.tail[rows[more]] = (m - applied)[more]
-                    self._replan(rows[more])
-
-    def _log_step(self, rows: np.ndarray, u: np.ndarray, cost: np.ndarray) -> None:
-        t = self.t[rows]
-        if t.max() >= self.costs.shape[1]:
+    def _reserve(self, steps: int) -> None:
+        """Grow the logs until they hold ``steps`` applied steps."""
+        while steps > self.costs.shape[1]:
             self.costs = _widen(self.costs)
             if self.keep:
                 self.states = _widen(self.states)
                 self.controls = _widen(self.controls)
-        self.costs[rows, t] = cost
-        if self.keep:
-            self.controls[rows, t] = u
-            self.states[rows, t + 1] = self.x[rows]
-        self.t[rows] = t + 1
 
-    def _replan(self, rows: np.ndarray) -> None:
+    def _commit(self, sel, plan: OpenLoopSolution, m: np.ndarray, prefix_costs: np.ndarray) -> None:
+        """Apply the first ``m`` steps of the plan at the rows ``sel`` (a slice or indices) at once."""
+        rows = np.arange(len(m))[sel]
+        m = m[sel]
+        t = self.t[sel]
+        r, j = np.nonzero(np.arange(m.max(initial=0)) < m[:, None])
+        src, dst = rows[r], t[r] + j
+        self.costs[src, dst] = plan.stage_costs[src, j]
+        if self.keep:
+            self.controls[src, dst] = plan.controls[src, j]
+            self.states[src, dst + 1] = plan.trajectory[src, j + 1]
+        self.x[sel] = plan.trajectory[rows, m]
+        self.t[sel] = t + m
+        # The interval opened at 0.0 and added these costs one by one:
+        # 0.0 plus their left-to-right sum has the same bits.
+        self.cost_sum[sel] = 0.0 + prefix_costs[rows, m - 1]
+
+    def _step(self, rows: np.ndarray, plan: OpenLoopSolution, m: np.ndarray) -> None:
+        """Apply the committed steps of re-planning rows one at a time, re-planning after each but the last."""
+        self.anchor_value = plan.value.copy()
+        self.since = np.zeros(len(m), dtype=int)
+        self.cost_sum[rows] = 0.0
+        m = m[rows]
+        for applied in range(int(m.max())):
+            p = rows[applied < m]
+            k = self.since[p]
+            t = self.t[p]
+            self.x[p] = plan.trajectory[p, k + 1]
+            cost = plan.stage_costs[p, k]
+            self.costs[p, t] = cost
+            if self.keep:
+                self.controls[p, t] = plan.controls[p, k]
+                self.states[p, t + 1] = self.x[p]
+            self.t[p] = t + 1
+            self.cost_sum[p] += cost
+            self.since[p] = k + 1
+            more = applied + 1 < m
+            if more.any():
+                self._replan(rows[more], m[more] - applied - 1, plan)
+
+    def _replan(self, rows: np.ndarray, tail: np.ndarray, anchor: OpenLoopSolution) -> None:
         """Plan afresh mid-stretch; rows whose check passes switch to the new plan.
 
         alg2 rows accept when the stretch as a whole still meets the
         threshold (:func:`update_acceptable`), alg4 rows when their slack
-        account stays nonnegative.
+        account stays nonnegative.  An accepted plan overwrites the row's
+        part of ``anchor``, the plan the row applies.
         """
         solver = self.solver
-        horizon = self.horizon[rows]
+        horizon = self.N if np.ndim(self.N) == 0 else self.horizon[rows]
         plan = solver.plans(self.x[rows], horizon)
-        tail = self.tail[rows]
         end_value = solver.values_of(plan.trajectory[np.arange(len(rows)), tail], horizon)
         since = self.since[rows]
         alpha_bar, cert_slack = self.alpha_bar[rows], self.cert_slack[rows]
         watchdog = self.watchdog[rows]
+        paid_costs, anchor_value = anchor.stage_costs[rows], self.anchor_value[rows]
         # Each rule is computed only when some row uses it: computing both
         # on every re-plan costs single-variant sweeps about a tenth of
         # their engine time.
         budget = account = None
         if not watchdog.all():
             budget = update_acceptable(
-                _plan_rows(self.anchor, rows),
+                replace(_plan_rows(anchor, rows), value=anchor_value),
                 plan,
                 j=since,
                 m=since + tail,
@@ -749,8 +788,8 @@ class _Lockstep:
                 cert_slack=cert_slack,
             )
         if watchdog.any():
-            paid = row_sums(self.anchor.stage_costs[rows], since)
-            rho_close = self.anchor.value[rows] - plan.value - alpha_bar * paid
+            paid = row_sums(paid_costs, since)
+            rho_close = anchor_value - plan.value - alpha_bar * paid
             tail_cost = row_sums(plan.stage_costs, tail)
             rho_tail = plan.value - end_value - alpha_bar * tail_cost
             account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
@@ -758,59 +797,84 @@ class _Lockstep:
             ok = account if budget is None else budget
         else:
             ok = np.where(watchdog, account, budget)
+        if not ok.any():
+            return
         p, plan = rows[ok], _plan_rows(plan, ok)
         self._close(p, plan.value)
-        self._open(p, plan.value)
-        self._set_anchor(p, plan)
-        self.closes[p] += 1
+        self.sigma[p] = self.t[p]
+        self.v_before[p] = plan.value
+        self.cost_sum[p] = 0.0
+        w = plan.controls.shape[1]
+        anchor.controls[p, :w] = plan.controls
+        anchor.trajectory[p, : w + 1] = plan.trajectory
+        anchor.stage_costs[p, :w] = plan.stage_costs
+        self.anchor_value[p] = plan.value
+        self.since[p] = 0
+        self.v_now[p] = end_value[ok]
+        if self.keep:
+            self.closes[p] += 1
 
     def outcome(self) -> BatchRun:
-        # Summed as one block per run length, each row gets the bits of its
-        # own 1-D sum (see row_sums).
-        realized = alpha_m_steps(self.v_initial - self.v_final, row_sums(self.costs, self.t))
-        alpha_cor3 = np.where(self.intervals > 0, realized, np.nan)
-        traces = None
-        if self.keep:
-            traces = tuple(self._trace(i) for i in range(len(self.x)))
         return BatchRun(
             status=tuple(self.status),
-            startup_onestep_alpha=self.startup,
-            min_onestep_alpha=self.min_onestep,
-            min_window_alpha=self.min_window,
-            alpha_cor3=alpha_cor3,
-            exit_count=self.exits,
-            warning_count=self.warnings,
-            intervals=self.intervals,
-            applied_steps=self.t,
-            traces=traces,
+            traces=None if self.traces is None else tuple(self.traces),
+            **self.results,
         )
 
-    def _trace(self, i: int) -> ClosedLoopTrace:
-        t = int(self.t[i])
+    def _trace(self, k: int, i: int) -> ClosedLoopTrace:
+        """The trace of input row ``i``, stored at dense row ``k``."""
+        t = int(self.t[k])
         return ClosedLoopTrace(
-            config=self.configs[self.kind[i]],
+            config=self.row_configs[i],
             x0=self.x0[i],
             status=self.status[i],
             schedule=UpdateSchedule(times=tuple(self.times[i])),
-            states=self.states[i, : t + 1].copy(),
-            applied_controls=self.controls[i, :t].copy(),
-            applied_costs=self.costs[i, :t].copy(),
+            states=self.states[k, : t + 1].copy(),
+            applied_controls=self.controls[k, :t].copy(),
+            applied_costs=self.costs[k, :t].copy(),
             certificates=tuple(self.certificates[i]),
-            slack=SlackAccumulator(total=float(self.slack[i]), values=self.slack_values[i]),
+            slack=SlackAccumulator(total=float(self.slack[k]), values=self.slack_values[i]),
             windows=tuple(self.windows[i]),
-            exit_count=int(self.exits[i]),
-            warning_count=int(self.warnings[i]),
+            exit_count=int(self.exits[k]),
+            warning_count=int(self.warnings[k]),
         )
 
 
-def _distinct_configs(config, rows: int) -> tuple[list[AlgorithmConfig], np.ndarray]:
-    """The distinct configuration objects among the rows, and each row's index into them."""
+# Every per-row array of _Lockstep, compacted together when rows stop.
+_ROW_FIELDS = (
+    "ids", "kind", "horizon", "alpha_bar", "cert_slack", "radius", "max_iterations", "watchdog",
+    "replanning", "forced", "x", "t", "sigma", "v_before", "cost_sum", "v_now", "slack", "intervals",
+    "v_initial", "exits", "warnings", "startup", "min_onestep", "min_window", "costs", "states", "controls",
+)
+# BatchRun statistics and the per-row array each is copied from when a row
+# stops (alpha_cor3 is computed then).
+_RESULTS = (
+    ("startup_onestep_alpha", "startup"),
+    ("min_onestep_alpha", "min_onestep"),
+    ("min_window_alpha", "min_window"),
+    ("alpha_cor3", None),
+    ("exit_count", "exits"),
+    ("warning_count", "warnings"),
+    ("intervals", "intervals"),
+    ("applied_steps", "t"),
+)
+
+
+def _row_configs(config, rows: int) -> list[AlgorithmConfig]:
+    """One configuration object per row: ``config`` repeated, or the given sequence."""
     config = [config] * rows if isinstance(config, AlgorithmConfig) else list(config)
     if len(config) != rows or not all(isinstance(cfg, AlgorithmConfig) for cfg in config):
         raise ConfigError(f"need one AlgorithmConfig per initial state, got {len(config)} items for {rows}")
-    distinct = {id(cfg): cfg for cfg in config}
-    index = {key: k for k, key in enumerate(distinct)}
-    return list(distinct.values()), np.array([index[id(cfg)] for cfg in config], dtype=int)
+    return config
+
+
+def _distinct_configs(config: list[AlgorithmConfig]) -> tuple[list[AlgorithmConfig], np.ndarray]:
+    """The distinct configurations among the rows, by value, and each row's index into them."""
+    index: dict[AlgorithmConfig, int] = {}
+    # Hash each object once, however many rows share it.
+    objects = {id(cfg): cfg for cfg in config}
+    kind_of = {key: index.setdefault(cfg, len(index)) for key, cfg in objects.items()}
+    return list(index), np.array([kind_of[id(cfg)] for cfg in config], dtype=int)
 
 
 def run_batch(

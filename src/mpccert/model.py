@@ -28,15 +28,18 @@ from .errors import AdmissibilityError, ConfigError, PlantFormatError
 _EQUILIBRIUM_TOL = 1e-12
 
 
-def _sum_last(terms: np.ndarray):
-    """``terms[..., 0] + terms[..., 1] + ...``, added left to right."""
+def _sum_last(terms: np.ndarray, out: np.ndarray | None = None):
+    """``terms[..., 0] + terms[..., 1] + ...``, added left to right, into ``out`` if given."""
     acc = terms[..., 0]
     for j in range(1, terms.shape[-1]):
-        acc = acc + terms[..., j]
-    return acc
+        acc = np.add(acc, terms[..., j], out=out)
+    if out is None or acc is out:
+        return acc
+    out[...] = acc
+    return out
 
 
-def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+def matvec(M: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``M x`` for every row of ``x``: ``(..., r, c)`` and ``(..., c)`` give ``(..., r)``.
 
     One ufunc multiplies every entry ``M[..., i, j]`` by the column
@@ -44,9 +47,10 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     right, ``((M_i0 x_0 + M_i1 x_1) + M_i2 x_2) + ...``.  ``M`` is one
     matrix or a stack of matrices that broadcasts against the leading
     axes of ``x``.  The products are laid out in Fortran order, which
-    keeps the row axis innermost, so each ufunc runs one long loop.
+    keeps the row axis innermost, so each ufunc runs one long loop.  The
+    sum is written into ``out`` when it is given.
     """
-    return _sum_last(np.multiply(M, x[..., None, :], order="F"))
+    return _sum_last(np.multiply(M, x[..., None, :], order="F"), out)
 
 
 def row_dot(x: np.ndarray, y: np.ndarray):

@@ -22,16 +22,18 @@ that horizon and keeps it: the negated gains ``-K`` of every step, taken
 from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
 :meth:`FiniteHorizonSolver.plans` walks a ``(B, n)`` batch of states
 through the operator and :meth:`FiniteHorizonSolver.solve` is its
-one-row case; :meth:`FiniteHorizonSolver.rollout` walks a batch without
-storing plans, and :meth:`FiniteHorizonSolver.values_of` evaluates
-``x' P_N x`` on a batch.  ``plans`` and ``values_of`` also take one
-horizon per row: the rows at each horizon then go through that
-horizon's operator together, and plans are padded with zeros to the
-call's longest horizon.  Every product goes through the elementwise row
-kernel of :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
-:func:`~mpccert.model.quad_form`): each step applies ``u = -K x`` and
-then the plant's own ``A x + B u``, on whole ``(B, n)`` arrays, and a
-row's arithmetic does not depend on the batch around it.  So a batched
+one-row case; :meth:`FiniteHorizonSolver.probe` also returns the value
+``x_j' P_N x_j`` at every prefix end of each plan, from the same pass;
+:meth:`FiniteHorizonSolver.rollout` walks a batch without storing plans,
+and :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
+batch.  ``plans``, ``probe`` and ``values_of`` also take one horizon per
+row: the rows at each horizon then go through that horizon's operator
+together, and plans are padded with zeros to the call's longest horizon.
+Every product goes through the elementwise row kernel of
+:mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
+:func:`~mpccert.model.quad_form`): each step forms ``u = -K x`` and the
+plant's own ``A x + B u``, on whole ``(B, n)`` arrays, and a row's
+arithmetic does not depend on the batch around it.  So a batched
 result equals the corresponding single-state result bit for bit, and a
 plan's states are exactly what :func:`mpccert.model.step` gives when it
 replays the plan's controls.
@@ -178,7 +180,7 @@ class FiniteHorizonSolver:
         self.lq = lq
         self.model = lq.to_model()
         self.ladder = RiccatiLadder(lq, horizon)
-        self._operators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._operators: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -227,18 +229,23 @@ class FiniteHorizonSolver:
     def _gain_index(self, horizon: int, k: int) -> int:
         raise NotImplementedError
 
-    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(-K_{g(N, k)}, P_{N-k})`` stacked over ``k < N``, built once per ``N``."""
+    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(-K_{g(N, k)}, [-K_{g(N, k)}; A], P_{N-k})`` stacked over ``k < N``, built once per ``N``.
+
+        The middle stack puts each step's gain on top of ``A``, so that one
+        product gives both ``u_k`` and ``A x_k``.
+        """
         op = self._operators.get(horizon)
         if op is None:
             if horizon < 1:
                 raise ConfigError(f"horizon must be at least 1, got {horizon}")
-            ladder = self.ladder
+            ladder, A = self.ladder, self.lq.A
             ladder.extend(horizon)
             steps = range(horizon)
             neg_gains = np.stack([-ladder.gain(self._gain_index(horizon, k)) for k in steps])
             tails = np.stack([ladder.matrix(horizon - k) for k in steps])
-            op = self._operators[horizon] = (neg_gains, tails)
+            gains_a = np.concatenate([neg_gains, np.broadcast_to(A, (horizon,) + A.shape)], axis=1)
+            op = self._operators[horizon] = (neg_gains, gains_a, tails)
         return op
 
     def _step(self, neg_gain: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,38 +262,66 @@ class FiniteHorizonSolver:
         horizons are padded as :class:`OpenLoopSolution` describes, and
         each row gets the same bits as a call at its own horizon.
         """
+        return self.probe(X, horizon)[0]
+
+    def probe(self, X, horizon) -> tuple[OpenLoopSolution, np.ndarray]:
+        """:meth:`plans`, and the value ``x_j' P_N x_j`` at each plan's prefix ends.
+
+        Returns ``(plan, ends)`` with ``ends[i, j - 1]`` the ``N``-step
+        value at ``plan.trajectory[i, j]`` for ``j = 1, ..., N - 1``, the
+        bits :meth:`values_of` gives there.  Both come from one pass per
+        horizon.  With one horizon per row, ``ends`` has ``W - 1``
+        columns for the longest horizon ``W``, and a row at horizon ``N``
+        is zero from column ``N - 1`` on.
+        """
         X = self._states(X, 2)
         horizon = self._per_row(horizon, len(X))
         if np.ndim(horizon) == 0:
-            return self._plans(X, horizon)
+            return self._probe(X, horizon)
         longest = int(horizon.max())
         n, c = self.lq.state_dim, self.lq.control_dim
         shapes = dict(controls=(longest, c), trajectory=(longest + 1, n), stage_costs=(longest,), tail_values=(longest,))
         padded = {name: np.zeros((len(X),) + shape) for name, shape in shapes.items()}
+        ends = np.zeros((len(X), longest - 1))
         for N, rows in _by_horizon(horizon):
-            plan = self._plans(X[rows], N)
+            plan, own_ends = self._probe(X[rows], N)
+            ends[rows, : N - 1] = own_ends
             for name, array in padded.items():
                 part = getattr(plan, name)
                 array[rows, : part.shape[1]] = part
-        return OpenLoopSolution(horizon=horizon, value=padded["tail_values"][:, 0], **padded)
+        return OpenLoopSolution(horizon=horizon, value=padded["tail_values"][:, 0], **padded), ends
 
-    def _plans(self, X: np.ndarray, horizon: int) -> OpenLoopSolution:
-        """:meth:`plans` at one horizon shared by every row: one walk through its operator."""
-        neg_gains, tails = self._operator(horizon)
-        trajectory = np.empty((len(X), horizon + 1, self.lq.state_dim))
-        controls = np.empty((len(X), horizon, self.lq.control_dim))
-        trajectory[:, 0] = X
-        for k, neg_gain in enumerate(neg_gains):
-            controls[:, k], trajectory[:, k + 1] = self._step(neg_gain, trajectory[:, k])
-        tail_values = quad_form(tails, trajectory[:, :-1])
-        return OpenLoopSolution(
+    def _probe(self, X: np.ndarray, horizon: int) -> tuple[OpenLoopSolution, np.ndarray]:
+        """:meth:`probe` at one horizon shared by every row: one walk through its operator.
+
+        Each step is one product with ``[-K_k; A]``, which gives ``u_k``
+        and ``A x_k`` with the operations of ``matvec(-K_k, x_k)`` and
+        ``matvec(A, x_k)``; ``+ B u_k`` then lands in the trajectory, the
+        sum :meth:`LinearQuadraticInstance.dynamics` forms.
+        """
+        _, gains_a, tails = self._operator(horizon)
+        B, n, c = self.lq.B, self.lq.state_dim, self.lq.control_dim
+        # Laid out by step, then component, then row, so that the row axis
+        # is innermost in every operand and result of the kernel.
+        xs = np.empty((horizon + 1, n, len(X)))
+        us_ax = np.empty((horizon, c + n, len(X)))
+        xs[0] = X.T
+        trajectory, u_ax = xs.transpose(2, 0, 1), us_ax.transpose(2, 0, 1)
+        controls = u_ax[:, :, :c]
+        for k, step in enumerate(gains_a):
+            matvec(step, trajectory[:, k], out=u_ax[:, k])
+            np.add(u_ax[:, k, c:], matvec(B, controls[:, k]), out=trajectory[:, k + 1])
+        states = trajectory[:, :horizon]
+        tail_values = quad_form(tails, states)
+        plan = OpenLoopSolution(
             horizon=horizon,
             controls=controls,
             trajectory=trajectory,
-            stage_costs=self.lq.stage_cost(trajectory[:, :-1], controls),
+            stage_costs=self.lq.stage_cost(states, controls),
             value=tail_values[:, 0],
             tail_values=tail_values,
         )
+        return plan, quad_form(tails[0], trajectory[:, 1:horizon])
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
@@ -306,7 +341,7 @@ class FiniteHorizonSolver:
         Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
         full plans are stored.
         """
-        neg_gains, _ = self._operator(horizon)
+        neg_gains = self._operator(horizon)[0]
         if not 0 <= steps <= horizon:
             raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
         x = self._states(X, 2)

@@ -6,6 +6,8 @@ evaluated it, and a sweep's records must not depend on which points
 share its batch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +152,14 @@ def test_row_sums_match_one_row_sums(spans, seed):
     length = np.array([n for _, n in spans])
     sums = row_sums(a, length, start=start)
     assert sums.tolist() == [np.sum(a[i, s : s + n]) for i, (s, n) in enumerate(spans)]
+
+
+def test_row_sums_of_one_term_keep_np_sum_signs():
+    # np.sum adds the terms to 0.0, so one term of -0.0 sums to 0.0.
+    a = np.array([[-0.0, 2.5], [1.0, -0.0]])
+    sums = row_sums(a, np.array([1, 1]), start=np.array([0, 1]))
+    assert np.signbit(sums).tolist() == [np.signbit(np.sum(a[0, :1])), np.signbit(np.sum(a[1, 1:]))]
+
 
 # Each configuration reaches a path the others may miss: exit fallback,
 # slack cover, watchdog warnings, mid-stretch re-plans, forced lengths
@@ -305,6 +315,78 @@ def test_origin_row_converges_at_once(engine_solver):
     assert origin.certificates == () and origin.schedule.times == (0,)
     assert np.isnan(batch.alpha_cor3[1]) and np.isnan(origin.alpha_cor3)
     assert batch.traces[0].certificates
+
+
+def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
+    # Capped row k stops at iteration k + 1, so the running rows are
+    # compacted at every iteration while rows that converge on their own,
+    # scaled rows and the origin (gone before iteration 0) run alongside.
+    # Every configuration but the two that converge within 21 iterations
+    # runs at least 27 from these points.
+    s = engine_solver
+    long_runs = [cfg for k, cfg in enumerate(ENGINE_CONFIGS) if k not in (4, 5)]
+    capped = [
+        (dataclasses.replace(long_runs[k % len(long_runs)], max_iterations=k + 1),
+         (1e3 if k % 2 else 1.0) * CIRCLE[k % 16])
+        for k in range(20)
+    ]
+    free = [(ENGINE_CONFIGS[k], (1e3 if k % 3 else 1.0) * CIRCLE[(5 * k) % 16]) for k in (0, 4, 5, 7, 9, 10)]
+    rows = capped + free + [(ENGINE_CONFIGS[4], np.zeros(2))]
+    configs = [cfg for cfg, _ in rows]
+    points = np.array([x for _, x in rows])
+    batch = run_batch(s, points, configs, traces=True)
+    assert [len(batch.traces[k].windows) for k in range(len(capped))] == list(range(1, len(capped) + 1))
+    assert batch.traces[-1].status == "converged" and not batch.traces[-1].windows
+    for row, (cfg, x0) in enumerate(rows):
+        single = run_closed_loop(s, x0, cfg)
+        _assert_same_run(batch.traces[row], single)
+        assert batch.traces[row].config is cfg
+        for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"):
+            assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
+        assert batch.intervals[row] == single.summary()["intervals"]
+        assert batch.applied_steps[row] == single.summary()["applied_steps"]
+
+
+@pytest.mark.parametrize("config", ENGINE_CONFIGS)
+def test_configs_are_hashable_values(config):
+    copy = dataclasses.replace(config)
+    assert copy == config and copy is not config
+    assert hash(copy) == hash(config)
+    assert len({config, copy}) == 1
+
+
+def test_config_containers_are_copied(engine_solver):
+    forced = [2, 1]
+    schedule = {2: 4, 5: 3}
+    cfg = AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.01, forced_m=forced, shrink_schedule=schedule)
+    forced[0] = 7
+    schedule[2] = 9
+    schedule[0] = 1
+    assert [cfg.forced_m_at(i) for i in range(3)] == [2, 1, 1]
+    assert dict(cfg.shrink_schedule) == {2: 4, 5: 3}
+    same = AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.01, forced_m=(2, 1), shrink_schedule={5: 3, 2: 4})
+    assert cfg == same and hash(cfg) == hash(same)
+    fm = [1]
+    one = AlgorithmConfig("alg1", 3, 0.1, forced_m=fm)
+    fm[0] = 7
+    assert one.forced_m_at(0) == 1
+    assert run_closed_loop(engine_solver, CIRCLE[2], one).schedule.times[:3] == (0, 1, 2)
+
+
+def test_equal_configs_share_a_group(engine_solver):
+    # Equal objects run exactly like one shared object, and each row's
+    # trace keeps its own object.
+    s = engine_solver
+    shared = ENGINE_CONFIGS[10]
+    copies = [dataclasses.replace(shared) for _ in range(len(_MIXED))]
+    one = run_batch(s, _MIXED, shared, traces=True)
+    many = run_batch(s, _MIXED, copies, traces=True)
+    for row, own in enumerate(copies):
+        _assert_same_run(many.traces[row], one.traces[row])
+        assert many.traces[row].config is own
+    for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3",
+                 "intervals", "applied_steps", "exit_count", "warning_count"):
+        assert np.array_equal(getattr(many, name), getattr(one, name), equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None)

@@ -258,15 +258,16 @@ def test_sweep_csv_layout(solver, tmp_path):
 class _FaultySolver(LqLadderSolver):
     """Raises for one marker state so error capture can be exercised.
 
-    Faults on the batched plan entry point, so a batch that holds the
-    marker fails as a whole and a plan from any other state succeeds.
+    Faults on the batched plan-and-probe pass, which ``plans`` and the
+    engine both go through, so a batch that holds the marker fails as a
+    whole and a plan from any other state succeeds.
     """
 
-    def plans(self, X, horizon):
+    def probe(self, X, horizon):
         X = np.asarray(X, dtype=float)
         if np.any((np.abs(X[:, 0] - 1.0) < 1e-12) & (np.abs(X[:, 1]) < 1e-12)):
             raise SolverError("marker state rejected")
-        return super().plans(X, horizon)
+        return super().probe(X, horizon)
 
 
 def test_sweep_captures_per_point_errors(lq):

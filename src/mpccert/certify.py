@@ -188,8 +188,17 @@ def update_acceptable(
         )
     paid = row_sums(np.atleast_2d(sol_old.stage_costs), np.atleast_1d(j))
     planned = row_sums(np.atleast_2d(sol_new.stage_costs), np.atleast_1d(m - j))
-    ok = end_value + alpha_bar * (paid + planned) <= sol_old.value + cert_slack
+    ok = budget_met(end_value, alpha_bar, paid, planned, sol_old.value, cert_slack)
     return ok if j.ndim else bool(ok[0])
+
+
+def budget_met(end_value, alpha_bar, paid, planned, value, cert_slack=DEFAULT_CERT_SLACK):
+    """The budget inequality of :func:`update_acceptable`, elementwise on arrays.
+
+    ``end_value + alpha_bar * (paid + planned) <= value`` up to ``cert_slack``,
+    where ``value`` is the committed plan's value at its start.
+    """
+    return end_value + alpha_bar * (paid + planned) <= value + cert_slack
 
 
 def splice_control(

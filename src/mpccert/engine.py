@@ -29,14 +29,15 @@ horizon, pending interval, slack account and counts in dense arrays that
 hold the running rows only; rows that stop write their results once and
 drop out.  All rows pass through the same outer iteration together, so
 forced lengths and shrink requests apply per iteration as in a single
-run.  Each iteration makes one plan-and-probe call for all rows,
-whatever their horizons: the solver walks the rows at each horizon
-through that horizon's operator in one batched pass, which does the same
-arithmetic on each row as on a lone state, and also returns the value at
-every prefix end.  The plans it returns are the plans the rows apply, so
-windows need no copy; only mid-stretch re-plans of ``alg2``/``alg4``
-make further calls.  So every row of a batch matches its own one-row
-run bit for bit, whichever rows and configurations share the batch.
+run.  Each iteration walks the plans of all rows one prefix at a time
+(:class:`~mpccert.riccati.PlanWalk`), whatever their horizons, with the
+same arithmetic on each row as on a lone state, and stops once every
+row's commitment is settled; no walk builds a plan's last step.  The
+walked plans are the plans the rows apply, so windows need no copy; only
+mid-stretch re-plans of ``alg2``/``alg4`` walk further plans, as far as
+the stretch left to them.  So every row of a batch matches its own
+one-row run bit for bit, whichever rows and configurations share the
+batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.
@@ -44,7 +45,7 @@ traces only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -55,12 +56,13 @@ from .certify import (
     SlackAccumulator,
     alpha_m_step,
     alpha_m_steps,
+    budget_met,
     row_sums,
-    update_acceptable,
+    update_acceptable,  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 )
 from .errors import ConfigError
 from .model import row_dot
-from .riccati import FiniteHorizonSolver, OpenLoopSolution
+from .riccati import FiniteHorizonSolver, PlanWalk
 
 VARIANTS = ("alg1", "alg2", "alg3", "alg4")
 
@@ -117,6 +119,10 @@ class AlgorithmConfig:
     shrink_schedule: dict[int, int] | tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        for name in ("horizon", "max_iterations"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if isinstance(self.forced_m, (int, np.integer)):
             object.__setattr__(self, "forced_m", int(self.forced_m))
         elif self.forced_m is not None:
@@ -405,18 +411,6 @@ def _select_m(
     return m, exit_event, warning_event
 
 
-def _plan_rows(plan: OpenLoopSolution, sel) -> OpenLoopSolution:
-    """The plans of a batch selected by ``sel``."""
-    return OpenLoopSolution(
-        horizon=plan.horizon if np.ndim(plan.horizon) == 0 else plan.horizon[sel],
-        controls=plan.controls[sel],
-        trajectory=plan.trajectory[sel],
-        stage_costs=plan.stage_costs[sel],
-        value=plan.value[sel],
-        tail_values=plan.tail_values[sel],
-    )
-
-
 def _widen(a: np.ndarray) -> np.ndarray:
     """Double the time axis (axis 1) of a log buffer."""
     return np.concatenate([a, np.zeros_like(a)], axis=1)
@@ -640,27 +634,23 @@ class _Lockstep:
         self._horizon_changed()
 
     def _iterate(self, iteration: int) -> None:
-        """One outer iteration: plan and probe, commit, apply, record the window."""
+        """One outer iteration: walk and probe the plans, commit, apply, record the window."""
         if iteration in self.shrinks:
             self._shrink(iteration)
         if iteration < self.forced_until:
             self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
         horizon = self.N
-        plan, ends = self.solver.probe(self.x, horizon)
+        # Each row's value at its state is the end value the last walk
+        # gave it, unless its horizon has just changed.
+        known = self.v_now if iteration and iteration not in self.shrinks else None
+        plan, probe_alphas, probe_rhos = self._probe(horizon, known)
         v_start = plan.value
         if iteration:
             self._close(slice(None), v_start)
         else:
             self.v_initial = v_start
-        # Value drop over, and cost paid on, each prefix j = 1, ..., N - 1,
-        # padded to the longest horizon among the rows.
-        drops = v_start[:, None] - ends
-        prefix_costs = np.cumsum(plan.stage_costs[:, : ends.shape[1]], axis=1)
-        alpha_bar = self.alpha_bar
-        probe_alphas = alpha_m_steps(drops, prefix_costs)
-        probe_rhos = drops - alpha_bar[:, None] * prefix_costs
         m, exit_event, warning_event = _select_m(
-            self.watchdog, self.forced, probe_alphas, probe_rhos, alpha_bar, self.slack, horizon - 1
+            self.watchdog, self.forced, probe_alphas, probe_rhos, self.alpha_bar, self.slack, horizon - 1
         )
         self.exits += exit_event
         self.warnings += warning_event
@@ -675,14 +665,14 @@ class _Lockstep:
         self.sigma = self.t.copy()
         self.v_before = v_start.copy()
         self.closes = np.zeros(len(m), dtype=int) if self.keep else None
-        self.v_now = ends[np.arange(len(m)), m - 1]
+        self.v_now = plan.ends[np.arange(len(m)), m - 1]
         self._reserve(int((window_time + m).max()))
         stepping = self.replanning & (m > 1)
         if stepping.any():
-            self._commit(np.flatnonzero(~stepping), plan, m, prefix_costs)
+            self._commit(np.flatnonzero(~stepping), plan, m)
             self._step(np.flatnonzero(stepping), plan, m)
         else:
-            self._commit(slice(None), plan, m, prefix_costs)
+            self._commit(slice(None), plan, m)
         cost = row_sums(self.costs, m, start=window_time)
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
@@ -709,6 +699,47 @@ class _Lockstep:
                 )
             )
 
+    def _probe(self, horizon, value) -> tuple[PlanWalk, np.ndarray, np.ndarray]:
+        """Walk the rows' plans prefix by prefix until every row's commitment is settled.
+
+        ``value`` is each row's value at its state, or ``None``.  Returns
+        the walk and the degree and slack of each walked prefix, one column
+        each; a row's columns past those it needs cannot change its
+        commitment.  A one-horizon batch walks all rows while any is
+        unsettled, a mixed one (split by horizon anyway) the unsettled rows.
+        """
+        last = horizon - 1
+        width = int(np.max(last))
+        plan = PlanWalk(self.solver, self.x, horizon, width, value)
+        if not self.keep and width > 1:
+            # Windows record every prefix; without them a forced row stops
+            # at its forced length, and any other at its first prefix with
+            # alpha_j >= alpha_bar, or rho_j >= 0 when it keeps an account.
+            forced = self.forced > 0
+            last = np.where(forced, self.forced, last)
+            target = np.where(forced, np.inf, np.where(self.watchdog, 0.0, self.alpha_bar))
+        walking, rows = np.ones(len(self.x), dtype=bool), slice(None)
+        for k in range(width - 1):
+            plan.advance(rows)
+            if np.ndim(last) == 0:
+                continue  # one horizon and full traces: every row walks on
+            more = k + 1 < last[rows]
+            if not self.keep:
+                drop = plan.value[rows] - plan.ends[rows, k]
+                cost = plan.prefix_costs[rows, k]
+                rho = drop - self.alpha_bar[rows] * cost
+                more &= ~(np.where(self.watchdog[rows], rho, alpha_m_steps(drop, cost)) >= target[rows])
+            walking[rows] &= more
+            if not walking.any():
+                break
+            if np.ndim(horizon):
+                rows = np.flatnonzero(walking)
+        else:
+            plan.advance(rows)
+        drops = plan.value[:, None] - plan.ends[:, : plan.steps]
+        costs = plan.prefix_costs[:, : plan.steps]
+        return plan, alpha_m_steps(drops, costs), drops - self.alpha_bar[:, None] * costs
+
     def _reserve(self, steps: int) -> None:
         """Grow the logs until they hold ``steps`` applied steps."""
         while steps > self.costs.shape[1]:
@@ -717,7 +748,7 @@ class _Lockstep:
                 self.states = _widen(self.states)
                 self.controls = _widen(self.controls)
 
-    def _commit(self, sel, plan: OpenLoopSolution, m: np.ndarray, prefix_costs: np.ndarray) -> None:
+    def _commit(self, sel, plan: PlanWalk, m: np.ndarray) -> None:
         """Apply the first ``m`` steps of the plan at the rows ``sel`` (a slice or indices) at once."""
         rows = np.arange(len(m))[sel]
         m = m[sel]
@@ -732,9 +763,9 @@ class _Lockstep:
         self.t[sel] = t + m
         # The interval opened at 0.0 and added these costs one by one:
         # 0.0 plus their left-to-right sum has the same bits.
-        self.cost_sum[sel] = 0.0 + prefix_costs[rows, m - 1]
+        self.cost_sum[sel] = 0.0 + plan.prefix_costs[rows, m - 1]
 
-    def _step(self, rows: np.ndarray, plan: OpenLoopSolution, m: np.ndarray) -> None:
+    def _step(self, rows: np.ndarray, plan: PlanWalk, m: np.ndarray) -> None:
         """Apply the committed steps of re-planning rows one at a time, re-planning after each but the last."""
         self.anchor_value = plan.value.copy()
         self.since = np.zeros(len(m), dtype=int)
@@ -757,58 +788,39 @@ class _Lockstep:
             if more.any():
                 self._replan(rows[more], m[more] - applied - 1, plan)
 
-    def _replan(self, rows: np.ndarray, tail: np.ndarray, anchor: OpenLoopSolution) -> None:
+    def _replan(self, rows: np.ndarray, tail: np.ndarray, anchor: PlanWalk) -> None:
         """Plan afresh mid-stretch; rows whose check passes switch to the new plan.
 
-        alg2 rows accept when the stretch as a whole still meets the
-        threshold (:func:`update_acceptable`), alg4 rows when their slack
-        account stays nonnegative.  An accepted plan overwrites the row's
+        Each row walks the new plan as far as the ``tail`` steps left in its
+        stretch.  alg2 rows accept when the stretch as a whole still meets
+        the threshold (:func:`budget_met`, the rule of
+        :func:`update_acceptable`), alg4 rows when their slack account
+        stays nonnegative.  An accepted plan overwrites the row's walked
         part of ``anchor``, the plan the row applies.
         """
-        solver = self.solver
         horizon = self.N if np.ndim(self.N) == 0 else self.horizon[rows]
-        plan = solver.plans(self.x[rows], horizon)
-        end_value = solver.values_of(plan.trajectory[np.arange(len(rows)), tail], horizon)
-        since = self.since[rows]
-        alpha_bar, cert_slack = self.alpha_bar[rows], self.cert_slack[rows]
-        watchdog = self.watchdog[rows]
-        paid_costs, anchor_value = anchor.stage_costs[rows], self.anchor_value[rows]
-        # Each rule is computed only when some row uses it: computing both
-        # on every re-plan costs single-variant sweeps about a tenth of
-        # their engine time.
-        budget = account = None
-        if not watchdog.all():
-            budget = update_acceptable(
-                replace(_plan_rows(anchor, rows), value=anchor_value),
-                plan,
-                j=since,
-                m=since + tail,
-                alpha_bar=alpha_bar,
-                end_value=end_value,
-                cert_slack=cert_slack,
-            )
-        if watchdog.any():
-            paid = row_sums(paid_costs, since)
-            rho_close = anchor_value - plan.value - alpha_bar * paid
-            tail_cost = row_sums(plan.stage_costs, tail)
-            rho_tail = plan.value - end_value - alpha_bar * tail_cost
-            account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
-        if budget is None or account is None:
-            ok = account if budget is None else budget
-        else:
-            ok = np.where(watchdog, account, budget)
+        plan = PlanWalk(self.solver, self.x[rows], horizon, int(tail.max()))
+        plan.advance_to(tail)
+        end_value = plan.ends[np.arange(len(rows)), tail - 1]
+        alpha_bar, cert_slack, anchor_value = self.alpha_bar[rows], self.cert_slack[rows], self.anchor_value[rows]
+        paid = row_sums(anchor.stage_costs[rows], self.since[rows])
+        planned = row_sums(plan.stage_costs, tail)
+        rho_close = anchor_value - plan.value - alpha_bar * paid
+        rho_tail = plan.value - end_value - alpha_bar * planned
+        account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
+        ok = np.where(self.watchdog[rows], account, budget_met(end_value, alpha_bar, paid, planned, anchor_value, cert_slack))
         if not ok.any():
             return
-        p, plan = rows[ok], _plan_rows(plan, ok)
-        self._close(p, plan.value)
+        p, value = rows[ok], plan.value[ok]
+        self._close(p, value)
         self.sigma[p] = self.t[p]
-        self.v_before[p] = plan.value
+        self.v_before[p] = value
         self.cost_sum[p] = 0.0
-        w = plan.controls.shape[1]
-        anchor.controls[p, :w] = plan.controls
-        anchor.trajectory[p, : w + 1] = plan.trajectory
-        anchor.stage_costs[p, :w] = plan.stage_costs
-        self.anchor_value[p] = plan.value
+        w = plan.steps
+        anchor.controls[p, :w] = plan.controls[ok]
+        anchor.trajectory[p, : w + 1] = plan.trajectory[ok]
+        anchor.stage_costs[p, :w] = plan.stage_costs[ok]
+        self.anchor_value[p] = value
         self.since[p] = 0
         self.v_now[p] = end_value[ok]
         if self.keep:

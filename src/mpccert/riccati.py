@@ -20,15 +20,18 @@ applies, and its realized open-loop cost can exceed the value.
 A solver builds one plan operator per horizon on the first request at
 that horizon and keeps it: the negated gains ``-K`` of every step, taken
 from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
-:meth:`FiniteHorizonSolver.plans` walks a ``(B, n)`` batch of states
-through the operator and :meth:`FiniteHorizonSolver.solve` is its
-one-row case; :meth:`FiniteHorizonSolver.probe` also returns the value
-``x_j' P_N x_j`` at every prefix end of each plan, from the same pass;
+:meth:`FiniteHorizonSolver.plan_step` builds one step of the plans of a
+``(B, n)`` batch of states at one horizon, and also returns the value
+``x_{k+1}' P_N x_{k+1}`` at the step's end.  A :class:`PlanWalk` holds
+the plans of a batch and extends them one step at a time through it, by
+as many steps as its caller reads; rows at different horizons go
+through their own horizon's operator.
+:meth:`FiniteHorizonSolver.plans` walks every row through its whole
+plan and :meth:`FiniteHorizonSolver.solve` is its one-row case;
 :meth:`FiniteHorizonSolver.rollout` walks a batch without storing plans,
 and :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
-batch.  ``plans``, ``probe`` and ``values_of`` also take one horizon per
-row: the rows at each horizon then go through that horizon's operator
-together, and plans are padded with zeros to the call's longest horizon.
+batch.  ``plans`` and ``values_of`` also take one horizon per row; plans
+are then padded with zeros to the call's longest horizon.
 Every product goes through the elementwise row kernel of
 :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
 :func:`~mpccert.model.quad_form`): each step forms ``u = -K x`` and the
@@ -253,6 +256,21 @@ class FiniteHorizonSolver:
         u = matvec(neg_gain, x)
         return u, self.lq.dynamics(x, u)
 
+    def plan_step(self, X, horizon: int, k: int) -> tuple[np.ndarray, ...]:
+        """Step ``k`` of the ``horizon``-step plans at the ``(B, n)`` states ``X``.
+
+        Returns ``x_{k+1}``, ``u_k``, the stage cost and ``x_{k+1}' P_N
+        x_{k+1}`` (the bits of :meth:`values_of`).  One product with
+        ``[-K_k; A]`` gives ``u_k`` and ``A x_k`` with the operations of
+        ``matvec``; ``+ B u_k`` is the sum ``dynamics`` forms.
+        """
+        _, gains_a, tails = self._operator(horizon)
+        c = self.lq.control_dim
+        u_ax = matvec(gains_a[k], X)
+        u = u_ax[:, :c]
+        x_next = u_ax[:, c:] + matvec(self.lq.B, u)
+        return x_next, u, self.lq.stage_cost(X, u), quad_form(tails[0], x_next)
+
     def plans(self, X, horizon) -> OpenLoopSolution:
         """Open-loop plans of the given length from every row of the ``(B, n)`` array ``X``.
 
@@ -262,66 +280,17 @@ class FiniteHorizonSolver:
         horizons are padded as :class:`OpenLoopSolution` describes, and
         each row gets the same bits as a call at its own horizon.
         """
-        return self.probe(X, horizon)[0]
-
-    def probe(self, X, horizon) -> tuple[OpenLoopSolution, np.ndarray]:
-        """:meth:`plans`, and the value ``x_j' P_N x_j`` at each plan's prefix ends.
-
-        Returns ``(plan, ends)`` with ``ends[i, j - 1]`` the ``N``-step
-        value at ``plan.trajectory[i, j]`` for ``j = 1, ..., N - 1``, the
-        bits :meth:`values_of` gives there.  Both come from one pass per
-        horizon.  With one horizon per row, ``ends`` has ``W - 1``
-        columns for the longest horizon ``W``, and a row at horizon ``N``
-        is zero from column ``N - 1`` on.
-        """
         X = self._states(X, 2)
         horizon = self._per_row(horizon, len(X))
-        if np.ndim(horizon) == 0:
-            return self._probe(X, horizon)
-        longest = int(horizon.max())
-        n, c = self.lq.state_dim, self.lq.control_dim
-        shapes = dict(controls=(longest, c), trajectory=(longest + 1, n), stage_costs=(longest,), tail_values=(longest,))
-        padded = {name: np.zeros((len(X),) + shape) for name, shape in shapes.items()}
-        ends = np.zeros((len(X), longest - 1))
-        for N, rows in _by_horizon(horizon):
-            plan, own_ends = self._probe(X[rows], N)
-            ends[rows, : N - 1] = own_ends
-            for name, array in padded.items():
-                part = getattr(plan, name)
-                array[rows, : part.shape[1]] = part
-        return OpenLoopSolution(horizon=horizon, value=padded["tail_values"][:, 0], **padded), ends
-
-    def _probe(self, X: np.ndarray, horizon: int) -> tuple[OpenLoopSolution, np.ndarray]:
-        """:meth:`probe` at one horizon shared by every row: one walk through its operator.
-
-        Each step is one product with ``[-K_k; A]``, which gives ``u_k``
-        and ``A x_k`` with the operations of ``matvec(-K_k, x_k)`` and
-        ``matvec(A, x_k)``; ``+ B u_k`` then lands in the trajectory, the
-        sum :meth:`LinearQuadraticInstance.dynamics` forms.
-        """
-        _, gains_a, tails = self._operator(horizon)
-        B, n, c = self.lq.B, self.lq.state_dim, self.lq.control_dim
-        # Laid out by step, then component, then row, so that the row axis
-        # is innermost in every operand and result of the kernel.
-        xs = np.empty((horizon + 1, n, len(X)))
-        us_ax = np.empty((horizon, c + n, len(X)))
-        xs[0] = X.T
-        trajectory, u_ax = xs.transpose(2, 0, 1), us_ax.transpose(2, 0, 1)
-        controls = u_ax[:, :, :c]
-        for k, step in enumerate(gains_a):
-            matvec(step, trajectory[:, k], out=u_ax[:, k])
-            np.add(u_ax[:, k, c:], matvec(B, controls[:, k]), out=trajectory[:, k + 1])
-        states = trajectory[:, :horizon]
-        tail_values = quad_form(tails, states)
-        plan = OpenLoopSolution(
-            horizon=horizon,
-            controls=controls,
-            trajectory=trajectory,
-            stage_costs=self.lq.stage_cost(states, controls),
-            value=tail_values[:, 0],
-            tail_values=tail_values,
-        )
-        return plan, quad_form(tails[0], trajectory[:, 1:horizon])
+        if np.min(horizon) < 1:
+            raise ConfigError(f"horizon must be at least 1, got {np.min(horizon)}")
+        longest = int(np.max(horizon))
+        walk = PlanWalk(self, X, horizon, longest)
+        walk.advance_to(horizon)
+        tail_values = np.zeros((len(X), longest))
+        for N, rows in [(horizon, slice(None))] if np.ndim(horizon) == 0 else _by_horizon(horizon):
+            tail_values[rows, :N] = quad_form(self._operator(N)[2], walk.trajectory[rows, :N])
+        return OpenLoopSolution(horizon, walk.controls, walk.trajectory, walk.stage_costs, walk.value, tail_values)
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
@@ -375,6 +344,53 @@ class LqBellmanSolver(FiniteHorizonSolver):
 
     def _gain_index(self, horizon: int, k: int) -> int:
         return horizon - k - 1
+
+
+class PlanWalk:
+    """The plans of a ``(B, n)`` batch of states at one or per-row horizons, built step by step.
+
+    :meth:`advance` builds step ``k = steps`` of the given rows through
+    :meth:`FiniteHorizonSolver.plan_step`, once per horizon among them, up
+    to ``width`` steps.  Column ``k`` of ``controls``, ``stage_costs``,
+    ``ends`` (``x_{k+1}' P_N x_{k+1}``) and ``prefix_costs`` (the bits of
+    ``np.cumsum`` of the stage costs), and ``trajectory[:, k + 1]``, hold
+    step ``k`` of the rows it reached and zeros elsewhere.  ``value`` is
+    ``x_0' P_N x_0``, computed unless the caller has those bits.
+    """
+
+    def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None):
+        rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
+        self.solver, self.horizon, self.steps = solver, horizon, 0
+        self.value = solver.values_of(X, horizon) if value is None else value
+        self.trajectory = np.zeros((rows, width + 1, n))
+        self.trajectory[:, 0] = X
+        self.controls = np.zeros((rows, width, c))
+        # Row axis innermost, so that each step writes whole columns.
+        self.stage_costs, self.ends, self.prefix_costs = np.zeros((3, width, rows)).transpose(0, 2, 1)
+
+    def advance(self, rows=slice(None)) -> None:
+        """Build the next step of the rows ``rows`` (a slice or indices)."""
+        k = self.steps
+        X = self.trajectory[rows, k]
+        if np.ndim(self.horizon) == 0:
+            parts = [(rows, self.solver.plan_step(X, self.horizon, k))]
+        else:
+            at = np.arange(len(self.value))[rows]
+            parts = [(at[sub], self.solver.plan_step(X[sub], N, k)) for N, sub in _by_horizon(self.horizon[at])]
+        for at, (x_next, u, cost, end) in parts:
+            self.trajectory[at, k + 1] = x_next
+            self.controls[at, k] = u
+            self.stage_costs[at, k] = cost
+            self.ends[at, k] = end
+            self.prefix_costs[at, k] = cost if k == 0 else self.prefix_costs[at, k - 1] + cost
+        self.steps = k + 1
+
+    def advance_to(self, steps) -> None:
+        """Walk on until row ``i`` has ``steps[i]`` steps (one count for all rows, or one per row)."""
+        steps = np.asarray(steps)
+        while self.steps < steps.max():
+            short = steps > self.steps
+            self.advance(slice(None) if short.all() else np.flatnonzero(short))
 
 
 def _by_horizon(horizon: np.ndarray):

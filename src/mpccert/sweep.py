@@ -131,27 +131,29 @@ class SweepReport:
         return counts
 
     def alpha_cor3_min(self) -> float:
-        values = [r.alpha_cor3 for r in self.records if r.error is None]
-        return float(np.nanmin(values)) if values else float("nan")
+        return _nan_stat(np.nanmin, [r.alpha_cor3 for r in self.records if r.error is None])
 
     def aggregates(self) -> dict:
         clean = [r for r in self.records if r.error is None]
-        cor3 = np.array([r.alpha_cor3 for r in clean]) if clean else np.array([np.nan])
+        cor3 = [r.alpha_cor3 for r in clean]
         return {
             "points": len(self.records),
             "errors": len(self.records) - len(clean),
             "warnings": sum(r.warning for r in self.records),
             "failures": len(self.failure_indices()),
-            "alpha_cor3_min": float(np.nanmin(cor3)),
-            "alpha_cor3_max": float(np.nanmax(cor3)),
-            "alpha_cor3_mean": float(np.nanmean(cor3)),
-            "alpha_1step_min": float(np.nanmin([r.min_onestep_alpha for r in clean]))
-            if clean
-            else float("nan"),
-            "alpha_mstep_min": float(np.nanmin([r.min_mstep_alpha for r in clean]))
-            if clean
-            else float("nan"),
+            "alpha_cor3_min": _nan_stat(np.nanmin, cor3),
+            "alpha_cor3_max": _nan_stat(np.nanmax, cor3),
+            "alpha_cor3_mean": _nan_stat(np.nanmean, cor3),
+            "alpha_1step_min": _nan_stat(np.nanmin, [r.min_onestep_alpha for r in clean]),
+            "alpha_mstep_min": _nan_stat(np.nanmin, [r.min_mstep_alpha for r in clean]),
         }
+
+
+def _nan_stat(stat, values) -> float:
+    """``stat`` (``np.nanmin``, ``np.nanmax`` or ``np.nanmean``) of ``values``; NaN, without
+    NumPy's ``RuntimeWarning``, when no value is a number."""
+    values = np.asarray(values, dtype=float)
+    return float("nan") if np.isnan(values).all() else float(stat(values))
 
 
 def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[PointRecord]:
@@ -276,7 +278,7 @@ def horizon_comparison(
     blocks = [tuple(records[k * size : (k + 1) * size]) for k in range(len(configs))]
     rows = []
     for n, apriori, posteriori, config in zip(horizons, blocks[::2], blocks[1::2], configs[1::2]):
-        col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori]))
+        col_a = _nan_stat(np.nanmin, [r.min_mstep_alpha for r in apriori])
         col_b = SweepReport(initial_set.name, config, posteriori).alpha_cor3_min()
         rows.append((int(n), col_a, col_b))
     return rows

@@ -7,6 +7,7 @@ share its batch.
 """
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mpccert.certify import row_sums
 from mpccert.engine import AlgorithmConfig, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver
-from mpccert.sweep import unit_circle, value_drop_grid
+from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
 LAWS = (LqLadderSolver, LqBellmanSolver)
 HORIZONS = (2, 3, 10, 20)
@@ -164,7 +165,12 @@ def test_row_sums_of_one_term_keep_np_sum_signs():
 # Each configuration reaches a path the others may miss: exit fallback,
 # slack cover, watchdog warnings, mid-stretch re-plans, forced lengths
 # (an int and a sequence), windows longer than 8 steps, horizon
-# shrinking and the iteration cap.
+# shrinking and the iteration cap.  The last three run at N = 10: two
+# unforced with thresholds so close to 1 that rows settle at prefixes 1,
+# 2 or 3 (alg1) or at 1 and 2 while others never settle (alg3, with
+# warnings), so plan walks stop at different prefixes in one iteration,
+# and one whose rows certify prefix 1 but are forced to apply 3 steps
+# without re-planning.
 ENGINE_CONFIGS = (
     AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01),
     AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.6),
@@ -178,6 +184,9 @@ ENGINE_CONFIGS = (
     AlgorithmConfig(variant="alg4", horizon=3, alpha_bar=0.5),
     AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.01, forced_m=[2, 1]),
     AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.3, shrink_schedule={1: 3}),
+    AlgorithmConfig(variant="alg1", horizon=10, alpha_bar=0.99995),
+    AlgorithmConfig(variant="alg3", horizon=10, alpha_bar=0.99999),
+    AlgorithmConfig(variant="alg3", horizon=10, alpha_bar=0.3, forced_m=[3, 1]),
 )
 CIRCLE = unit_circle(16).points
 _point = st.tuples(st.sampled_from(("circle", "origin", "scaled")), st.integers(0, 15)).map(
@@ -281,11 +290,12 @@ def test_batch_run_matches_one_row_runs(engine_solver, config, case):
         assert batch.exit_count[row] == single.exit_count
         assert batch.intervals[row] == single.summary()["intervals"]
         assert batch.applied_steps[row] == single.summary()["applied_steps"]
-    # Statistics without traces are the same numbers.
+    # Statistics without traces are the same numbers.  Only these runs
+    # stop their plan walks at the first settled prefix.
     bare = run_batch(s, points[order], row_config)
     assert bare.traces is None and bare.status == batch.status
     for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3",
-                 "intervals", "applied_steps"):
+                 "intervals", "applied_steps", "exit_count", "warning_count"):
         assert np.array_equal(getattr(bare, name), getattr(batch, name), equal_nan=True)
 
 
@@ -321,10 +331,10 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
     # Capped row k stops at iteration k + 1, so the running rows are
     # compacted at every iteration while rows that converge on their own,
     # scaled rows and the origin (gone before iteration 0) run alongside.
-    # Every configuration but the two that converge within 21 iterations
-    # runs at least 27 from these points.
+    # Every configuration but 4, 5 and 12, which may converge within 21
+    # iterations, runs at least 26 from these points.
     s = engine_solver
-    long_runs = [cfg for k, cfg in enumerate(ENGINE_CONFIGS) if k not in (4, 5)]
+    long_runs = [cfg for k, cfg in enumerate(ENGINE_CONFIGS) if k not in (4, 5, 12)]
     capped = [
         (dataclasses.replace(long_runs[k % len(long_runs)], max_iterations=k + 1),
          (1e3 if k % 2 else 1.0) * CIRCLE[k % 16])
@@ -345,6 +355,47 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
             assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
         assert batch.intervals[row] == single.summary()["intervals"]
         assert batch.applied_steps[row] == single.summary()["applied_steps"]
+
+
+class _CountingSolver(LqLadderSolver):
+    """Counts plan steps walked: one per horizon and step, the calls of the step primitive."""
+
+    steps = 0
+
+    def plan_step(self, X, horizon, k):
+        self.steps += 1
+        return super().plan_step(X, horizon, k)
+
+
+def test_walk_stops_at_the_first_settled_prefix(lq):
+    # At N = 20 every row certifies its first prefix at threshold 0, so
+    # without traces each iteration walks one step of the plan; windows
+    # record every prefix, so with traces it walks N - 1 = 19, never the
+    # last one.
+    config = AlgorithmConfig(variant="alg1", horizon=20, alpha_bar=0.0)
+    bare_solver, traced_solver = _CountingSolver(lq, 20), _CountingSolver(lq, 20)
+    bare = run_batch(bare_solver, CIRCLE, config)
+    traced = run_batch(traced_solver, CIRCLE, config, traces=True)
+    windows = [w for trace in traced.traces for w in trace.windows]
+    assert all(w.committed_m == 1 and len(w.probe_alphas) == len(w.probe_rhos) == 19 for w in windows)
+    iterations = max(len(trace.windows) for trace in traced.traces)
+    assert bare_solver.steps == iterations and traced_solver.steps == 19 * iterations
+    assert np.array_equal(bare.min_window_alpha, traced.min_window_alpha)
+
+
+def test_horizon_table_walks_only_the_prefixes_it_reads(lq, monkeypatch):
+    # The table's one batch builds 1,434 plan steps when every iteration
+    # builds whole plans; at N = 2, 4, 5, 10 and 20 every row settles at
+    # its first prefix, at N = 3 most do.
+    solvers = []
+
+    def counting_solver(*args):
+        solvers.append(_CountingSolver(*args))
+        return solvers[-1]
+
+    monkeypatch.setattr(importlib.import_module("mpccert.sweep"), "LqLadderSolver", counting_solver)
+    horizon_comparison(lq, unit_circle(128), (2, 3, 4, 5, 10, 20))
+    assert len(solvers) == 1 and 0 < solvers[0].steps <= 270
 
 
 @pytest.mark.parametrize("config", ENGINE_CONFIGS)

@@ -40,6 +40,19 @@ def test_config_validation():
     assert _cfg("alg1", 1.0).alpha_bar == 1.0
 
 
+def test_config_rejects_non_integral_counts(solver):
+    # A fractional horizon would run at its floor while summary() reported
+    # the fraction, and a fractional cap would stop at its ceiling.
+    for kw in ({"horizon": 3.5}, {"horizon": 3.0}, {"max_iterations": 2.5}, {"max_iterations": "5"}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            _cfg("alg1", 0.5, **kw)
+    numpy_ints = _cfg("alg1", 0.5, horizon=np.int64(3), max_iterations=np.int32(5))
+    assert numpy_ints == _cfg("alg1", 0.5, horizon=3, max_iterations=5)
+    assert type(numpy_ints.horizon) is int and type(numpy_ints.max_iterations) is int
+    trace = run_closed_loop(solver, X_A, numpy_ints)
+    assert trace.summary()["horizon"] == 3 and trace.iterations <= 5
+
+
 # Each shrink schedule below is rejected when the configuration is built:
 # run as it was, it could fail only mid-run, once a request is granted or
 # reached, and in a batch that failure would abort every other row.

@@ -258,16 +258,47 @@ def test_sweep_csv_layout(solver, tmp_path):
 class _FaultySolver(LqLadderSolver):
     """Raises for one marker state so error capture can be exercised.
 
-    Faults on the batched plan-and-probe pass, which ``plans`` and the
-    engine both go through, so a batch that holds the marker fails as a
-    whole and a plan from any other state succeeds.
+    Faults in the plan step, which ``plans`` and the engine's plan walks
+    both go through, so a batch that holds the marker fails as a whole
+    and a plan from any other state succeeds.
     """
 
-    def probe(self, X, horizon):
+    def plan_step(self, X, horizon, k):
         X = np.asarray(X, dtype=float)
         if np.any((np.abs(X[:, 0] - 1.0) < 1e-12) & (np.abs(X[:, 1]) < 1e-12)):
             raise SolverError("marker state rejected")
-        return super().probe(X, horizon)
+        return super().plan_step(X, horizon, k)
+
+
+def _assert_nan_statistics(report):
+    agg = report.aggregates()
+    for key in ("alpha_cor3_min", "alpha_cor3_max", "alpha_cor3_mean", "alpha_1step_min", "alpha_mstep_min"):
+        assert np.isnan(agg[key]), key
+    assert np.isnan(report.alpha_cor3_min())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_all_error_sweep_statistics_are_nan_without_warnings(lq):
+    # Every point is the marker, so every record is an error: the CLI's
+    # exit-3 path, which still prints the aggregates.
+    grid = InitialSet(name="marker:3", points=np.tile([1.0, 0.0], (3, 1)))
+    report = sweep(_FaultySolver(lq, 3), grid, _cfg("alg3", 0.01))
+    assert report.error_indices() == (1, 2, 3)
+    _assert_nan_statistics(report)
+    assert report.aggregates()["errors"] == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_statistics_at_the_equilibrium_are_nan_without_warnings(lq, solver):
+    # Runs from the equilibrium stop before their first window, so every
+    # statistic of every point is NaN.
+    grid = InitialSet(name="origin:2", points=np.zeros((2, 2)))
+    report = sweep(solver, grid, _cfg("alg1", 0.01))
+    assert report.error_indices() == () and report.statuses() == {"converged": 2}
+    _assert_nan_statistics(report)
+    rows = horizon_comparison(lq, grid, (2, 3))
+    assert [n for n, _, _ in rows] == [2, 3]
+    assert all(np.isnan(a) and np.isnan(b) for _, a, b in rows)
 
 
 def test_sweep_captures_per_point_errors(lq):

@@ -30,14 +30,16 @@ hold the running rows only; rows that stop write their results once and
 drop out.  All rows pass through the same outer iteration together, so
 forced lengths and shrink requests apply per iteration as in a single
 run.  Each iteration walks the plans of all rows one prefix at a time
-(:class:`~mpccert.riccati.PlanWalk`), whatever their horizons, with the
-same arithmetic on each row as on a lone state, and stops once every
-row's commitment is settled; no walk builds a plan's last step.  The
-walked plans are the plans the rows apply, so windows need no copy; only
-mid-stretch re-plans of ``alg2``/``alg4`` walk further plans, as far as
-the stretch left to them.  So every row of a batch matches its own
-one-row run bit for bit, whichever rows and configurations share the
-batch.
+through one :class:`~mpccert.riccati.PlanWalk`, with the same arithmetic
+on each row as on a lone state, and stops once every row's commitment
+is settled; no walk builds a plan's last step.  The engine keeps one
+horizon per row and hands it to the plan layer as it is: grouping rows
+by horizon, and stepping every row of a one-horizon walk, are decided
+in :mod:`mpccert.riccati`.  The walked plans are the plans the rows
+apply, so windows need no copy; only mid-stretch re-plans of
+``alg2``/``alg4`` walk further plans, as far as the stretch left to
+them.  So every row of a batch matches its own one-row run bit for bit,
+whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.
@@ -138,10 +140,10 @@ class AlgorithmConfig:
             raise ConfigError(f"alpha_bar must lie in [0, 1], got {self.alpha_bar}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.termination_radius <= 0.0:
-            raise ConfigError("termination_radius must be positive")
-        if self.cert_slack < 0.0:
-            raise ConfigError("cert_slack must be nonnegative")
+        if not 0.0 < self.termination_radius < np.inf:
+            raise ConfigError(f"termination_radius must be positive and finite, got {self.termination_radius}")
+        if not 0.0 <= self.cert_slack < np.inf:
+            raise ConfigError(f"cert_slack must be nonnegative and finite, got {self.cert_slack}")
         if self.forced_m is not None:
             values = self._forced_values()
             if len(values) == 0:
@@ -364,20 +366,20 @@ def _select_m(
     probe_rhos: np.ndarray,
     alpha_bar: np.ndarray,
     slack_total: np.ndarray,
-    width: int | np.ndarray,
+    width: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick each row's commitment length; returns ``(m, exit_event, warning_event)``.
 
-    Row ``i`` looks at its first ``width[i]`` prefixes only (an int width
-    covers every column).  ``forced[i]`` is the length it is forced to
-    apply, 0 when it chooses for itself; ``watchdog[i]`` marks the
-    variants with a slack account.  Each rule runs on the whole batch
-    when any row follows it, and ``np.where`` picks each row's result.
+    Row ``i`` looks at its first ``width[i]`` prefixes only.
+    ``forced[i]`` is the length it is forced to apply, 0 when it chooses
+    for itself; ``watchdog[i]`` marks the variants with a slack account.
+    Each rule runs on the whole batch when any row follows it, and
+    ``np.where`` picks each row's result.
     """
     cols = np.arange(probe_rhos.shape[1])
     # Masks are laid out like the probes, row axis innermost, so that
     # reductions over prefixes run down whole columns.
-    valid = None if np.ndim(width) == 0 else np.less(cols, width[:, None], order="F")
+    valid = np.less(cols, width[:, None], order="F")
     is_forced = forced > 0
     m, exit_event, warning_event = forced, np.zeros(len(forced), bool), np.zeros(len(forced), bool)
     plain = ~(watchdog | is_forced)
@@ -385,9 +387,7 @@ def _select_m(
         # No slack account: the first prefix certified on its own.  When
         # none is, close the loop immediately and flag the run rather than
         # stopping the plant.
-        certified = probe_alphas >= alpha_bar[:, None]
-        if valid is not None:
-            certified &= valid
+        certified = (probe_alphas >= alpha_bar[:, None]) & valid
         found = certified.any(axis=1)
         m = np.where(plain, np.where(found, certified.argmax(axis=1) + 1, 1), m)
         exit_event = plain & ~found
@@ -395,7 +395,7 @@ def _select_m(
     if free.any():
         # argmax gives the first prefix certified on its own, and for
         # slack-covered rows the smallest maximiser of rho.
-        rhos = probe_rhos if valid is None else np.where(valid, probe_rhos, -np.inf)
+        rhos = np.where(valid, probe_rhos, -np.inf)
         certified = rhos >= 0.0
         found = certified.any(axis=1)
         covered = ~found & (slack_total + rhos.max(axis=1) >= 0.0)
@@ -481,6 +481,8 @@ class _Lockstep:
         n, c = model.state_dim, model.control_dim
         if X.ndim != 2 or X.shape[1] != n:
             raise ConfigError(f"initial states must have shape (B, {n}), got {X.shape}")
+        if not np.isfinite(X).all():
+            raise ConfigError(f"initial states must be finite, got {X[~np.isfinite(X).all(axis=1)][0]}")
         rows = len(X)
         self.model, self.solver, self.keep = model, solver, keep_traces
         self.row_configs = _row_configs(config, rows)
@@ -545,12 +547,6 @@ class _Lockstep:
             self.certificates = [[] for _ in range(rows)]
             self.slack_values = [[] for _ in range(rows)]
             self.windows = [[] for _ in range(rows)]
-        self._horizon_changed()
-
-    def _horizon_changed(self) -> None:
-        """Set ``self.N``: the shared horizon as an int, or the per-row array."""
-        h = self.horizon
-        self.N = int(h[0]) if h.size and (h == h[0]).all() else h
 
     def _close(self, sel, v_here: np.ndarray) -> None:
         """Close the pending interval of the rows ``sel`` (a slice or indices) at value ``v_here``."""
@@ -620,7 +616,6 @@ class _Lockstep:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
-        self._horizon_changed()
 
     def _shrink(self, iteration: int) -> None:
         """Grant each shrink request due at this iteration where the slack covers it."""
@@ -631,7 +626,6 @@ class _Lockstep:
                     self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
                 )
                 self.horizon[p[ok]] = n_new
-        self._horizon_changed()
 
     def _iterate(self, iteration: int) -> None:
         """One outer iteration: walk and probe the plans, commit, apply, record the window."""
@@ -639,18 +633,17 @@ class _Lockstep:
             self._shrink(iteration)
         if iteration < self.forced_until:
             self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
-        horizon = self.N
         # Each row's value at its state is the end value the last walk
         # gave it, unless its horizon has just changed.
         known = self.v_now if iteration and iteration not in self.shrinks else None
-        plan, probe_alphas, probe_rhos = self._probe(horizon, known)
+        plan, probe_alphas, probe_rhos = self._probe(known)
         v_start = plan.value
         if iteration:
             self._close(slice(None), v_start)
         else:
             self.v_initial = v_start
         m, exit_event, warning_event = _select_m(
-            self.watchdog, self.forced, probe_alphas, probe_rhos, self.alpha_bar, self.slack, horizon - 1
+            self.watchdog, self.forced, probe_alphas, probe_rhos, self.alpha_bar, self.slack, self.horizon - 1
         )
         self.exits += exit_event
         self.warnings += warning_event
@@ -699,18 +692,18 @@ class _Lockstep:
                 )
             )
 
-    def _probe(self, horizon, value) -> tuple[PlanWalk, np.ndarray, np.ndarray]:
+    def _probe(self, value) -> tuple[PlanWalk, np.ndarray, np.ndarray]:
         """Walk the rows' plans prefix by prefix until every row's commitment is settled.
 
         ``value`` is each row's value at its state, or ``None``.  Returns
         the walk and the degree and slack of each walked prefix, one column
         each; a row's columns past those it needs cannot change its
-        commitment.  A one-horizon batch walks all rows while any is
-        unsettled, a mixed one (split by horizon anyway) the unsettled rows.
+        commitment.  The walk steps the unsettled rows (see
+        :meth:`PlanWalk.advance`).
         """
-        last = horizon - 1
-        width = int(np.max(last))
-        plan = PlanWalk(self.solver, self.x, horizon, width, value)
+        last = self.horizon - 1
+        width = int(last.max())
+        plan = PlanWalk(self.solver, self.x, self.horizon, width, value)
         if not self.keep and width > 1:
             # Windows record every prefix; without them a forced row stops
             # at its forced length, and any other at its first prefix with
@@ -718,24 +711,20 @@ class _Lockstep:
             forced = self.forced > 0
             last = np.where(forced, self.forced, last)
             target = np.where(forced, np.inf, np.where(self.watchdog, 0.0, self.alpha_bar))
-        walking, rows = np.ones(len(self.x), dtype=bool), slice(None)
+        walking = np.ones(len(self.x), dtype=bool)
         for k in range(width - 1):
-            plan.advance(rows)
-            if np.ndim(last) == 0:
-                continue  # one horizon and full traces: every row walks on
-            more = k + 1 < last[rows]
+            plan.advance(walking)
+            more = k + 1 < last
             if not self.keep:
-                drop = plan.value[rows] - plan.ends[rows, k]
-                cost = plan.prefix_costs[rows, k]
-                rho = drop - self.alpha_bar[rows] * cost
-                more &= ~(np.where(self.watchdog[rows], rho, alpha_m_steps(drop, cost)) >= target[rows])
-            walking[rows] &= more
+                drop = plan.value - plan.ends[:, k]
+                cost = plan.prefix_costs[:, k]
+                rho = drop - self.alpha_bar * cost
+                more &= ~(np.where(self.watchdog, rho, alpha_m_steps(drop, cost)) >= target)
+            walking &= more
             if not walking.any():
                 break
-            if np.ndim(horizon):
-                rows = np.flatnonzero(walking)
         else:
-            plan.advance(rows)
+            plan.advance(walking)
         drops = plan.value[:, None] - plan.ends[:, : plan.steps]
         costs = plan.prefix_costs[:, : plan.steps]
         return plan, alpha_m_steps(drops, costs), drops - self.alpha_bar[:, None] * costs
@@ -798,8 +787,7 @@ class _Lockstep:
         stays nonnegative.  An accepted plan overwrites the row's walked
         part of ``anchor``, the plan the row applies.
         """
-        horizon = self.N if np.ndim(self.N) == 0 else self.horizon[rows]
-        plan = PlanWalk(self.solver, self.x[rows], horizon, int(tail.max()))
+        plan = PlanWalk(self.solver, self.x[rows], self.horizon[rows], int(tail.max()))
         plan.advance_to(tail)
         end_value = plan.ends[np.arange(len(rows)), tail - 1]
         alpha_bar, cert_slack, anchor_value = self.alpha_bar[rows], self.cert_slack[rows], self.anchor_value[rows]

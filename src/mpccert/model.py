@@ -196,6 +196,9 @@ class LinearQuadraticInstance:
             raise ConfigError(f"Q must have shape ({n}, {n}), got {q.shape}")
         if r.shape != (m, m):
             raise ConfigError(f"R must have shape ({m}, {m}), got {r.shape}")
+        for name, mat in (("A", a), ("B", b), ("Q", q), ("R", r)):
+            if not np.isfinite(mat).all():
+                raise ConfigError(f"{name} must have finite entries")
         _check_symmetric(q, "Q")
         _check_symmetric(r, "R")
         if np.min(np.linalg.eigvalsh(q)) < -1e-12:
@@ -302,6 +305,8 @@ def load_plant(path) -> LinearQuadraticInstance:
                 raise PlantFormatError(
                     f"invalid number in row {text!r}", line=lineno
                 ) from None
+            if not np.isfinite(row).all():
+                raise PlantFormatError(f"non-finite number in row {text!r}", line=lineno)
             rows = blocks[current]
             if rows and len(rows[0]) != len(row):
                 raise PlantFormatError(

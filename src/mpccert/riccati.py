@@ -18,25 +18,26 @@ exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
 
 A solver builds one plan operator per horizon on the first request at
-that horizon and keeps it: the negated gains ``-K`` of every step, taken
-from the law's gain index, and the tail matrices ``P_N, ..., P_1``.
-:meth:`FiniteHorizonSolver.plan_step` builds one step of the plans of a
-``(B, n)`` batch of states at one horizon, and also returns the value
-``x_{k+1}' P_N x_{k+1}`` at the step's end.  A :class:`PlanWalk` holds
-the plans of a batch and extends them one step at a time through it, by
-as many steps as its caller reads; rows at different horizons go
-through their own horizon's operator.
-:meth:`FiniteHorizonSolver.plans` walks every row through its whole
-plan and :meth:`FiniteHorizonSolver.solve` is its one-row case;
-:meth:`FiniteHorizonSolver.rollout` walks a batch without storing plans,
-and :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
-batch.  ``plans`` and ``values_of`` also take one horizon per row; plans
-are then padded with zeros to the call's longest horizon.
+that horizon and keeps it: the matrices ``[-K; A]`` of every step, the
+law's negated gain on top of ``A``, and the tail matrices ``P_N, ...,
+P_1``.  Every step of every plan goes through one product with a
+``[-K; A]``, which gives ``u = -K x`` and ``A x`` at once, plus the
+plant's ``B u``.  :meth:`FiniteHorizonSolver.plan_step` takes one such
+step of a ``(B, n)`` batch of states at one horizon, with the stage cost
+and the value ``x_{k+1}' P_N x_{k+1}`` at the step's end;
+:meth:`FiniteHorizonSolver.rollout` takes the same steps and keeps only
+the states.  A :class:`PlanWalk` holds the plans of a batch and extends
+them one step at a time through ``plan_step``, by as many steps as its
+caller reads; rows may sit at different horizons, and each goes through
+its own horizon's operator.  :meth:`FiniteHorizonSolver.plans` walks a
+batch through whole plans at one horizon and
+:meth:`FiniteHorizonSolver.solve` is its one-row case.
+:meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
+``(B, n)`` batch, at one horizon or one per row.
 Every product goes through the elementwise row kernel of
 :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
-:func:`~mpccert.model.quad_form`): each step forms ``u = -K x`` and the
-plant's own ``A x + B u``, on whole ``(B, n)`` arrays, and a row's
-arithmetic does not depend on the batch around it.  So a batched
+:func:`~mpccert.model.quad_form`) on whole ``(B, n)`` arrays, and a
+row's arithmetic does not depend on the batch around it.  So a batched
 result equals the corresponding single-state result bit for bit, and a
 plan's states are exactly what :func:`mpccert.model.step` gives when it
 replays the plan's controls.
@@ -60,11 +61,6 @@ class OpenLoopSolution:
     batch of plans: every array below gains a leading batch axis and
     ``value`` is an array with one entry per plan.
 
-    With one horizon per row, ``horizon`` is that ``(B,)`` array and the
-    arrays run to the longest of them.  A row at horizon ``N`` is zero
-    from step ``N`` on in ``controls``, ``stage_costs`` and
-    ``tail_values``, and from ``trajectory[N + 1]`` on.
-
     Attributes
     ----------
     horizon : int
@@ -81,7 +77,7 @@ class OpenLoopSolution:
         at ``trajectory[k]``.
     """
 
-    horizon: int | np.ndarray
+    horizon: int
     controls: np.ndarray
     trajectory: np.ndarray
     stage_costs: np.ndarray
@@ -206,37 +202,22 @@ class FiniteHorizonSolver:
     def values_of(self, X, horizon) -> np.ndarray:
         """:meth:`value_of` at every row of the ``(B, n)`` array ``X``.
 
-        ``X`` may also hold several states per row, ``(B, ..., n)``, and the
-        result then has shape ``X.shape[:-1]``.  ``horizon`` is one horizon
-        for all rows or a ``(B,)`` array of them.
+        ``horizon`` is one horizon for all rows or a ``(B,)`` array of them.
         """
-        X = self._states(X, max(np.ndim(X), 2))
-        horizon = self._per_row(horizon, len(X))
-        if np.ndim(horizon) == 0:
-            return self._values(X, horizon)
-        out = np.empty(X.shape[:-1])
-        for n, rows in _by_horizon(horizon):
-            out[rows] = self._values(X[rows], n)
+        X = self._states(X, 2)
+        out = np.empty(len(X))
+        for N, rows in _horizon_groups(horizon, len(X)):
+            out[rows] = self._values(X[rows], N)
         return out
-
-    @staticmethod
-    def _per_row(horizon, rows: int):
-        """``horizon`` as one int when every row shares it, else as a ``(rows,)`` array."""
-        h = np.asarray(horizon)
-        if h.ndim == 0:
-            return int(h)
-        if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
-            raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
-        return int(h[0]) if (h == h[0]).all() else h
 
     def _gain_index(self, horizon: int, k: int) -> int:
         raise NotImplementedError
 
-    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(-K_{g(N, k)}, [-K_{g(N, k)}; A], P_{N-k})`` stacked over ``k < N``, built once per ``N``.
+    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """``([-K_{g(N, k)}; A], P_{N-k})`` stacked over ``k < N``, built once per ``N``.
 
-        The middle stack puts each step's gain on top of ``A``, so that one
-        product gives both ``u_k`` and ``A x_k``.
+        Each step's negated gain sits on top of ``A``, so that one product
+        gives both ``u_k`` and ``A x_k``.
         """
         op = self._operators.get(horizon)
         if op is None:
@@ -245,58 +226,53 @@ class FiniteHorizonSolver:
             ladder, A = self.ladder, self.lq.A
             ladder.extend(horizon)
             steps = range(horizon)
-            neg_gains = np.stack([-ladder.gain(self._gain_index(horizon, k)) for k in steps])
+            gains_a = np.stack([np.vstack([-ladder.gain(self._gain_index(horizon, k)), A]) for k in steps])
             tails = np.stack([ladder.matrix(horizon - k) for k in steps])
-            gains_a = np.concatenate([neg_gains, np.broadcast_to(A, (horizon,) + A.shape)], axis=1)
-            op = self._operators[horizon] = (neg_gains, gains_a, tails)
+            op = self._operators[horizon] = (gains_a, tails)
         return op
 
-    def _step(self, neg_gain: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``u = -K x`` to row states ``(..., n)``; returns ``(u, x_next)``."""
-        u = matvec(neg_gain, x)
-        return u, self.lq.dynamics(x, u)
+    def _next_state(self, gain_a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One plan step from the ``(B, n)`` states ``X`` through ``[-K; A]``; returns ``(u, x_next)``.
+
+        The product gives ``u`` and ``A x`` with the operations of
+        ``matvec``; ``+ B u`` is the sum ``dynamics`` forms.
+        """
+        u_ax = matvec(gain_a, X)
+        c = self.lq.control_dim
+        u = u_ax[:, :c]
+        return u, u_ax[:, c:] + matvec(self.lq.B, u)
 
     def plan_step(self, X, horizon: int, k: int) -> tuple[np.ndarray, ...]:
         """Step ``k`` of the ``horizon``-step plans at the ``(B, n)`` states ``X``.
 
         Returns ``x_{k+1}``, ``u_k``, the stage cost and ``x_{k+1}' P_N
-        x_{k+1}`` (the bits of :meth:`values_of`).  One product with
-        ``[-K_k; A]`` gives ``u_k`` and ``A x_k`` with the operations of
-        ``matvec``; ``+ B u_k`` is the sum ``dynamics`` forms.
+        x_{k+1}`` (the bits of :meth:`values_of`).
         """
-        _, gains_a, tails = self._operator(horizon)
-        c = self.lq.control_dim
-        u_ax = matvec(gains_a[k], X)
-        u = u_ax[:, :c]
-        x_next = u_ax[:, c:] + matvec(self.lq.B, u)
+        gains_a, tails = self._operator(horizon)
+        u, x_next = self._next_state(gains_a[k], X)
         return x_next, u, self.lq.stage_cost(X, u), quad_form(tails[0], x_next)
 
-    def plans(self, X, horizon) -> OpenLoopSolution:
+    def plans(self, X, horizon: int) -> OpenLoopSolution:
         """Open-loop plans of the given length from every row of the ``(B, n)`` array ``X``.
 
         Every array field of the result gains a leading batch axis, and
-        ``value`` is the ``(B,)`` array of ``x' P_N x``.  ``horizon`` is one
-        horizon for all rows or a ``(B,)`` array of them; rows of mixed
-        horizons are padded as :class:`OpenLoopSolution` describes, and
-        each row gets the same bits as a call at its own horizon.
+        ``value`` is the ``(B,)`` array of ``x' P_N x``.
         """
         X = self._states(X, 2)
-        horizon = self._per_row(horizon, len(X))
-        if np.min(horizon) < 1:
-            raise ConfigError(f"horizon must be at least 1, got {np.min(horizon)}")
-        longest = int(np.max(horizon))
-        walk = PlanWalk(self, X, horizon, longest)
+        if np.ndim(horizon):
+            raise ConfigError(f"plans takes one horizon for all rows, got shape {np.shape(horizon)}")
+        horizon = int(horizon)
+        tails = self._operator(horizon)[1]
+        walk = PlanWalk(self, X, horizon, horizon)
         walk.advance_to(horizon)
-        tail_values = np.zeros((len(X), longest))
-        for N, rows in [(horizon, slice(None))] if np.ndim(horizon) == 0 else _by_horizon(horizon):
-            tail_values[rows, :N] = quad_form(self._operator(N)[2], walk.trajectory[rows, :N])
+        tail_values = quad_form(tails, walk.trajectory[:, :horizon])
         return OpenLoopSolution(horizon, walk.controls, walk.trajectory, walk.stage_costs, walk.value, tail_values)
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
         plan = self.plans(self._states(x, 1)[None], horizon)
         return OpenLoopSolution(
-            horizon=horizon,
+            horizon=plan.horizon,
             controls=plan.controls[0],
             trajectory=plan.trajectory[0],
             stage_costs=plan.stage_costs[0],
@@ -308,14 +284,16 @@ class FiniteHorizonSolver:
         """States after ``steps`` steps of the ``horizon``-step plan from each row of ``X``.
 
         Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
-        full plans are stored.
+        plans, costs or values are stored.
         """
-        neg_gains = self._operator(horizon)[0]
+        gains_a = self._operator(horizon)[0]
         if not 0 <= steps <= horizon:
             raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
         x = self._states(X, 2)
-        for neg_gain in neg_gains[:steps]:
-            _, x = self._step(neg_gain, x)
+        for gain_a in gains_a[:steps]:
+            # Drop u at once: it is a view that keeps the step's product
+            # alive, which on large batches costs the next step fresh pages.
+            x = self._next_state(gain_a, x)[1]
         return np.array(x)
 
 
@@ -349,9 +327,9 @@ class LqBellmanSolver(FiniteHorizonSolver):
 class PlanWalk:
     """The plans of a ``(B, n)`` batch of states at one or per-row horizons, built step by step.
 
-    :meth:`advance` builds step ``k = steps`` of the given rows through
-    :meth:`FiniteHorizonSolver.plan_step`, once per horizon among them, up
-    to ``width`` steps.  Column ``k`` of ``controls``, ``stage_costs``,
+    :meth:`advance` builds step ``k = steps`` through
+    :meth:`FiniteHorizonSolver.plan_step`, once per horizon group, up to
+    ``width`` steps.  Column ``k`` of ``controls``, ``stage_costs``,
     ``ends`` (``x_{k+1}' P_N x_{k+1}``) and ``prefix_costs`` (the bits of
     ``np.cumsum`` of the stage costs), and ``trajectory[:, k + 1]``, hold
     step ``k`` of the rows it reached and zeros elsewhere.  ``value`` is
@@ -360,7 +338,8 @@ class PlanWalk:
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
-        self.solver, self.horizon, self.steps = solver, horizon, 0
+        self.solver, self.steps = solver, 0
+        self.groups = _horizon_groups(horizon, rows)
         self.value = solver.values_of(X, horizon) if value is None else value
         self.trajectory = np.zeros((rows, width + 1, n))
         self.trajectory[:, 0] = X
@@ -368,16 +347,20 @@ class PlanWalk:
         # Row axis innermost, so that each step writes whole columns.
         self.stage_costs, self.ends, self.prefix_costs = np.zeros((3, width, rows)).transpose(0, 2, 1)
 
-    def advance(self, rows=slice(None)) -> None:
-        """Build the next step of the rows ``rows`` (a slice or indices)."""
+    def advance(self, rows: np.ndarray) -> None:
+        """Build the next step of the rows in the boolean mask ``rows``.
+
+        A walk at one horizon steps every row, which costs no more than a
+        subset; a walk at mixed horizons steps the masked rows only.
+        """
         k = self.steps
-        X = self.trajectory[rows, k]
-        if np.ndim(self.horizon) == 0:
-            parts = [(rows, self.solver.plan_step(X, self.horizon, k))]
-        else:
-            at = np.arange(len(self.value))[rows]
-            parts = [(at[sub], self.solver.plan_step(X[sub], N, k)) for N, sub in _by_horizon(self.horizon[at])]
-        for at, (x_next, u, cost, end) in parts:
+        mixed = len(self.groups) > 1
+        for N, at in self.groups:
+            if mixed:
+                at = at[rows[at]]
+                if not at.size:
+                    continue
+            x_next, u, cost, end = self.solver.plan_step(self.trajectory[at, k], N, k)
             self.trajectory[at, k + 1] = x_next
             self.controls[at, k] = u
             self.stage_costs[at, k] = cost
@@ -387,13 +370,22 @@ class PlanWalk:
 
     def advance_to(self, steps) -> None:
         """Walk on until row ``i`` has ``steps[i]`` steps (one count for all rows, or one per row)."""
-        steps = np.asarray(steps)
-        while self.steps < steps.max():
-            short = steps > self.steps
-            self.advance(slice(None) if short.all() else np.flatnonzero(short))
+        steps = np.broadcast_to(steps, self.value.shape)
+        while self.steps < steps.max(initial=0):
+            self.advance(steps > self.steps)
 
 
-def _by_horizon(horizon: np.ndarray):
-    """``(N, rows at horizon N)`` for each distinct horizon of a per-row array, shortest first."""
-    for n in np.unique(horizon).tolist():
-        yield n, np.flatnonzero(horizon == n)
+def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:
+    """The ``rows`` rows grouped by horizon: ``(N, rows at horizon N)``, shortest first.
+
+    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array
+    of them.  When every row shares ``N`` the one group is
+    ``(N, slice(None))``, else each group's rows are an index array.
+    """
+    h = np.asarray(horizon)
+    if h.ndim:
+        if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
+            raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
+        if (h != h[0]).any():
+            return [(n, np.flatnonzero(h == n)) for n in np.unique(h).tolist()]
+    return [(int(h.flat[0]), slice(None))]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpccert.certify import row_sums
 from mpccert.engine import AlgorithmConfig, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
-from mpccert.riccati import LqBellmanSolver, LqLadderSolver
+from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
 LAWS = (LqLadderSolver, LqBellmanSolver)
@@ -62,40 +62,49 @@ def test_batch_matches_single_state(planners, law, horizon, X):
 @settings(max_examples=30, deadline=None)
 @given(X=batches, data=st.data())
 def test_per_row_horizons_match_own_horizon_calls(planners, law, X, data):
-    # One call over rows of mixed horizons gives each row the bits of a
-    # call at its own horizon, zero-padded to the longest.
+    # A walk over rows of mixed horizons gives each row, step by step, the
+    # bits of a plan at its own horizon.  Row i walks lengths[i] steps; a
+    # mixed walk leaves the columns past them zero, a one-horizon walk
+    # steps every row.
     s = planners[law]
     horizon = np.array(data.draw(st.lists(st.sampled_from(HORIZONS), min_size=len(X), max_size=len(X))))
-    plan = s.plans(X, horizon)
-    values = s.values_of(X, horizon)
-    ends = s.values_of(plan.trajectory, horizon)
-    longest = int(horizon.max())
-    assert plan.controls.shape == (len(X), longest, 1)
-    for i, n in enumerate(horizon):
+    lengths = np.array([data.draw(st.integers(1, n)) for n in horizon])
+    walk = PlanWalk(s, X, horizon, int(horizon.max()))
+    walk.advance_to(lengths)
+    assert walk.steps == lengths.max()
+    assert walk.value.tolist() == s.values_of(X, horizon).tolist()
+    mixed = len(set(horizon.tolist())) > 1
+    for i, (n, length) in enumerate(zip(horizon.tolist(), lengths.tolist())):
         own = s.solve(X[i], n)
-        assert plan.trajectory[i, : n + 1].tolist() == own.trajectory.tolist()
-        assert plan.controls[i, :n].tolist() == own.controls.tolist()
-        assert plan.stage_costs[i, :n].tolist() == own.stage_costs.tolist()
-        assert plan.tail_values[i, :n].tolist() == own.tail_values.tolist()
-        assert plan.value[i] == values[i] == own.value
-        assert ends[i].tolist() == [s.value_of(x, n) for x in plan.trajectory[i]]
-        for padding in (plan.trajectory[i, n + 1 :], plan.controls[i, n:], plan.stage_costs[i, n:]):
-            assert not padding.any()
+        walked = length if mixed else walk.steps
+        assert walk.value[i] == own.value == s.value_of(X[i], n)
+        assert walk.trajectory[i, : walked + 1].tolist() == own.trajectory[: walked + 1].tolist()
+        assert walk.controls[i, :walked].tolist() == own.controls[:walked].tolist()
+        assert walk.stage_costs[i, :walked].tolist() == own.stage_costs[:walked].tolist()
+        assert walk.prefix_costs[i, :walked].tolist() == np.cumsum(own.stage_costs[:walked]).tolist()
+        assert walk.ends[i, :walked].tolist() == [s.value_of(x, n) for x in own.trajectory[1 : walked + 1]]
+        for rest in (walk.trajectory[i, walked + 1 :], walk.controls[i, walked:], walk.stage_costs[i, walked:]):
+            assert not rest.any()
 
 
 def test_per_row_horizon_validation(planners):
     s = planners[LqLadderSolver]
-    X = np.ones((3, 2))
+    X = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.1]])
+    horizon = np.array([3, 20, 2])
+    assert s.values_of(X, horizon).tolist() == [s.value_of(x, n) for x, n in zip(X, horizon)]
     for bad in (np.array([3, 3]), np.array([3.0, 3.0, 3.0]), np.array([[3, 3, 3]])):
         with pytest.raises(ConfigError, match="one integer horizon per row"):
-            s.plans(X, bad)
-        with pytest.raises(ConfigError, match="one integer horizon per row"):
             s.values_of(X, bad)
-    with pytest.raises(ConfigError):
-        s.plans(X, np.array([3, 0, 2]))
+        with pytest.raises(ConfigError, match="one integer horizon per row"):
+            PlanWalk(s, X, bad, 3)
     with pytest.raises(ConfigError):
         s.values_of(X, np.array([3, -1, 2]))
     assert s.values_of(X, np.array([3, 0, 2]))[1] == s.value_of(X[1], 0)
+    with pytest.raises(ConfigError, match=r"state must have shape \(B, 2\)"):
+        s.values_of(X[:, None], 3)
+    for one_per_row in (horizon, np.array([3, 3, 3])):
+        with pytest.raises(ConfigError, match="one horizon for all rows"):
+            s.plans(X, one_per_row)
 
 
 def _drop_grid_oracle(solver, horizon, m, extent=1.5, n=101):
@@ -305,6 +314,11 @@ def test_batch_config_validation(engine_solver):
         run_batch(engine_solver, CIRCLE[:3], [config, config])
     with pytest.raises(ConfigError, match="one AlgorithmConfig per initial state"):
         run_batch(engine_solver, CIRCLE[:2], [config, "alg1"])
+    for bad in (np.nan, np.inf, -np.inf):
+        X = CIRCLE[:3].copy()
+        X[1, 0] = bad
+        with pytest.raises(ConfigError, match="initial states must be finite"):
+            run_batch(engine_solver, X, config)
 
 
 def test_select_keeps_a_slice_of_rows(engine_solver):

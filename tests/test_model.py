@@ -101,6 +101,15 @@ def test_lq_validation_rejects_bad_weights():
         LinearQuadraticInstance(A=a, B=b, Q=np.array([[-1.0, 0.0], [0.0, 1.0]]), R=np.eye(1))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "Q", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lq_validation_rejects_non_finite_matrices(name, bad):
+    mats = {"A": np.eye(2), "B": np.array([[0.0], [1.0]]), "Q": np.eye(2), "R": np.eye(1)}
+    mats[name][-1, -1] = bad
+    with pytest.raises(ConfigError, match=f"{name} must have finite entries"):
+        LinearQuadraticInstance(**mats)
+
+
 def test_load_plant_roundtrip(lq, tmp_path):
     path = tmp_path / "plant.txt"
     path.write_text(
@@ -135,6 +144,8 @@ def test_load_shipped_plant_file(lq):
         ("bogus 1\n", 1, "unexpected"),
         ("state_dim two\n", 1, "invalid integer"),
         ("state_dim 2\ncontrol_dim 1\nA\nA\n", 4, "duplicate"),
+        ("state_dim 2\ncontrol_dim 1\nA\n1 nan\n", 4, "non-finite"),
+        ("state_dim 2\ncontrol_dim 1\nA\n1 0\n0 1\nB\n0\n-inf\n", 8, "non-finite"),
     ],
 )
 def test_load_plant_reports_line_numbers(tmp_path, content, line, fragment):

@@ -337,6 +337,18 @@ def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
     assert report.aggregates()["errors"] == 1
 
 
+def test_sweep_records_a_non_finite_point_as_an_error(lq):
+    # A NaN initial state is a configuration error of its own point only.
+    points = unit_circle(16).points.copy()
+    points[5] = [np.nan, 1.0]
+    config = _cfg("alg4", 0.5)
+    report = sweep(LqLadderSolver(lq, 3), InitialSet(name="nan:16", points=points), config)
+    clean = sweep(LqLadderSolver(lq, 3), unit_circle(16), config)
+    assert report.error_indices() == (6,)
+    assert "initial states must be finite" in report.records[5].error
+    assert report.records[:5] + report.records[6:] == clean.records[:5] + clean.records[6:]
+
+
 def test_failing_batch_is_bisected(lq, monkeypatch):
     # One marker in 128 points: the failing batch splits in halves down
     # to the marker, so the sweep costs about two batch runs per halving,

@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Write a fixed set of mpccert outputs from the source tree TREE into OUT.
+#
+#     tools/cli_outputs.sh TREE OUT
+#
+# Two trees give byte-identical OUT directories (compare them with
+# `diff -r`) exactly when they print and write the same numbers for:
+#
+#   * 24 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
+#     alpha_bar 0.01, 0.6;
+#   * 8 single runs from x0 = (0, 1) at N = 3: alg1-alg4 at alpha_bar 0.5,
+#     and at alpha_bar 0.01 with forced lengths 2,1;
+#   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
+#   * reproduce-paper (10 of 11 checks pass, exit 4);
+#   * SHA-256 hashes of value_drop_grid on 101 x 101 states for
+#     (N, m) = (3, 1), (3, 2), (10, 1) under both control laws.
+#
+# Every command runs with --no-timestamp where it writes a summary, under
+# -W error::RuntimeWarning, with TREE/src first on PYTHONPATH.  Each
+# command's stdout, stderr and exit code are kept next to its files.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 TREE OUT" >&2
+    exit 2
+fi
+tree=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+plant="$tree/plants/spiral2d.txt"
+export PYTHONPATH="$tree/src${PYTHONPATH:+:$PYTHONPATH}"
+
+# record NAME ARGS...: run the CLI with ARGS, keeping its files under OUT/NAME.
+record() {
+    local name=$1
+    shift
+    mkdir -p "$out/$name"
+    set +e
+    python3 -W error::RuntimeWarning -m mpccert.cli "$@" \
+        >"$out/$name/stdout.txt" 2>"$out/$name/stderr.txt"
+    echo $? >"$out/$name/exit.txt"
+    set -e
+}
+
+for variant in alg1 alg2 alg3 alg4; do
+    for horizon in 3 10 20; do
+        for alpha in 0.01 0.6; do
+            name="sweep-$variant-N$horizon-a$alpha"
+            record "$name" sweep --plant "$plant" --variant "$variant" --horizon "$horizon" \
+                --alpha-bar "$alpha" --set unit-circle:128 --out "$out/$name" --no-timestamp
+        done
+    done
+    name="run-$variant-a0.5"
+    record "$name" run --plant "$plant" --variant "$variant" --horizon 3 --alpha-bar 0.5 \
+        --x0 0,1 --out "$out/$name" --no-timestamp
+    name="run-$variant-a0.01-forced"
+    record "$name" run --plant "$plant" --variant "$variant" --horizon 3 --alpha-bar 0.01 \
+        --forced-m 2,1 --x0 0,1 --out "$out/$name" --no-timestamp
+done
+
+record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \
+    --horizons 2,3,4,5,10,20 --alpha-bar 0.01 --out "$out/horizon-table"
+record reproduce-paper reproduce-paper --out "$out/reproduce-paper"
+
+python3 -W error::RuntimeWarning - "$plant" >"$out/drop-grid.txt" <<'EOF'
+import hashlib
+import sys
+
+from mpccert.model import load_plant
+from mpccert.riccati import LqBellmanSolver, LqLadderSolver
+from mpccert.sweep import value_drop_grid
+
+lq = load_plant(sys.argv[1])
+for law in (LqLadderSolver, LqBellmanSolver):
+    for horizon, m in ((3, 1), (3, 2), (10, 1)):
+        axis, drops = value_drop_grid(law(lq, horizon), horizon, m)
+        digest = hashlib.sha256(axis.tobytes() + drops.tobytes()).hexdigest()
+        print(f"{law.__name__} N={horizon} m={m} {drops.shape} {digest}")
+EOF

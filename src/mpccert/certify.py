@@ -39,6 +39,8 @@ def alpha_m_step(v_before: float, v_after: float, cost_sum: float) -> float:
 
 def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:
     """:func:`alpha_m_step` over several stretches, given their drops ``v_before - v_after``."""
+    if cost_sums.min(initial=np.inf) > 0.0:
+        return drops / cost_sums
     negative = cost_sums < 0.0
     if negative.any():
         raise ConfigError(f"cost_sum must be nonnegative, got {cost_sums[negative][0]}")
@@ -254,12 +256,11 @@ def certificates_to_csv(certificates, slack_values, path) -> None:
         raise ConfigError(
             f"{len(certificates)} certificates but {len(slack_values)} slack values"
         )
+    lines = [",".join(_CSV_COLUMNS)] + [
+        f"{cert.n:d},{cert.sigma:d},{cert.m:d},"
+        f"{cert.v_before:.17g},{cert.v_after:.17g},{cert.cost_sum:.17g},"
+        f"{cert.alpha:.17g},{cert.rho:.17g},{s:.17g}"
+        for cert, s in zip(certificates, slack_values)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for cert, s in zip(certificates, slack_values):
-            row = (
-                f"{cert.n:d},{cert.sigma:d},{cert.m:d},"
-                f"{cert.v_before:.17g},{cert.v_after:.17g},{cert.cost_sum:.17g},"
-                f"{cert.alpha:.17g},{cert.rho:.17g},{s:.17g}"
-            )
-            fh.write(row + "\n")
+        fh.write("\n".join(lines) + "\n")

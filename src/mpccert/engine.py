@@ -31,8 +31,11 @@ drop out.  All rows pass through the same outer iteration together, so
 forced lengths and shrink requests apply per iteration as in a single
 run.  Each iteration walks the plans of all rows one prefix at a time
 through one :class:`~mpccert.riccati.PlanWalk`, with the same arithmetic
-on each row as on a lone state, and stops once every row's commitment
-is settled; no walk builds a plan's last step.  The engine keeps one
+on each row as on a lone state.  The walk decides: each prefix's degree
+and slack are computed once, a row's commitment is settled at the first
+prefix that qualifies, and the walk stops once every row is settled; no
+walk builds a plan's last step.  Window costs and re-plan budgets are
+read from the walk's running prefix costs.  The engine keeps one
 horizon per row and hands it to the plan layer as it is: grouping rows
 by horizon, and stepping every row of a one-horizon walk, are decided
 in :mod:`mpccert.riccati`.  The walked plans are the plans the rows
@@ -359,56 +362,18 @@ def shrink_horizon_check(
     return ok if X.ndim == 2 else bool(ok[0])
 
 
-def _select_m(
-    watchdog: np.ndarray,
-    forced: np.ndarray,
-    probe_alphas: np.ndarray,
-    probe_rhos: np.ndarray,
-    alpha_bar: np.ndarray,
-    slack_total: np.ndarray,
-    width: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pick each row's commitment length; returns ``(m, exit_event, warning_event)``.
+# np.sum adds fewer terms than this one by one from the first, with the
+# bits of a prefix column; from this many on it adds them pairwise.
+_PAIRWISE = 8
 
-    Row ``i`` looks at its first ``width[i]`` prefixes only.
-    ``forced[i]`` is the length it is forced to apply, 0 when it chooses
-    for itself; ``watchdog[i]`` marks the variants with a slack account.
-    Each rule runs on the whole batch when any row follows it, and
-    ``np.where`` picks each row's result.
-    """
-    cols = np.arange(probe_rhos.shape[1])
-    # Masks are laid out like the probes, row axis innermost, so that
-    # reductions over prefixes run down whole columns.
-    valid = np.less(cols, width[:, None], order="F")
-    is_forced = forced > 0
-    m, exit_event, warning_event = forced, np.zeros(len(forced), bool), np.zeros(len(forced), bool)
-    plain = ~(watchdog | is_forced)
-    if plain.any():
-        # No slack account: the first prefix certified on its own.  When
-        # none is, close the loop immediately and flag the run rather than
-        # stopping the plant.
-        certified = (probe_alphas >= alpha_bar[:, None]) & valid
-        found = certified.any(axis=1)
-        m = np.where(plain, np.where(found, certified.argmax(axis=1) + 1, 1), m)
-        exit_event = plain & ~found
-    free = watchdog & ~is_forced
-    if free.any():
-        # argmax gives the first prefix certified on its own, and for
-        # slack-covered rows the smallest maximiser of rho.
-        rhos = np.where(valid, probe_rhos, -np.inf)
-        certified = rhos >= 0.0
-        found = certified.any(axis=1)
-        covered = ~found & (slack_total + rhos.max(axis=1) >= 0.0)
-        chosen = np.where(found, certified.argmax(axis=1) + 1, np.where(covered, rhos.argmax(axis=1) + 1, 1))
-        m = np.where(free, chosen, m)
-        warning_event = free & ~found & ~covered
-    held = watchdog & is_forced
-    if held.any():
-        # The account is only allowed to look at the window it is
-        # actually forced to apply.
-        in_window = np.where(np.less(cols, forced[:, None], order="F"), probe_rhos, -np.inf)
-        warning_event |= held & (slack_total + in_window.max(axis=1) < 0.0)
-    return m, exit_event, warning_event
+
+def _cost_sums(plan: PlanWalk, rows: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``np.sum`` of the first ``length[i]`` stage costs of ``plan`` at row ``rows[i]``."""
+    sums = 0.0 + plan.prefix_costs[rows, length - 1]
+    pairwise = length >= _PAIRWISE
+    if pairwise.any():
+        sums[pairwise] = row_sums(plan.stage_costs[rows[pairwise]], length[pairwise])
+    return sums
 
 
 def _widen(a: np.ndarray) -> np.ndarray:
@@ -428,7 +393,9 @@ class BatchRun:
     Each statistic equals the :class:`ClosedLoopTrace` property (or
     ``summary()`` entry) of the same name for that row's run.  ``traces``
     holds the full traces when they were asked for and is ``None``
-    otherwise.
+    otherwise.  ``errors`` holds each row's exception text (``None`` for a
+    row that ran) when a sweep assembled the batch from runs that failed
+    in part; a failed row has status ``error``, NaN degrees and zero counts.
     """
 
     status: tuple[str, ...]
@@ -441,6 +408,7 @@ class BatchRun:
     intervals: np.ndarray
     applied_steps: np.ndarray
     traces: tuple[ClosedLoopTrace, ...] | None = None
+    errors: tuple[str | None, ...] | None = None
 
     def select(self, rows: slice) -> "BatchRun":
         """The runs of the rows in the slice ``rows``, as a batch of their own."""
@@ -467,8 +435,9 @@ class _Lockstep:
     requests are read per distinct configuration, at the iterations where
     they can change.
 
-    Windows are plan-resident: the arrays of the iteration's plan are what
-    the rows apply.  Rows that do not re-plan (``alg1``/``alg3``, and
+    Each iteration's walk decides every row's commitment, exit and
+    warning as it goes (:meth:`_probe`).  Windows are plan-resident: the
+    arrays of the iteration's plan are what the rows apply.  Rows that do not re-plan (``alg1``/``alg3``, and
     ``alg2``/``alg4`` rows committing one step) apply their committed
     prefix with one gather and one scatter; only re-planning rows step one
     control at a time, and an accepted re-plan overwrites its own rows of
@@ -636,18 +605,16 @@ class _Lockstep:
         # Each row's value at its state is the end value the last walk
         # gave it, unless its horizon has just changed.
         known = self.v_now if iteration and iteration not in self.shrinks else None
-        plan, probe_alphas, probe_rhos = self._probe(known)
+        # The walk decides on the slack banked at the plan's start.
+        plan = PlanWalk(self.solver, self.x, self.horizon, int(self.horizon.max()) - 1, known)
         v_start = plan.value
         if iteration:
             self._close(slice(None), v_start)
         else:
             self.v_initial = v_start
-        m, exit_event, warning_event = _select_m(
-            self.watchdog, self.forced, probe_alphas, probe_rhos, self.alpha_bar, self.slack, self.horizon - 1
-        )
+        m, exit_event, warning_event, onestep, probe_alphas, probe_rhos = self._probe(plan)
         self.exits += exit_event
         self.warnings += warning_event
-        onestep = probe_alphas[:, 0]
         if iteration == 0:
             self.startup = self.min_onestep = onestep
         else:
@@ -661,12 +628,19 @@ class _Lockstep:
         self.v_now = plan.ends[np.arange(len(m)), m - 1]
         self._reserve(int((window_time + m).max()))
         stepping = self.replanning & (m > 1)
-        if stepping.any():
+        replans = stepping.any()
+        if replans:
             self._commit(np.flatnonzero(~stepping), plan, m)
             self._step(np.flatnonzero(stepping), plan, m)
         else:
             self._commit(slice(None), plan, m)
-        cost = row_sums(self.costs, m, start=window_time)
+        # A committed window costs its interval's cost_sum unless np.sum adds
+        # it pairwise; the windows of re-planning rows span several plans.
+        cost = self.cost_sum
+        if replans or plan.steps >= _PAIRWISE:
+            resum = np.flatnonzero(stepping | (m >= _PAIRWISE))
+            cost = cost.copy()
+            cost[resum] = row_sums(self.costs[resum], m[resum], start=window_time[resum])
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
         if not self.keep:
@@ -692,42 +666,62 @@ class _Lockstep:
                 )
             )
 
-    def _probe(self, value) -> tuple[PlanWalk, np.ndarray, np.ndarray]:
-        """Walk the rows' plans prefix by prefix until every row's commitment is settled.
+    def _probe(self, plan: PlanWalk) -> tuple[np.ndarray, ...]:
+        """Walk the plans prefix by prefix, deciding each row's commitment on the way.
 
-        ``value`` is each row's value at its state, or ``None``.  Returns
-        the walk and the degree and slack of each walked prefix, one column
-        each; a row's columns past those it needs cannot change its
-        commitment.  The walk steps the unsettled rows (see
-        :meth:`PlanWalk.advance`).
+        A row settles at its forced length, else at its first prefix with
+        alpha_j >= alpha_bar, or rho_j >= 0 when it keeps an account.  A row
+        left unsettled commits one step with an exit event (no account),
+        its first rho maximiser when the slack covers it, or one step with
+        a warning; a forced row with an account warns when the slack does
+        not cover the best prefix of its forced window.  Without traces the
+        walk stops once every row is settled; with them each row walks its
+        N - 1 prefixes.  Returns ``m``, the exit and warning flags, the
+        one-step degrees and, with traces, every prefix's alpha and rho.
         """
-        last = self.horizon - 1
-        width = int(last.max())
-        plan = PlanWalk(self.solver, self.x, self.horizon, width, value)
-        if not self.keep and width > 1:
-            # Windows record every prefix; without them a forced row stops
-            # at its forced length, and any other at its first prefix with
-            # alpha_j >= alpha_bar, or rho_j >= 0 when it keeps an account.
-            forced = self.forced > 0
-            last = np.where(forced, self.forced, last)
-            target = np.where(forced, np.inf, np.where(self.watchdog, 0.0, self.alpha_bar))
-        walking = np.ones(len(self.x), dtype=bool)
-        for k in range(width - 1):
+        watchdog, forced, keep = self.watchdog, self.forced > 0, self.keep
+        rows = len(watchdog)
+        # Which metrics a step needs: alpha_j decides rows without an
+        # account, rho_j rows with one; the first step's alpha is the
+        # one-step degree of every row.
+        accounts, all_accounts = watchdog.any(), watchdog.all()
+        width = self.horizon - 1
+        last = np.where(forced, self.forced, width)
+        target = np.where(forced, np.inf, np.where(watchdog, 0.0, self.alpha_bar))
+        m = self.forced.copy()
+        best, arg = np.full(rows, -np.inf), np.ones(rows, dtype=int)
+        deciding = walking = np.ones(rows, dtype=bool)
+        alphas, rhos = np.zeros((2, rows, plan.width)) if keep else (None, None)
+        for k in range(plan.width):
             plan.advance(walking)
-            more = k + 1 < last
-            if not self.keep:
-                drop = plan.value - plan.ends[:, k]
-                cost = plan.prefix_costs[:, k]
+            drop = plan.value - plan.ends[:, k]
+            cost = plan.prefix_costs[:, k]
+            if k == 0 or keep or not all_accounts:
+                alpha = metric = alpha_m_steps(drop, cost)
+            if k == 0:
+                onestep = alpha
+            if accounts or keep:
                 rho = drop - self.alpha_bar * cost
-                more &= ~(np.where(self.watchdog, rho, alpha_m_steps(drop, cost)) >= target)
-            walking &= more
+            if keep:
+                alphas[:, k], rhos[:, k] = alpha, rho
+            if accounts:
+                metric = rho if all_accounts else np.where(watchdog, rho, alpha)
+                better = deciding & (rho > best)
+                best, arg = np.where(better, rho, best), np.where(better, k + 1, arg)
+            hit = metric >= target
+            m = np.where(deciding & hit, k + 1, m)
+            deciding = deciding & ~hit & (k + 1 < last)
+            walking = k + 1 < width if keep else deciding
             if not walking.any():
                 break
-        else:
-            plan.advance(walking)
-        drops = plan.value[:, None] - plan.ends[:, : plan.steps]
-        costs = plan.prefix_costs[:, : plan.steps]
-        return plan, alpha_m_steps(drops, costs), drops - self.alpha_bar[:, None] * costs
+        fallback = m == 0
+        if not accounts:
+            return np.maximum(m, 1), fallback, np.zeros(rows, dtype=bool), onestep, alphas, rhos
+        covered = self.slack + best >= 0.0
+        exit_event = fallback & ~watchdog
+        warning_event = watchdog & ~covered & (fallback | forced)
+        m = np.where(fallback, np.where(watchdog & covered, arg, 1), m)
+        return m, exit_event, warning_event, onestep, alphas, rhos
 
     def _reserve(self, steps: int) -> None:
         """Grow the logs until they hold ``steps`` applied steps."""
@@ -742,8 +736,10 @@ class _Lockstep:
         rows = np.arange(len(m))[sel]
         m = m[sel]
         t = self.t[sel]
-        r, j = np.nonzero(np.arange(m.max(initial=0)) < m[:, None])
-        src, dst = rows[r], t[r] + j
+        src, dst, j, longest = rows, t, 0, m.max(initial=0)
+        if longest > 1:
+            r, j = np.nonzero(np.arange(longest) < m[:, None])
+            src, dst = rows[r], t[r] + j
         self.costs[src, dst] = plan.stage_costs[src, j]
         if self.keep:
             self.controls[src, dst] = plan.controls[src, j]
@@ -781,18 +777,21 @@ class _Lockstep:
         """Plan afresh mid-stretch; rows whose check passes switch to the new plan.
 
         Each row walks the new plan as far as the ``tail`` steps left in its
-        stretch.  alg2 rows accept when the stretch as a whole still meets
-        the threshold (:func:`budget_met`, the rule of
+        stretch, from the value its anchor plan gives the state reached.
+        alg2 rows accept when the stretch as a whole still meets the
+        threshold (:func:`budget_met`, the rule of
         :func:`update_acceptable`), alg4 rows when their slack account
         stays nonnegative.  An accepted plan overwrites the row's walked
         part of ``anchor``, the plan the row applies.
         """
-        plan = PlanWalk(self.solver, self.x[rows], self.horizon[rows], int(tail.max()))
+        since = self.since[rows]
+        plan = PlanWalk(self.solver, self.x[rows], self.horizon[rows], int(tail.max()), anchor.ends[rows, since - 1])
         plan.advance_to(tail)
-        end_value = plan.ends[np.arange(len(rows)), tail - 1]
+        at = np.arange(len(rows))
+        end_value = plan.ends[at, tail - 1]
         alpha_bar, cert_slack, anchor_value = self.alpha_bar[rows], self.cert_slack[rows], self.anchor_value[rows]
-        paid = row_sums(anchor.stage_costs[rows], self.since[rows])
-        planned = row_sums(plan.stage_costs, tail)
+        paid = _cost_sums(anchor, rows, since)
+        planned = _cost_sums(plan, at, tail)
         rho_close = anchor_value - plan.value - alpha_bar * paid
         rho_tail = plan.value - end_value - alpha_bar * planned
         account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
@@ -807,7 +806,8 @@ class _Lockstep:
         w = plan.steps
         anchor.controls[p, :w] = plan.controls[ok]
         anchor.trajectory[p, : w + 1] = plan.trajectory[ok]
-        anchor.stage_costs[p, :w] = plan.stage_costs[ok]
+        for name in ("stage_costs", "ends", "prefix_costs"):
+            getattr(anchor, name)[p, :w] = getattr(plan, name)[ok]
         self.anchor_value[p] = value
         self.since[p] = 0
         self.v_now[p] = end_value[ok]

@@ -338,7 +338,7 @@ class PlanWalk:
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
-        self.solver, self.steps = solver, 0
+        self.solver, self.steps, self.width = solver, 0, width
         self.groups = _horizon_groups(horizon, rows)
         self.value = solver.values_of(X, horizon) if value is None else value
         self.trajectory = np.zeros((rows, width + 1, n))

@@ -12,13 +12,14 @@ points of a set run as one lockstep batch in this process (see
 :func:`mpccert.engine.run_batch`), and the point records come straight
 from the batch's per-row statistics, without a full trace per point.
 The horizon table runs all its horizons and both its configurations as
-one batch too, since the rows of a batch may differ in configuration.
+one batch too, since the rows of a batch may differ in configuration,
+and reads its minima from the batch's columns without point records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,63 +166,58 @@ def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[P
         batch.min_window_alpha.tolist(),
         batch.alpha_cor3.tolist(),
         (batch.warning_count > 0).tolist(),
+        batch.errors or (None,) * len(batch.status),
     )
     x0s = np.asarray(points, dtype=float).tolist()
     return [PointRecord(first + i, tuple(x0), *row) for i, (x0, row) in enumerate(zip(x0s, stats))]
 
 
-def _records(solver: FiniteHorizonSolver, config, points: np.ndarray, first: int) -> list[PointRecord]:
-    """Records of ``points``, splitting a failing batch in halves until each error has its point.
+def _records(solver: FiniteHorizonSolver, config, points: np.ndarray) -> BatchRun:
+    """The batch run of ``points``, splitting a failing batch in halves until each error has its point.
 
     ``config`` is one configuration or a sequence of one per point, as
-    :func:`run_batch` takes it.  One failing point among ``B`` costs at
+    :func:`run_batch` takes it.  A point that fails on its own is an error
+    row (see :func:`_point_run`).  One failing point among ``B`` costs at
     most ``2 ceil(log2 B) + 1`` runs, batches and single runs together.
     """
     shared = isinstance(config, AlgorithmConfig)
     if len(points) == 1:
-        return [_evaluate_point(solver, config if shared else config[0], first, points[0])]
+        return _point_run(solver, config if shared else config[0], points[0])
     try:
-        return point_records(run_batch(solver, points, config), points, first)
+        return run_batch(solver, points, config)
     except (MpcCertError, np.linalg.LinAlgError):
         half = len(points) // 2
         head, rest = (config, config) if shared else (config[:half], config[half:])
-        return _records(solver, head, points[:half], first) + _records(
-            solver, rest, points[half:], first + half
-        )
+        return _joined(_records(solver, head, points[:half]), _records(solver, rest, points[half:]))
 
 
-def _evaluate_point(
-    solver: FiniteHorizonSolver,
-    config: AlgorithmConfig,
-    index: int,
-    x0: np.ndarray,
-) -> PointRecord:
-    """Record of one point run on its own, with its error if the run fails."""
+def _point_run(solver: FiniteHorizonSolver, config: AlgorithmConfig, x0: np.ndarray) -> BatchRun:
+    """One point run on its own, as a one-row batch.
+
+    A failed run is an error row: status ``error``, NaN degrees, zero
+    counts and the exception text in ``errors``.
+    """
     try:
-        trace = run_closed_loop(solver, x0, config)
+        run = run_closed_loop(solver, x0, config)
     except (MpcCertError, np.linalg.LinAlgError) as exc:
-        nan = float("nan")
-        return PointRecord(
-            index=index,
-            x0=tuple(float(v) for v in x0),
-            status="error",
-            startup_alpha=nan,
-            min_onestep_alpha=nan,
-            min_mstep_alpha=nan,
-            alpha_cor3=nan,
-            warning=False,
-            error=str(exc),
-        )
-    return PointRecord(
-        index=index,
-        x0=tuple(float(v) for v in x0),
-        status=trace.status,
-        startup_alpha=trace.startup_onestep_alpha,
-        min_onestep_alpha=trace.min_onestep_alpha,
-        min_mstep_alpha=trace.min_window_alpha,
-        alpha_cor3=trace.alpha_cor3,
-        warning=trace.warning_count > 0,
-    )
+        nan, zero = np.full(1, np.nan), np.zeros(1, dtype=int)
+        return BatchRun(("error",), nan, nan, nan, nan, zero, zero, zero, zero, errors=(str(exc),))
+    stats = (run.startup_onestep_alpha, run.min_onestep_alpha, run.min_window_alpha, run.alpha_cor3)
+    stats += (run.exit_count, run.warning_count, len(run.certificates), len(run.applied_costs))
+    return BatchRun((run.status,), *(np.array([v]) for v in stats))
+
+
+def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
+    """The rows of ``head`` followed by those of ``rest``, without traces."""
+    names = [f.name for f in fields(BatchRun) if isinstance(getattr(head, f.name), np.ndarray)]
+    columns = {name: np.concatenate([getattr(head, name), getattr(rest, name)]) for name in names}
+    errors = [run.errors or (None,) * len(run.status) for run in (head, rest)]
+    return BatchRun(status=head.status + rest.status, errors=errors[0] + errors[1], **columns)
+
+
+def _evaluate_point(solver: FiniteHorizonSolver, config: AlgorithmConfig, index: int, x0: np.ndarray) -> PointRecord:
+    """Record of one point run on its own, with its error if the run fails."""
+    return point_records(_point_run(solver, config, x0), [x0], index)[0]
 
 
 def sweep(
@@ -236,7 +232,7 @@ def sweep(
     point and every other record is the same as in the whole batch.
     """
     points = np.asarray(initial_set.points, dtype=float)
-    records = _records(solver, config, points, 1)
+    records = point_records(_records(solver, config, points), points)
     return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
 
 
@@ -255,8 +251,9 @@ def horizon_comparison(
     watchdog at ``alpha_bar`` (the a-posteriori style bound).
 
     Every (horizon, configuration, point) row runs in one lockstep batch
-    on one solver, with a failing batch split as in :func:`sweep`; each
-    row's record is the one the two sweeps at its horizon would give.
+    on one solver, with a failing batch split as in :func:`sweep`; the
+    two minima are read from the batch's columns, and each equals the
+    one the two sweeps at its horizon would give.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -271,17 +268,15 @@ def horizon_comparison(
     ]
     points = np.asarray(initial_set.points, dtype=float)
     solver = LqLadderSolver(lq, max(horizons))
-    records = _records(
-        solver, [config for config in configs for _ in points], np.tile(points, (len(configs), 1)), 1
-    )
-    size = len(points)
-    blocks = [tuple(records[k * size : (k + 1) * size]) for k in range(len(configs))]
-    rows = []
-    for n, apriori, posteriori, config in zip(horizons, blocks[::2], blocks[1::2], configs[1::2]):
-        col_a = _nan_stat(np.nanmin, [r.min_mstep_alpha for r in apriori])
-        col_b = SweepReport(initial_set.name, config, posteriori).alpha_cor3_min()
-        rows.append((int(n), col_a, col_b))
-    return rows
+    batch = _records(solver, [config for config in configs for _ in points], np.tile(points, (len(configs), 1)))
+    # Blocks of points, one per (horizon, configuration); error rows are NaN.
+    shape = (len(horizons), 2, len(points))
+    apriori = batch.min_window_alpha.reshape(shape)[:, 0]
+    posteriori = batch.alpha_cor3.reshape(shape)[:, 1]
+    return [
+        (int(n), _nan_stat(np.nanmin, col_a), _nan_stat(np.nanmin, col_b))
+        for n, col_a, col_b in zip(horizons, apriori, posteriori)
+    ]
 
 
 def value_drop_grid(
@@ -318,14 +313,14 @@ def value_drop_grid(
 
 def write_sweep_csv(report: SweepReport, path) -> None:
     """One row per initial state, in index order."""
+    lines = [",".join(_SWEEP_COLUMNS)] + [
+        f"{r.index:d},{r.x0[0]:.17g},{r.x0[1]:.17g},"
+        f"{r.min_onestep_alpha:.17g},{r.min_mstep_alpha:.17g},"
+        f"{r.alpha_cor3:.17g},{int(r.warning):d},{r.status}"
+        for r in report.records
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for r in report.records:
-            fh.write(
-                f"{r.index:d},{r.x0[0]:.17g},{r.x0[1]:.17g},"
-                f"{r.min_onestep_alpha:.17g},{r.min_mstep_alpha:.17g},"
-                f"{r.alpha_cor3:.17g},{int(r.warning):d},{r.status}\n"
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_horizon_csv(rows, path) -> None:

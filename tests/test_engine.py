@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from mpccert.engine import (
+    VARIANTS,
     AlgorithmConfig,
     UpdateSchedule,
+    run_batch,
     run_closed_loop,
     shrink_horizon_check,
 )
 from mpccert.errors import ConfigError
 from mpccert.model import step
+from mpccert.riccati import LqLadderSolver
+from mpccert.sweep import unit_circle
 
 X_A = np.array([0.0, 1.0])
 X_B = np.array([1.0, 0.0])
@@ -450,3 +454,36 @@ def test_uncovered_shrink_request_is_ignored(solver):
     cfg = _cfg("alg3", 0.01, horizon=5, shrink_schedule={0: 3})
     trace = run_closed_loop(solver, X_A, cfg)
     assert all(w.horizon == 5 for w in trace.windows)
+
+
+# --- summation conventions ------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "horizon,alpha_bar,forced_m",
+    [(3, 0.5, None), (3, 0.01, (2, 1)), (10, 0.99999, None), (20, 0.01, 15), (20, 0.3, (15, 9, 1))],
+)
+def test_window_and_interval_sums(lq, variant, horizon, alpha_bar, forced_m):
+    # A window's cost is np.sum of the applied costs it covers, which adds
+    # 8 or more terms pairwise; a certificate's cost_sum adds the costs of
+    # its interval one by one, left to right from 0.0.  Forced 15-step
+    # windows cover the pairwise case, and alg2/alg4 rows re-plan inside
+    # them, so their intervals are shorter than their windows.
+    config = AlgorithmConfig(variant, horizon, alpha_bar, forced_m=forced_m)
+    batch = run_batch(LqLadderSolver(lq, horizon), unit_circle(16).points, config, traces=True)
+    long_windows = short_intervals = 0
+    for trace in batch.traces:
+        costs = trace.applied_costs
+        for w in trace.windows:
+            assert w.cost == np.sum(costs[w.time : w.time + w.committed_m])
+            long_windows += w.committed_m >= 8
+        for cert in trace.certificates:
+            total = 0.0
+            for cost in costs[cert.sigma : cert.sigma + cert.m].tolist():
+                total += cost
+            assert cert.cost_sum == total
+        short_intervals += len(trace.certificates) > len(trace.windows)
+    if forced_m is not None and max(np.atleast_1d(forced_m)) >= 8:
+        assert long_windows > 0
+        assert (short_intervals > 0) == (variant in ("alg2", "alg4"))

@@ -8,8 +8,11 @@
 #
 #   * 24 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
 #     alpha_bar 0.01, 0.6;
-#   * 8 single runs from x0 = (0, 1) at N = 3: alg1-alg4 at alpha_bar 0.5,
-#     and at alpha_bar 0.01 with forced lengths 2,1;
+#   * 12 single runs from x0 = (0, 1): alg1-alg4 at N = 3 and alpha_bar
+#     0.5, at N = 3 and alpha_bar 0.01 with forced lengths 2,1, and at
+#     N = 20 and alpha_bar 0.01 with forced length 15 (windows and
+#     re-plan budgets of 8 and more steps, where sums keep np.sum's
+#     pairwise bits);
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
 #   * reproduce-paper (10 of 11 checks pass, exit 4);
 #   * SHA-256 hashes of value_drop_grid on 101 x 101 states for
@@ -56,6 +59,9 @@ for variant in alg1 alg2 alg3 alg4; do
     name="run-$variant-a0.01-forced"
     record "$name" run --plant "$plant" --variant "$variant" --horizon 3 --alpha-bar 0.01 \
         --forced-m 2,1 --x0 0,1 --out "$out/$name" --no-timestamp
+    name="run-$variant-N20-a0.01-forced15"
+    record "$name" run --plant "$plant" --variant "$variant" --horizon 20 --alpha-bar 0.01 \
+        --forced-m 15 --x0 0,1 --out "$out/$name" --no-timestamp
 done
 
 record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \

@@ -16,6 +16,7 @@ Exit codes: 0 on success (for ``run``: the loop converged; for
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from datetime import datetime, timezone
@@ -192,6 +193,8 @@ def cmd_reproduce(args) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
+# Built once per process: parse_args does not change the parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpccert",

@@ -30,13 +30,14 @@ hold the running rows only; rows that stop write their results once and
 drop out.  All rows pass through the same outer iteration together, so
 forced lengths and shrink requests apply per iteration as in a single
 run.  Each iteration walks the plans of all rows one prefix at a time
-through one :class:`~mpccert.riccati.PlanWalk`, with the same arithmetic
-on each row as on a lone state.  The walk decides: each prefix's degree
-and slack are computed once, a row's commitment is settled at the first
-prefix that qualifies, and the walk stops once every row is settled; no
-walk builds a plan's last step.  Window costs and re-plan budgets are
-read from the walk's running prefix costs.  The engine keeps one
-horizon per row and hands it to the plan layer as it is: grouping rows
+through one :class:`~mpccert.riccati.PlanWalk` on buffers allocated
+once per run, with the same arithmetic on each row as on a lone state.
+The walk decides: each prefix's degree and slack are computed once, a
+row's commitment is settled at the first prefix that qualifies, and the
+walk stops once every row is settled; no walk builds a plan's last
+step.  Window costs and re-plan budgets are read from the walk's
+running prefix costs.  The engine keeps one horizon per row and hands
+it to the plan layer as it is: grouping rows
 by horizon, and stepping every row of a one-horizon walk, are decided
 in :mod:`mpccert.riccati`.  The walked plans are the plans the rows
 apply, so windows need no copy; only mid-stretch re-plans of
@@ -426,22 +427,26 @@ class _Lockstep:
     Every per-row array (:data:`_ROW_FIELDS`) holds the running rows only,
     densely and in one order, and ``ids`` maps them back to input order.
     Rows that stop are closed, their results are written once into the
-    input-order outputs, and every per-row array is compacted with one
-    mask, so no step goes through a row index.
+    input-order outputs, and every per-row array and walk buffer is
+    compacted with one mask, so no step goes through a row index.
 
     Each row carries its own configuration: horizon, threshold,
     tolerances, iteration cap and the variant's two flags (slack watchdog,
     mid-stretch re-planning) are per-row arrays; forced lengths and shrink
     requests are read per distinct configuration, at the iterations where
-    they can change.
+    they can change.  The decision rule built from them, and the plan
+    walk with its horizon groups, are rebuilt only when rows retire, a
+    shrink is granted or a forced length moves; every other iteration
+    restarts the walk on the run's buffers.
 
     Each iteration's walk decides every row's commitment, exit and
     warning as it goes (:meth:`_probe`).  Windows are plan-resident: the
-    arrays of the iteration's plan are what the rows apply.  Rows that do not re-plan (``alg1``/``alg3``, and
-    ``alg2``/``alg4`` rows committing one step) apply their committed
-    prefix with one gather and one scatter; only re-planning rows step one
-    control at a time, and an accepted re-plan overwrites its own rows of
-    the plan.
+    arrays of the iteration's plan are what the rows apply.  Rows that do
+    not re-plan (``alg1``/``alg3``, and ``alg2``/``alg4`` rows committing
+    one step) apply their committed prefix with one gather and one
+    scatter, or read it from the plan's first columns when every window
+    is one step; only re-planning rows step one control at a time, and an
+    accepted re-plan overwrites its own rows of the plan.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
@@ -473,10 +478,16 @@ class _Lockstep:
         # shrink requests are looked up by iteration.
         self.forced = np.zeros(rows, dtype=int)
         self.forced_until = max(len(cfg._forced_values()) for cfg in cfgs) if rows else 0
+        self.min_cap = min((cfg.max_iterations for cfg in cfgs), default=0)
         self.shrinks: dict[int, list[tuple[int, int]]] = {}
         for k, cfg in enumerate(cfgs):
             for iteration, n_new in cfg.shrink_schedule or ():
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
+        # load_plant's plants rest at the origin, where x - 0 is x.
+        self.rest = model.equilibrium_state if model.equilibrium_state.any() else None
+        # Walk buffers for the widest horizon, reused by every iteration.
+        self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
+        self.rule = self.walk = None
         self.x0 = X
         self.x = X.copy()
         self.t = np.zeros(rows, dtype=int)
@@ -544,9 +555,9 @@ class _Lockstep:
     def run(self) -> None:
         iteration = 0
         while self.ids.size:
-            d = self.x - self.model.equilibrium_state
+            d = self.x if self.rest is None else self.x - self.rest
             at_rest = np.sqrt(row_dot(d, d)) <= self.radius
-            stop = at_rest | (iteration >= self.max_iterations)
+            stop = at_rest if iteration < self.min_cap else at_rest | (iteration >= self.max_iterations)
             if stop.any():
                 self._retire(stop, at_rest, iteration)
                 if not self.ids.size:
@@ -585,6 +596,9 @@ class _Lockstep:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
+        trajectory, controls, columns = self.walk_buffers
+        self.walk_buffers = trajectory[keep], controls[keep], columns[..., keep]
+        self.rule = None
 
     def _shrink(self, iteration: int) -> None:
         """Grant each shrink request due at this iteration where the slack covers it."""
@@ -595,6 +609,8 @@ class _Lockstep:
                     self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
                 )
                 self.horizon[p[ok]] = n_new
+                if ok.any():
+                    self.rule = None
 
     def _iterate(self, iteration: int) -> None:
         """One outer iteration: walk and probe the plans, commit, apply, record the window."""
@@ -602,11 +618,16 @@ class _Lockstep:
             self._shrink(iteration)
         if iteration < self.forced_until:
             self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
+            self.rule = None
         # Each row's value at its state is the end value the last walk
-        # gave it, unless its horizon has just changed.
+        # gave it, unless a shrink was due.
         known = self.v_now if iteration and iteration not in self.shrinks else None
+        if self.rule is None:
+            self.rule, self.walk = self._decision_rule(known)
+        else:
+            self.walk.restart(self.x, known)
         # The walk decides on the slack banked at the plan's start.
-        plan = PlanWalk(self.solver, self.x, self.horizon, int(self.horizon.max()) - 1, known)
+        plan = self.walk
         v_start = plan.value
         if iteration:
             self._close(slice(None), v_start)
@@ -625,7 +646,7 @@ class _Lockstep:
         self.sigma = self.t.copy()
         self.v_before = v_start.copy()
         self.closes = np.zeros(len(m), dtype=int) if self.keep else None
-        self.v_now = plan.ends[np.arange(len(m)), m - 1]
+        self.v_now = np.empty_like(v_start)
         self._reserve(int((window_time + m).max()))
         stepping = self.replanning & (m > 1)
         replans = stepping.any()
@@ -641,7 +662,8 @@ class _Lockstep:
             resum = np.flatnonzero(stepping | (m >= _PAIRWISE))
             cost = cost.copy()
             cost[resum] = row_sums(self.costs[resum], m[resum], start=window_time[resum])
-        window_alpha = alpha_m_steps(v_start - self.v_now, cost)
+        # A one-step window's degree is its plan's one-step degree.
+        window_alpha = onestep if m.max() == 1 else alpha_m_steps(v_start - self.v_now, cost)
         self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
         if not self.keep:
             return
@@ -679,18 +701,12 @@ class _Lockstep:
         N - 1 prefixes.  Returns ``m``, the exit and warning flags, the
         one-step degrees and, with traces, every prefix's alpha and rho.
         """
-        watchdog, forced, keep = self.watchdog, self.forced > 0, self.keep
-        rows = len(watchdog)
+        watchdog, keep = self.watchdog, self.keep
         # Which metrics a step needs: alpha_j decides rows without an
         # account, rho_j rows with one; the first step's alpha is the
         # one-step degree of every row.
-        accounts, all_accounts = watchdog.any(), watchdog.all()
-        width = self.horizon - 1
-        last = np.where(forced, self.forced, width)
-        target = np.where(forced, np.inf, np.where(watchdog, 0.0, self.alpha_bar))
-        m = self.forced.copy()
-        best, arg = np.full(rows, -np.inf), np.ones(rows, dtype=int)
-        deciding = walking = np.ones(rows, dtype=bool)
+        forced, last, target, accounts, all_accounts, width, (deciding, best, arg) = self.rule
+        rows, m, walking = len(watchdog), self.forced, deciding
         alphas, rhos = np.zeros((2, rows, plan.width)) if keep else (None, None)
         for k in range(plan.width):
             plan.advance(walking)
@@ -723,6 +739,16 @@ class _Lockstep:
         m = np.where(fallback, np.where(watchdog & covered, arg, 1), m)
         return m, exit_event, warning_event, onestep, alphas, rhos
 
+    def _decision_rule(self, known) -> tuple[tuple, PlanWalk]:
+        """The rows' rule for :meth:`_probe` and walk, kept until rows retire, a shrink is granted or forced_m moves."""
+        forced, width, watchdog, rows = self.forced > 0, self.horizon - 1, self.watchdog, len(self.x)
+        last = np.where(forced, self.forced, width)
+        target = np.where(forced, np.inf, np.where(watchdog, 0.0, self.alpha_bar))
+        # The first values of the walk's running arrays: nothing writes them in place.
+        start = np.ones(rows, dtype=bool), np.full(rows, -np.inf), np.ones(rows, dtype=int)
+        walk = PlanWalk(self.solver, self.x, self.horizon, int(width.max()), known, self.walk_buffers)
+        return (forced, last, target, watchdog.any(), watchdog.all(), width, start), walk
+
     def _reserve(self, steps: int) -> None:
         """Grow the logs until they hold ``steps`` applied steps."""
         while steps > self.costs.shape[1]:
@@ -734,21 +760,25 @@ class _Lockstep:
     def _commit(self, sel, plan: PlanWalk, m: np.ndarray) -> None:
         """Apply the first ``m`` steps of the plan at the rows ``sel`` (a slice or indices) at once."""
         rows = np.arange(len(m))[sel]
-        m = m[sel]
-        t = self.t[sel]
-        src, dst, j, longest = rows, t, 0, m.max(initial=0)
+        m, t = m[sel], self.t[sel]
+        longest = m.max(initial=0)
+        # One-step windows read the plan's first columns through sel, with no gather.
+        at, end = (sel, 0) if longest == 1 else (rows, m - 1)
+        src, j, to, dst = at, end, rows, t
         if longest > 1:
             r, j = np.nonzero(np.arange(longest) < m[:, None])
-            src, dst = rows[r], t[r] + j
-        self.costs[src, dst] = plan.stage_costs[src, j]
+            src = to = rows[r]
+            dst = t[r] + j
+        self.costs[to, dst] = plan.stage_costs[src, j]
         if self.keep:
-            self.controls[src, dst] = plan.controls[src, j]
-            self.states[src, dst + 1] = plan.trajectory[src, j + 1]
-        self.x[sel] = plan.trajectory[rows, m]
+            self.controls[to, dst] = plan.controls[src, j]
+            self.states[to, dst + 1] = plan.trajectory[src, j + 1]
+        self.x[sel] = plan.trajectory[at, end + 1]
         self.t[sel] = t + m
         # The interval opened at 0.0 and added these costs one by one:
         # 0.0 plus their left-to-right sum has the same bits.
-        self.cost_sum[sel] = 0.0 + plan.prefix_costs[rows, m - 1]
+        self.cost_sum[sel] = 0.0 + plan.prefix_costs[at, end]
+        self.v_now[sel] = plan.ends[at, end]
 
     def _step(self, rows: np.ndarray, plan: PlanWalk, m: np.ndarray) -> None:
         """Apply the committed steps of re-planning rows one at a time, re-planning after each but the last."""
@@ -756,6 +786,7 @@ class _Lockstep:
         self.since = np.zeros(len(m), dtype=int)
         self.cost_sum[rows] = 0.0
         m = m[rows]
+        self.v_now[rows] = plan.ends[rows, m - 1]
         for applied in range(int(m.max())):
             p = rows[applied < m]
             k = self.since[p]

@@ -332,20 +332,30 @@ class PlanWalk:
     ``width`` steps.  Column ``k`` of ``controls``, ``stage_costs``,
     ``ends`` (``x_{k+1}' P_N x_{k+1}``) and ``prefix_costs`` (the bits of
     ``np.cumsum`` of the stage costs), and ``trajectory[:, k + 1]``, hold
-    step ``k`` of the rows it reached and zeros elsewhere.  ``value`` is
-    ``x_0' P_N x_0``, computed unless the caller has those bits.
+    step ``k`` of the rows it reached.  ``value`` is ``x_0' P_N x_0``,
+    computed unless the caller has those bits.  The arrays are views of
+    ``buffers`` (zeroed by :meth:`allocate` when not given), which
+    :meth:`restart` reuses: a column past a row's walked steps holds zero
+    or a value of an earlier walk, and nothing reads it.
     """
 
-    def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None):
+    def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
-        self.solver, self.steps, self.width = solver, 0, width
+        self.solver, self.width, self.horizon = solver, width, horizon
         self.groups = _horizon_groups(horizon, rows)
-        self.value = solver.values_of(X, horizon) if value is None else value
-        self.trajectory = np.zeros((rows, width + 1, n))
+        self.trajectory, self.controls, columns = buffers or self.allocate(rows, width, n, c)
+        self.stage_costs, self.ends, self.prefix_costs = columns.transpose(0, 2, 1)
+        self.restart(X, value)
+
+    @staticmethod
+    def allocate(rows: int, width: int, n: int, c: int) -> tuple[np.ndarray, ...]:
+        """Zeroed trajectory, controls and ``(3, width, rows)`` columns, row axis innermost."""
+        return np.zeros((rows, width + 1, n)), np.zeros((rows, width, c)), np.zeros((3, width, rows))
+
+    def restart(self, X: np.ndarray, value=None) -> None:
+        """Start the walk afresh from the states ``X``, valued ``value`` when given."""
+        self.steps, self.value = 0, self.solver.values_of(X, self.horizon) if value is None else value
         self.trajectory[:, 0] = X
-        self.controls = np.zeros((rows, width, c))
-        # Row axis innermost, so that each step writes whole columns.
-        self.stage_costs, self.ends, self.prefix_costs = np.zeros((3, width, rows)).transpose(0, 2, 1)
 
     def advance(self, rows: np.ndarray) -> None:
         """Build the next step of the rows in the boolean mask ``rows``.

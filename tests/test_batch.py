@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpccert.certify import row_sums
-from mpccert.engine import AlgorithmConfig, run_batch, run_closed_loop
+from mpccert.engine import VARIANTS, AlgorithmConfig, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
@@ -369,6 +369,68 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
             assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
         assert batch.intervals[row] == single.summary()["intervals"]
         assert batch.applied_steps[row] == single.summary()["applied_steps"]
+
+
+def _nan_walks(monkeypatch):
+    """Fill every walk buffer with NaN when it is allocated and whenever a walk restarts on it."""
+    allocate, restart = PlanWalk.allocate, PlanWalk.restart
+
+    def nan_allocate(*shape):
+        return tuple(np.full_like(buffer, np.nan) for buffer in allocate(*shape))
+
+    def nan_restart(walk, X, value=None):
+        for buffer in (walk.trajectory, walk.controls, walk.stage_costs, walk.ends, walk.prefix_costs):
+            buffer.fill(np.nan)
+        restart(walk, X, value)
+
+    monkeypatch.setattr(PlanWalk, "allocate", staticmethod(nan_allocate))
+    monkeypatch.setattr(PlanWalk, "restart", nan_restart)
+
+
+# Per variant: forced lengths 2,1 at N = 3 and 15 at N = 20 (alg2/alg4
+# re-plan inside both windows), two shrinks granted mid-run, and caps
+# that retire rows at iterations 2 to 11, at horizons 3 to 6.
+_LEAK_ROWS = [
+    row
+    for k, v in enumerate(VARIANTS)
+    for row in (
+        (AlgorithmConfig(v, 3, 0.01, forced_m=(2, 1)), CIRCLE[k]),
+        (AlgorithmConfig(v, 20, 0.01, forced_m=15), CIRCLE[k + 4]),
+        (AlgorithmConfig(v, 5, 0.01, shrink_schedule={2: 4, 5: 3}), 1e3 * CIRCLE[k + 8]),
+        (AlgorithmConfig(v, 3 + k, 0.6, max_iterations=2 + 3 * k), CIRCLE[k + 12]),
+    )
+]
+
+
+@pytest.mark.parametrize("traces", (False, True), ids=("bare", "traced"))
+def test_reused_walk_buffers_and_rules_leak_nothing(engine_solver, monkeypatch, traces):
+    # A run walks every iteration on the same buffers and keeps each row's
+    # decision rule until rows retire, a shrink is granted or a forced
+    # length moves.  With every buffer NaN at allocation and at each
+    # restart, a read of a column no walk of this iteration wrote, or of a
+    # row the buffers or rule kept after it retired, changes the bits.
+    # Runs cover one mixed batch of all rows and one batch per row's
+    # configuration, where every row steps.
+    s = engine_solver
+    configs = [cfg for cfg, _ in _LEAK_ROWS]
+    points = np.array([x for _, x in _LEAK_ROWS])
+    batches = [(configs, points)] + [(cfg, np.array([x, -2.0 * x, CIRCLE[3]])) for cfg, x in _LEAK_ROWS]
+    clean = [run_batch(s, X, cfg, traces=traces) for cfg, X in batches]
+    _nan_walks(monkeypatch)
+    for (cfg, X), want in zip(batches, clean):
+        got = run_batch(s, X, cfg, traces=traces)
+        assert got.status == want.status
+        for name in ("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3",
+                     "intervals", "applied_steps", "exit_count", "warning_count"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        for a, b in zip(got.traces or (), want.traces or ()):
+            _assert_same_run(a, b)
+    if traces:
+        runs = clean[0].traces
+        assert {tuple(dict.fromkeys(w.horizon for w in run.windows)) for run in runs[2::4]} == {(5, 4, 3)}
+        assert all(sum(w.closes for w in run.windows) for run in runs[1::4] if run.config.variant in ("alg2", "alg4"))
+        assert [len(run.windows) for run in runs[3::4]] == [2, 5, 8, 11]
+        assert {run.status for run in runs[3::4]} == {"max-iterations"}
 
 
 class _CountingSolver(LqLadderSolver):

@@ -6,13 +6,15 @@
 # Two trees give byte-identical OUT directories (compare them with
 # `diff -r`) exactly when they print and write the same numbers for:
 #
-#   * 24 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
-#     alpha_bar 0.01, 0.6;
-#   * 12 single runs from x0 = (0, 1): alg1-alg4 at N = 3 and alpha_bar
+#   * 28 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
+#     alpha_bar 0.01, 0.6, and at N = 3 and alpha_bar 0.6 with
+#     --max-iterations 7 (every run stops at the cap);
+#   * 13 single runs from x0 = (0, 1): alg1-alg4 at N = 3 and alpha_bar
 #     0.5, at N = 3 and alpha_bar 0.01 with forced lengths 2,1, and at
 #     N = 20 and alpha_bar 0.01 with forced length 15 (windows and
 #     re-plan budgets of 8 and more steps, where sums keep np.sum's
-#     pairwise bits);
+#     pairwise bits), and alg4 at N = 3 and alpha_bar 0.5 with
+#     --max-iterations 5;
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
 #   * reproduce-paper (10 of 11 checks pass, exit 4);
 #   * SHA-256 hashes of value_drop_grid on 101 x 101 states for
@@ -62,7 +64,12 @@ for variant in alg1 alg2 alg3 alg4; do
     name="run-$variant-N20-a0.01-forced15"
     record "$name" run --plant "$plant" --variant "$variant" --horizon 20 --alpha-bar 0.01 \
         --forced-m 15 --x0 0,1 --out "$out/$name" --no-timestamp
+    name="sweep-$variant-N3-a0.6-cap7"
+    record "$name" sweep --plant "$plant" --variant "$variant" --horizon 3 --alpha-bar 0.6 \
+        --max-iterations 7 --set unit-circle:128 --out "$out/$name" --no-timestamp
 done
+record run-alg4-a0.5-cap5 run --plant "$plant" --variant alg4 --horizon 3 --alpha-bar 0.5 \
+    --max-iterations 5 --x0 0,1 --out "$out/run-alg4-a0.5-cap5" --no-timestamp
 
 record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \
     --horizons 2,3,4,5,10,20 --alpha-bar 0.01 --out "$out/horizon-table"

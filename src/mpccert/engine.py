@@ -21,10 +21,10 @@ loop is closed:
   stay nonnegative.
 
 Every entry point takes the solver and nothing else about the plant:
-the solver's ``model`` supplies the state and control dimensions and
-the equilibrium.  There is one engine: :func:`run_batch` runs a
-``(B, n)`` array of initial states in lockstep, under one configuration
-or one per row.  Every running row keeps its own state, configuration,
+the solver's ``model`` supplies the state and control dimensions, and
+its equilibrium is the origin.  There is one engine: :func:`run_batch`
+runs a ``(B, n)`` array of initial states in lockstep, under one
+configuration or one per row.  Every running row keeps its own state, configuration,
 horizon, pending interval, slack account and counts in dense arrays that
 hold the running rows only; rows that stop write their results once and
 drop out.  All rows pass through the same outer iteration together, so
@@ -37,12 +37,11 @@ row's commitment is settled at the first prefix that qualifies, and the
 walk stops once every row is settled; no walk builds a plan's last
 step.  Window costs and re-plan budgets are read from the walk's
 running prefix costs.  The engine keeps one horizon per row and hands
-it to the plan layer as it is: grouping rows
-by horizon, and stepping every row of a one-horizon walk, are decided
-in :mod:`mpccert.riccati`.  The walked plans are the plans the rows
-apply, so windows need no copy; only mid-stretch re-plans of
-``alg2``/``alg4`` walk further plans, as far as the stretch left to
-them.  So every row of a batch matches its own one-row run bit for bit,
+it to the plan layer as it is: grouping rows by horizon, and stepping
+every row of a one-horizon walk, are decided in :mod:`mpccert.riccati`.
+The walked plans are the plans the rows apply, so windows need no copy;
+only mid-stretch re-plans of ``alg2``/``alg4`` walk further plans, as
+far as the stretch left to them.  So every row of a batch matches its own one-row run bit for bit,
 whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
@@ -434,10 +433,8 @@ class _Lockstep:
     tolerances, iteration cap and the variant's two flags (slack watchdog,
     mid-stretch re-planning) are per-row arrays; forced lengths and shrink
     requests are read per distinct configuration, at the iterations where
-    they can change.  The decision rule built from them, and the plan
-    walk with its horizon groups, are rebuilt only when rows retire, a
-    shrink is granted or a forced length moves; every other iteration
-    restarts the walk on the run's buffers.
+    they can change.  The decision rule and the plan walk built from them
+    are kept until rows retire, a shrink is due or a forced length moves.
 
     Each iteration's walk decides every row's commitment, exit and
     warning as it goes (:meth:`_probe`).  Windows are plan-resident: the
@@ -458,7 +455,7 @@ class _Lockstep:
         if not np.isfinite(X).all():
             raise ConfigError(f"initial states must be finite, got {X[~np.isfinite(X).all(axis=1)][0]}")
         rows = len(X)
-        self.model, self.solver, self.keep = model, solver, keep_traces
+        self.solver, self.keep = solver, keep_traces
         self.row_configs = _row_configs(config, rows)
         self.configs, self.kind = _distinct_configs(self.row_configs)
 
@@ -478,13 +475,10 @@ class _Lockstep:
         # shrink requests are looked up by iteration.
         self.forced = np.zeros(rows, dtype=int)
         self.forced_until = max(len(cfg._forced_values()) for cfg in cfgs) if rows else 0
-        self.min_cap = min((cfg.max_iterations for cfg in cfgs), default=0)
         self.shrinks: dict[int, list[tuple[int, int]]] = {}
         for k, cfg in enumerate(cfgs):
             for iteration, n_new in cfg.shrink_schedule or ():
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
-        # load_plant's plants rest at the origin, where x - 0 is x.
-        self.rest = model.equilibrium_state if model.equilibrium_state.any() else None
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
         self.rule = self.walk = None
@@ -555,9 +549,9 @@ class _Lockstep:
     def run(self) -> None:
         iteration = 0
         while self.ids.size:
-            d = self.x if self.rest is None else self.x - self.rest
-            at_rest = np.sqrt(row_dot(d, d)) <= self.radius
-            stop = at_rest if iteration < self.min_cap else at_rest | (iteration >= self.max_iterations)
+            # The solver's model rests at the origin (LinearQuadraticInstance.to_model).
+            at_rest = np.sqrt(row_dot(self.x, self.x)) <= self.radius
+            stop = at_rest | (iteration >= self.max_iterations)
             if stop.any():
                 self._retire(stop, at_rest, iteration)
                 if not self.ids.size:
@@ -609,13 +603,12 @@ class _Lockstep:
                     self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
                 )
                 self.horizon[p[ok]] = n_new
-                if ok.any():
-                    self.rule = None
 
     def _iterate(self, iteration: int) -> None:
         """One outer iteration: walk and probe the plans, commit, apply, record the window."""
         if iteration in self.shrinks:
             self._shrink(iteration)
+            self.rule = None
         if iteration < self.forced_until:
             self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
             self.rule = None
@@ -662,8 +655,7 @@ class _Lockstep:
             resum = np.flatnonzero(stepping | (m >= _PAIRWISE))
             cost = cost.copy()
             cost[resum] = row_sums(self.costs[resum], m[resum], start=window_time[resum])
-        # A one-step window's degree is its plan's one-step degree.
-        window_alpha = onestep if m.max() == 1 else alpha_m_steps(v_start - self.v_now, cost)
+        window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
         if not self.keep:
             return
@@ -740,7 +732,7 @@ class _Lockstep:
         return m, exit_event, warning_event, onestep, alphas, rhos
 
     def _decision_rule(self, known) -> tuple[tuple, PlanWalk]:
-        """The rows' rule for :meth:`_probe` and walk, kept until rows retire, a shrink is granted or forced_m moves."""
+        """The rows' rule for :meth:`_probe` and walk, kept until rows retire, a shrink is due or forced_m moves."""
         forced, width, watchdog, rows = self.forced > 0, self.horizon - 1, self.watchdog, len(self.x)
         last = np.where(forced, self.forced, width)
         target = np.where(forced, np.inf, np.where(watchdog, 0.0, self.alpha_bar))

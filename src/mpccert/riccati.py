@@ -333,10 +333,11 @@ class PlanWalk:
     ``ends`` (``x_{k+1}' P_N x_{k+1}``) and ``prefix_costs`` (the bits of
     ``np.cumsum`` of the stage costs), and ``trajectory[:, k + 1]``, hold
     step ``k`` of the rows it reached.  ``value`` is ``x_0' P_N x_0``,
-    computed unless the caller has those bits.  The arrays are views of
-    ``buffers`` (zeroed by :meth:`allocate` when not given), which
-    :meth:`restart` reuses: a column past a row's walked steps holds zero
-    or a value of an earlier walk, and nothing reads it.
+    computed unless the caller has those bits.  :meth:`restart` reuses
+    the arrays without zeroing, so a column past a row's walked steps
+    holds zero or an earlier walk's value (finite, nonnegative); a reader
+    of whole columns must discard those rows, as the engine's
+    ``deciding`` mask and ``[:w]`` trace slices do.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):

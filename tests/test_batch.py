@@ -405,7 +405,7 @@ _LEAK_ROWS = [
 @pytest.mark.parametrize("traces", (False, True), ids=("bare", "traced"))
 def test_reused_walk_buffers_and_rules_leak_nothing(engine_solver, monkeypatch, traces):
     # A run walks every iteration on the same buffers and keeps each row's
-    # decision rule until rows retire, a shrink is granted or a forced
+    # decision rule until rows retire, a shrink is due or a forced
     # length moves.  With every buffer NaN at allocation and at each
     # restart, a read of a column no walk of this iteration wrote, or of a
     # row the buffers or rule kept after it retired, changes the bits.

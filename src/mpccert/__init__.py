@@ -12,12 +12,9 @@ test.
 from .certify import (
     Certificate,
     SlackAccumulator,
-    alpha_asymptotic,
-    alpha_from_slack,
     alpha_m_step,
     certificates_to_csv,
     rho,
-    splice_control,
     update_acceptable,
 )
 from .engine import (
@@ -38,13 +35,7 @@ from .errors import (
     PlantFormatError,
     SolverError,
 )
-from .model import (
-    LinearQuadraticInstance,
-    SystemModel,
-    load_plant,
-    step,
-    trajectory_cost,
-)
+from .model import LinearQuadraticInstance, load_plant
 from .refchecks import reference_checks, reference_instance
 from .riccati import (
     LqBellmanSolver,
@@ -85,11 +76,8 @@ __all__ = [
     "SlackAccumulator",
     "SolverError",
     "SweepReport",
-    "SystemModel",
     "UpdateSchedule",
     "WindowRecord",
-    "alpha_asymptotic",
-    "alpha_from_slack",
     "alpha_m_step",
     "certificates_to_csv",
     "horizon_comparison",
@@ -101,10 +89,7 @@ __all__ = [
     "run_batch",
     "run_closed_loop",
     "shrink_horizon_check",
-    "splice_control",
-    "step",
     "sweep",
-    "trajectory_cost",
     "unit_circle",
     "update_acceptable",
     "value_drop_grid",

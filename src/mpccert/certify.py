@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError
+from .errors import ConfigError
 from .riccati import OpenLoopSolution
 
 #: Default tolerance for acceptance inequalities evaluated in floating point.
@@ -180,6 +180,11 @@ def update_acceptable(
     With batches of plans (see ``FiniteHorizonSolver.plans``), ``j``,
     ``m`` and ``end_value`` hold one entry per plan and the answer is a
     boolean array; single plans give a ``bool``.
+
+    The engine applies the same rule through :func:`budget_met` on the
+    walk's prefix sums and never calls this function.  It stays as the
+    rule stated on whole plans: the benchmark's tracer wraps it by name
+    in ``mpccert.engine``, and tests pin the alg2 budget rule through it.
     """
     j, m = np.asarray(j), np.asarray(m)
     if np.any(j < 1) or np.any(j >= m):
@@ -201,49 +206,6 @@ def budget_met(end_value, alpha_bar, paid, planned, value, cert_slack=DEFAULT_CE
     where ``value`` is the committed plan's value at its start.
     """
     return end_value + alpha_bar * (paid + planned) <= value + cert_slack
-
-
-def splice_control(
-    sol_old: OpenLoopSolution, sol_new: OpenLoopSolution, j: int
-) -> np.ndarray:
-    """Concatenate the first ``j`` old controls with the whole new plan.
-
-    The new plan must start at the state the old plan predicts after
-    ``j`` steps; anchors further apart than 1e-10 are rejected.
-    """
-    if not 1 <= j <= sol_old.horizon:
-        raise ConfigError(f"splice offset {j} outside [1, {sol_old.horizon}]")
-    anchor_gap = np.max(np.abs(sol_new.trajectory[0] - sol_old.trajectory[j]))
-    if anchor_gap > 1e-10:
-        raise CertificateError(
-            f"mismatched anchor: new plan starts {anchor_gap:.3e} away from the "
-            f"old plan's state after {j} steps"
-        )
-    return np.vstack([sol_old.controls[:j], sol_new.controls])
-
-
-def alpha_from_slack(v0: float, v_end: float, s: float, alpha_bar: float) -> float:
-    """Improved a-posteriori degree from banked slack.
-
-    ``(v0 - v_end) * alpha_bar / (v0 - v_end - s)``.  With no slack this
-    returns ``alpha_bar`` unchanged.  The denominator vanishing means
-    the paid cost was certified at no cost at all; that is reported as
-    an error rather than an infinite degree.
-    """
-    denominator = v0 - v_end - s
-    if denominator == 0.0:
-        raise CertificateError("zero denominator: slack equals the whole value drop")
-    return (v0 - v_end) * alpha_bar / denominator
-
-
-def alpha_asymptotic(v0: float, theta: float, alpha_bar: float) -> float:
-    """A-posteriori degree when the accumulated slack admits a floor.
-
-    Requires ``v0 > theta``; returns ``alpha_bar * v0 / (v0 - theta)``.
-    """
-    if not v0 > theta:
-        raise ConfigError(f"need v0 > theta, got v0={v0}, theta={theta}")
-    return alpha_bar * v0 / (v0 - theta)
 
 
 def certificates_to_csv(certificates, slack_values, path) -> None:

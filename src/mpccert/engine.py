@@ -21,8 +21,8 @@ loop is closed:
   stay nonnegative.
 
 Every entry point takes the solver and nothing else about the plant:
-the solver's ``model`` supplies the state and control dimensions, and
-its equilibrium is the origin.  There is one engine: :func:`run_batch`
+the solver's plant ``lq`` supplies the state and control dimensions,
+and its equilibrium is the origin.  There is one engine: :func:`run_batch`
 runs a ``(B, n)`` array of initial states in lockstep, under one
 configuration or one per row.  Every running row keeps its own state, configuration,
 horizon, pending interval, slack account and counts in dense arrays that
@@ -447,9 +447,8 @@ class _Lockstep:
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
-        model = solver.model
         X = np.array(X0, dtype=float)
-        n, c = model.state_dim, model.control_dim
+        n, c = solver.lq.state_dim, solver.lq.control_dim
         if X.ndim != 2 or X.shape[1] != n:
             raise ConfigError(f"initial states must have shape (B, {n}), got {X.shape}")
         if not np.isfinite(X).all():
@@ -549,7 +548,7 @@ class _Lockstep:
     def run(self) -> None:
         iteration = 0
         while self.ids.size:
-            # The solver's model rests at the origin (LinearQuadraticInstance.to_model).
+            # The solver's plant rests at the origin (LinearQuadraticInstance).
             at_rest = np.sqrt(row_dot(self.x, self.x)) <= self.radius
             stop = at_rest | (iteration >= self.max_iterations)
             if stop.any():
@@ -923,7 +922,7 @@ def run_batch(
 def run_closed_loop(solver: FiniteHorizonSolver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:
     """Run the configured variant until the state reaches the equilibrium."""
     x = np.asarray(x0, dtype=float)
-    n = solver.model.state_dim
+    n = solver.lq.state_dim
     if x.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x.shape}")
     return run_batch(solver, x[None], config, traces=True).traces[0]

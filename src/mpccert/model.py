@@ -1,10 +1,10 @@
 """Plant models and stage costs.
 
-The central object is :class:`SystemModel`, a discrete-time plant
-``x_next = f(x, u)`` together with a nonnegative stage cost ``l(x, u)``
-and an equilibrium pair at which both the dynamics are at rest and the
-cost vanishes.  :class:`LinearQuadraticInstance` is the concrete family
-used throughout the experiments: linear dynamics with quadratic cost.
+The one plant type is :class:`LinearQuadraticInstance`: linear dynamics
+``x_next = A x + B u`` with the quadratic stage cost ``x'Qx + u'Ru``,
+at rest at the origin, where the cost vanishes.  Its dynamics and stage
+cost work row-wise on whole batches of states and controls.
+:func:`load_plant` reads one from a plant description file.
 
 Every product of a matrix with states or controls goes through one row
 kernel, :func:`matvec`, with :func:`row_dot` and :func:`quad_form` on top
@@ -18,14 +18,11 @@ holds, where a stacked ``@`` makes one BLAS call per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigError, PlantFormatError
-
-_EQUILIBRIUM_TOL = 1e-12
+from .errors import ConfigError, PlantFormatError
 
 
 def _sum_last(terms: np.ndarray, out: np.ndarray | None = None):
@@ -69,93 +66,6 @@ def quad_form(P: np.ndarray, X: np.ndarray):
     return row_dot(X, matvec(P, X))
 
 
-def _as_vector(value, dim: int, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (dim,):
-        raise ConfigError(f"{name} must have shape ({dim},), got {vec.shape}")
-    return vec
-
-
-@dataclass(frozen=True)
-class SystemModel:
-    """Discrete-time plant with stage cost and equilibrium.
-
-    Attributes
-    ----------
-    state_dim, control_dim : int
-        Dimensions of the state and control vectors.
-    dynamics : callable
-        Map ``(x, u) -> x_next``.
-    stage_cost : callable
-        Map ``(x, u) -> float``, nonnegative, zero at the equilibrium.
-    equilibrium_state, equilibrium_control : ndarray
-        Pair ``(x*, u*)`` with ``f(x*, u*) = x*`` and ``l(x*, u*) = 0``.
-    state_admissible, control_admissible : callable or None
-        Optional predicates; ``None`` means unconstrained.
-    min_stage_cost : callable or None
-        Optional map ``x -> min_u l(x, u)``.  Supplied analytically by
-        the linear-quadratic family; ``None`` if unavailable.
-    """
-
-    state_dim: int
-    control_dim: int
-    dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    stage_cost: Callable[[np.ndarray, np.ndarray], float]
-    equilibrium_state: np.ndarray
-    equilibrium_control: np.ndarray
-    state_admissible: Callable[[np.ndarray], bool] | None = None
-    control_admissible: Callable[[np.ndarray], bool] | None = None
-    min_stage_cost: Callable[[np.ndarray], float] | None = None
-
-    def __post_init__(self):
-        if self.state_dim < 1 or self.control_dim < 1:
-            raise ConfigError("state_dim and control_dim must be positive")
-        xe = _as_vector(self.equilibrium_state, self.state_dim, "equilibrium_state")
-        ue = _as_vector(self.equilibrium_control, self.control_dim, "equilibrium_control")
-        object.__setattr__(self, "equilibrium_state", xe)
-        object.__setattr__(self, "equilibrium_control", ue)
-        residual = np.asarray(self.dynamics(xe, ue), dtype=float) - xe
-        if np.max(np.abs(residual)) > _EQUILIBRIUM_TOL:
-            raise ConfigError(
-                "equilibrium pair is not a fixed point of the dynamics "
-                f"(residual {residual})"
-            )
-        cost = float(self.stage_cost(xe, ue))
-        if abs(cost) > _EQUILIBRIUM_TOL:
-            raise ConfigError(f"stage cost at the equilibrium is {cost!r}, expected 0")
-
-
-def step(model: SystemModel, x, u) -> np.ndarray:
-    """Apply one control step, checking admissibility of both arguments."""
-    x = _as_vector(x, model.state_dim, "state")
-    u = _as_vector(u, model.control_dim, "control")
-    if model.state_admissible is not None and not model.state_admissible(x):
-        raise AdmissibilityError(f"inadmissible state {x}")
-    if model.control_admissible is not None and not model.control_admissible(u):
-        raise AdmissibilityError(f"inadmissible control {u}")
-    return np.asarray(model.dynamics(x, u), dtype=float)
-
-
-def trajectory_cost(model: SystemModel, x0, controls) -> tuple[float, np.ndarray]:
-    """Roll the plant forward under a control sequence.
-
-    Returns the accumulated stage cost and the visited states as an
-    array of shape ``(len(controls) + 1, state_dim)`` including the
-    initial state.
-    """
-    x = _as_vector(x0, model.state_dim, "x0")
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls.reshape(-1, model.control_dim)
-    states = [x]
-    total = 0.0
-    for u in controls:
-        total += float(model.stage_cost(x, u))
-        x = step(model, x, u)
-        states.append(x)
-    return total, np.array(states)
-
-
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
     if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
         raise ConfigError(f"{name} must be symmetric")
@@ -192,6 +102,8 @@ class LinearQuadraticInstance:
         if b.shape[0] != n:
             raise ConfigError(f"B must have {n} rows, got shape {b.shape}")
         m = b.shape[1]
+        if n < 1 or m < 1:
+            raise ConfigError(f"state_dim and control_dim must be positive, got {n} and {m}")
         if q.shape != (n, n):
             raise ConfigError(f"Q must have shape ({n}, {n}), got {q.shape}")
         if r.shape != (m, m):
@@ -225,21 +137,6 @@ class LinearQuadraticInstance:
     def stage_cost(self, x: np.ndarray, u: np.ndarray):
         """``x'Qx + u'Ru``, row-wise when ``x`` and ``u`` stack several rows."""
         return quad_form(self.Q, x) + quad_form(self.R, u)
-
-    def min_stage_cost(self, x: np.ndarray) -> float:
-        # R is positive definite, so the minimiser over u is u = 0.
-        return float(quad_form(self.Q, np.asarray(x, dtype=float)))
-
-    def to_model(self) -> SystemModel:
-        return SystemModel(
-            state_dim=self.state_dim,
-            control_dim=self.control_dim,
-            dynamics=self.dynamics,
-            stage_cost=self.stage_cost,
-            equilibrium_state=np.zeros(self.state_dim),
-            equilibrium_control=np.zeros(self.control_dim),
-            min_stage_cost=self.min_stage_cost,
-        )
 
 
 _SCALAR_KEYS = ("state_dim", "control_dim")

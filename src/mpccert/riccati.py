@@ -39,7 +39,8 @@ Every product goes through the elementwise row kernel of
 :func:`~mpccert.model.quad_form`) on whole ``(B, n)`` arrays, and a
 row's arithmetic does not depend on the batch around it.  So a batched
 result equals the corresponding single-state result bit for bit, and a
-plan's states are exactly what :func:`mpccert.model.step` gives when it
+plan's states are exactly what the plant's
+:meth:`~mpccert.model.LinearQuadraticInstance.dynamics` gives when it
 replays the plan's controls.
 """
 
@@ -177,7 +178,6 @@ class FiniteHorizonSolver:
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
-        self.model = lq.to_model()
         self.ladder = RiccatiLadder(lq, horizon)
         self._operators: dict[int, tuple[np.ndarray, ...]] = {}
 

@@ -7,7 +7,7 @@ tables, value-drop maps) and the CSV emitters used by the command-line
 front end.  All floating-point output uses ``%.17g`` so that reruns are
 byte-comparable.
 
-Every experiment takes a solver, which carries its planning model.  The
+Every experiment takes a solver, which carries its plant (``solver.lq``).  The
 points of a set run as one lockstep batch in this process (see
 :func:`mpccert.engine.run_batch`), and the point records come straight
 from the batch's per-row statistics, without a full trace per point.

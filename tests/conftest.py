@@ -21,10 +21,5 @@ def bellman(lq):
 
 
 @pytest.fixture(scope="session")
-def model(solver):
-    return solver.model
-
-
-@pytest.fixture(scope="session")
 def grid():
     return unit_circle(128)

@@ -4,16 +4,13 @@ import pytest
 from mpccert.certify import (
     Certificate,
     SlackAccumulator,
-    alpha_asymptotic,
-    alpha_from_slack,
     alpha_m_step,
     alpha_m_steps,
     certificates_to_csv,
     rho,
-    splice_control,
     update_acceptable,
 )
-from mpccert.errors import CertificateError, ConfigError
+from mpccert.errors import ConfigError
 
 
 def test_alpha_m_step_basic():
@@ -113,46 +110,6 @@ def test_accepted_updates_preserve_window_inequality(solver):
             paid = float(sol.stage_costs[0] + sol2.stage_costs[0])
             assert sol.value - end_value >= alpha_bar * paid - 1e-10
     assert accepted > 100
-
-
-def test_splice_control_reproduces_both_plans(solver, model):
-    from mpccert.model import trajectory_cost
-
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        x = rng.uniform(-2.0, 2.0, size=2)
-        j = int(rng.integers(1, 3))
-        sol = solver.solve(x, 3)
-        sol2 = solver.solve(sol.trajectory[j], 3)
-        controls = splice_control(sol, sol2, j)
-        assert controls.shape == (j + 3, 1)
-        _, states = trajectory_cost(model, x, controls)
-        assert np.allclose(states[:j], sol.trajectory[:j], atol=1e-10)
-        assert np.allclose(states[j:], sol2.trajectory, atol=1e-10)
-
-
-def test_splice_control_rejects_mismatched_anchor(solver):
-    sol = solver.solve(np.array([0.0, 1.0]), 3)
-    other = solver.solve(np.array([0.5, 0.5]), 3)
-    with pytest.raises(CertificateError) as err:
-        splice_control(sol, other, 1)
-    assert "anchor" in str(err.value)
-    with pytest.raises(ConfigError):
-        splice_control(sol, other, 0)
-
-
-def test_alpha_from_slack():
-    assert alpha_from_slack(10.0, 2.0, 0.0, 0.3) == pytest.approx(0.3)
-    # v0 - v_end = 8, slack 4: the certified degree doubles.
-    assert alpha_from_slack(10.0, 2.0, 4.0, 0.3) == pytest.approx(0.6)
-    with pytest.raises(CertificateError):
-        alpha_from_slack(10.0, 2.0, 8.0, 0.3)
-
-
-def test_alpha_asymptotic():
-    assert alpha_asymptotic(10.0, 5.0, 0.3) == pytest.approx(0.6)
-    with pytest.raises(ConfigError):
-        alpha_asymptotic(5.0, 5.0, 0.3)
 
 
 def test_certificates_to_csv_format(tmp_path):

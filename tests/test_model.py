@@ -3,89 +3,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpccert.errors import AdmissibilityError, ConfigError, PlantFormatError
-from mpccert.model import (
-    LinearQuadraticInstance,
-    SystemModel,
-    load_plant,
-    step,
-    trajectory_cost,
-)
+from mpccert.errors import ConfigError, PlantFormatError
+from mpccert.model import LinearQuadraticInstance, load_plant
 
 
-def test_step_applies_linear_dynamics(model):
+def test_step_applies_linear_dynamics(lq):
     # A @ (0,1) = (1.1, 1); A @ (1,0) + B = (1, -1.1) + (0, 1)
-    assert np.allclose(step(model, [0.0, 1.0], [0.0]), [1.1, 1.0])
-    assert np.allclose(step(model, [1.0, 0.0], [1.0]), [1.0, -0.1])
-
-
-def test_step_rejects_wrong_shapes(model):
-    with pytest.raises(ConfigError):
-        step(model, [1.0, 0.0, 0.0], [0.0])
-    with pytest.raises(ConfigError):
-        step(model, [1.0, 0.0], [0.0, 0.0])
+    assert np.allclose(lq.dynamics(np.array([0.0, 1.0]), np.array([0.0])), [1.1, 1.0])
+    assert np.allclose(lq.dynamics(np.array([1.0, 0.0]), np.array([1.0])), [1.0, -0.1])
 
 
 def test_stage_cost_is_quadratic(lq):
     x = np.array([0.5, -2.0])
     u = np.array([3.0])
     assert lq.stage_cost(x, u) == pytest.approx(0.25 + 4.0 + 9.0)
-    assert lq.min_stage_cost(x) == pytest.approx(4.25)
-
-
-def test_trajectory_cost_prefix_additivity(model):
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x0 = rng.uniform(-2.0, 2.0, size=2)
-        controls = rng.uniform(-1.0, 1.0, size=(6, 1))
-        total, states = trajectory_cost(model, x0, controls)
-        head, states_head = trajectory_cost(model, x0, controls[:4])
-        tail, _ = trajectory_cost(model, states_head[-1], controls[4:])
-        assert states.shape == (7, 2)
-        assert abs(total - (head + tail)) <= 1e-12 * max(1.0, total)
-
-
-def test_equilibrium_must_be_fixed_point():
-    with pytest.raises(ConfigError):
-        SystemModel(
-            state_dim=1,
-            control_dim=1,
-            dynamics=lambda x, u: x + 1.0,
-            stage_cost=lambda x, u: float(x @ x),
-            equilibrium_state=np.zeros(1),
-            equilibrium_control=np.zeros(1),
-        )
-
-
-def test_equilibrium_must_have_zero_cost():
-    with pytest.raises(ConfigError):
-        SystemModel(
-            state_dim=1,
-            control_dim=1,
-            dynamics=lambda x, u: x,
-            stage_cost=lambda x, u: float(x @ x) + 1.0,
-            equilibrium_state=np.zeros(1),
-            equilibrium_control=np.zeros(1),
-        )
-
-
-def test_admissibility_predicates_are_enforced():
-    box = SystemModel(
-        state_dim=1,
-        control_dim=1,
-        dynamics=lambda x, u: x + u,
-        stage_cost=lambda x, u: float(x @ x + u @ u),
-        equilibrium_state=np.zeros(1),
-        equilibrium_control=np.zeros(1),
-        state_admissible=lambda x: bool(np.all(np.abs(x) <= 2.0)),
-        control_admissible=lambda u: bool(np.all(np.abs(u) <= 1.0)),
-    )
-    assert np.allclose(step(box, [1.0], [0.5]), [1.5])
-    with pytest.raises(AdmissibilityError) as err:
-        step(box, [3.0], [0.5])
-    assert "3." in str(err.value)
-    with pytest.raises(AdmissibilityError):
-        step(box, [1.0], [1.5])
 
 
 def test_lq_validation_rejects_bad_weights():
@@ -99,6 +30,20 @@ def test_lq_validation_rejects_bad_weights():
         LinearQuadraticInstance(A=a, B=np.zeros((3, 1)), Q=np.eye(2), R=np.eye(1))
     with pytest.raises(ConfigError):
         LinearQuadraticInstance(A=a, B=b, Q=np.array([[-1.0, 0.0], [0.0, 1.0]]), R=np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "A, B, R",
+    [
+        (np.eye(2), np.zeros((2, 0)), np.zeros((0, 0))),
+        (np.zeros((0, 0)), np.zeros((0, 1)), np.eye(1)),
+    ],
+    ids=["no-control", "no-state"],
+)
+def test_lq_validation_rejects_zero_size_plants(A, B, R):
+    n = A.shape[0]
+    with pytest.raises(ConfigError, match="state_dim and control_dim must be positive"):
+        LinearQuadraticInstance(A=A, B=B, Q=np.eye(n), R=R)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "Q", "R"])

@@ -17,6 +17,9 @@
 #     --max-iterations 5;
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
 #   * reproduce-paper (10 of 11 checks pass, exit 4);
+#   * the value-recursion matrices P_1 ... P_20 of the bundled plant
+#     (riccati), and riccati on a plant file with a nonzero
+#     equilibrium_state, which exits 2 with a message that names no path;
 #   * SHA-256 hashes of value_drop_grid on 101 x 101 states for
 #     (N, m) = (3, 1), (3, 2), (10, 1) under both control laws.
 #
@@ -74,6 +77,11 @@ record run-alg4-a0.5-cap5 run --plant "$plant" --variant alg4 --horizon 3 --alph
 record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \
     --horizons 2,3,4,5,10,20 --alpha-bar 0.01 --out "$out/horizon-table"
 record reproduce-paper reproduce-paper --out "$out/reproduce-paper"
+record riccati riccati --plant "$plant" --horizon 20 --out "$out/riccati"
+# The rejected plant file lives in OUT, so its path differs between trees;
+# the error message must not contain it.
+{ cat "$plant"; printf 'equilibrium_state\n1 0\n'; } >"$out/nonzero-equilibrium.txt"
+record riccati-nonzero-equilibrium riccati --plant "$out/nonzero-equilibrium.txt" --horizon 3
 
 python3 -W error::RuntimeWarning - "$plant" >"$out/drop-grid.txt" <<'EOF'
 import hashlib

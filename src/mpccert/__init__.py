@@ -7,90 +7,89 @@ Four scheduling variants trade off how many planned steps are applied
 between re-solves, whether plans may be replaced mid-stretch, and
 whether a slack account may bridge iterates that fail the pointwise
 test.
+
+The package namespace is lazy: each name of ``__all__`` is imported from
+its submodule on first access, so a caller loads only the modules it
+uses.  The planner (``load_plant``, the solvers and ``value_drop_grid``)
+needs :mod:`~mpccert.errors`, :mod:`~mpccert.model` and
+:mod:`~mpccert.riccati`; the closed loop adds :mod:`~mpccert.certify`
+and :mod:`~mpccert.engine`, sweeps :mod:`~mpccert.sweep`, and the
+reference checks :mod:`~mpccert.refchecks`.
 """
 
-from .certify import (
-    Certificate,
-    SlackAccumulator,
-    alpha_m_step,
-    certificates_to_csv,
-    rho,
-    update_acceptable,
-)
-from .engine import (
-    AlgorithmConfig,
-    BatchRun,
-    ClosedLoopTrace,
-    UpdateSchedule,
-    WindowRecord,
-    run_batch,
-    run_closed_loop,
-    shrink_horizon_check,
-)
-from .errors import (
-    AdmissibilityError,
-    CertificateError,
-    ConfigError,
-    MpcCertError,
-    PlantFormatError,
-    SolverError,
-)
-from .model import LinearQuadraticInstance, load_plant
-from .refchecks import reference_checks, reference_instance
-from .riccati import (
-    LqBellmanSolver,
-    LqLadderSolver,
-    OpenLoopSolution,
-    RiccatiLadder,
-    riccati_fixed_point,
-)
-from .sweep import (
-    InitialSet,
-    PointRecord,
-    SweepReport,
-    horizon_comparison,
-    sweep,
-    unit_circle,
-    value_drop_grid,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "AlgorithmConfig",
-    "BatchRun",
-    "Certificate",
-    "CertificateError",
-    "ClosedLoopTrace",
-    "ConfigError",
-    "InitialSet",
-    "LinearQuadraticInstance",
-    "LqBellmanSolver",
-    "LqLadderSolver",
-    "MpcCertError",
-    "OpenLoopSolution",
-    "PlantFormatError",
-    "PointRecord",
-    "RiccatiLadder",
-    "SlackAccumulator",
-    "SolverError",
-    "SweepReport",
-    "UpdateSchedule",
-    "WindowRecord",
-    "alpha_m_step",
-    "certificates_to_csv",
-    "horizon_comparison",
-    "load_plant",
-    "reference_checks",
-    "reference_instance",
-    "rho",
-    "riccati_fixed_point",
-    "run_batch",
-    "run_closed_loop",
-    "shrink_horizon_check",
-    "sweep",
-    "unit_circle",
-    "update_acceptable",
-    "value_drop_grid",
-]
+# Public name -> the submodule that defines it.
+_SOURCES = {
+    "Certificate": "certify",
+    "SlackAccumulator": "certify",
+    "alpha_m_step": "certify",
+    "certificates_to_csv": "certify",
+    "rho": "certify",
+    "update_acceptable": "certify",
+    "AlgorithmConfig": "engine",
+    "BatchRun": "engine",
+    "ClosedLoopTrace": "engine",
+    "UpdateSchedule": "engine",
+    "WindowRecord": "engine",
+    "run_batch": "engine",
+    "run_closed_loop": "engine",
+    "shrink_horizon_check": "engine",
+    "AdmissibilityError": "errors",
+    "ConfigError": "errors",
+    "MpcCertError": "errors",
+    "PlantFormatError": "errors",
+    "SolverError": "errors",
+    "LinearQuadraticInstance": "model",
+    "load_plant": "model",
+    "reference_checks": "refchecks",
+    "reference_instance": "refchecks",
+    "LqBellmanSolver": "riccati",
+    "LqLadderSolver": "riccati",
+    "OpenLoopSolution": "riccati",
+    "RiccatiLadder": "riccati",
+    "riccati_fixed_point": "riccati",
+    "value_drop_grid": "riccati",
+    "InitialSet": "sweep",
+    "PointRecord": "sweep",
+    "SweepReport": "sweep",
+    "horizon_comparison": "sweep",
+    "sweep": "sweep",
+    "unit_circle": "sweep",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """Keeps ``mpccert.sweep`` the function once the submodule of that name is loaded.
+
+    Loading a submodule sets it as an attribute of its package, so the
+    module ``mpccert.sweep`` would replace the exported function.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "sweep" and isinstance(value, types.ModuleType):
+            value = value.sweep
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -25,12 +25,12 @@ class PlantFormatError(ConfigError):
 
 
 class AdmissibilityError(MpcCertError):
-    """A state or control violates the model's admissibility predicate."""
+    """A state or control lies outside the plant's admissible set.
+
+    Nothing in the package checks admissibility yet; this is the error a
+    row-wise admissibility check on the plant is to raise.
+    """
 
 
 class SolverError(MpcCertError):
     """The finite-horizon solver failed to produce a usable solution."""
-
-
-class CertificateError(MpcCertError):
-    """A certificate operation received inconsistent inputs."""

@@ -21,8 +21,8 @@ import numpy as np
 from .engine import AlgorithmConfig, run_batch
 from .errors import MpcCertError
 from .model import LinearQuadraticInstance
-from .riccati import FiniteHorizonSolver, LqLadderSolver
-from .sweep import SweepReport, point_records, sweep, unit_circle, value_drop_grid
+from .riccati import FiniteHorizonSolver, LqLadderSolver, value_drop_grid
+from .sweep import SweepReport, point_records, sweep, unit_circle
 
 GRID_POINTS = 128
 

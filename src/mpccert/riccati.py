@@ -33,7 +33,10 @@ its own horizon's operator.  :meth:`FiniteHorizonSolver.plans` walks a
 batch through whole plans at one horizon and
 :meth:`FiniteHorizonSolver.solve` is its one-row case.
 :meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
-``(B, n)`` batch, at one horizon or one per row.
+``(B, n)`` batch, at one horizon or one per row, and
+:func:`value_drop_grid` maps the value drop after ``m`` applied steps
+over a square grid of states with one ``rollout`` and two ``values_of``
+calls.
 Every product goes through the elementwise row kernel of
 :mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
 :func:`~mpccert.model.quad_form`) on whole ``(B, n)`` arrays, and a
@@ -384,6 +387,38 @@ class PlanWalk:
         steps = np.broadcast_to(steps, self.value.shape)
         while self.steps < steps.max(initial=0):
             self.advance(steps > self.steps)
+
+
+def value_drop_grid(
+    solver: FiniteHorizonSolver,
+    horizon: int,
+    m: int,
+    extent: float = 1.5,
+    n: int = 101,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map of the value drop after ``m`` applied steps on a square grid.
+
+    Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
+    ``[-extent, extent]`` and ``drops[i, j]`` is the drop at the state
+    ``(axis[i], axis[j])``.  Negative entries mark states where applying
+    ``m`` steps of the plan increases the finite-horizon value.  The
+    whole grid goes through the planner as one batch, see
+    :meth:`FiniteHorizonSolver.rollout` and
+    :meth:`FiniteHorizonSolver.values_of`.
+    """
+    if solver.lq.state_dim != 2:
+        raise ConfigError(
+            f"value_drop_grid needs a 2-state plant, got state_dim={solver.lq.state_dim}"
+        )
+    if horizon < 2:
+        raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
+    if not 1 <= m < horizon:
+        raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
+    axis = np.linspace(-extent, extent, n)
+    states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    after = solver.rollout(states, horizon, m)
+    drops = solver.values_of(states, horizon) - solver.values_of(after, horizon)
+    return axis, drops.reshape(n, n)
 
 
 def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:

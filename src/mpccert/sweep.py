@@ -2,10 +2,10 @@
 
 A sweep runs one closed-loop configuration from every point of an
 :class:`InitialSet` and collects per-point certificate statistics; the
-helpers here also cover the derived experiments (horizon comparison
-tables, value-drop maps) and the CSV emitters used by the command-line
-front end.  All floating-point output uses ``%.17g`` so that reruns are
-byte-comparable.
+helpers here also cover the horizon comparison table and the CSV
+emitters used by the command-line front end.  Value-drop maps need only
+the planner and live in :mod:`mpccert.riccati`.  All floating-point
+output uses ``%.17g`` so that reruns are byte-comparable.
 
 Every experiment takes a solver, which carries its plant (``solver.lq``).  The
 points of a set run as one lockstep batch in this process (see
@@ -26,6 +26,7 @@ import numpy as np
 from .engine import AlgorithmConfig, BatchRun, run_batch, run_closed_loop
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
+from .riccati import value_drop_grid  # noqa: F401  (perfbench calls and traces it here)
 
 _SWEEP_COLUMNS = ("k", "x1", "x2", "alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
 _HORIZON_COLUMNS = ("N", "alpha_prop1_min", "alpha_cor3_min")
@@ -277,38 +278,6 @@ def horizon_comparison(
         (int(n), _nan_stat(np.nanmin, col_a), _nan_stat(np.nanmin, col_b))
         for n, col_a, col_b in zip(horizons, apriori, posteriori)
     ]
-
-
-def value_drop_grid(
-    solver: FiniteHorizonSolver,
-    horizon: int,
-    m: int,
-    extent: float = 1.5,
-    n: int = 101,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map of the value drop after ``m`` applied steps on a square grid.
-
-    Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
-    ``[-extent, extent]`` and ``drops[i, j]`` is the drop at the state
-    ``(axis[i], axis[j])``.  Negative entries mark states where applying
-    ``m`` steps of the plan increases the finite-horizon value.  The
-    whole grid goes through the planner as one batch, see
-    :meth:`FiniteHorizonSolver.rollout` and
-    :meth:`FiniteHorizonSolver.values_of`.
-    """
-    if solver.lq.state_dim != 2:
-        raise ConfigError(
-            f"value_drop_grid needs a 2-state plant, got state_dim={solver.lq.state_dim}"
-        )
-    if horizon < 2:
-        raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
-    if not 1 <= m < horizon:
-        raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
-    axis = np.linspace(-extent, extent, n)
-    states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    after = solver.rollout(states, horizon, m)
-    drops = solver.values_of(states, horizon) - solver.values_of(after, horizon)
-    return axis, drops.reshape(n, n)
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:

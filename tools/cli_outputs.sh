@@ -87,9 +87,9 @@ python3 -W error::RuntimeWarning - "$plant" >"$out/drop-grid.txt" <<'EOF'
 import hashlib
 import sys
 
+from mpccert import value_drop_grid
 from mpccert.model import load_plant
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver
-from mpccert.sweep import value_drop_grid
 
 lq = load_plant(sys.argv[1])
 for law in (LqLadderSolver, LqBellmanSolver):

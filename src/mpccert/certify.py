@@ -181,10 +181,11 @@ def update_acceptable(
     ``m`` and ``end_value`` hold one entry per plan and the answer is a
     boolean array; single plans give a ``bool``.
 
-    The engine applies the same rule through :func:`budget_met` on the
-    walk's prefix sums and never calls this function.  It stays as the
-    rule stated on whole plans: the benchmark's tracer wraps it by name
-    in ``mpccert.engine``, and tests pin the alg2 budget rule through it.
+    The engine applies the same rule through :func:`budget_met` on its
+    running interval costs and the re-plan walk's prefix sums, and never
+    calls this function.  It stays as the rule stated on whole plans: the
+    benchmark's tracer wraps it by name in ``mpccert.engine``, and tests
+    pin the alg2 budget rule through it.
     """
     j, m = np.asarray(j), np.asarray(m)
     if np.any(j < 1) or np.any(j >= m):
@@ -204,6 +205,11 @@ def budget_met(end_value, alpha_bar, paid, planned, value, cert_slack=DEFAULT_CE
 
     ``end_value + alpha_bar * (paid + planned) <= value`` up to ``cert_slack``,
     where ``value`` is the committed plan's value at its start.
+
+    The rule does reject re-plans of exact linear-quadratic plans: no run
+    on the bundled plant meets a rejection, but random plants do, such as
+    the 4-state, two-control plant that ``tests/test_oracle.py`` pins at
+    N = 4, alpha_bar 0.6 and forced length 2 (1 of 24 re-plans rejected).
     """
     return end_value + alpha_bar * (paid + planned) <= value + cert_slack
 

@@ -39,9 +39,15 @@ step.  Window costs and re-plan budgets are read from the walk's
 running prefix costs.  The engine keeps one horizon per row and hands
 it to the plan layer as it is: grouping rows by horizon, and stepping
 every row of a one-horizon walk, are decided in :mod:`mpccert.riccati`.
-The walked plans are the plans the rows apply, so windows need no copy;
-only mid-stretch re-plans of ``alg2``/``alg4`` walk further plans, as
-far as the stretch left to them.  So every row of a batch matches its own one-row run bit for bit,
+The walked plans are the plans the rows apply, so windows need no copy.
+Every row applies its plan's first step in one commit, or its whole
+window when it does not re-plan.  Only ``alg2``/``alg4`` rows committed
+to two or more steps go on, one step at a time, re-planning before each
+step on buffers allocated at the run's first re-plan; a re-plan walks as
+far as the window left to it and checks only the rule of its rows'
+variant.  An accepted re-plan is written over the columns of the plan it
+replaces, so at each step every re-planning row reads the same column.
+So every row of a batch matches its own one-row run bit for bit,
 whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
@@ -367,13 +373,23 @@ def shrink_horizon_check(
 _PAIRWISE = 8
 
 
-def _cost_sums(plan: PlanWalk, rows: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """``np.sum`` of the first ``length[i]`` stage costs of ``plan`` at row ``rows[i]``."""
-    sums = 0.0 + plan.prefix_costs[rows, length - 1]
+def _tail_ends_and_costs(plan: PlanWalk, length: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's end value after its first ``length`` steps, and ``np.sum`` of their stage costs.
+
+    ``length`` is one count for all rows, read as the walk's columns, or one per row.
+    """
+    if isinstance(length, int):
+        ends, sums = plan.ends[:, length - 1], 0.0 + plan.prefix_costs[:, length - 1]
+        if length < _PAIRWISE:
+            return ends, sums
+        length = np.full(len(sums), length)
+    else:
+        at = np.arange(len(length))
+        ends, sums = plan.ends[at, length - 1], 0.0 + plan.prefix_costs[at, length - 1]
     pairwise = length >= _PAIRWISE
     if pairwise.any():
-        sums[pairwise] = row_sums(plan.stage_costs[rows[pairwise]], length[pairwise])
-    return sums
+        sums[pairwise] = row_sums(plan.stage_costs[pairwise], length[pairwise])
+    return ends, sums
 
 
 def _widen(a: np.ndarray) -> np.ndarray:
@@ -438,12 +454,16 @@ class _Lockstep:
 
     Each iteration's walk decides every row's commitment, exit and
     warning as it goes (:meth:`_probe`).  Windows are plan-resident: the
-    arrays of the iteration's plan are what the rows apply.  Rows that do
-    not re-plan (``alg1``/``alg3``, and ``alg2``/``alg4`` rows committing
-    one step) apply their committed prefix with one gather and one
-    scatter, or read it from the plan's first columns when every window
-    is one step; only re-planning rows step one control at a time, and an
-    accepted re-plan overwrites its own rows of the plan.
+    arrays of the iteration's plan are what the rows apply.  One commit
+    (:meth:`_commit`) applies every row's first step, or the whole window
+    of a row that does not re-plan (``alg1``/``alg3``, and ``alg2``/``alg4``
+    rows committing one step); it reads the plan's first columns without
+    a gather when no row commits more than one step this way.  Re-planning
+    rows then apply steps 2..m one at a time (:meth:`_step`), each after a
+    re-plan (:meth:`_replan`) on the run-resident re-plan buffers, which
+    ``_retire`` leaves alone.  Their window costs are added as the steps
+    are applied; ``row_sums`` runs only for windows of eight or more
+    steps.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
@@ -480,7 +500,7 @@ class _Lockstep:
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
-        self.rule = self.walk = None
+        self.rule = self.walk = self.replan_buffers = None
         self.x0 = X
         self.x = X.copy()
         self.t = np.zeros(rows, dtype=int)
@@ -633,7 +653,9 @@ class _Lockstep:
         else:
             self.min_onestep = _running_min(self.min_onestep, onestep)
 
-        # Open every row's interval at the plan's start and apply it.
+        # Open every row's interval at the plan's start and apply it: every
+        # row applies its first step, or its whole window when it does not
+        # re-plan, and re-planning rows then walk the rest of theirs.
         window_time = self.t.copy()
         self.sigma = self.t.copy()
         self.v_before = v_start.copy()
@@ -641,19 +663,18 @@ class _Lockstep:
         self.v_now = np.empty_like(v_start)
         self._reserve(int((window_time + m).max()))
         stepping = self.replanning & (m > 1)
-        replans = stepping.any()
-        if replans:
-            self._commit(np.flatnonzero(~stepping), plan, m)
-            self._step(np.flatnonzero(stepping), plan, m)
-        else:
-            self._commit(slice(None), plan, m)
+        replans = np.flatnonzero(stepping)
+        self._commit(slice(None), plan, np.where(stepping, 1, m) if replans.size else m)
         # A committed window costs its interval's cost_sum unless np.sum adds
         # it pairwise; the windows of re-planning rows span several plans.
         cost = self.cost_sum
-        if replans or plan.steps >= _PAIRWISE:
-            resum = np.flatnonzero(stepping | (m >= _PAIRWISE))
+        if replans.size or plan.steps >= _PAIRWISE:
             cost = cost.copy()
-            cost[resum] = row_sums(self.costs[resum], m[resum], start=window_time[resum])
+        if replans.size:
+            self._step(replans, plan, m, cost)
+        if plan.steps >= _PAIRWISE:
+            pairwise = np.flatnonzero(m >= _PAIRWISE)
+            cost[pairwise] = row_sums(self.costs[pairwise], m[pairwise], start=window_time[pairwise])
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
         if not self.keep:
@@ -771,70 +792,112 @@ class _Lockstep:
         self.cost_sum[sel] = 0.0 + plan.prefix_costs[at, end]
         self.v_now[sel] = plan.ends[at, end]
 
-    def _step(self, rows: np.ndarray, plan: PlanWalk, m: np.ndarray) -> None:
-        """Apply the committed steps of re-planning rows one at a time, re-planning after each but the last."""
-        self.anchor_value = plan.value.copy()
-        self.since = np.zeros(len(m), dtype=int)
-        self.cost_sum[rows] = 0.0
-        m = m[rows]
-        self.v_now[rows] = plan.ends[rows, m - 1]
-        for applied in range(int(m.max())):
-            p = rows[applied < m]
-            k = self.since[p]
-            t = self.t[p]
-            self.x[p] = plan.trajectory[p, k + 1]
-            cost = plan.stage_costs[p, k]
-            self.costs[p, t] = cost
-            if self.keep:
-                self.controls[p, t] = plan.controls[p, k]
-                self.states[p, t + 1] = self.x[p]
-            self.t[p] = t + 1
-            self.cost_sum[p] += cost
-            self.since[p] = k + 1
-            more = applied + 1 < m
-            if more.any():
-                self._replan(rows[more], m[more] - applied - 1, plan)
+    def _step(self, rows: np.ndarray, plan: PlanWalk, m: np.ndarray, cost: np.ndarray) -> None:
+        """Apply steps 2..m of the re-planning rows ``rows``, re-planning before each.
 
-    def _replan(self, rows: np.ndarray, tail: np.ndarray, anchor: PlanWalk) -> None:
-        """Plan afresh mid-stretch; rows whose check passes switch to the new plan.
+        The rows have applied their plan's first step.  Column ``j`` of
+        ``plan`` holds step ``j`` of each row's window, since an accepted
+        re-plan is written over the columns it replaces (:meth:`_replan`),
+        so every row reads the same column.  Each applied cost is added to
+        the row's window cost in ``cost``, left to right as ``np.sum`` adds
+        fewer than eight terms.
+        """
+        m = m[rows]
+        window_ends, longest = (rows, m - 1), int(m.max())
+        equal = m.min() == longest
+        for applied in range(1, longest):
+            if equal:
+                tail = longest - applied
+            else:
+                more = applied < m
+                rows, m = rows[more], m[more]
+                tail = m - applied
+            self._replan(rows, tail, applied, plan)
+            x, step_cost, t = plan.trajectory[rows, applied + 1], plan.stage_costs[rows, applied], self.t[rows]
+            self.x[rows] = x
+            self.costs[rows, t] = step_cost
+            if self.keep:
+                self.controls[rows, t] = plan.controls[rows, applied]
+                self.states[rows, t + 1] = x
+            self.t[rows] = t + 1
+            self.cost_sum[rows] += step_cost
+            cost[rows] += step_cost
+        self.v_now[window_ends[0]] = plan.ends[window_ends]
+
+    def _replan(self, rows: np.ndarray, tail: int | np.ndarray, applied: int, anchor: PlanWalk) -> None:
+        """Plan afresh after ``applied`` steps of the window; rows whose check passes switch to the new plan.
 
         Each row walks the new plan as far as the ``tail`` steps left in its
-        stretch, from the value its anchor plan gives the state reached.
-        alg2 rows accept when the stretch as a whole still meets the
-        threshold (:func:`budget_met`, the rule of
-        :func:`update_acceptable`), alg4 rows when their slack account
-        stays nonnegative.  An accepted plan overwrites the row's walked
-        part of ``anchor``, the plan the row applies.
+        window (one count for all rows, or one per row), from the value its
+        anchor plan gives the state reached.  alg2 rows accept when the
+        stretch since the loop was last closed still meets the threshold
+        (:func:`budget_met`, the rule of :func:`update_acceptable`), alg4
+        rows when their slack account stays nonnegative; only a batch whose
+        re-planning rows mix the two evaluates both.  The interval's cost so
+        far is the row's ``cost_sum``, which has the bits of ``np.sum``
+        below eight terms.  An accepted plan overwrites ``anchor``'s
+        columns from ``applied`` on, the steps the row applies next.
         """
-        since = self.since[rows]
-        plan = PlanWalk(self.solver, self.x[rows], self.horizon[rows], int(tail.max()), anchor.ends[rows, since - 1])
-        plan.advance_to(tail)
-        at = np.arange(len(rows))
-        end_value = plan.ends[at, tail - 1]
-        alpha_bar, cert_slack, anchor_value = self.alpha_bar[rows], self.cert_slack[rows], self.anchor_value[rows]
-        paid = _cost_sums(anchor, rows, since)
-        planned = _cost_sums(plan, at, tail)
-        rho_close = anchor_value - plan.value - alpha_bar * paid
-        rho_tail = plan.value - end_value - alpha_bar * planned
-        account = self.slack[rows] + rho_close + rho_tail >= -cert_slack
-        ok = np.where(self.watchdog[rows], account, budget_met(end_value, alpha_bar, paid, planned, anchor_value, cert_slack))
-        if not ok.any():
+        width = tail if isinstance(tail, int) else int(tail.max())
+        plan = self._replan_walk(rows, anchor, applied, width)
+        for k in range(width):
+            plan.advance(None if isinstance(tail, int) else tail > k)
+        end_value, planned = _tail_ends_and_costs(plan, tail)
+        paid = self.cost_sum[rows]
+        if applied >= _PAIRWISE:
+            sigma = self.sigma[rows]
+            since = self.t[rows] - sigma
+            pairwise = since >= _PAIRWISE
+            if pairwise.any():
+                paid[pairwise] = row_sums(self.costs[rows[pairwise]], since[pairwise], start=sigma[pairwise])
+        if len(self.configs) == 1:
+            config = self.configs[0]
+            alpha_bar, cert_slack, accounts = config.alpha_bar, config.cert_slack, config.variant == "alg4"
+            budgets = not accounts
+        else:
+            alpha_bar, cert_slack, watchdog = self.alpha_bar[rows], self.cert_slack[rows], self.watchdog[rows]
+            accounts, budgets = watchdog.any(), not watchdog.all()
+        anchor_value = self.v_before[rows]
+        if accounts:
+            rho_close = anchor_value - plan.value - alpha_bar * paid
+            rho_tail = plan.value - end_value - alpha_bar * planned
+            ok = self.slack[rows] + rho_close + rho_tail >= -cert_slack
+        if budgets:
+            budget = budget_met(end_value, alpha_bar, paid, planned, anchor_value, cert_slack)
+            ok = np.where(watchdog, ok, budget) if accounts else budget
+        taken = np.flatnonzero(ok)
+        if not taken.size:
             return
-        p, value = rows[ok], plan.value[ok]
+        p, value = rows[taken], plan.value[taken]
         self._close(p, value)
         self.sigma[p] = self.t[p]
         self.v_before[p] = value
         self.cost_sum[p] = 0.0
-        w = plan.steps
-        anchor.controls[p, :w] = plan.controls[ok]
-        anchor.trajectory[p, : w + 1] = plan.trajectory[ok]
-        for name in ("stage_costs", "ends", "prefix_costs"):
-            getattr(anchor, name)[p, :w] = getattr(plan, name)[ok]
-        self.anchor_value[p] = value
-        self.since[p] = 0
-        self.v_now[p] = end_value[ok]
+        steps = slice(applied, applied + width)
+        anchor.trajectory[p, applied + 1 : applied + width + 1] = plan.trajectory[taken, 1 : width + 1]
+        anchor.stage_costs[p, steps] = plan.stage_costs[taken, :width]
+        anchor.ends[p, steps] = plan.ends[taken, :width]
         if self.keep:
+            anchor.controls[p, steps] = plan.controls[taken, :width]
             self.closes[p] += 1
+
+    def _replan_walk(self, rows: np.ndarray, anchor: PlanWalk, applied: int, width: int) -> PlanWalk:
+        """A walk of ``width`` steps from the rows' states after ``applied`` steps of ``anchor``.
+
+        It runs on the run's re-plan buffers, allocated at the first
+        re-plan for every running row and the widest tail, sliced to the
+        rows given and never compacted: no walk reads a column it has not
+        written.
+        """
+        if self.replan_buffers is None:
+            lq, width_max = self.solver.lq, self.walk_buffers[1].shape[1] - 1
+            self.replan_buffers = PlanWalk.allocate(len(self.ids), width_max, lq.state_dim, lq.control_dim)
+        trajectory, controls, columns = self.replan_buffers
+        r = len(rows)
+        groups = anchor.groups
+        horizon = groups[0][0] if len(groups) == 1 else self.horizon[rows]
+        X, value = anchor.trajectory[rows, applied], anchor.ends[rows, applied - 1]
+        return PlanWalk(self.solver, X, horizon, width, value, (trajectory[:r], controls[:r], columns[..., :r]))
 
     def outcome(self) -> BatchRun:
         return BatchRun(

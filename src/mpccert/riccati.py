@@ -361,14 +361,14 @@ class PlanWalk:
         self.steps, self.value = 0, self.solver.values_of(X, self.horizon) if value is None else value
         self.trajectory[:, 0] = X
 
-    def advance(self, rows: np.ndarray) -> None:
-        """Build the next step of the rows in the boolean mask ``rows``.
+    def advance(self, rows: np.ndarray | None = None) -> None:
+        """Build the next step of the rows in the boolean mask ``rows`` (every row when ``None``).
 
         A walk at one horizon steps every row, which costs no more than a
         subset; a walk at mixed horizons steps the masked rows only.
         """
         k = self.steps
-        mixed = len(self.groups) > 1
+        mixed = len(self.groups) > 1 and rows is not None
         for N, at in self.groups:
             if mixed:
                 at = at[rows[at]]

@@ -173,6 +173,21 @@ def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[P
     return [PointRecord(first + i, tuple(x0), *row) for i, (x0, row) in enumerate(zip(x0s, stats))]
 
 
+def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
+    """The set's points as a ``(B, state_dim)`` float array.
+
+    A set of another shape is a configuration error of the whole
+    experiment, raised before any point runs, not an error of each point.
+    """
+    points = np.asarray(initial_set.points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != state_dim:
+        raise ConfigError(
+            f"initial set {initial_set.name} has points of shape {points.shape}, "
+            f"the plant needs (B, {state_dim})"
+        )
+    return points
+
+
 def _records(solver: FiniteHorizonSolver, config, points: np.ndarray) -> BatchRun:
     """The batch run of ``points``, splitting a failing batch in halves until each error has its point.
 
@@ -231,8 +246,10 @@ def sweep(
     split in halves and each half runs again, down to single points run
     through :func:`run_closed_loop`, so each error lands on its own
     point and every other record is the same as in the whole batch.
+    A set whose points do not match the plant's state dimension raises
+    :class:`ConfigError` before any point runs.
     """
-    points = np.asarray(initial_set.points, dtype=float)
+    points = _points(initial_set, solver.lq.state_dim)
     records = point_records(_records(solver, config, points), points)
     return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
 
@@ -254,11 +271,13 @@ def horizon_comparison(
     Every (horizon, configuration, point) row runs in one lockstep batch
     on one solver, with a failing batch split as in :func:`sweep`; the
     two minima are read from the batch's columns, and each equals the
-    one the two sweeps at its horizon would give.
+    one the two sweeps at its horizon would give.  A set whose points do
+    not match the plant's state dimension raises :class:`ConfigError`.
     """
     horizons = tuple(horizons)
     if not horizons:
         raise ConfigError("need at least one horizon to compare")
+    points = _points(initial_set, lq.state_dim)
     configs = [
         config
         for n in horizons
@@ -267,7 +286,6 @@ def horizon_comparison(
             AlgorithmConfig(variant="alg3", horizon=n, alpha_bar=alpha_bar, forced_m=1),
         )
     ]
-    points = np.asarray(initial_set.points, dtype=float)
     solver = LqLadderSolver(lq, max(horizons))
     batch = _records(solver, [config for config in configs for _ in points], np.tile(points, (len(configs), 1)))
     # Blocks of points, one per (horizon, configuration); error rows are NaN.

@@ -434,12 +434,13 @@ def test_reused_walk_buffers_and_rules_leak_nothing(engine_solver, monkeypatch, 
 
 
 class _CountingSolver(LqLadderSolver):
-    """Counts plan steps walked: one per horizon and step, the calls of the step primitive."""
+    """Counts plan steps walked (one per horizon and step, the calls of the step primitive) and the rows they step."""
 
-    steps = 0
+    steps = rows = 0
 
     def plan_step(self, X, horizon, k):
         self.steps += 1
+        self.rows += len(X)
         return super().plan_step(X, horizon, k)
 
 
@@ -457,6 +458,53 @@ def test_walk_stops_at_the_first_settled_prefix(lq):
     iterations = max(len(trace.windows) for trace in traced.traces)
     assert bare_solver.steps == iterations and traced_solver.steps == 19 * iterations
     assert np.array_equal(bare.min_window_alpha, traced.min_window_alpha)
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.5),
+        AlgorithmConfig(variant="alg4", horizon=3, alpha_bar=0.5),
+        AlgorithmConfig(variant="alg2", horizon=20, alpha_bar=0.01, forced_m=15),
+        AlgorithmConfig(variant="alg4", horizon=20, alpha_bar=0.01, forced_m=15),
+    ),
+    ids=("alg2-N3", "alg4-N3", "alg2-N20-m15", "alg4-N20-m15"),
+)
+def test_replans_walk_only_the_tails_left(lq, monkeypatch, config):
+    # A row committing m steps re-plans before each of its steps 2..m,
+    # and each re-plan walks the m - j steps left after step j: m - 1
+    # re-plans of m (m - 1) / 2 row steps per window, none for one-step
+    # windows.  Every window here has equal tails, so no walk steps a row
+    # past its own.  The probe walk and the re-plan walks each allocate
+    # their buffers once per run.
+    engine = importlib.import_module("mpccert.engine")
+    replan, allocate = engine._Lockstep._replan, PlanWalk.allocate
+    tried, walked, allocations = [], [], []
+
+    def counting_replan(state, rows, *args):
+        before = state.solver.rows
+        replan(state, rows, *args)
+        tried.append(len(rows))
+        walked.append(state.solver.rows - before)
+
+    def counting_allocate(*shape):
+        allocations.append(shape)
+        return allocate(*shape)
+
+    monkeypatch.setattr(engine._Lockstep, "_replan", counting_replan)
+    monkeypatch.setattr(PlanWalk, "allocate", staticmethod(counting_allocate))
+    for traces in (True, False):
+        for log in (tried, walked, allocations):
+            log.clear()
+        batch = run_batch(_CountingSolver(lq, 2), CIRCLE, config, traces=traces)
+        assert len(allocations) <= 2
+        if traces:
+            m = np.array([w.committed_m for trace in batch.traces for w in trace.windows])
+            assert (m > 1).any()
+            assert sum(tried) == np.sum(m - 1) and sum(walked) == np.sum(m * (m - 1) // 2)
+            counts = sum(tried), sum(walked)
+        else:
+            assert (sum(tried), sum(walked)) == counts
 
 
 def test_horizon_table_walks_only_the_prefixes_it_reads(lq, monkeypatch):

@@ -10,6 +10,8 @@ from mpccert.refchecks import reference_instance
 from mpccert.sweep import horizon_comparison, unit_circle
 
 PLANT = str(Path(__file__).resolve().parent.parent / "plants" / "spiral2d.txt")
+# Stands for a 1-state plant file that test_config_errors_exit_2 writes.
+SCALAR_PLANT = "<1-state plant>"
 
 
 def _run_args(out, variant="alg4", alpha_bar="0.5", extra=()):
@@ -96,11 +98,17 @@ def test_run_forced_single_step(tmp_path):
         ["sweep", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8", "--workers", "0"],
         ["horizon-table", "--plant", PLANT, "--set", "unit-circle:8", "--horizons", "2,3", "--alpha-bar", "0.01", "--workers", "0"],
         ["run", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--x0", "nan,1"],
+        # A 2-state set on a 1-state plant.
+        ["sweep", "--plant", SCALAR_PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8"],
+        ["horizon-table", "--plant", SCALAR_PLANT, "--set", "unit-circle:8", "--horizons", "2,3", "--alpha-bar", "0.01"],
     ],
 )
-def test_config_errors_exit_2(argv, capsys):
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+def test_config_errors_exit_2(argv, capsys, tmp_path):
+    plant = tmp_path / "scalar.txt"
+    plant.write_text("state_dim 1\ncontrol_dim 1\nA\n1.2\nB\n1\nQ\n1\nR\n1\n")
+    assert main([str(plant) if arg == SCALAR_PLANT else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and not captured.out
 
 
 def test_missing_required_flag_is_a_usage_error():

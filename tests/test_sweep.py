@@ -206,6 +206,26 @@ def test_horizon_comparison_validates_input(lq, grid):
         horizon_comparison(lq, grid, ())
 
 
+@pytest.mark.parametrize(
+    "points", (unit_circle(8).points, np.zeros((4, 1, 2)), np.zeros(3)), ids=("2-state", "3-d", "1-d")
+)
+def test_a_set_of_another_dimension_is_a_configuration_error(points, monkeypatch):
+    # The whole set is wrong, so no point runs: neither experiment
+    # reaches the batch, which would record one error per point.
+    grid = InitialSet(name="wrong", points=points)
+    sweep_module = importlib.import_module("mpccert.sweep")
+    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
+    lq = LinearQuadraticInstance(A=[[1.2]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    with pytest.raises(ConfigError, match=r"the plant needs \(B, 1\)"):
+        sweep(LqLadderSolver(lq, 3), grid, _cfg("alg1", 0.5))
+    with pytest.raises(ConfigError, match=r"the plant needs \(B, 1\)"):
+        horizon_comparison(lq, grid, (2, 3))
+    assert calls == {"run_batch": 0, "run_closed_loop": 0}
+    # A set of the plant's dimension runs.
+    line = InitialSet(name="line", points=np.array([[1.0], [-0.5]]))
+    assert sweep(LqLadderSolver(lq, 3), line, _cfg("alg1", 0.5)).error_indices() == ()
+
+
 def test_value_drop_sign_pattern(solver):
     # Single-step commitment lets the three-step value rise on part of
     # the plane; two committed steps never do.

@@ -9,12 +9,16 @@
 #   * 28 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
 #     alpha_bar 0.01, 0.6, and at N = 3 and alpha_bar 0.6 with
 #     --max-iterations 7 (every run stops at the cap);
-#   * 13 single runs from x0 = (0, 1): alg1-alg4 at N = 3 and alpha_bar
-#     0.5, at N = 3 and alpha_bar 0.01 with forced lengths 2,1, and at
-#     N = 20 and alpha_bar 0.01 with forced length 15 (windows and
-#     re-plan budgets of 8 and more steps, where sums keep np.sum's
-#     pairwise bits), and alg4 at N = 3 and alpha_bar 0.5 with
-#     --max-iterations 5;
+#   * 15 single runs.  13 start from x0 = (0, 1) on the bundled plant:
+#     alg1-alg4 at N = 3 and alpha_bar 0.5, at N = 3 and alpha_bar 0.01
+#     with forced lengths 2,1, and at N = 20 and alpha_bar 0.01 with
+#     forced length 15 (windows and re-plan budgets of 8 and more steps,
+#     where sums keep np.sum's pairwise bits), and alg4 at N = 3 and
+#     alpha_bar 0.5 with --max-iterations 5.  2 run alg2 and alg4 on a
+#     3-state plant that this script writes (the "alg2-n3-N3" plant of
+#     tests/test_oracle.py), from x0 = (0.39, 0.99, 1.04) at N = 3,
+#     alpha_bar 0.6 and forced length 2: both converge and reject some
+#     of their re-plans, which no run on the bundled plant does;
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
 #   * reproduce-paper (10 of 11 checks pass, exit 4);
 #   * the value-recursion matrices P_1 ... P_20 of the bundled plant
@@ -82,6 +86,32 @@ record riccati riccati --plant "$plant" --horizon 20 --out "$out/riccati"
 # the error message must not contain it.
 { cat "$plant"; printf 'equilibrium_state\n1 0\n'; } >"$out/nonzero-equilibrium.txt"
 record riccati-nonzero-equilibrium riccati --plant "$out/nonzero-equilibrium.txt" --horizon 3
+
+# A 3-state plant on which alg2 and alg4 reject re-plans.
+rejecting="$out/rejecting3.txt"
+cat >"$rejecting" <<'EOF'
+state_dim 3
+control_dim 1
+A
+0.62 -0.62 -0.56
+-1.21 -1.52 -1.78
+0.57 1.28 0.5
+B
+0.29
+0.29
+-0.13
+Q
+2.8 -1.42 -1.92
+-1.42 1.63 -0.06
+-1.92 -0.06 6.22
+R
+0.66
+EOF
+for variant in alg2 alg4; do
+    name="run-$variant-rejecting"
+    record "$name" run --plant "$rejecting" --variant "$variant" --horizon 3 --alpha-bar 0.6 \
+        --forced-m 2 --x0 0.39,0.99,1.04 --out "$out/$name" --no-timestamp
+done
 
 python3 -W error::RuntimeWarning - "$plant" >"$out/drop-grid.txt" <<'EOF'
 import hashlib

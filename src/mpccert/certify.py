@@ -17,8 +17,10 @@ import numpy as np
 from .errors import ConfigError
 from .riccati import OpenLoopSolution
 
-#: Default tolerance for acceptance inequalities evaluated in floating point.
-DEFAULT_CERT_SLACK = 1e-10
+#: Absolute tolerance of every acceptance inequality evaluated in floating
+#: point: the alg2 budget rule, the alg4 account and the horizon-shrink
+#: check each accept when they fail by at most this much.
+CERT_SLACK = 1e-10
 
 _CSV_COLUMNS = ("n", "sigma_n", "m_n", "v_before", "v_after", "cost_sum", "alpha", "rho", "s_n")
 
@@ -162,7 +164,6 @@ def update_acceptable(
     alpha_bar: float,
     *,
     end_value: float | np.ndarray,
-    cert_slack: float = DEFAULT_CERT_SLACK,
 ) -> bool | np.ndarray:
     """Decide whether a mid-stretch re-plan may replace the running plan.
 
@@ -174,7 +175,7 @@ def update_acceptable(
 
         end_value + alpha_bar * (paid + planned) <= sol_old.value
 
-    holds up to ``cert_slack``, where ``paid`` is the cost of the old
+    holds up to :data:`CERT_SLACK`, where ``paid`` is the cost of the old
     prefix and ``planned`` the cost of the new segment.
 
     With batches of plans (see ``FiniteHorizonSolver.plans``), ``j``,
@@ -196,14 +197,14 @@ def update_acceptable(
         )
     paid = row_sums(np.atleast_2d(sol_old.stage_costs), np.atleast_1d(j))
     planned = row_sums(np.atleast_2d(sol_new.stage_costs), np.atleast_1d(m - j))
-    ok = budget_met(end_value, alpha_bar, paid, planned, sol_old.value, cert_slack)
+    ok = budget_met(end_value, alpha_bar, paid, planned, sol_old.value)
     return ok if j.ndim else bool(ok[0])
 
 
-def budget_met(end_value, alpha_bar, paid, planned, value, cert_slack=DEFAULT_CERT_SLACK):
+def budget_met(end_value, alpha_bar, paid, planned, value):
     """The budget inequality of :func:`update_acceptable`, elementwise on arrays.
 
-    ``end_value + alpha_bar * (paid + planned) <= value`` up to ``cert_slack``,
+    ``end_value + alpha_bar * (paid + planned) <= value`` up to :data:`CERT_SLACK`,
     where ``value`` is the committed plan's value at its start.
 
     The rule does reject re-plans of exact linear-quadratic plans: no run
@@ -211,7 +212,7 @@ def budget_met(end_value, alpha_bar, paid, planned, value, cert_slack=DEFAULT_CE
     the 4-state, two-control plant that ``tests/test_oracle.py`` pins at
     N = 4, alpha_bar 0.6 and forced length 2 (1 of 24 re-plans rejected).
     """
-    return end_value + alpha_bar * (paid + planned) <= value + cert_slack
+    return end_value + alpha_bar * (paid + planned) <= value + CERT_SLACK
 
 
 def certificates_to_csv(certificates, slack_values, path) -> None:

@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import (
-    DEFAULT_CERT_SLACK,
+    CERT_SLACK,
     Certificate,
     SlackAccumulator,
     alpha_m_step,
@@ -82,6 +82,10 @@ STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_EXIT_FAILED = "exit-strategy-failed"
 STATUS_WARNING = "warning-issued"
 
+#: A run stops as converged once its state is at most this far (2-norm)
+#: from the equilibrium, the origin.
+TERMINATION_RADIUS = 1e-8
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -97,11 +101,6 @@ class AlgorithmConfig:
         Required suboptimality degree, in ``[0, 1]``.
     max_iterations : int
         Cap on outer iterations before the run stops.
-    termination_radius : float
-        The loop stops once the state is this close (2-norm) to the
-        equilibrium.
-    cert_slack : float
-        Floating-point tolerance applied to acceptance inequalities.
     forced_m : int, sequence of int, or None
         Override the commitment logic: apply exactly this many steps per
         iteration (a sequence gives per-iteration values, the last one
@@ -117,15 +116,15 @@ class AlgorithmConfig:
     Both containers are copied into tuples on construction, so
     configurations are immutable values: equal configurations hash alike
     and share one group in a batch, and changing the caller's list or
-    dict afterwards changes nothing.
+    dict afterwards changes nothing.  The two tolerances are constants,
+    not fields: :data:`TERMINATION_RADIUS` and
+    :data:`~mpccert.certify.CERT_SLACK`.
     """
 
     variant: str
     horizon: int
     alpha_bar: float
     max_iterations: int = 1000
-    termination_radius: float = 1e-8
-    cert_slack: float = DEFAULT_CERT_SLACK
     forced_m: int | Sequence[int] | None = None
     shrink_schedule: dict[int, int] | tuple[tuple[int, int], ...] | None = None
 
@@ -149,10 +148,6 @@ class AlgorithmConfig:
             raise ConfigError(f"alpha_bar must lie in [0, 1], got {self.alpha_bar}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be positive, got {self.max_iterations}")
-        if not 0.0 < self.termination_radius < np.inf:
-            raise ConfigError(f"termination_radius must be positive and finite, got {self.termination_radius}")
-        if not 0.0 <= self.cert_slack < np.inf:
-            raise ConfigError(f"cert_slack must be nonnegative and finite, got {self.cert_slack}")
         if self.forced_m is not None:
             values = self._forced_values()
             if len(values) == 0:
@@ -337,19 +332,19 @@ def shrink_horizon_check(
     horizon: int | np.ndarray,
     n_new: int,
     slack_total: float | np.ndarray = 0.0,
-    cert_slack: float | np.ndarray = DEFAULT_CERT_SLACK,
 ) -> bool | np.ndarray:
     """Decide whether the horizon may shrink to ``n_new`` at state ``x``.
 
     Shrinking swaps the value function under the running certificate
     chain.  The one-time drop ``V_new(x) - V_old(x)`` (nonpositive, the
     value grows with the horizon) is charged against the banked slack;
-    the switch is allowed when the account survives it.  ``n_new``
-    equal to the current horizon is a no-op and always allowed.
+    the switch is allowed when the account survives it, up to
+    :data:`~mpccert.certify.CERT_SLACK`.  ``n_new`` equal to the current
+    horizon is a no-op and always allowed.
 
-    ``x`` may also be a ``(B, n)`` array, with ``horizon``, ``slack_total``
-    and ``cert_slack`` holding one value per row or one for all; the
-    answer is then one boolean per row.
+    ``x`` may also be a ``(B, n)`` array, with ``horizon`` and
+    ``slack_total`` holding one value per row or one for all; the answer
+    is then one boolean per row.
     """
     if n_new < 2:
         raise ConfigError(f"shrunk horizon must be at least 2, got {n_new}")
@@ -364,7 +359,7 @@ def shrink_horizon_check(
         ok = np.ones(len(rows), dtype=bool)
     else:
         drop = solver.values_of(rows, n_new) - solver.values_of(rows, horizon)
-        ok = same | (slack_total + drop >= -cert_slack)
+        ok = same | (slack_total + drop >= -CERT_SLACK)
     return ok if X.ndim == 2 else bool(ok[0])
 
 
@@ -446,7 +441,7 @@ class _Lockstep:
     compacted with one mask, so no step goes through a row index.
 
     Each row carries its own configuration: horizon, threshold,
-    tolerances, iteration cap and the variant's two flags (slack watchdog,
+    iteration cap and the variant's two flags (slack watchdog,
     mid-stretch re-planning) are per-row arrays; forced lengths and shrink
     requests are read per distinct configuration, at the iterations where
     they can change.  The decision rule and the plan walk built from them
@@ -485,8 +480,6 @@ class _Lockstep:
         self.ids = np.arange(rows)
         self.horizon = per_row([cfg.horizon for cfg in cfgs], int)
         self.alpha_bar = per_row([cfg.alpha_bar for cfg in cfgs], float)
-        self.cert_slack = per_row([cfg.cert_slack for cfg in cfgs], float)
-        self.radius = per_row([cfg.termination_radius for cfg in cfgs], float)
         self.max_iterations = per_row([cfg.max_iterations for cfg in cfgs], int)
         self.watchdog = per_row([cfg.variant in ("alg3", "alg4") for cfg in cfgs], bool)
         self.replanning = per_row([cfg.variant in ("alg2", "alg4") for cfg in cfgs], bool)
@@ -569,7 +562,7 @@ class _Lockstep:
         iteration = 0
         while self.ids.size:
             # The solver's plant rests at the origin (LinearQuadraticInstance).
-            at_rest = np.sqrt(row_dot(self.x, self.x)) <= self.radius
+            at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS
             stop = at_rest | (iteration >= self.max_iterations)
             if stop.any():
                 self._retire(stop, at_rest, iteration)
@@ -618,9 +611,7 @@ class _Lockstep:
         for k, n_new in self.shrinks[iteration]:
             p = np.flatnonzero(self.kind == k)
             if p.size:
-                ok = shrink_horizon_check(
-                    self.solver, self.x[p], self.horizon[p], n_new, self.slack[p], self.cert_slack[p]
-                )
+                ok = shrink_horizon_check(self.solver, self.x[p], self.horizon[p], n_new, self.slack[p])
                 self.horizon[p[ok]] = n_new
 
     def _iterate(self, iteration: int) -> None:
@@ -850,20 +841,14 @@ class _Lockstep:
             pairwise = since >= _PAIRWISE
             if pairwise.any():
                 paid[pairwise] = row_sums(self.costs[rows[pairwise]], since[pairwise], start=sigma[pairwise])
-        if len(self.configs) == 1:
-            config = self.configs[0]
-            alpha_bar, cert_slack, accounts = config.alpha_bar, config.cert_slack, config.variant == "alg4"
-            budgets = not accounts
-        else:
-            alpha_bar, cert_slack, watchdog = self.alpha_bar[rows], self.cert_slack[rows], self.watchdog[rows]
-            accounts, budgets = watchdog.any(), not watchdog.all()
-        anchor_value = self.v_before[rows]
+        alpha_bar, watchdog, anchor_value = self.alpha_bar[rows], self.watchdog[rows], self.v_before[rows]
+        accounts, budgets = watchdog.any(), not watchdog.all()
         if accounts:
             rho_close = anchor_value - plan.value - alpha_bar * paid
             rho_tail = plan.value - end_value - alpha_bar * planned
-            ok = self.slack[rows] + rho_close + rho_tail >= -cert_slack
+            ok = self.slack[rows] + rho_close + rho_tail >= -CERT_SLACK
         if budgets:
-            budget = budget_met(end_value, alpha_bar, paid, planned, anchor_value, cert_slack)
+            budget = budget_met(end_value, alpha_bar, paid, planned, anchor_value)
             ok = np.where(watchdog, ok, budget) if accounts else budget
         taken = np.flatnonzero(ok)
         if not taken.size:
@@ -927,9 +912,9 @@ class _Lockstep:
 
 # Every per-row array of _Lockstep, compacted together when rows stop.
 _ROW_FIELDS = (
-    "ids", "kind", "horizon", "alpha_bar", "cert_slack", "radius", "max_iterations", "watchdog",
-    "replanning", "forced", "x", "t", "sigma", "v_before", "cost_sum", "v_now", "slack", "intervals",
-    "v_initial", "exits", "warnings", "startup", "min_onestep", "min_window", "costs", "states", "controls",
+    "ids", "kind", "horizon", "alpha_bar", "max_iterations", "watchdog", "replanning", "forced", "x", "t",
+    "sigma", "v_before", "cost_sum", "v_now", "slack", "intervals", "v_initial", "exits", "warnings",
+    "startup", "min_onestep", "min_window", "costs", "states", "controls",
 )
 # BatchRun statistics and the per-row array each is copied from when a row
 # stops (alpha_cor3 is computed then).

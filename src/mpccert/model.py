@@ -25,18 +25,15 @@ import numpy as np
 from .errors import ConfigError, PlantFormatError
 
 
-def _sum_last(terms: np.ndarray, out: np.ndarray | None = None):
-    """``terms[..., 0] + terms[..., 1] + ...``, added left to right, into ``out`` if given."""
+def _sum_last(terms: np.ndarray):
+    """``terms[..., 0] + terms[..., 1] + ...``, added left to right."""
     acc = terms[..., 0]
     for j in range(1, terms.shape[-1]):
-        acc = np.add(acc, terms[..., j], out=out)
-    if out is None or acc is out:
-        return acc
-    out[...] = acc
-    return out
+        acc = np.add(acc, terms[..., j])
+    return acc
 
 
-def matvec(M: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``M x`` for every row of ``x``: ``(..., r, c)`` and ``(..., c)`` give ``(..., r)``.
 
     One ufunc multiplies every entry ``M[..., i, j]`` by the column
@@ -44,10 +41,9 @@ def matvec(M: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
     right, ``((M_i0 x_0 + M_i1 x_1) + M_i2 x_2) + ...``.  ``M`` is one
     matrix or a stack of matrices that broadcasts against the leading
     axes of ``x``.  The products are laid out in Fortran order, which
-    keeps the row axis innermost, so each ufunc runs one long loop.  The
-    sum is written into ``out`` when it is given.
+    keeps the row axis innermost, so each ufunc runs one long loop.
     """
-    return _sum_last(np.multiply(M, x[..., None, :], order="F"), out)
+    return _sum_last(np.multiply(M, x[..., None, :], order="F"))
 
 
 def row_dot(x: np.ndarray, y: np.ndarray):

@@ -77,8 +77,11 @@ def _value_check(name, computed, expected, tol) -> CheckResult:
     )
 
 
-def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
-    """Run the full bundle; returns one result per check."""
+def reference_checks() -> list[CheckResult]:
+    """Run the full bundle; returns one result per check.
+
+    The value-drop check maps a 41 x 41 grid.
+    """
     lq = reference_instance()
     solver = LqLadderSolver(lq, 4)
     grid = unit_circle(GRID_POINTS)
@@ -227,8 +230,8 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
         )
     )
 
-    _, drops_one = value_drop_grid(solver, 3, 1, n=drop_grid_n)
-    _, drops_two = value_drop_grid(solver, 3, 2, n=drop_grid_n)
+    _, drops_one = value_drop_grid(solver, 3, 1, n=41)
+    _, drops_two = value_drop_grid(solver, 3, 2, n=41)
     increase_one = int(np.sum(drops_one < 0.0))
     increase_two = int(np.sum(drops_two < 0.0))
     results.append(
@@ -236,7 +239,7 @@ def reference_checks(drop_grid_n: int = 41) -> list[CheckResult]:
             name="value-drop-sign-pattern",
             passed=increase_one > 0 and increase_two == 0,
             detail=(
-                f"single step: value increases at {increase_one} of {drop_grid_n * drop_grid_n} "
+                f"single step: value increases at {increase_one} of {drops_one.size} "
                 f"grid states; two steps: {increase_two} (min drop {drops_two.min():.6g})"
             ),
         )

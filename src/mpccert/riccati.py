@@ -159,16 +159,18 @@ class RiccatiLadder:
         return list(self._matrices[1:])
 
 
-def riccati_fixed_point(
-    lq: LinearQuadraticInstance, tol: float = 1e-12, max_iterations: int = 10000
-) -> np.ndarray:
-    """Iterate the ladder until it stops moving; the infinite-horizon limit."""
+def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
+    """Iterate the ladder until it stops moving; the infinite-horizon limit.
+
+    The ladder has settled once no entry of ``P_{j+1} - P_j`` exceeds
+    1e-12 in magnitude; 10,000 steps without that raise ``SolverError``.
+    """
     ladder = RiccatiLadder(lq, 1)
-    for j in range(1, max_iterations):
+    for j in range(1, 10000):
         ladder.extend(j + 1)
-        if np.max(np.abs(ladder.matrix(j + 1) - ladder.matrix(j))) <= tol:
+        if np.max(np.abs(ladder.matrix(j + 1) - ladder.matrix(j))) <= 1e-12:
             return ladder.matrix(j + 1)
-    raise SolverError(f"value recursion did not settle in {max_iterations} steps")
+    raise SolverError("value recursion did not settle in 10000 steps")
 
 
 class FiniteHorizonSolver:
@@ -393,13 +395,12 @@ def value_drop_grid(
     solver: FiniteHorizonSolver,
     horizon: int,
     m: int,
-    extent: float = 1.5,
     n: int = 101,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map of the value drop after ``m`` applied steps on a square grid.
 
     Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
-    ``[-extent, extent]`` and ``drops[i, j]`` is the drop at the state
+    ``[-1.5, 1.5]`` and ``drops[i, j]`` is the drop at the state
     ``(axis[i], axis[j])``.  Negative entries mark states where applying
     ``m`` steps of the plan increases the finite-horizon value.  The
     whole grid goes through the planner as one batch, see
@@ -414,7 +415,7 @@ def value_drop_grid(
         raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
     if not 1 <= m < horizon:
         raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
-    axis = np.linspace(-extent, extent, n)
+    axis = np.linspace(-1.5, 1.5, n)
     states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     after = solver.rollout(states, horizon, m)
     drops = solver.values_of(states, horizon) - solver.values_of(after, horizon)

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The engine's two tolerances, written out rather than imported:
+# acceptance inequalities hold up to CERT_SLACK, and a run has converged
+# once its state is within TERMINATION_RADIUS of the origin.
+CERT_SLACK = 1e-10
+TERMINATION_RADIUS = 1e-8
+
 
 @dataclass
 class Window:
@@ -56,7 +62,7 @@ def _degree(v_before: float, v_after: float, cost: float) -> float:
 
 def closed_loop(solver, x0, config) -> Run:
     """Run ``config`` (an ``AlgorithmConfig``) from ``x0`` on ``solver``."""
-    variant, horizon, alpha_bar, eps = config.variant, config.horizon, config.alpha_bar, config.cert_slack
+    variant, horizon, alpha_bar = config.variant, config.horizon, config.alpha_bar
     watchdog, replanning = variant in ("alg3", "alg4"), variant in ("alg2", "alg4")
     forced_values = () if config.forced_m is None else np.atleast_1d(config.forced_m).tolist()
     shrinks = dict(config.shrink_schedule or ())
@@ -84,7 +90,7 @@ def closed_loop(solver, x0, config) -> Run:
 
     iteration = 0
     while True:
-        if math.sqrt(sum(v * v for v in x.tolist())) <= config.termination_radius:
+        if math.sqrt(sum(v * v for v in x.tolist())) <= TERMINATION_RADIUS:
             status = "converged"
             break
         if iteration >= config.max_iterations:
@@ -93,7 +99,7 @@ def closed_loop(solver, x0, config) -> Run:
         n_new = shrinks.get(iteration)
         if n_new is not None and n_new != horizon:
             drop = solver.value_of(x, n_new) - solver.value_of(x, horizon)
-            if slack + drop >= -eps:
+            if slack + drop >= -CERT_SLACK:
                 horizon = n_new
 
         plan = solver.solve(x, horizon)
@@ -146,9 +152,9 @@ def closed_loop(solver, x0, config) -> Run:
             if watchdog:
                 rho_close = anchor_value - new.value - alpha_bar * paid
                 rho_tail = new.value - end_value - alpha_bar * planned
-                ok = slack + rho_close + rho_tail >= -eps
+                ok = slack + rho_close + rho_tail >= -CERT_SLACK
             else:
-                ok = end_value + alpha_bar * (paid + planned) <= anchor_value + eps
+                ok = end_value + alpha_bar * (paid + planned) <= anchor_value + CERT_SLACK
             if ok:
                 accepted += 1
                 close(new.value)

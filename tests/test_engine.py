@@ -39,14 +39,6 @@ def test_config_validation():
         _cfg("alg1", 0.5, forced_m=[1, 0])
     with pytest.raises(ConfigError):
         _cfg("alg1", 0.5, max_iterations=0)
-    # A NaN radius would never be reached and an infinite one would stop
-    # every run before its first iteration.
-    for bad in (float("nan"), float("inf"), -float("inf"), 0.0):
-        with pytest.raises(ConfigError, match="termination_radius"):
-            _cfg("alg1", 0.5, termination_radius=bad)
-    for bad in (float("nan"), float("inf"), -1e-10):
-        with pytest.raises(ConfigError, match="cert_slack"):
-            _cfg("alg1", 0.5, cert_slack=bad)
     assert _cfg("alg1", 0.0).alpha_bar == 0.0
     assert _cfg("alg1", 1.0).alpha_bar == 1.0
 

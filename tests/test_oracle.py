@@ -5,7 +5,8 @@ adds and compares, and the scalar loop follows the same orders one state
 and one re-plan at a time, so any difference in a status, a schedule, a
 certificate, a slack value or a window is a fault in one of the two.
 The pinned plants reject some of their alg2 and alg4 re-plans, a branch
-the bundled plant never takes.
+the bundled plant never takes.  Cases also draw horizon-shrink
+schedules, and the pinned plants run every variant in one batch.
 """
 
 import warnings
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from oracle import closed_loop
 
-from mpccert.engine import VARIANTS, AlgorithmConfig, run_batch
+from mpccert.certify import CERT_SLACK
+from mpccert.engine import TERMINATION_RADIUS, VARIANTS, AlgorithmConfig, run_batch
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver
 
@@ -45,18 +48,26 @@ def random_plant(seed: int, n: int, c: int) -> tuple[LinearQuadraticInstance, np
     return lq, np.array([x0, -2.0 * x0, rng.normal(size=n)])
 
 
-# (seed, n, c, variant, N, alpha_bar, forced_m, law).  Each pinned plant
+# (seed, n, c, variant, N, alpha_bar, forced_m, shrink_schedule, law).  Each pinned plant
 # rejects a re-plan of its first initial state in a run that converges.
 # The N = 3 plant rejects under both variants; tools/cli_outputs.sh runs
 # it from the command line.  The N = 12 plant rejects so many re-plans in
 # a row that the cost paid since the loop was last closed has eight and
 # more terms, which np.sum adds pairwise.
 PINNED = {
-    "alg2-n4-c2": (49, 4, 2, "alg2", 4, 0.6, 2, LqLadderSolver),
-    "alg2-n3-N3": (66, 3, 1, "alg2", 3, 0.6, 2, LqLadderSolver),
-    "alg4-n3-N3": (66, 3, 1, "alg4", 3, 0.6, 2, LqLadderSolver),
-    "alg4-n4": (382, 4, 1, "alg4", 4, 0.6, 2, LqLadderSolver),
-    "alg2-N12-long": (145, 2, 1, "alg2", 12, 0.9, 11, LqLadderSolver),
+    "alg2-n4-c2": (49, 4, 2, "alg2", 4, 0.6, 2, None, LqLadderSolver),
+    "alg2-n3-N3": (66, 3, 1, "alg2", 3, 0.6, 2, None, LqLadderSolver),
+    "alg4-n3-N3": (66, 3, 1, "alg4", 3, 0.6, 2, None, LqLadderSolver),
+    "alg4-n4": (382, 4, 1, "alg4", 4, 0.6, 2, None, LqLadderSolver),
+    "alg2-N12-long": (145, 2, 1, "alg2", 12, 0.9, 11, None, LqLadderSolver),
+}
+
+# Shrink requests of converging runs from the first initial state.  A
+# request at iteration 0 is always refused: the slack is 0 and the value
+# grows with the horizon.  One at iteration 3 finds enough slack banked.
+SHRINKS = {
+    "refused-at-0": (817, 2, 1, "alg1", 6, 0.9, None, ((0, 3),), LqLadderSolver),
+    "granted": (85, 1, 2, "alg4", 6, 0.6, None, ((3, 4),), LqLadderSolver),
 }
 
 
@@ -72,6 +83,12 @@ def cases(draw):
             st.lists(steps, min_size=1, max_size=3).filter(lambda v: max(v) >= 2).map(tuple),
         )
     )
+    # Requests at distinct iterations whose targets never grow and leave
+    # room for every forced length.
+    iterations = sorted(draw(st.lists(st.integers(0, 6), max_size=3, unique=True)))
+    lowest = max(np.atleast_1d(forced or 1)) + 1
+    targets = draw(st.lists(st.integers(lowest, horizon), min_size=len(iterations), max_size=len(iterations)))
+    shrinks = tuple(zip(iterations, sorted(targets, reverse=True))) or None
     return (
         draw(st.integers(0, 2**32 - 1)),
         draw(st.integers(1, 4)),
@@ -80,13 +97,17 @@ def cases(draw):
         horizon,
         draw(st.sampled_from((0.0, 0.01, 0.3, 0.6, 0.9))),
         forced,
+        shrinks,
         draw(st.sampled_from(LAWS)),
     )
 
 
-def _config(case) -> AlgorithmConfig:
-    _, _, _, variant, horizon, alpha_bar, forced, _ = case
-    return AlgorithmConfig(variant, horizon, alpha_bar, forced_m=forced, max_iterations=30)
+def _config(case, variant=None) -> AlgorithmConfig:
+    """The case's configuration, under ``variant`` when one is given."""
+    _, _, _, own, horizon, alpha_bar, forced, shrinks, _ = case
+    return AlgorithmConfig(
+        variant or own, horizon, alpha_bar, forced_m=forced, shrink_schedule=shrinks, max_iterations=30
+    )
 
 
 def _assert_matches(trace, run) -> None:
@@ -114,6 +135,8 @@ def _assert_matches(trace, run) -> None:
 @example(case=PINNED["alg4-n3-N3"])
 @example(case=PINNED["alg4-n4"])
 @example(case=PINNED["alg2-N12-long"])
+@example(case=SHRINKS["refused-at-0"])
+@example(case=SHRINKS["granted"])
 def test_engine_matches_the_scalar_oracle(case):
     seed, n, c, *_, law = case
     lq, X = random_plant(seed, n, c)
@@ -140,3 +163,38 @@ def test_pinned_plants_reject_replans(case):
     assert 0 < run.replans_accepted < run.replans_tried
     assert sum(w.closes for w in trace.windows) == run.replans_accepted
     assert sum(w.committed_m - 1 for w in trace.windows) == run.replans_tried
+
+
+@pytest.mark.parametrize("case", PINNED.values(), ids=PINNED.keys())
+def test_mixed_variant_batches_match_the_oracle(case):
+    # One batch runs every initial state under all four variants, so each
+    # re-plan decides by its own row's rule next to rows of other variants.
+    seed, n, c, *_, law = case
+    lq, X = random_plant(seed, n, c)
+    configs = [_config(case, variant) for variant in VARIANTS for _ in X]
+    X = np.concatenate([X] * len(VARIANTS))
+    batch = run_batch(law(lq, 2), X, configs, traces=True)
+    rejected = 0
+    for trace, x0, config in zip(batch.traces, X, configs):
+        run = closed_loop(law(lq, 2), x0, config)
+        _assert_matches(trace, run)
+        rejected += run.replans_tried - run.replans_accepted
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", SHRINKS)
+def test_pinned_shrink_requests(name):
+    # Keeps the two shrink examples above meaningful: one request refused,
+    # one granted.
+    case = SHRINKS[name]
+    seed, n, c, *_, law = case
+    lq, X = random_plant(seed, n, c)
+    trace = run_batch(law(lq, 2), X[:1], _config(case), traces=True).traces[0]
+    [(_, target)] = case[7]
+    assert trace.status == "converged"
+    assert any(w.horizon == target for w in trace.windows) == (name == "granted")
+
+
+def test_oracle_tolerances_are_the_engines():
+    # oracle.py writes the engine's two tolerances out instead of importing them.
+    assert (oracle.CERT_SLACK, oracle.TERMINATION_RADIUS) == (CERT_SLACK, TERMINATION_RADIUS)

@@ -229,8 +229,8 @@ def test_a_set_of_another_dimension_is_a_configuration_error(points, monkeypatch
 def test_value_drop_sign_pattern(solver):
     # Single-step commitment lets the three-step value rise on part of
     # the plane; two committed steps never do.
-    axis, drops1 = value_drop_grid(solver, 3, 1, extent=1.5, n=41)
-    _, drops2 = value_drop_grid(solver, 3, 2, extent=1.5, n=41)
+    axis, drops1 = value_drop_grid(solver, 3, 1, n=41)
+    _, drops2 = value_drop_grid(solver, 3, 2, n=41)
     assert axis.shape == (41,)
     assert axis[0] == -1.5 and axis[-1] == 1.5
     assert drops1.shape == (41, 41)

@@ -9,12 +9,15 @@
 #   * 28 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
 #     alpha_bar 0.01, 0.6, and at N = 3 and alpha_bar 0.6 with
 #     --max-iterations 7 (every run stops at the cap);
-#   * 15 single runs.  13 start from x0 = (0, 1) on the bundled plant:
+#   * 16 single runs.  13 start from x0 = (0, 1) on the bundled plant:
 #     alg1-alg4 at N = 3 and alpha_bar 0.5, at N = 3 and alpha_bar 0.01
 #     with forced lengths 2,1, and at N = 20 and alpha_bar 0.01 with
 #     forced length 15 (windows and re-plan budgets of 8 and more steps,
 #     where sums keep np.sum's pairwise bits), and alg4 at N = 3 and
-#     alpha_bar 0.5 with --max-iterations 5.  2 run alg2 and alg4 on a
+#     alpha_bar 0.5 with --max-iterations 5.  1 runs alg3 at N = 3 and
+#     alpha_bar 0.01 from x0 = (1e-9, 0), inside the termination radius:
+#     it reports converged after 0 iterations, with NaN degrees and no
+#     certificate, and exits 0.  2 run alg2 and alg4 on a
 #     3-state plant that this script writes (the "alg2-n3-N3" plant of
 #     tests/test_oracle.py), from x0 = (0.39, 0.99, 1.04) at N = 3,
 #     alpha_bar 0.6 and forced length 2: both converge and reject some
@@ -77,6 +80,8 @@ for variant in alg1 alg2 alg3 alg4; do
 done
 record run-alg4-a0.5-cap5 run --plant "$plant" --variant alg4 --horizon 3 --alpha-bar 0.5 \
     --max-iterations 5 --x0 0,1 --out "$out/run-alg4-a0.5-cap5" --no-timestamp
+record run-alg3-inside-radius run --plant "$plant" --variant alg3 --horizon 3 --alpha-bar 0.01 \
+    --x0 1e-9,0 --out "$out/run-alg3-inside-radius" --no-timestamp
 
 record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \
     --horizons 2,3,4,5,10,20 --alpha-bar 0.01 --out "$out/horizon-table"

@@ -392,9 +392,9 @@ def _widen(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, np.zeros_like(a)], axis=1)
 
 
-def _running_min(current: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Row-wise ``min(current, new)`` keeping ``current`` on ties, like :func:`min`."""
-    return np.where(new < current, new, current)
+def _running_min(current: np.ndarray, new: np.ndarray) -> None:
+    """Row-wise ``min(current, new)`` written into ``current``, keeping ``current`` on ties, like :func:`min`."""
+    np.copyto(current, new, where=new < current)
 
 
 @dataclass(frozen=True)
@@ -431,18 +431,36 @@ class BatchRun:
         )
 
 
+# Every scalar per-row field of _Lockstep, by dtype: each field is one row
+# of its dtype's (fields, rows) block, so rows stop with one copy per block.
+# A field is a view into its block: write it in place (field[:] = ...),
+# never rebind it, and copy it before handing it to code that keeps it
+# across a write.  sigma, v_before and cost_sum are the interval running
+# since the loop was last closed (start time, value at its start, cost paid
+# so far), open in every row from its first iteration on and closed once
+# the value at its end state (at the then-current horizon) is known; v_now
+# is the value of each row's state at its horizon, once it has planned.
+_BLOCKS = (
+    (float, ("alpha_bar", "v_before", "cost_sum", "v_now", "slack", "v_initial", "startup", "min_onestep",
+             "min_window")),
+    (int, ("ids", "kind", "horizon", "max_iterations", "forced", "t", "sigma", "intervals", "exits", "warnings")),
+    (bool, ("watchdog", "replanning")),
+)
+
+
 class _Lockstep:
     """State of a lockstep run over the rows still running.
 
-    Every per-row array (:data:`_ROW_FIELDS`) holds the running rows only,
-    densely and in one order, and ``ids`` maps them back to input order.
-    Rows that stop are closed, their results are written once into the
-    input-order outputs, and every per-row array and walk buffer is
-    compacted with one mask, so no step goes through a row index.
+    Every scalar per-row field (:data:`_BLOCKS`), the states ``x`` and the
+    logs hold the running rows only, densely and in one order, and ``ids``
+    maps them back to input order.  Rows that stop are closed, their
+    blocks are copied once into the input-order results, and every block,
+    log and walk buffer is compacted with one index, so no step goes
+    through a row index.
 
     Each row carries its own configuration: horizon, threshold,
     iteration cap and the variant's two flags (slack watchdog,
-    mid-stretch re-planning) are per-row arrays; forced lengths and shrink
+    mid-stretch re-planning) are per-row fields; forced lengths and shrink
     requests are read per distinct configuration, at the iterations where
     they can change.  The decision rule and the plan walk built from them
     are kept until rows retire, a shrink is due or a forced length moves.
@@ -471,21 +489,20 @@ class _Lockstep:
         rows = len(X)
         self.solver, self.keep = solver, keep_traces
         self.row_configs = _row_configs(config, rows)
-        self.configs, self.kind = _distinct_configs(self.row_configs)
-
-        def per_row(values, dtype):
-            return np.array(values, dtype=dtype)[self.kind]
-
+        self.configs, kind = _distinct_configs(self.row_configs)
+        self.blocks = [np.zeros((len(names), rows), dtype) for dtype, names in _BLOCKS]
+        self._bind()
         cfgs = self.configs
-        self.ids = np.arange(rows)
-        self.horizon = per_row([cfg.horizon for cfg in cfgs], int)
-        self.alpha_bar = per_row([cfg.alpha_bar for cfg in cfgs], float)
-        self.max_iterations = per_row([cfg.max_iterations for cfg in cfgs], int)
-        self.watchdog = per_row([cfg.variant in ("alg3", "alg4") for cfg in cfgs], bool)
-        self.replanning = per_row([cfg.variant in ("alg2", "alg4") for cfg in cfgs], bool)
+        self.ids[:], self.kind[:] = np.arange(rows), kind
+        self.horizon[:] = np.array([cfg.horizon for cfg in cfgs])[kind]
+        self.alpha_bar[:] = np.array([cfg.alpha_bar for cfg in cfgs])[kind]
+        self.max_iterations[:] = np.array([cfg.max_iterations for cfg in cfgs])[kind]
+        self.watchdog[:] = np.array([cfg.variant in ("alg3", "alg4") for cfg in cfgs])[kind]
+        self.replanning[:] = np.array([cfg.variant in ("alg2", "alg4") for cfg in cfgs])[kind]
+        # A row that stops before its first plan reports NaN degrees.
+        self.v_initial[:] = self.startup[:] = self.min_onestep[:] = self.min_window[:] = np.nan
         # Forced lengths change only while some sequence has entries left;
         # shrink requests are looked up by iteration.
-        self.forced = np.zeros(rows, dtype=int)
         self.forced_until = max(len(cfg._forced_values()) for cfg in cfgs) if rows else 0
         self.shrinks: dict[int, list[tuple[int, int]]] = {}
         for k, cfg in enumerate(cfgs):
@@ -496,32 +513,13 @@ class _Lockstep:
         self.rule = self.walk = self.replan_buffers = None
         self.x0 = X
         self.x = X.copy()
-        self.t = np.zeros(rows, dtype=int)
-        # The interval running since the last time the loop was closed:
-        # start time, value at its start, cost paid so far.  Every running
-        # row has one from its first iteration on; it is closed once the
-        # value at its end state (at the then-current horizon) is known.
-        self.sigma = np.zeros(rows, dtype=int)
-        self.v_before = np.zeros(rows)
-        self.cost_sum = np.zeros(rows)
-        # Value of each row's state at its horizon, once it has planned.
-        self.v_now = np.zeros(rows)
-        self.slack = np.zeros(rows)
-        self.intervals = np.zeros(rows, dtype=int)
-        self.v_initial = np.full(rows, np.nan)
-        self.exits = np.zeros(rows, dtype=int)
-        self.warnings = np.zeros(rows, dtype=int)
-        self.startup = np.full(rows, np.nan)
-        self.min_onestep = np.full(rows, np.nan)
-        self.min_window = np.full(rows, np.nan)
         # Applied costs by time; states and controls only for traces.
         self.costs = np.zeros((rows, 16))
         self.states = self.controls = None
         # Input-order results, written once per row when it stops.
         self.status = [None] * rows
-        self.results = {
-            name: np.empty_like(self.v_now if own is None else getattr(self, own)) for name, own in _RESULTS
-        }
+        self.results = [np.empty_like(block) for block in self.blocks]
+        self.alpha_cor3 = np.empty(rows)
         self.traces = None
         if keep_traces:
             self.states = np.zeros((rows, 17, n))
@@ -533,6 +531,12 @@ class _Lockstep:
             self.certificates = [[] for _ in range(rows)]
             self.slack_values = [[] for _ in range(rows)]
             self.windows = [[] for _ in range(rows)]
+
+    def _bind(self) -> None:
+        """Point every field name of :data:`_BLOCKS` at its row of its block."""
+        for block, (_, names) in zip(self.blocks, _BLOCKS):
+            for name, row in zip(names, block):
+                setattr(self, name, row)
 
     def _close(self, sel, v_here: np.ndarray) -> None:
         """Close the pending interval of the rows ``sel`` (a slice or indices) at value ``v_here``."""
@@ -572,7 +576,7 @@ class _Lockstep:
             iteration += 1
 
     def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
-        """Close the rows in ``stop``, write their results, and drop them from every per-row array."""
+        """Close the rows in ``stop``, write their results, and drop them from every block, log and buffer."""
         sel = np.flatnonzero(stop)
         v_final = np.full(sel.size, np.nan)
         if iteration > 0:
@@ -590,18 +594,18 @@ class _Lockstep:
         # Summed as one block per run length, each row gets the bits of its
         # own 1-D sum (see row_sums).
         realized = alpha_m_steps(self.v_initial[sel] - v_final, row_sums(self.costs[sel], self.t[sel]))
-        self.results["alpha_cor3"][ids] = np.where(self.intervals[sel] > 0, realized, np.nan)
-        for name, own in _RESULTS:
-            if own is not None:
-                self.results[name][ids] = getattr(self, own)[sel]
+        self.alpha_cor3[ids] = np.where(self.intervals[sel] > 0, realized, np.nan)
+        for result, block in zip(self.results, self.blocks):
+            result[:, ids] = block[:, sel]
         if self.keep:
             for k, i in zip(sel, ids):
                 self.traces[i] = self._trace(k, i)
         keep = np.flatnonzero(~stop)
-        for name in _ROW_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
+        self.blocks = [block.take(keep, axis=1) for block in self.blocks]
+        self._bind()
+        self.x, self.costs = self.x[keep], self.costs[keep]
+        if self.keep:
+            self.states, self.controls = self.states[keep], self.controls[keep]
         trajectory, controls, columns = self.walk_buffers
         self.walk_buffers = trajectory[keep], controls[keep], columns[..., keep]
         self.rule = None
@@ -620,11 +624,11 @@ class _Lockstep:
             self._shrink(iteration)
             self.rule = None
         if iteration < self.forced_until:
-            self.forced = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
+            self.forced[:] = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
             self.rule = None
         # Each row's value at its state is the end value the last walk
-        # gave it, unless a shrink was due.
-        known = self.v_now if iteration and iteration not in self.shrinks else None
+        # gave it, unless a shrink was due.  A copy: _commit writes v_now.
+        known = self.v_now.copy() if iteration and iteration not in self.shrinks else None
         if self.rule is None:
             self.rule, self.walk = self._decision_rule(known)
         else:
@@ -635,23 +639,22 @@ class _Lockstep:
         if iteration:
             self._close(slice(None), v_start)
         else:
-            self.v_initial = v_start
+            self.v_initial[:] = v_start
         m, exit_event, warning_event, onestep, probe_alphas, probe_rhos = self._probe(plan)
         self.exits += exit_event
         self.warnings += warning_event
         if iteration == 0:
-            self.startup = self.min_onestep = onestep
+            self.startup[:] = self.min_onestep[:] = onestep
         else:
-            self.min_onestep = _running_min(self.min_onestep, onestep)
+            _running_min(self.min_onestep, onestep)
 
         # Open every row's interval at the plan's start and apply it: every
         # row applies its first step, or its whole window when it does not
         # re-plan, and re-planning rows then walk the rest of theirs.
         window_time = self.t.copy()
-        self.sigma = self.t.copy()
-        self.v_before = v_start.copy()
+        self.sigma[:] = self.t
+        self.v_before[:] = v_start
         self.closes = np.zeros(len(m), dtype=int) if self.keep else None
-        self.v_now = np.empty_like(v_start)
         self._reserve(int((window_time + m).max()))
         stepping = self.replanning & (m > 1)
         replans = np.flatnonzero(stepping)
@@ -667,7 +670,10 @@ class _Lockstep:
             pairwise = np.flatnonzero(m >= _PAIRWISE)
             cost[pairwise] = row_sums(self.costs[pairwise], m[pairwise], start=window_time[pairwise])
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
-        self.min_window = window_alpha if iteration == 0 else _running_min(self.min_window, window_alpha)
+        if iteration == 0:
+            self.min_window[:] = window_alpha
+        else:
+            _running_min(self.min_window, window_alpha)
         if not self.keep:
             return
         horizons = self.horizon
@@ -885,10 +891,18 @@ class _Lockstep:
         return PlanWalk(self.solver, X, horizon, width, value, (trajectory[:r], controls[:r], columns[..., :r]))
 
     def outcome(self) -> BatchRun:
+        result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
         return BatchRun(
             status=tuple(self.status),
+            startup_onestep_alpha=result["startup"],
+            min_onestep_alpha=result["min_onestep"],
+            min_window_alpha=result["min_window"],
+            alpha_cor3=self.alpha_cor3,
+            exit_count=result["exits"],
+            warning_count=result["warnings"],
+            intervals=result["intervals"],
+            applied_steps=result["t"],
             traces=None if self.traces is None else tuple(self.traces),
-            **self.results,
         )
 
     def _trace(self, k: int, i: int) -> ClosedLoopTrace:
@@ -908,26 +922,6 @@ class _Lockstep:
             exit_count=int(self.exits[k]),
             warning_count=int(self.warnings[k]),
         )
-
-
-# Every per-row array of _Lockstep, compacted together when rows stop.
-_ROW_FIELDS = (
-    "ids", "kind", "horizon", "alpha_bar", "max_iterations", "watchdog", "replanning", "forced", "x", "t",
-    "sigma", "v_before", "cost_sum", "v_now", "slack", "intervals", "v_initial", "exits", "warnings",
-    "startup", "min_onestep", "min_window", "costs", "states", "controls",
-)
-# BatchRun statistics and the per-row array each is copied from when a row
-# stops (alpha_cor3 is computed then).
-_RESULTS = (
-    ("startup_onestep_alpha", "startup"),
-    ("min_onestep_alpha", "min_onestep"),
-    ("min_window_alpha", "min_window"),
-    ("alpha_cor3", None),
-    ("exit_count", "exits"),
-    ("warning_count", "warnings"),
-    ("intervals", "intervals"),
-    ("applied_steps", "t"),
-)
 
 
 def _row_configs(config, rows: int) -> list[AlgorithmConfig]:

@@ -28,7 +28,8 @@ from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
 from .riccati import value_drop_grid  # noqa: F401  (perfbench calls and traces it here)
 
-_SWEEP_COLUMNS = ("k", "x1", "x2", "alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
+# The sweep CSV's columns after k and one x1..xn column per state coordinate.
+_SWEEP_COLUMNS = ("alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
 _HORIZON_COLUMNS = ("N", "alpha_prop1_min", "alpha_cor3_min")
 
 
@@ -299,11 +300,11 @@ def horizon_comparison(
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    """One row per initial state, in index order."""
-    lines = [",".join(_SWEEP_COLUMNS)] + [
-        f"{r.index:d},{r.x0[0]:.17g},{r.x0[1]:.17g},"
-        f"{r.min_onestep_alpha:.17g},{r.min_mstep_alpha:.17g},"
-        f"{r.alpha_cor3:.17g},{int(r.warning):d},{r.status}"
+    """One row per initial state, in index order, with a column per coordinate of the records' states."""
+    n = len(report.records[0].x0) if report.records else 0
+    row = "{:d}," + "{:.17g}," * n + "{:.17g},{:.17g},{:.17g},{:d},{}"
+    lines = [",".join(("k", *(f"x{j}" for j in range(1, n + 1)), *_SWEEP_COLUMNS))] + [
+        row.format(r.index, *r.x0, r.min_onestep_alpha, r.min_mstep_alpha, r.alpha_cor3, int(r.warning), r.status)
         for r in report.records
     ]
     with open(path, "w", encoding="utf-8") as fh:

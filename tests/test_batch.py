@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpccert.certify import row_sums
-from mpccert.engine import VARIANTS, AlgorithmConfig, run_batch, run_closed_loop
+from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, _Lockstep, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
@@ -369,6 +369,36 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
             assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
         assert batch.intervals[row] == single.summary()["intervals"]
         assert batch.applied_steps[row] == single.summary()["applied_steps"]
+
+
+def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):
+    # Each _BLOCKS field is a row of its dtype's block and is written in
+    # place; a field rebound to a fresh array would be left out of the next
+    # compaction.  The rows run at three horizons and retire at different
+    # iterations; one is granted a shrink and an alg4 row re-plans.
+    configs = [
+        AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01, max_iterations=2),
+        AlgorithmConfig(variant="alg3", horizon=5, alpha_bar=0.01, shrink_schedule={5: 3}),
+        AlgorithmConfig(variant="alg4", horizon=5, alpha_bar=0.01, forced_m=[2, 1]),
+        AlgorithmConfig(variant="alg2", horizon=10, alpha_bar=0.3, forced_m=3, max_iterations=6),
+    ]
+    points = np.array([CIRCLE[3], [0.0, 1.0], CIRCLE[7], 1e3 * CIRCLE[1]])
+    state = _Lockstep(engine_solver, points, configs, keep_traces=True)
+    iterate, running = state._iterate, []
+
+    def checked(iteration):
+        iterate(iteration)
+        running.append(len(state.ids))
+        for block, (_, names) in zip(state.blocks, _BLOCKS):
+            for name in names:
+                assert np.shares_memory(getattr(state, name), block), name
+
+    monkeypatch.setattr(state, "_iterate", checked)
+    state.run()
+    traces = state.outcome().traces
+    assert len(set(running)) >= 3
+    assert traces[1].windows[-1].horizon == 3
+    assert sum(w.closes for w in traces[2].windows) > 0
 
 
 def _nan_walks(monkeypatch):

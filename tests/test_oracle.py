@@ -10,6 +10,7 @@ schedules, and the pinned plants run every variant in one batch.
 """
 
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -119,6 +120,12 @@ def _assert_matches(trace, run) -> None:
     assert [tuple(vars(cert).values()) for cert in trace.certificates] == run.certificates
     assert trace.slack.values == run.slack_values
     assert (trace.exit_count, trace.warning_count) == (run.exit_count, run.warning_count)
+    # The chain is contiguous in time and value, and the account is the
+    # running sum of the certificates' rho, from 0.0 and bit for bit.
+    certificates, times = trace.certificates, trace.schedule.times
+    assert [(c.sigma, c.m) for c in certificates] == [(a, b - a) for a, b in zip(times, times[1:])]
+    assert all(a.v_after == b.v_before for a, b in zip(certificates, certificates[1:]))
+    assert trace.slack.values == list(accumulate((c.rho for c in certificates), initial=0.0))[1:]
     assert len(trace.windows) == len(run.windows)
     for got, want in zip(trace.windows, run.windows):
         for name in ("time", "horizon", "v_start", "committed_m", "forced", "exit_event",

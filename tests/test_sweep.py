@@ -275,6 +275,21 @@ def test_sweep_csv_layout(solver, tmp_path):
     assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", (1, 3))
+def test_sweep_csv_has_a_column_per_state_coordinate(n, tmp_path):
+    # A Jordan block driven through its last state: controllable at every n.
+    lq = LinearQuadraticInstance(A=1.2 * np.eye(n) + np.eye(n, k=1), B=np.eye(n)[:, -1:], Q=np.eye(n), R=np.eye(1))
+    points = np.linspace(-1.0, 1.0, 2 * n).reshape(2, n)
+    report = sweep(LqLadderSolver(lq, 3), InitialSet(name=f"{n}-state", points=points), _cfg("alg1", 0.01))
+    path = tmp_path / "points.csv"
+    write_sweep_csv(report, path)
+    lines = path.read_text().splitlines()
+    xs = ",".join(f"x{j}" for j in range(1, n + 1))
+    assert lines[0] == f"k,{xs},alpha_min_1step,alpha_min_mstep,alpha_cor3,warning,status"
+    assert [[float(v) for v in line.split(",")[1 : n + 1]] for line in lines[1:]] == points.tolist()
+    assert [line.split(",")[-1] for line in lines[1:]] == [r.status for r in report.records]
+
+
 class _FaultySolver(LqLadderSolver):
     """Raises for one marker state so error capture can be exercised.
 

@@ -35,18 +35,19 @@ once per run, with the same arithmetic on each row as on a lone state.
 The walk decides: each prefix's degree and slack are computed once, a
 row's commitment is settled at the first prefix that qualifies, and the
 walk stops once every row is settled; no walk builds a plan's last
-step.  Window costs and re-plan budgets are read from the walk's
-running prefix costs.  The engine keeps one horizon per row and hands
-it to the plan layer as it is: grouping rows by horizon, and stepping
-every row of a one-horizon walk, are decided in :mod:`mpccert.riccati`.
+step.  Re-plan budgets are read from the walk's running prefix costs.
+The engine keeps one horizon per row and hands it to the plan layer as
+it is: grouping rows by horizon, and stepping every row of a
+one-horizon walk, are decided in :mod:`mpccert.riccati`.
 The walked plans are the plans the rows apply, so windows need no copy.
-Every row applies its plan's first step in one commit, or its whole
-window when it does not re-plan.  Only ``alg2``/``alg4`` rows committed
-to two or more steps go on, one step at a time, re-planning before each
-step on buffers allocated at the run's first re-plan; a re-plan walks as
-far as the window left to it and checks only the rule of its rows'
-variant.  An accepted re-plan is written over the columns of the plan it
-replaces, so at each step every re-planning row reads the same column.
+One loop applies them column by column: column ``j`` goes to every row
+still inside its window, and before each column after the first the
+``alg2``/``alg4`` rows still inside theirs re-plan on buffers allocated
+at the run's first re-plan.  A re-plan walks as far as the window left
+to it and checks only the rule of its rows' variant; an accepted one is
+written over the columns of the plan it replaces, so every row reads
+the same column.  Walk and re-plan buffers are allocated once per run
+and each walk uses their first rows, so rows that stop leave them alone.
 So every row of a batch matches its own one-row run bit for bit,
 whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
@@ -368,19 +369,10 @@ def shrink_horizon_check(
 _PAIRWISE = 8
 
 
-def _tail_ends_and_costs(plan: PlanWalk, length: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's end value after its first ``length`` steps, and ``np.sum`` of their stage costs.
-
-    ``length`` is one count for all rows, read as the walk's columns, or one per row.
-    """
-    if isinstance(length, int):
-        ends, sums = plan.ends[:, length - 1], 0.0 + plan.prefix_costs[:, length - 1]
-        if length < _PAIRWISE:
-            return ends, sums
-        length = np.full(len(sums), length)
-    else:
-        at = np.arange(len(length))
-        ends, sums = plan.ends[at, length - 1], 0.0 + plan.prefix_costs[at, length - 1]
+def _tail_ends_and_costs(plan: PlanWalk, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's end value after its first ``length[i]`` steps, and ``np.sum`` of their stage costs."""
+    at = np.arange(len(length))
+    ends, sums = plan.ends[at, length - 1], 0.0 + plan.prefix_costs[at, length - 1]
     pairwise = length >= _PAIRWISE
     if pairwise.any():
         sums[pairwise] = row_sums(plan.stage_costs[pairwise], length[pairwise])
@@ -454,9 +446,10 @@ class _Lockstep:
     Every scalar per-row field (:data:`_BLOCKS`), the states ``x`` and the
     logs hold the running rows only, densely and in one order, and ``ids``
     maps them back to input order.  Rows that stop are closed, their
-    blocks are copied once into the input-order results, and every block,
-    log and walk buffer is compacted with one index, so no step goes
-    through a row index.
+    blocks are copied once into the input-order results, and every block
+    and log is compacted with one index, so no step goes through a row
+    index.  The walk and re-plan buffers are allocated once per run and
+    never compacted: each walk uses their first rows.
 
     Each row carries its own configuration: horizon, threshold,
     iteration cap and the variant's two flags (slack watchdog,
@@ -467,16 +460,11 @@ class _Lockstep:
 
     Each iteration's walk decides every row's commitment, exit and
     warning as it goes (:meth:`_probe`).  Windows are plan-resident: the
-    arrays of the iteration's plan are what the rows apply.  One commit
-    (:meth:`_commit`) applies every row's first step, or the whole window
-    of a row that does not re-plan (``alg1``/``alg3``, and ``alg2``/``alg4``
-    rows committing one step); it reads the plan's first columns without
-    a gather when no row commits more than one step this way.  Re-planning
-    rows then apply steps 2..m one at a time (:meth:`_step`), each after a
-    re-plan (:meth:`_replan`) on the run-resident re-plan buffers, which
-    ``_retire`` leaves alone.  Their window costs are added as the steps
-    are applied; ``row_sums`` runs only for windows of eight or more
-    steps.
+    arrays of the iteration's plan are what the rows apply, one column at
+    a time (:meth:`_apply`), with a re-plan (:meth:`_replan`) before each
+    column after the first for the ``alg2``/``alg4`` rows still inside
+    their windows.  Window costs are added as the steps are applied;
+    ``row_sums`` runs only for windows of eight or more steps.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
@@ -576,7 +564,7 @@ class _Lockstep:
             iteration += 1
 
     def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
-        """Close the rows in ``stop``, write their results, and drop them from every block, log and buffer."""
+        """Close the rows in ``stop``, write their results, and drop them from every block and log."""
         sel = np.flatnonzero(stop)
         v_final = np.full(sel.size, np.nan)
         if iteration > 0:
@@ -606,8 +594,6 @@ class _Lockstep:
         self.x, self.costs = self.x[keep], self.costs[keep]
         if self.keep:
             self.states, self.controls = self.states[keep], self.controls[keep]
-        trajectory, controls, columns = self.walk_buffers
-        self.walk_buffers = trajectory[keep], controls[keep], columns[..., keep]
         self.rule = None
 
     def _shrink(self, iteration: int) -> None:
@@ -627,7 +613,7 @@ class _Lockstep:
             self.forced[:] = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
             self.rule = None
         # Each row's value at its state is the end value the last walk
-        # gave it, unless a shrink was due.  A copy: _commit writes v_now.
+        # gave it, unless a shrink was due.  A copy: _apply writes v_now.
         known = self.v_now.copy() if iteration and iteration not in self.shrinks else None
         if self.rule is None:
             self.rule, self.walk = self._decision_rule(known)
@@ -648,24 +634,14 @@ class _Lockstep:
         else:
             _running_min(self.min_onestep, onestep)
 
-        # Open every row's interval at the plan's start and apply it: every
-        # row applies its first step, or its whole window when it does not
-        # re-plan, and re-planning rows then walk the rest of theirs.
+        # Open every row's interval at the plan's start and apply its window.
         window_time = self.t.copy()
         self.sigma[:] = self.t
         self.v_before[:] = v_start
         self.closes = np.zeros(len(m), dtype=int) if self.keep else None
         self._reserve(int((window_time + m).max()))
-        stepping = self.replanning & (m > 1)
-        replans = np.flatnonzero(stepping)
-        self._commit(slice(None), plan, np.where(stepping, 1, m) if replans.size else m)
-        # A committed window costs its interval's cost_sum unless np.sum adds
-        # it pairwise; the windows of re-planning rows span several plans.
-        cost = self.cost_sum
-        if replans.size or plan.steps >= _PAIRWISE:
-            cost = cost.copy()
-        if replans.size:
-            self._step(replans, plan, m, cost)
+        cost = self._apply(plan, m)
+        # Windows of eight or more steps cost np.sum's pairwise sum.
         if plan.steps >= _PAIRWISE:
             pairwise = np.flatnonzero(m >= _PAIRWISE)
             cost[pairwise] = row_sums(self.costs[pairwise], m[pairwise], start=window_time[pairwise])
@@ -766,79 +742,58 @@ class _Lockstep:
                 self.states = _widen(self.states)
                 self.controls = _widen(self.controls)
 
-    def _commit(self, sel, plan: PlanWalk, m: np.ndarray) -> None:
-        """Apply the first ``m`` steps of the plan at the rows ``sel`` (a slice or indices) at once."""
-        rows = np.arange(len(m))[sel]
-        m, t = m[sel], self.t[sel]
-        longest = m.max(initial=0)
-        # One-step windows read the plan's first columns through sel, with no gather.
-        at, end = (sel, 0) if longest == 1 else (rows, m - 1)
-        src, j, to, dst = at, end, rows, t
-        if longest > 1:
-            r, j = np.nonzero(np.arange(longest) < m[:, None])
-            src = to = rows[r]
-            dst = t[r] + j
-        self.costs[to, dst] = plan.stage_costs[src, j]
-        if self.keep:
-            self.controls[to, dst] = plan.controls[src, j]
-            self.states[to, dst + 1] = plan.trajectory[src, j + 1]
-        self.x[sel] = plan.trajectory[at, end + 1]
-        self.t[sel] = t + m
-        # The interval opened at 0.0 and added these costs one by one:
-        # 0.0 plus their left-to-right sum has the same bits.
-        self.cost_sum[sel] = 0.0 + plan.prefix_costs[at, end]
-        self.v_now[sel] = plan.ends[at, end]
+    def _apply(self, plan: PlanWalk, m: np.ndarray) -> np.ndarray:
+        """Apply the first ``m[i]`` steps of the plan to row ``i``, one column at a time; return the window costs.
 
-    def _step(self, rows: np.ndarray, plan: PlanWalk, m: np.ndarray, cost: np.ndarray) -> None:
-        """Apply steps 2..m of the re-planning rows ``rows``, re-planning before each.
-
-        The rows have applied their plan's first step.  Column ``j`` of
-        ``plan`` holds step ``j`` of each row's window, since an accepted
-        re-plan is written over the columns it replaces (:meth:`_replan`),
-        so every row reads the same column.  Each applied cost is added to
-        the row's window cost in ``cost``, left to right as ``np.sum`` adds
-        fewer than eight terms.
+        Column ``j`` goes to every row still inside its window, read
+        without a gather while that is every row.  Before each column
+        after the first, the re-planning rows still inside their windows
+        re-plan (:meth:`_replan`); an accepted re-plan is written over the
+        columns it replaces, so every row reads the same column.  The
+        interval's ``cost_sum`` and the window cost open at 0.0 and add
+        each applied cost, left to right as ``np.sum`` adds fewer than
+        eight terms.
         """
-        m = m[rows]
-        window_ends, longest = (rows, m - 1), int(m.max())
-        equal = m.min() == longest
-        for applied in range(1, longest):
-            if equal:
-                tail = longest - applied
-            else:
-                more = applied < m
-                rows, m = rows[more], m[more]
-                tail = m - applied
-            self._replan(rows, tail, applied, plan)
-            x, step_cost, t = plan.trajectory[rows, applied + 1], plan.stage_costs[rows, applied], self.t[rows]
-            self.x[rows] = x
+        every, shortest = np.arange(len(m)), int(m.min())
+        cost = np.zeros(len(m))
+        self.cost_sum[:] = 0.0
+        for j in range(int(m.max())):
+            rows = every if j < shortest else np.flatnonzero(m > j)
+            at = slice(None) if j < shortest else rows
+            if j:
+                replans = rows[self.replanning[at]]
+                if replans.size:
+                    self._replan(replans, m[replans] - j, j, plan)
+            x, step_cost, t = plan.trajectory[at, j + 1], plan.stage_costs[at, j], self.t[at]
+            self.x[at] = x
             self.costs[rows, t] = step_cost
             if self.keep:
-                self.controls[rows, t] = plan.controls[rows, applied]
+                self.controls[rows, t] = plan.controls[at, j]
                 self.states[rows, t + 1] = x
-            self.t[rows] = t + 1
-            self.cost_sum[rows] += step_cost
-            cost[rows] += step_cost
-        self.v_now[window_ends[0]] = plan.ends[window_ends]
+            self.t[at] = t + 1
+            self.cost_sum[at] += step_cost
+            cost[at] += step_cost
+        self.v_now[:] = plan.ends[every, m - 1]
+        return cost
 
-    def _replan(self, rows: np.ndarray, tail: int | np.ndarray, applied: int, anchor: PlanWalk) -> None:
+    def _replan(self, rows: np.ndarray, tail: np.ndarray, applied: int, anchor: PlanWalk) -> None:
         """Plan afresh after ``applied`` steps of the window; rows whose check passes switch to the new plan.
 
-        Each row walks the new plan as far as the ``tail`` steps left in its
-        window (one count for all rows, or one per row), from the value its
-        anchor plan gives the state reached.  alg2 rows accept when the
-        stretch since the loop was last closed still meets the threshold
-        (:func:`budget_met`, the rule of :func:`update_acceptable`), alg4
-        rows when their slack account stays nonnegative; only a batch whose
-        re-planning rows mix the two evaluates both.  The interval's cost so
-        far is the row's ``cost_sum``, which has the bits of ``np.sum``
-        below eight terms.  An accepted plan overwrites ``anchor``'s
-        columns from ``applied`` on, the steps the row applies next.
+        Row ``i`` walks the new plan as far as the ``tail[i]`` steps left in
+        its window, from the value its anchor plan gives the state reached.
+        alg2 rows accept when the stretch since the loop was last closed
+        still meets the threshold (:func:`budget_met`, the rule of
+        :func:`update_acceptable`), alg4 rows when their slack account
+        stays nonnegative; only a batch whose re-planning rows mix the two
+        evaluates both.  The interval's cost so far is the row's
+        ``cost_sum``, which has the bits of ``np.sum`` below eight terms.
+        An accepted plan overwrites ``anchor``'s columns from ``applied``
+        on, the steps the row applies next.
         """
-        width = tail if isinstance(tail, int) else int(tail.max())
+        width = int(tail.max())
         plan = self._replan_walk(rows, anchor, applied, width)
         for k in range(width):
-            plan.advance(None if isinstance(tail, int) else tail > k)
+            plan.advance(tail > k)
         end_value, planned = _tail_ends_and_costs(plan, tail)
         paid = self.cost_sum[rows]
         if applied >= _PAIRWISE:
@@ -876,19 +831,16 @@ class _Lockstep:
         """A walk of ``width`` steps from the rows' states after ``applied`` steps of ``anchor``.
 
         It runs on the run's re-plan buffers, allocated at the first
-        re-plan for every running row and the widest tail, sliced to the
-        rows given and never compacted: no walk reads a column it has not
-        written.
+        re-plan for every running row and the widest tail: no walk reads a
+        column it has not written.
         """
         if self.replan_buffers is None:
             lq, width_max = self.solver.lq, self.walk_buffers[1].shape[1] - 1
             self.replan_buffers = PlanWalk.allocate(len(self.ids), width_max, lq.state_dim, lq.control_dim)
-        trajectory, controls, columns = self.replan_buffers
-        r = len(rows)
         groups = anchor.groups
         horizon = groups[0][0] if len(groups) == 1 else self.horizon[rows]
         X, value = anchor.trajectory[rows, applied], anchor.ends[rows, applied - 1]
-        return PlanWalk(self.solver, X, horizon, width, value, (trajectory[:r], controls[:r], columns[..., :r]))
+        return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)
 
     def outcome(self) -> BatchRun:
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}

@@ -342,15 +342,18 @@ class PlanWalk:
     the arrays without zeroing, so a column past a row's walked steps
     holds zero or an earlier walk's value (finite, nonnegative); a reader
     of whole columns must discard those rows, as the engine's
-    ``deciding`` mask and ``[:w]`` trace slices do.
+    ``deciding`` mask and ``[:w]`` trace slices do.  ``buffers`` from
+    :meth:`allocate` may have more rows than ``X``; the walk uses the
+    first ``len(X)``, so a caller can keep one set while its batch shrinks.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
         self.solver, self.width, self.horizon = solver, width, horizon
         self.groups = _horizon_groups(horizon, rows)
-        self.trajectory, self.controls, columns = buffers or self.allocate(rows, width, n, c)
-        self.stage_costs, self.ends, self.prefix_costs = columns.transpose(0, 2, 1)
+        trajectory, controls, columns = buffers or self.allocate(rows, width, n, c)
+        self.trajectory, self.controls = trajectory[:rows], controls[:rows]
+        self.stage_costs, self.ends, self.prefix_costs = columns[..., :rows].transpose(0, 2, 1)
         self.restart(X, value)
 
     @staticmethod

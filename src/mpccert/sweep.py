@@ -159,8 +159,8 @@ def _nan_stat(stat, values) -> float:
     return float("nan") if np.isnan(values).all() else float(stat(values))
 
 
-def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[PointRecord]:
-    """One record per row of a finished batch; the row of ``points[0]`` gets index ``first``."""
+def point_records(batch: BatchRun, points: np.ndarray) -> list[PointRecord]:
+    """One record per row of a finished batch, indexed from 1 in the order of ``points``."""
     stats = zip(
         batch.status,
         batch.startup_onestep_alpha.tolist(),
@@ -171,7 +171,7 @@ def point_records(batch: BatchRun, points: np.ndarray, first: int = 1) -> list[P
         batch.errors or (None,) * len(batch.status),
     )
     x0s = np.asarray(points, dtype=float).tolist()
-    return [PointRecord(first + i, tuple(x0), *row) for i, (x0, row) in enumerate(zip(x0s, stats))]
+    return [PointRecord(k, tuple(x0), *row) for k, (x0, row) in enumerate(zip(x0s, stats), start=1)]
 
 
 def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
@@ -230,11 +230,6 @@ def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
     columns = {name: np.concatenate([getattr(head, name), getattr(rest, name)]) for name in names}
     errors = [run.errors or (None,) * len(run.status) for run in (head, rest)]
     return BatchRun(status=head.status + rest.status, errors=errors[0] + errors[1], **columns)
-
-
-def _evaluate_point(solver: FiniteHorizonSolver, config: AlgorithmConfig, index: int, x0: np.ndarray) -> PointRecord:
-    """Record of one point run on its own, with its error if the run fails."""
-    return point_records(_point_run(solver, config, x0), [x0], index)[0]
 
 
 def sweep(

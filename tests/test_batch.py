@@ -174,12 +174,14 @@ def test_row_sums_of_one_term_keep_np_sum_signs():
 # Each configuration reaches a path the others may miss: exit fallback,
 # slack cover, watchdog warnings, mid-stretch re-plans, forced lengths
 # (an int and a sequence), windows longer than 8 steps, horizon
-# shrinking and the iteration cap.  The last three run at N = 10: two
-# unforced with thresholds so close to 1 that rows settle at prefixes 1,
-# 2 or 3 (alg1) or at 1 and 2 while others never settle (alg3, with
-# warnings), so plan walks stop at different prefixes in one iteration,
-# and one whose rows certify prefix 1 but are forced to apply 3 steps
-# without re-planning.
+# shrinking and the iteration cap.  Three run at N = 10: two unforced
+# with thresholds so close to 1 that rows settle at prefixes 1, 2 or 3
+# (alg1) or at 1 and 2 while others never settle (alg3, with warnings),
+# so plan walks stop at different prefixes in one iteration, and one
+# whose rows certify prefix 1 but are forced to apply 3 steps without
+# re-planning.  The last applies 15-step windows without re-planning, so
+# mixed batches apply 15 columns beside re-planning rows whose windows
+# differ in length.
 ENGINE_CONFIGS = (
     AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01),
     AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.6),
@@ -196,6 +198,7 @@ ENGINE_CONFIGS = (
     AlgorithmConfig(variant="alg1", horizon=10, alpha_bar=0.99995),
     AlgorithmConfig(variant="alg3", horizon=10, alpha_bar=0.99999),
     AlgorithmConfig(variant="alg3", horizon=10, alpha_bar=0.3, forced_m=[3, 1]),
+    AlgorithmConfig(variant="alg3", horizon=20, alpha_bar=0.3, forced_m=15),
 )
 CIRCLE = unit_circle(16).points
 _point = st.tuples(st.sampled_from(("circle", "origin", "scaled")), st.integers(0, 15)).map(
@@ -345,10 +348,10 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
     # Capped row k stops at iteration k + 1, so the running rows are
     # compacted at every iteration while rows that converge on their own,
     # scaled rows and the origin (gone before iteration 0) run alongside.
-    # Every configuration but 4, 5 and 12, which may converge within 21
-    # iterations, runs at least 26 from these points.
+    # Every configuration but 4, 5, 12 and 15, which may converge within
+    # 21 iterations, runs at least 26 from these points.
     s = engine_solver
-    long_runs = [cfg for k, cfg in enumerate(ENGINE_CONFIGS) if k not in (4, 5, 12)]
+    long_runs = [cfg for k, cfg in enumerate(ENGINE_CONFIGS) if k not in (4, 5, 12, 15)]
     capped = [
         (dataclasses.replace(long_runs[k % len(long_runs)], max_iterations=k + 1),
          (1e3 if k % 2 else 1.0) * CIRCLE[k % 16])
@@ -374,8 +377,17 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
 def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):
     # Each _BLOCKS field is a row of its dtype's block and is written in
     # place; a field rebound to a fresh array would be left out of the next
-    # compaction.  The rows run at three horizons and retire at different
-    # iterations; one is granted a shrink and an alg4 row re-plans.
+    # compaction.  The walk buffers are never compacted: every walk runs
+    # on the first rows of the arrays allocated for the run.  The rows run
+    # at three horizons and retire at different iterations; one is granted
+    # a shrink and an alg4 row re-plans.
+    allocate, allocated = PlanWalk.allocate, []
+
+    def recorded_allocate(*shape):
+        allocated.append(allocate(*shape))
+        return allocated[-1]
+
+    monkeypatch.setattr(PlanWalk, "allocate", staticmethod(recorded_allocate))
     configs = [
         AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01, max_iterations=2),
         AlgorithmConfig(variant="alg3", horizon=5, alpha_bar=0.01, shrink_schedule={5: 3}),
@@ -392,6 +404,9 @@ def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):
         for block, (_, names) in zip(state.blocks, _BLOCKS):
             for name in names:
                 assert np.shares_memory(getattr(state, name), block), name
+        assert all(a is b for a, b in zip(state.walk_buffers, allocated[0]))
+        for array, buffer in zip((state.walk.trajectory, state.walk.controls, state.walk.ends), allocated[0]):
+            assert np.shares_memory(array, buffer)
 
     monkeypatch.setattr(state, "_iterate", checked)
     state.run()

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import importlib
 
@@ -11,7 +12,6 @@ from mpccert.riccati import LqLadderSolver
 from mpccert.sweep import (
     InitialSet,
     SweepReport,
-    _evaluate_point,
     horizon_comparison,
     parse_initial_set,
     sweep,
@@ -29,6 +29,14 @@ ARC_INDICES = tuple(range(5, 27)) + tuple(range(69, 91))
 
 def _cfg(variant, alpha_bar, horizon=3, **kw):
     return AlgorithmConfig(variant=variant, horizon=horizon, alpha_bar=alpha_bar, **kw)
+
+
+def _one_at_a_time(solver, grid, config):
+    """The records of sweeps of each point of ``grid`` on its own, indexed as in a sweep of the whole set."""
+    return [
+        dataclasses.replace(sweep(solver, InitialSet(grid.name, x0[None]), config).records[0], index=k)
+        for k, x0 in enumerate(grid.points, start=1)
+    ]
 
 
 def test_unit_circle_layout():
@@ -68,14 +76,7 @@ def test_batched_sweep_matches_one_at_a_time(solver, grid, tmp_path):
     # point on its own (a one-row batch each) must give the same bytes.
     config = _cfg("alg3", 0.01, forced_m=1)
     batched = sweep(solver, grid, config)
-    one_at_a_time = SweepReport(
-        set_name=grid.name,
-        config=config,
-        records=tuple(
-            _evaluate_point(solver, config, k, x0)
-            for k, x0 in enumerate(grid.points, start=1)
-        ),
-    )
+    one_at_a_time = SweepReport(set_name=grid.name, config=config, records=tuple(_one_at_a_time(solver, grid, config)))
     a = tmp_path / "batched.csv"
     b = tmp_path / "one_at_a_time.csv"
     write_sweep_csv(batched, a)
@@ -397,10 +398,7 @@ def test_failing_batch_is_bisected(lq, monkeypatch):
     report = sweep(solver, grid, config)
     assert calls["run_batch"] + calls["run_closed_loop"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
     assert report.error_indices() == (128,)
-    one_at_a_time = [
-        _evaluate_point(solver, config, k, x0)
-        for k, x0 in enumerate(grid.points, start=1)
-    ]
+    one_at_a_time = _one_at_a_time(solver, grid, config)
     assert list(report.records[:-1]) == one_at_a_time[:-1]
     bad, ref = report.records[-1], one_at_a_time[-1]
     assert (bad.index, bad.x0, bad.status, bad.error) == (ref.index, ref.x0, ref.status, ref.error)

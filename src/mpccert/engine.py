@@ -46,10 +46,8 @@ still inside its window, and before each column after the first the
 at the run's first re-plan.  A re-plan walks as far as the window left
 to it and checks only the rule of its rows' variant; an accepted one is
 written over the columns of the plan it replaces, so every row reads
-the same column.  Walk and re-plan buffers are allocated once per run
-and each walk uses their first rows, so rows that stop leave them alone.
-So every row of a batch matches its own one-row run bit for bit,
-whichever rows and configurations share the batch.
+the same column.  Every row of a batch matches its own one-row run bit
+for bit, whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.
@@ -82,6 +80,7 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_EXIT_FAILED = "exit-strategy-failed"
 STATUS_WARNING = "warning-issued"
+_STATUSES = (STATUS_EXIT_FAILED, STATUS_WARNING, STATUS_CONVERGED, STATUS_MAX_ITERATIONS)
 
 #: A run stops as converged once its state is at most this far (2-norm)
 #: from the equilibrium, the origin.
@@ -374,7 +373,7 @@ def _tail_ends_and_costs(plan: PlanWalk, length: np.ndarray) -> tuple[np.ndarray
     at = np.arange(len(length))
     ends, sums = plan.ends[at, length - 1], 0.0 + plan.prefix_costs[at, length - 1]
     pairwise = length >= _PAIRWISE
-    if pairwise.any():
+    if np.count_nonzero(pairwise):
         sums[pairwise] = row_sums(plan.stage_costs[pairwise], length[pairwise])
     return ends, sums
 
@@ -505,7 +504,7 @@ class _Lockstep:
         self.costs = np.zeros((rows, 16))
         self.states = self.controls = None
         # Input-order results, written once per row when it stops.
-        self.status = [None] * rows
+        self.status = np.zeros(rows, dtype=int)  # codes into _STATUSES
         self.results = [np.empty_like(block) for block in self.blocks]
         self.alpha_cor3 = np.empty(rows)
         self.traces = None
@@ -556,7 +555,7 @@ class _Lockstep:
             # The solver's plant rests at the origin (LinearQuadraticInstance).
             at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS
             stop = at_rest | (iteration >= self.max_iterations)
-            if stop.any():
+            if np.count_nonzero(stop):
                 self._retire(stop, at_rest, iteration)
                 if not self.ids.size:
                     return
@@ -565,20 +564,16 @@ class _Lockstep:
 
     def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
         """Close the rows in ``stop``, write their results, and drop them from every block and log."""
-        sel = np.flatnonzero(stop)
+        sel = stop.nonzero()[0]
         v_final = np.full(sel.size, np.nan)
         if iteration > 0:
             # Every row that has planned has an interval pending.
             v_final = self.v_now[sel]
             self._close(sel, v_final)
         ids = self.ids[sel]
-        for i, k, rested in zip(ids.tolist(), sel.tolist(), at_rest[sel].tolist()):
-            if self.watchdog[k] and self.warnings[k]:
-                self.status[i] = STATUS_WARNING
-            elif not self.watchdog[k] and self.exits[k]:
-                self.status[i] = STATUS_EXIT_FAILED
-            else:
-                self.status[i] = STATUS_CONVERGED if rested else STATUS_MAX_ITERATIONS
+        # Codes index _STATUSES: flagged by exits without an account or by warnings with one, else at rest or capped.
+        flags = np.where(self.watchdog, self.warnings, self.exits)
+        self.status[ids] = np.where(flags > 0, self.watchdog, 3 - at_rest)[sel]
         # Summed as one block per run length, each row gets the bits of its
         # own 1-D sum (see row_sums).
         realized = alpha_m_steps(self.v_initial[sel] - v_final, row_sums(self.costs[sel], self.t[sel]))
@@ -588,7 +583,7 @@ class _Lockstep:
         if self.keep:
             for k, i in zip(sel, ids):
                 self.traces[i] = self._trace(k, i)
-        keep = np.flatnonzero(~stop)
+        keep = (~stop).nonzero()[0]
         self.blocks = [block.take(keep, axis=1) for block in self.blocks]
         self._bind()
         self.x, self.costs = self.x[keep], self.costs[keep]
@@ -643,7 +638,7 @@ class _Lockstep:
         cost = self._apply(plan, m)
         # Windows of eight or more steps cost np.sum's pairwise sum.
         if plan.steps >= _PAIRWISE:
-            pairwise = np.flatnonzero(m >= _PAIRWISE)
+            pairwise = (m >= _PAIRWISE).nonzero()[0]
             cost[pairwise] = row_sums(self.costs[pairwise], m[pairwise], start=window_time[pairwise])
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         if iteration == 0:
@@ -713,7 +708,7 @@ class _Lockstep:
             m = np.where(deciding & hit, k + 1, m)
             deciding = deciding & ~hit & (k + 1 < last)
             walking = k + 1 < width if keep else deciding
-            if not walking.any():
+            if not np.count_nonzero(walking):
                 break
         fallback = m == 0
         if not accounts:
@@ -758,7 +753,7 @@ class _Lockstep:
         cost = np.zeros(len(m))
         self.cost_sum[:] = 0.0
         for j in range(int(m.max())):
-            rows = every if j < shortest else np.flatnonzero(m > j)
+            rows = every if j < shortest else (m > j).nonzero()[0]
             at = slice(None) if j < shortest else rows
             if j:
                 replans = rows[self.replanning[at]]
@@ -800,18 +795,18 @@ class _Lockstep:
             sigma = self.sigma[rows]
             since = self.t[rows] - sigma
             pairwise = since >= _PAIRWISE
-            if pairwise.any():
+            if np.count_nonzero(pairwise):
                 paid[pairwise] = row_sums(self.costs[rows[pairwise]], since[pairwise], start=sigma[pairwise])
         alpha_bar, watchdog, anchor_value = self.alpha_bar[rows], self.watchdog[rows], self.v_before[rows]
-        accounts, budgets = watchdog.any(), not watchdog.all()
+        accounts = np.count_nonzero(watchdog)
         if accounts:
             rho_close = anchor_value - plan.value - alpha_bar * paid
             rho_tail = plan.value - end_value - alpha_bar * planned
             ok = self.slack[rows] + rho_close + rho_tail >= -CERT_SLACK
-        if budgets:
+        if accounts < len(watchdog):
             budget = budget_met(end_value, alpha_bar, paid, planned, anchor_value)
             ok = np.where(watchdog, ok, budget) if accounts else budget
-        taken = np.flatnonzero(ok)
+        taken = ok.nonzero()[0]
         if not taken.size:
             return
         p, value = rows[taken], plan.value[taken]
@@ -835,17 +830,16 @@ class _Lockstep:
         column it has not written.
         """
         if self.replan_buffers is None:
-            lq, width_max = self.solver.lq, self.walk_buffers[1].shape[1] - 1
+            lq, width_max = self.solver.lq, len(self.walk_buffers[1]) - 1
             self.replan_buffers = PlanWalk.allocate(len(self.ids), width_max, lq.state_dim, lq.control_dim)
-        groups = anchor.groups
-        horizon = groups[0][0] if len(groups) == 1 else self.horizon[rows]
+        horizon = anchor.groups[0][0] if len(anchor.groups) == 1 else self.horizon[rows]
         X, value = anchor.trajectory[rows, applied], anchor.ends[rows, applied - 1]
         return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)
 
     def outcome(self) -> BatchRun:
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
         return BatchRun(
-            status=tuple(self.status),
+            status=tuple(_STATUSES[code] for code in self.status.tolist()),
             startup_onestep_alpha=result["startup"],
             min_onestep_alpha=result["min_onestep"],
             min_window_alpha=result["min_window"],
@@ -863,7 +857,7 @@ class _Lockstep:
         return ClosedLoopTrace(
             config=self.row_configs[i],
             x0=self.x0[i],
-            status=self.status[i],
+            status=_STATUSES[self.status[i]],
             schedule=UpdateSchedule(times=tuple(self.times[i])),
             states=self.states[k, : t + 1].copy(),
             applied_controls=self.controls[k, :t].copy(),

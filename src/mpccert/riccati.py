@@ -17,34 +17,26 @@ Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
 
-A solver builds one plan operator per horizon on the first request at
-that horizon and keeps it: the matrices ``[-K; A]`` of every step, the
-law's negated gain on top of ``A``, and the tail matrices ``P_N, ...,
-P_1``.  Every step of every plan goes through one product with a
-``[-K; A]``, which gives ``u = -K x`` and ``A x`` at once, plus the
-plant's ``B u``.  :meth:`FiniteHorizonSolver.plan_step` takes one such
-step of a ``(B, n)`` batch of states at one horizon, with the stage cost
-and the value ``x_{k+1}' P_N x_{k+1}`` at the step's end;
-:meth:`FiniteHorizonSolver.rollout` takes the same steps and keeps only
-the states.  A :class:`PlanWalk` holds the plans of a batch and extends
-them one step at a time through ``plan_step``, by as many steps as its
-caller reads; rows may sit at different horizons, and each goes through
-its own horizon's operator.  :meth:`FiniteHorizonSolver.plans` walks a
-batch through whole plans at one horizon and
-:meth:`FiniteHorizonSolver.solve` is its one-row case.
-:meth:`FiniteHorizonSolver.values_of` evaluates ``x' P_N x`` on a
-``(B, n)`` batch, at one horizon or one per row, and
-:func:`value_drop_grid` maps the value drop after ``m`` applied steps
-over a square grid of states with one ``rollout`` and two ``values_of``
-calls.
-Every product goes through the elementwise row kernel of
-:mod:`mpccert.model` (:func:`~mpccert.model.matvec` and
-:func:`~mpccert.model.quad_form`) on whole ``(B, n)`` arrays, and a
-row's arithmetic does not depend on the batch around it.  So a batched
-result equals the corresponding single-state result bit for bit, and a
-plan's states are exactly what the plant's
-:meth:`~mpccert.model.LinearQuadraticInstance.dynamics` gives when it
-replays the plan's controls.
+A solver builds one plan operator per horizon on the first request and
+keeps it: the stacks ``[-K; A; Q]`` of every step (the law's negated gain
+on top of ``A`` and ``Q``) and the tail matrices ``P_N, ..., P_1``.
+:meth:`FiniteHorizonSolver.plan_step`, the step kernel of every plan,
+takes step ``k`` from states held as the columns of an ``(n, B)`` array:
+one product with the step's stack gives ``u_k``, ``A x_k`` and ``Q x_k``,
+one with ``[B; R]`` gives ``B u_k`` and ``R u_k``, and it writes
+``x_{k+1}``, ``u_k``, the stage cost, the end value ``x_{k+1}' P_N
+x_{k+1}`` and the prefix cost into the views it is given.  A
+:class:`PlanWalk` holds a batch's plans step-major, the row axis last,
+and extends them through ``plan_step`` as far as its caller reads, each
+row at its own horizon, and ``plans`` walks whole plans.  ``rollout``
+steps ``(B, n)`` states through the ``[-K; A]`` rows of the stacks,
+``values_of`` evaluates ``x' P_N x`` on them, and :func:`value_drop_grid`
+is one ``rollout`` and two ``values_of`` calls.  Every product multiplies
+each matrix entry by a row or column of states in one ufunc and adds the
+terms of each sum left to right, as :func:`~mpccert.model.matvec` does,
+so a row's bits do not depend on the batch around it: a batched result
+equals the single-state one, and a plan's states are what the plant's
+``dynamics`` gives when it replays the plan's controls.
 """
 
 from __future__ import annotations
@@ -184,7 +176,7 @@ class FiniteHorizonSolver:
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
         self.ladder = RiccatiLadder(lq, horizon)
-        self._operators: dict[int, tuple[np.ndarray, ...]] = {}
+        self._operators, self._kernels = {}, {}  # by horizon: _operator and _kernel
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -219,43 +211,54 @@ class FiniteHorizonSolver:
         raise NotImplementedError
 
     def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """``([-K_{g(N, k)}; A], P_{N-k})`` stacked over ``k < N``, built once per ``N``.
-
-        Each step's negated gain sits on top of ``A``, so that one product
-        gives both ``u_k`` and ``A x_k``.
-        """
+        """``(stacks, tails)``, built once per ``N``: ``stacks[k] = [-K_{g(N, k)}; A; Q]``, ``tails = P_N..P_1``."""
         op = self._operators.get(horizon)
         if op is None:
             if horizon < 1:
                 raise ConfigError(f"horizon must be at least 1, got {horizon}")
-            ladder, A = self.ladder, self.lq.A
+            ladder, lq = self.ladder, self.lq
             ladder.extend(horizon)
-            steps = range(horizon)
-            gains_a = np.stack([np.vstack([-ladder.gain(self._gain_index(horizon, k)), A]) for k in steps])
-            tails = np.stack([ladder.matrix(horizon - k) for k in steps])
-            op = self._operators[horizon] = (gains_a, tails)
+            gains = [-ladder.gain(self._gain_index(horizon, k)) for k in range(horizon)]
+            stacks = np.stack([np.vstack([gain, lq.A, lq.Q]) for gain in gains])
+            tails = np.stack([ladder.matrix(j) for j in range(horizon, 0, -1)])
+            op = self._operators[horizon] = (stacks, tails)
         return op
 
-    def _next_state(self, gain_a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One plan step from the ``(B, n)`` states ``X`` through ``[-K; A]``; returns ``(u, x_next)``.
+    def _kernel(self, horizon: int) -> tuple[np.ndarray, ...]:
+        """``stacks``, ``P_N`` and ``[B; R]`` for :meth:`plan_step`, built at its first call at ``horizon``.
 
-        The product gives ``u`` and ``A x`` with the operations of
-        ``matvec``; ``+ B u`` is the sum ``dynamics`` forms.
+        Each ``(..., r, c)`` ``M`` is laid out ``(..., c, r, 1)``: term ``j`` of ``M x`` is ``M[..., j, :, :] * x[j]``.
         """
-        u_ax = matvec(gain_a, X)
-        c = self.lq.control_dim
-        u = u_ax[:, :c]
-        return u, u_ax[:, c:] + matvec(self.lq.B, u)
+        forms = self._kernels.get(horizon)
+        if forms is None:
+            stacks, tails = self._operator(horizon)
+            mats = stacks, tails[0], np.vstack([self.lq.B, self.lq.R])
+            forms = self._kernels[horizon] = tuple(np.ascontiguousarray(M.swapaxes(-1, -2))[..., None] for M in mats)
+        return forms
 
-    def plan_step(self, X, horizon: int, k: int) -> tuple[np.ndarray, ...]:
-        """Step ``k`` of the ``horizon``-step plans at the ``(B, n)`` states ``X``.
+    def _next_state(self, gain_a: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """One :meth:`rollout` step through ``[-K; A]``; returning ``A x + B u`` alone frees the step's product."""
+        c, u_ax = self.lq.control_dim, matvec(gain_a, X)
+        return u_ax[:, c:] + matvec(self.lq.B, u_ax[:, :c])
 
-        Returns ``x_{k+1}``, ``u_k``, the stage cost and ``x_{k+1}' P_N
-        x_{k+1}`` (the bits of :meth:`values_of`).
+    def plan_step(self, X: np.ndarray, horizon: int, k: int, out: tuple) -> None:
+        """Step ``k`` of the ``horizon``-step plans from the columns of the ``(n, B)`` array ``X``.
+
+        ``out`` is ``(x_next, u, cost, end, prefix, paid)``: the step writes ``x_{k+1}``, ``u_k``, the
+        stage cost, ``x_{k+1}' P_N x_{k+1}`` and ``paid + cost`` (``cost`` at ``k = 0``, where ``paid`` is
+        ``None``) into the first five, each column with the bits of ``lq.dynamics``, ``lq.stage_cost``,
+        :meth:`values_of` and ``np.cumsum`` on it alone.
         """
-        gains_a, tails = self._operator(horizon)
-        u, x_next = self._next_state(gains_a[k], X)
-        return x_next, u, self.lq.stage_cost(X, u), quad_form(tails[0], x_next)
+        x_next, u, cost, end, prefix, paid = out
+        c, n = self.lq.control_dim, self.lq.state_dim
+        columns, end_form, inputs = self._kernel(horizon)
+        y = _add_terms(columns[k] * X[:, None])  # [u; A x; Q x]
+        u[...] = y[:c]
+        z = _add_terms(inputs * u[:, None])  # [B u; R u]
+        np.add(y[c : c + n], z[:n], out=x_next)
+        np.add(_add_terms(X * y[c + n :]), _add_terms(u * z[n:]), out=cost)
+        _add_terms(x_next * _add_terms(end_form * x_next[:, None]), out=end)
+        _add_terms([cost] if paid is None else [paid, cost], out=prefix)
 
     def plans(self, X, horizon: int) -> OpenLoopSolution:
         """Open-loop plans of the given length from every row of the ``(B, n)`` array ``X``.
@@ -267,23 +270,16 @@ class FiniteHorizonSolver:
         if np.ndim(horizon):
             raise ConfigError(f"plans takes one horizon for all rows, got shape {np.shape(horizon)}")
         horizon = int(horizon)
-        tails = self._operator(horizon)[1]
         walk = PlanWalk(self, X, horizon, horizon)
         walk.advance_to(horizon)
-        tail_values = quad_form(tails, walk.trajectory[:, :horizon])
+        tail_values = quad_form(self._operator(horizon)[1], walk.trajectory[:, :horizon])
         return OpenLoopSolution(horizon, walk.controls, walk.trajectory, walk.stage_costs, walk.value, tail_values)
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
         plan = self.plans(self._states(x, 1)[None], horizon)
-        return OpenLoopSolution(
-            horizon=plan.horizon,
-            controls=plan.controls[0],
-            trajectory=plan.trajectory[0],
-            stage_costs=plan.stage_costs[0],
-            value=float(plan.value[0]),
-            tail_values=plan.tail_values[0],
-        )
+        first = (plan.controls[0], plan.trajectory[0], plan.stage_costs[0])
+        return OpenLoopSolution(plan.horizon, *first, float(plan.value[0]), plan.tail_values[0])
 
     def rollout(self, X, horizon: int, steps: int) -> np.ndarray:
         """States after ``steps`` steps of the ``horizon``-step plan from each row of ``X``.
@@ -291,14 +287,12 @@ class FiniteHorizonSolver:
         Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
         plans, costs or values are stored.
         """
-        gains_a = self._operator(horizon)[0]
+        stacks = self._operator(horizon)[0]
         if not 0 <= steps <= horizon:
             raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
         x = self._states(X, 2)
-        for gain_a in gains_a[:steps]:
-            # Drop u at once: it is a view that keeps the step's product
-            # alive, which on large batches costs the next step fresh pages.
-            x = self._next_state(gain_a, x)[1]
+        for gain_a in stacks[:steps, : self.lq.control_dim + self.lq.state_dim]:
+            x = self._next_state(gain_a, x)
         return np.array(x)
 
 
@@ -332,59 +326,60 @@ class LqBellmanSolver(FiniteHorizonSolver):
 class PlanWalk:
     """The plans of a ``(B, n)`` batch of states at one or per-row horizons, built step by step.
 
-    :meth:`advance` builds step ``k = steps`` through
-    :meth:`FiniteHorizonSolver.plan_step`, once per horizon group, up to
-    ``width`` steps.  Column ``k`` of ``controls``, ``stage_costs``,
-    ``ends`` (``x_{k+1}' P_N x_{k+1}``) and ``prefix_costs`` (the bits of
-    ``np.cumsum`` of the stage costs), and ``trajectory[:, k + 1]``, hold
-    step ``k`` of the rows it reached.  ``value`` is ``x_0' P_N x_0``,
-    computed unless the caller has those bits.  :meth:`restart` reuses
-    the arrays without zeroing, so a column past a row's walked steps
-    holds zero or an earlier walk's value (finite, nonnegative); a reader
-    of whole columns must discard those rows, as the engine's
-    ``deciding`` mask and ``[:w]`` trace slices do.  ``buffers`` from
-    :meth:`allocate` may have more rows than ``X``; the walk uses the
-    first ``len(X)``, so a caller can keep one set while its batch shrinks.
+    ``step_major`` holds them with the row axis last: states ``(width + 1, n, rows)``, controls
+    ``(width, c, rows)`` and ``(3, width, rows)`` stage costs, ends (``x_{k+1}' P_N x_{k+1}``) and
+    prefix costs (the bits of ``np.cumsum``), into which :meth:`advance` writes step ``k = steps``.
+    ``trajectory``, ``controls``, ``stage_costs``, ``ends`` and ``prefix_costs`` are the same arrays
+    indexed by row first.  ``value`` is ``x_0' P_N x_0``, computed unless the caller has those bits.
+    :meth:`restart` does not zero the arrays: a step past a row's walked ones holds zero or an earlier
+    walk's value (finite, nonnegative), which a reader of whole columns must discard, as the engine's
+    ``deciding`` mask and ``[:w]`` trace slices do.  ``buffers`` from :meth:`allocate` may have more
+    rows than ``X``; the walk uses the first ``len(X)``.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
         self.solver, self.width, self.horizon = solver, width, horizon
-        self.groups = _horizon_groups(horizon, rows)
-        trajectory, controls, columns = buffers or self.allocate(rows, width, n, c)
-        self.trajectory, self.controls = trajectory[:rows], controls[:rows]
-        self.stage_costs, self.ends, self.prefix_costs = columns[..., :rows].transpose(0, 2, 1)
+        self.step_major = states, inputs, columns = [b[..., :rows] for b in buffers or self.allocate(rows, width, n, c)]
+        # (N, rows, views): a group of contiguous rows steps in place through views of its own.
+        groups = _horizon_groups(horizon, rows)
+        self.groups = [(N, at, isinstance(at, slice) and [b[..., at] for b in self.step_major]) for N, at in groups]
+        self.trajectory, self.controls = states.transpose(2, 0, 1), inputs.transpose(2, 0, 1)
+        self.stage_costs, self.ends, self.prefix_costs = columns.transpose(0, 2, 1)
         self.restart(X, value)
 
     @staticmethod
     def allocate(rows: int, width: int, n: int, c: int) -> tuple[np.ndarray, ...]:
-        """Zeroed trajectory, controls and ``(3, width, rows)`` columns, row axis innermost."""
-        return np.zeros((rows, width + 1, n)), np.zeros((rows, width, c)), np.zeros((3, width, rows))
+        """Zeroed step-major states, controls and columns, row axis last."""
+        return np.zeros((width + 1, n, rows)), np.zeros((width, c, rows)), np.zeros((3, width, rows))
 
     def restart(self, X: np.ndarray, value=None) -> None:
         """Start the walk afresh from the states ``X``, valued ``value`` when given."""
         self.steps, self.value = 0, self.solver.values_of(X, self.horizon) if value is None else value
-        self.trajectory[:, 0] = X
+        self.step_major[0][0] = X.T
 
     def advance(self, rows: np.ndarray | None = None) -> None:
         """Build the next step of the rows in the boolean mask ``rows`` (every row when ``None``).
 
-        A walk at one horizon steps every row, which costs no more than a
-        subset; a walk at mixed horizons steps the masked rows only.
+        A walk at one horizon steps every row, at no more cost than a subset; at mixed horizons each
+        group's masked rows step in place when they are all its rows and contiguous, else via temporaries.
         """
         k = self.steps
-        mixed = len(self.groups) > 1 and rows is not None
-        for N, at in self.groups:
-            if mixed:
-                at = at[rows[at]]
-                if not at.size:
-                    continue
-            x_next, u, cost, end = self.solver.plan_step(self.trajectory[at, k], N, k)
-            self.trajectory[at, k + 1] = x_next
-            self.controls[at, k] = u
-            self.stage_costs[at, k] = cost
-            self.ends[at, k] = end
-            self.prefix_costs[at, k] = cost if k == 0 else self.prefix_costs[at, k - 1] + cost
+        for N, at, views in self.groups:
+            if rows is not None and len(self.groups) > 1:
+                picked = rows[at]
+                if np.count_nonzero(picked) < len(picked):
+                    at, views = picked.nonzero()[0] + at.start if views else at[picked], None
+                    if not at.size:
+                        continue
+            states, inputs, columns = views or self.step_major
+            paid = columns[2, k - 1] if k else None
+            if views:
+                self.solver.plan_step(states[k], N, k, (states[k + 1], inputs[k], *columns[:, k], paid))
+                continue
+            x_next, u, step = (np.empty((len(a), at.size)) for a in (states[k], inputs[k], columns[:, k]))
+            self.solver.plan_step(states[k][:, at], N, k, (x_next, u, *step, None if paid is None else paid[at]))
+            states[k + 1][:, at], inputs[k][:, at], columns[:, k, at] = x_next, u, step
         self.steps = k + 1
 
     def advance_to(self, steps) -> None:
@@ -428,14 +423,25 @@ def value_drop_grid(
 def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:
     """The ``rows`` rows grouped by horizon: ``(N, rows at horizon N)``, shortest first.
 
-    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array
-    of them.  When every row shares ``N`` the one group is
-    ``(N, slice(None))``, else each group's rows are an index array.
+    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array of them.  When every
+    row shares ``N`` the one group is ``(N, slice(None))``; else each group's rows are a slice
+    when they are contiguous and an index array when not.
     """
     h = np.asarray(horizon)
     if h.ndim:
         if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
             raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
         if (h != h[0]).any():
-            return [(n, np.flatnonzero(h == n)) for n in np.unique(h).tolist()]
+            groups = [(n, (h == n).nonzero()[0]) for n in np.unique(h).tolist()]
+            return [(n, slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == at.size else at) for n, at in groups]
     return [(int(h.flat[0]), slice(None))]
+
+
+def _add_terms(terms: np.ndarray, out=None) -> np.ndarray:
+    """``terms[0] + terms[1] + ...``, added left to right; the last sum, or the one term, goes into ``out``."""
+    acc = terms[0]
+    for j in range(1, len(terms)):
+        acc = np.add(acc, terms[j], out=out if j == len(terms) - 1 else None)
+    if out is not None and len(terms) == 1:
+        out[...] = acc
+    return acc

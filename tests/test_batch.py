@@ -483,10 +483,10 @@ class _CountingSolver(LqLadderSolver):
 
     steps = rows = 0
 
-    def plan_step(self, X, horizon, k):
+    def plan_step(self, X, horizon, k, out):
         self.steps += 1
-        self.rows += len(X)
-        return super().plan_step(X, horizon, k)
+        self.rows += X.shape[-1]
+        return super().plan_step(X, horizon, k, out)
 
 
 def test_walk_stops_at_the_first_settled_prefix(lq):

@@ -5,7 +5,9 @@ elementwise ufuncs and add their terms left to right.  Every check here
 is bitwise (the bytes of the results, so ``-0.0`` and ``0.0`` differ):
 a row's result must not depend on the array, stack or strided view that
 holds it, and must equal plain Python float arithmetic in the documented
-order.  The plants are in-test, with one, two and three states.
+order.  The plan layer's fused step kernel (``plan_step``, through
+``PlanWalk``) must give each row the bits of the plant's own calls on
+that row alone.  The plants are in-test, with one, two and three states.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpccert.model import LinearQuadraticInstance, matvec, quad_form, row_dot
-from mpccert.riccati import LqBellmanSolver, LqLadderSolver
+from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 
 PLANTS = {
     1: LinearQuadraticInstance(A=[[1.3]], B=[[0.7]], Q=[[0.9]], R=[[0.35]]),
@@ -147,3 +149,41 @@ def test_plan_steps_are_plant_steps(n, law, data):
         for name in ("controls", "trajectory", "stage_costs", "tail_values"):
             assert _bits(getattr(plan, name)[i]) == _bits(getattr(one, name)), name
         assert _bits(ends[i]) == _bits(one.trajectory[-1])
+
+
+@pytest.mark.parametrize("n", sorted(PLANTS))
+@pytest.mark.parametrize("law", LAWS, ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_walk_steps_match_lone_row_calls(n, law, data):
+    # The fused step kernel against the plant's own calls on each row
+    # alone: a one-horizon walk on buffers with spare rows (filled with
+    # NaN, so a read of a slot no step wrote shows), and a walk whose rows
+    # sit at mixed horizons and stop at their own lengths.
+    lq, c = PLANTS[n], PLANTS[n].control_dim
+    rows, spare = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
+    X = data.draw(arrays(np.float64, (rows, n), elements=_entries))
+    solver = law(lq, 1)
+    one = data.draw(st.sampled_from((2, 3, 5)))
+    mixed = np.array(data.draw(st.lists(st.sampled_from((2, 3, 5)), min_size=rows, max_size=rows)))
+    lengths = np.array([data.draw(st.integers(1, N)) for N in mixed])
+    buffers = tuple(np.full_like(b, np.nan) for b in PlanWalk.allocate(rows + spare, one, n, c))
+    for horizon, walk, steps in (
+        (np.full(rows, one), PlanWalk(solver, X, one, one, buffers=buffers), np.full(rows, one)),
+        (mixed, PlanWalk(solver, X, mixed, int(mixed.max())), lengths),
+    ):
+        walk.advance_to(steps)
+        for i, (N, walked) in enumerate(zip(horizon.tolist(), steps.tolist())):
+            walked = walked if len(set(horizon.tolist())) > 1 else walk.steps
+            P = solver.ladder.matrix(N)
+            assert _bits(walk.trajectory[i, 0]) == _bits(X[i])
+            for k in range(walked):
+                x, u = np.array(walk.trajectory[i, k]), np.array(walk.controls[i, k])
+                x_next = np.array(walk.trajectory[i, k + 1])
+                gain = solver.ladder.gain(solver._gain_index(N, k))
+                assert _bits(u) == _bits(matvec(-gain, x))
+                assert _bits(x_next) == _bits(lq.dynamics(x, u))
+                assert _bits(walk.stage_costs[i, k]) == _bits(lq.stage_cost(x, u))
+                assert _bits(walk.ends[i, k]) == _bits(quad_form(P, x_next))
+            costs = np.array(walk.stage_costs[i, :walked])
+            assert _bits(walk.prefix_costs[i, :walked]) == _bits(np.cumsum(costs))

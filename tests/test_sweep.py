@@ -299,11 +299,11 @@ class _FaultySolver(LqLadderSolver):
     and a plan from any other state succeeds.
     """
 
-    def plan_step(self, X, horizon, k):
+    def plan_step(self, X, horizon, k, out):
         X = np.asarray(X, dtype=float)
-        if np.any((np.abs(X[:, 0] - 1.0) < 1e-12) & (np.abs(X[:, 1]) < 1e-12)):
+        if np.any((np.abs(X[0] - 1.0) < 1e-12) & (np.abs(X[1]) < 1e-12)):
             raise SolverError("marker state rejected")
-        return super().plan_step(X, horizon, k)
+        return super().plan_step(X, horizon, k, out)
 
 
 def _assert_nan_statistics(report):

@@ -1,4 +1,4 @@
-"""Print one SHA-256 over the engine's batch results and full traces on a fixed set of runs.
+"""Print one SHA-256 over the engine's batch results, full traces and plans on a fixed set of inputs.
 
     python3 tools/engine_digest.py TREE
 
@@ -6,9 +6,12 @@ mpccert is imported from TREE/src.  Two trees print the same line exactly
 when ``run_batch(..., traces=True)`` returns the same bits for every run
 below: statuses, per-row statistics, and each trace's schedule, states,
 controls, costs, certificates, slack values and windows (probe alphas and
-rhos, ``closes`` and every other field).  The CLI prints only part of
-these, so this catches changes ``tools/cli_outputs.sh`` cannot see.
-Under both control laws:
+rhos, ``closes`` and every other field), and when the plan layer under
+them returns the same bits: every field of ``plans(X, N)`` (controls,
+trajectory, stage costs, value, tail values) and ``rollout(X, N, m)`` for
+every ``m`` in ``0..N``, at N = 2, 3, 5 and 20 from the initial states of
+each plant below.  The CLI prints only part of these, so this catches
+changes ``tools/cli_outputs.sh`` cannot see.  Under both control laws:
 
   * the bundled plant from 22 initial states (16 on the unit circle,
     4 of them scaled by 1e3, the origin, and a point inside the
@@ -122,12 +125,22 @@ def main() -> None:
     from mpccert.engine import run_batch
     from mpccert.riccati import LqBellmanSolver, LqLadderSolver
 
-    h, runs, count = hashlib.sha256(), 0, 0
+    h, runs, count, plans = hashlib.sha256(), 0, 0, 0
     for law in (LqLadderSolver, LqBellmanSolver):
         for lq, X, config in batches(tree):
             feed(h, run_batch(law(lq, 2), X, config, traces=True))
             runs, count = runs + len(X), count + 1
-    print(f"{h.hexdigest()}  {runs} runs in {count} batches")
+        # The plan layer on its own: the three-state plant has c = 1, the
+        # four-state one c = 2.
+        starts = {id(lq): (lq, X) for lq, X, _ in batches(tree)}
+        for lq, X in starts.values():
+            solver = law(lq, 2)
+            for horizon in (2, 3, 5, 20):
+                feed(h, solver.plans(X, horizon))
+                for m in range(horizon + 1):
+                    feed(h, solver.rollout(X, horizon, m))
+                plans += len(X)
+    print(f"{h.hexdigest()}  {runs} runs in {count} batches, {plans} plans")
 
 
 if __name__ == "__main__":

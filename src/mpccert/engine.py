@@ -46,8 +46,10 @@ still inside its window, and before each column after the first the
 at the run's first re-plan.  A re-plan walks as far as the window left
 to it and checks only the rule of its rows' variant; an accepted one is
 written over the columns of the plan it replaces, so every row reads
-the same column.  Every row of a batch matches its own one-row run bit
-for bit, whichever rows and configurations share the batch.
+the same column.  Walk and re-plan buffers are allocated once per run
+and each walk uses their first rows, so rows that stop leave them alone.
+So every row of a batch matches its own one-row run bit for bit,
+whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
 traces only on request.

@@ -8,12 +8,13 @@ cost work row-wise on whole batches of states and controls.
 
 Every product of a matrix with states or controls goes through one row
 kernel, :func:`matvec`, with :func:`row_dot` and :func:`quad_form` on top
-of it.  The kernel works on whole arrays of rows ``(..., n)`` with
-elementwise ufuncs, one IEEE multiply or add per element, and adds the
-terms of each sum left to right.  A row therefore gives the same bits
-whether it is a lone vector, a row of a batch or part of a strided view,
-and a batch costs a fixed number of ufunc calls however many rows it
-holds, where a stacked ``@`` makes one BLAS call per row.
+of it, or through the plan step of :mod:`mpccert.riccati`.  Both work on
+whole batches with elementwise ufuncs, one IEEE multiply or add per
+element, and add the terms of each sum left to right in
+:func:`_add_terms`.  A row therefore gives the same bits whether it is a
+lone vector, a row of a batch or part of a strided view, and a batch
+costs a fixed number of ufunc calls however many rows it holds, where a
+stacked ``@`` makes one BLAS call per row.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ import numpy as np
 from .errors import ConfigError, PlantFormatError
 
 
-def _sum_last(terms: np.ndarray):
-    """``terms[..., 0] + terms[..., 1] + ...``, added left to right."""
-    acc = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        acc = np.add(acc, terms[..., j])
+def _add_terms(terms, out=None):
+    """``terms[0] + terms[1] + ...``, added left to right; the last sum, or the one term, goes into ``out``."""
+    acc = terms[0]
+    for j in range(1, len(terms)):
+        acc = np.add(acc, terms[j], out=out if j == len(terms) - 1 else None)
+    if out is not None and len(terms) == 1:
+        out[...] = acc
     return acc
 
 
@@ -41,14 +44,15 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     right, ``((M_i0 x_0 + M_i1 x_1) + M_i2 x_2) + ...``.  ``M`` is one
     matrix or a stack of matrices that broadcasts against the leading
     axes of ``x``.  The products are laid out in Fortran order, which
-    keeps the row axis innermost, so each ufunc runs one long loop.
+    keeps the row axis innermost, so each ufunc runs one long loop, and
+    summed over their transpose, whose first axis is the term axis.
     """
-    return _sum_last(np.multiply(M, x[..., None, :], order="F"))
+    return _add_terms(np.multiply(M, x[..., None, :], order="F").T).T
 
 
 def row_dot(x: np.ndarray, y: np.ndarray):
     """``x' y`` for every row: ``x_0 y_0 + x_1 y_1 + ...``, added left to right."""
-    return _sum_last(np.multiply(x, y, order="F"))
+    return _add_terms(np.multiply(x, y, order="F").T).T
 
 
 def quad_form(P: np.ndarray, X: np.ndarray):

@@ -24,18 +24,18 @@ on top of ``A`` and ``Q``) and the tail matrices ``P_N, ..., P_1``.
 takes step ``k`` from states held as the columns of an ``(n, B)`` array:
 one product with the step's stack gives ``u_k``, ``A x_k`` and ``Q x_k``,
 one with ``[B; R]`` gives ``B u_k`` and ``R u_k``, and it writes
-``x_{k+1}``, ``u_k``, the stage cost, the end value ``x_{k+1}' P_N
-x_{k+1}`` and the prefix cost into the views it is given.  A
-:class:`PlanWalk` holds a batch's plans step-major, the row axis last,
+``x_{k+1}``, ``u_k``, the stage cost, the end value
+``x_{k+1}' P_N x_{k+1}`` and the prefix cost into the views it is given.
+A :class:`PlanWalk` holds a batch's plans step-major, the row axis last,
 and extends them through ``plan_step`` as far as its caller reads, each
 row at its own horizon, and ``plans`` walks whole plans.  ``rollout``
 steps ``(B, n)`` states through the ``[-K; A]`` rows of the stacks,
 ``values_of`` evaluates ``x' P_N x`` on them, and :func:`value_drop_grid`
 is one ``rollout`` and two ``values_of`` calls.  Every product multiplies
 each matrix entry by a row or column of states in one ufunc and adds the
-terms of each sum left to right, as :func:`~mpccert.model.matvec` does,
-so a row's bits do not depend on the batch around it: a batched result
-equals the single-state one, and a plan's states are what the plant's
+terms of each sum left to right in :func:`~mpccert.model._add_terms`, so a
+row's bits do not depend on the batch around it: a batched result equals
+the single-state one, and a plan's states are what the plant's
 ``dynamics`` gives when it replays the plan's controls.
 """
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .model import LinearQuadraticInstance, matvec, quad_form
+from .model import LinearQuadraticInstance, _add_terms, matvec, quad_form
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ class FiniteHorizonSolver:
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
         self.ladder = RiccatiLadder(lq, horizon)
-        self._operators, self._kernels = {}, {}  # by horizon: _operator and _kernel
+        self._operators: dict[int, tuple[np.ndarray, ...]] = {}
+        self._kernels: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -225,9 +226,11 @@ class FiniteHorizonSolver:
         return op
 
     def _kernel(self, horizon: int) -> tuple[np.ndarray, ...]:
-        """``stacks``, ``P_N`` and ``[B; R]`` for :meth:`plan_step`, built at its first call at ``horizon``.
+        """The stacks, ``P_N`` and ``[B; R]`` laid out for :meth:`plan_step`, built at its first call at ``horizon``.
 
-        Each ``(..., r, c)`` ``M`` is laid out ``(..., c, r, 1)``: term ``j`` of ``M x`` is ``M[..., j, :, :] * x[j]``.
+        Each ``(..., r, c)`` matrix ``M`` is laid out ``(..., c, r, 1)``, so
+        that term ``j`` of ``M x`` is ``M[..., j, :, :] * x[j]``.  A solver
+        that only calls :meth:`rollout` never builds them.
         """
         forms = self._kernels.get(horizon)
         if forms is None:
@@ -244,9 +247,11 @@ class FiniteHorizonSolver:
     def plan_step(self, X: np.ndarray, horizon: int, k: int, out: tuple) -> None:
         """Step ``k`` of the ``horizon``-step plans from the columns of the ``(n, B)`` array ``X``.
 
-        ``out`` is ``(x_next, u, cost, end, prefix, paid)``: the step writes ``x_{k+1}``, ``u_k``, the
-        stage cost, ``x_{k+1}' P_N x_{k+1}`` and ``paid + cost`` (``cost`` at ``k = 0``, where ``paid`` is
-        ``None``) into the first five, each column with the bits of ``lq.dynamics``, ``lq.stage_cost``,
+        ``out`` is ``(x_next, u, cost, end, prefix, paid)``: the step
+        writes ``x_{k+1}``, ``u_k``, the stage cost,
+        ``x_{k+1}' P_N x_{k+1}`` and ``paid + cost`` (``cost`` at
+        ``k = 0``, where ``paid`` is ``None``) into the first five, each
+        column with the bits of ``lq.dynamics``, ``lq.stage_cost``,
         :meth:`values_of` and ``np.cumsum`` on it alone.
         """
         x_next, u, cost, end, prefix, paid = out
@@ -278,8 +283,14 @@ class FiniteHorizonSolver:
     def solve(self, x, horizon: int) -> OpenLoopSolution:
         """Build the open-loop plan of the given length from ``x``; :meth:`plans` with one row."""
         plan = self.plans(self._states(x, 1)[None], horizon)
-        first = (plan.controls[0], plan.trajectory[0], plan.stage_costs[0])
-        return OpenLoopSolution(plan.horizon, *first, float(plan.value[0]), plan.tail_values[0])
+        return OpenLoopSolution(
+            horizon=plan.horizon,
+            controls=plan.controls[0],
+            trajectory=plan.trajectory[0],
+            stage_costs=plan.stage_costs[0],
+            value=float(plan.value[0]),
+            tail_values=plan.tail_values[0],
+        )
 
     def rollout(self, X, horizon: int, steps: int) -> np.ndarray:
         """States after ``steps`` steps of the ``horizon``-step plan from each row of ``X``.
@@ -326,24 +337,28 @@ class LqBellmanSolver(FiniteHorizonSolver):
 class PlanWalk:
     """The plans of a ``(B, n)`` batch of states at one or per-row horizons, built step by step.
 
-    ``step_major`` holds them with the row axis last: states ``(width + 1, n, rows)``, controls
-    ``(width, c, rows)`` and ``(3, width, rows)`` stage costs, ends (``x_{k+1}' P_N x_{k+1}``) and
-    prefix costs (the bits of ``np.cumsum``), into which :meth:`advance` writes step ``k = steps``.
-    ``trajectory``, ``controls``, ``stage_costs``, ``ends`` and ``prefix_costs`` are the same arrays
-    indexed by row first.  ``value`` is ``x_0' P_N x_0``, computed unless the caller has those bits.
-    :meth:`restart` does not zero the arrays: a step past a row's walked ones holds zero or an earlier
-    walk's value (finite, nonnegative), which a reader of whole columns must discard, as the engine's
-    ``deciding`` mask and ``[:w]`` trace slices do.  ``buffers`` from :meth:`allocate` may have more
-    rows than ``X``; the walk uses the first ``len(X)``.
+    ``step_major`` holds them with the row axis last: states
+    ``(width + 1, n, rows)``, controls ``(width, c, rows)`` and
+    ``(3, width, rows)`` stage costs, ends (``x_{k+1}' P_N x_{k+1}``) and
+    prefix costs (the bits of ``np.cumsum``).  :meth:`advance` writes step
+    ``k = steps`` into them through :meth:`FiniteHorizonSolver.plan_step`,
+    once per horizon group, up to ``width`` steps.  ``trajectory``,
+    ``controls``, ``stage_costs``, ``ends`` and ``prefix_costs`` are the
+    same arrays indexed by row first.  ``value`` is ``x_0' P_N x_0``,
+    computed unless the caller has those bits.  :meth:`restart` reuses the
+    arrays without zeroing, so a step past a row's walked ones holds zero
+    or an earlier walk's value (finite, nonnegative); a reader of whole
+    columns must discard those rows, as the engine's ``deciding`` mask and
+    ``[:w]`` trace slices do.  ``buffers`` from :meth:`allocate` may have
+    more rows than ``X``; the walk uses the first ``len(X)``, so a caller
+    can keep one set while its batch shrinks.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
         self.solver, self.width, self.horizon = solver, width, horizon
         self.step_major = states, inputs, columns = [b[..., :rows] for b in buffers or self.allocate(rows, width, n, c)]
-        # (N, rows, views): a group of contiguous rows steps in place through views of its own.
-        groups = _horizon_groups(horizon, rows)
-        self.groups = [(N, at, isinstance(at, slice) and [b[..., at] for b in self.step_major]) for N, at in groups]
+        self.groups = _horizon_groups(horizon, rows)
         self.trajectory, self.controls = states.transpose(2, 0, 1), inputs.transpose(2, 0, 1)
         self.stage_costs, self.ends, self.prefix_costs = columns.transpose(0, 2, 1)
         self.restart(X, value)
@@ -361,25 +376,23 @@ class PlanWalk:
     def advance(self, rows: np.ndarray | None = None) -> None:
         """Build the next step of the rows in the boolean mask ``rows`` (every row when ``None``).
 
-        A walk at one horizon steps every row, at no more cost than a subset; at mixed horizons each
-        group's masked rows step in place when they are all its rows and contiguous, else via temporaries.
+        A walk at one horizon steps every row in place, which costs no
+        more than a subset; a walk at mixed horizons steps the masked rows
+        of each group into temporaries and scatters them.
         """
         k = self.steps
-        for N, at, views in self.groups:
-            if rows is not None and len(self.groups) > 1:
-                picked = rows[at]
-                if np.count_nonzero(picked) < len(picked):
-                    at, views = picked.nonzero()[0] + at.start if views else at[picked], None
-                    if not at.size:
-                        continue
-            states, inputs, columns = views or self.step_major
-            paid = columns[2, k - 1] if k else None
-            if views:
-                self.solver.plan_step(states[k], N, k, (states[k + 1], inputs[k], *columns[:, k], paid))
-                continue
-            x_next, u, step = (np.empty((len(a), at.size)) for a in (states[k], inputs[k], columns[:, k]))
-            self.solver.plan_step(states[k][:, at], N, k, (x_next, u, *step, None if paid is None else paid[at]))
-            states[k + 1][:, at], inputs[k][:, at], columns[:, k, at] = x_next, u, step
+        states, inputs, columns = self.step_major
+        paid = columns[2, k - 1] if k else None
+        if len(self.groups) == 1:
+            self.solver.plan_step(states[k], self.groups[0][0], k, (states[k + 1], inputs[k], *columns[:, k], paid))
+        else:
+            for N, at in self.groups:
+                at = at if rows is None else at[rows[at]]
+                if not at.size:
+                    continue
+                x_next, u, step = (np.empty((len(a), at.size)) for a in (states[k], inputs[k], columns[:, k]))
+                self.solver.plan_step(states[k][:, at], N, k, (x_next, u, *step, None if paid is None else paid[at]))
+                states[k + 1][:, at], inputs[k][:, at], columns[:, k, at] = x_next, u, step
         self.steps = k + 1
 
     def advance_to(self, steps) -> None:
@@ -423,25 +436,14 @@ def value_drop_grid(
 def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:
     """The ``rows`` rows grouped by horizon: ``(N, rows at horizon N)``, shortest first.
 
-    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array of them.  When every
-    row shares ``N`` the one group is ``(N, slice(None))``; else each group's rows are a slice
-    when they are contiguous and an index array when not.
+    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array
+    of them.  When every row shares ``N`` the one group is
+    ``(N, slice(None))``, else each group's rows are an index array.
     """
     h = np.asarray(horizon)
     if h.ndim:
         if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
             raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
         if (h != h[0]).any():
-            groups = [(n, (h == n).nonzero()[0]) for n in np.unique(h).tolist()]
-            return [(n, slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == at.size else at) for n, at in groups]
+            return [(n, np.flatnonzero(h == n)) for n in np.unique(h).tolist()]
     return [(int(h.flat[0]), slice(None))]
-
-
-def _add_terms(terms: np.ndarray, out=None) -> np.ndarray:
-    """``terms[0] + terms[1] + ...``, added left to right; the last sum, or the one term, goes into ``out``."""
-    acc = terms[0]
-    for j in range(1, len(terms)):
-        acc = np.add(acc, terms[j], out=out if j == len(terms) - 1 else None)
-    if out is not None and len(terms) == 1:
-        out[...] = acc
-    return acc

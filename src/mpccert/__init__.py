@@ -55,7 +55,6 @@ _SOURCES = {
     "riccati_fixed_point": "riccati",
     "value_drop_grid": "riccati",
     "InitialSet": "sweep",
-    "PointRecord": "sweep",
     "SweepReport": "sweep",
     "horizon_comparison": "sweep",
     "sweep": "sweep",

@@ -161,7 +161,7 @@ def cmd_sweep(args) -> int:
     if out is not None:
         write_sweep_csv(report, os.path.join(out, "sweep_points.csv"))
         _write_summary(os.path.join(out, "summary.txt"), entries, not args.no_timestamp)
-    if report.error_indices() and len(report.error_indices()) == len(report.records):
+    if set(report.runs.status) == {"error"}:
         return 3
     return 0
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import alpha_m_steps
 from .engine import AlgorithmConfig, run_batch
 from .errors import MpcCertError
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver, value_drop_grid
-from .sweep import SweepReport, point_records, sweep, unit_circle
+from .sweep import SweepReport, sweep, unit_circle
 
 GRID_POINTS = 128
 
@@ -59,12 +60,12 @@ def two_step_values(solver: FiniteHorizonSolver, x, horizon: int = 3):
     v0 = sol.value
     v_held = solver.values_of(sol.trajectory[:, 2], horizon)
     cost_held = sol.stage_costs[:, 0] + sol.stage_costs[:, 1]
-    alpha_held = (v0 - v_held) / cost_held
+    alpha_held = alpha_m_steps(v0 - v_held, cost_held)
 
     sol2 = solver.plans(sol.trajectory[:, 1], horizon)
     v_replanned = solver.values_of(sol2.trajectory[:, 1], horizon)
     cost_replanned = sol.stage_costs[:, 0] + sol2.stage_costs[:, 0]
-    alpha_replanned = (v0 - v_replanned) / cost_replanned
+    alpha_replanned = alpha_m_steps(v0 - v_replanned, cost_replanned)
     out = (v_held, alpha_held, v_replanned, alpha_replanned)
     return out if X.ndim == 2 else tuple(float(v[0]) for v in out)
 
@@ -120,7 +121,7 @@ def reference_checks() -> list[CheckResult]:
     for n in (3, 4):
         plans = solver.plans(grid.points, n)
         v_next = solver.values_of(plans.trajectory[:, 1], n)
-        startup[n] = (plans.value - v_next) / plans.stage_costs[:, 0]
+        startup[n] = alpha_m_steps(plans.value - v_next, plans.stage_costs[:, 0])
     negative_n3 = int(np.sum(startup[3] < 0.0))
     negative_n4 = int(np.sum(startup[4] < 0.0))
     results.append(
@@ -160,7 +161,7 @@ def reference_checks() -> list[CheckResult]:
             batch.select(slice(k * GRID_POINTS, (k + 1) * GRID_POINTS)) for k in range(len(configs))
         )
         alg1_report, watchdog_report = (
-            SweepReport(grid.name, cfg, tuple(point_records(block, grid.points)))
+            SweepReport(grid.name, cfg, grid.points, block)
             for cfg, block in ((alg1_cfg, alg1), (watchdog_cfg, watchdog))
         )
     except (MpcCertError, np.linalg.LinAlgError):

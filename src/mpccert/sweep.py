@@ -9,21 +9,24 @@ output uses ``%.17g`` so that reruns are byte-comparable.
 
 Every experiment takes a solver, which carries its plant (``solver.lq``).  The
 points of a set run as one lockstep batch in this process (see
-:func:`mpccert.engine.run_batch`), and the point records come straight
-from the batch's per-row statistics, without a full trace per point.
-The horizon table runs all its horizons and both its configurations as
-one batch too, since the rows of a batch may differ in configuration,
-and reads its minima from the batch's columns without point records.
+:func:`mpccert.engine.run_batch`), and a sweep's report keeps that
+batch's per-row columns as they are: every statistic it reports is read
+from them, without a trace or an object per point.  The horizon table
+runs all its horizons and both its configurations as one batch too,
+since the rows of a batch may differ in configuration, and reads its
+minima from the batch's columns in the same way.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import AlgorithmConfig, BatchRun, run_batch, run_closed_loop
+from .engine import AlgorithmConfig, BatchRun, run_batch
+from .engine import run_closed_loop  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
 from .riccati import value_drop_grid  # noqa: F401  (perfbench calls and traces it here)
@@ -73,35 +76,20 @@ def parse_initial_set(text: str) -> InitialSet:
 
 
 @dataclass(frozen=True)
-class PointRecord:
-    """Per-initial-state outcome of a sweep.
-
-    ``index`` is the 1-based position in the initial set.  The alpha
-    fields are minima over the run: one-step prefix degree, committed
-    window degree, and the whole-run realized degree.  ``startup_alpha``
-    is the one-step degree of the very first plan, which is what the
-    threshold test at startup sees.  A failed run keeps its exception
-    text in ``error`` and NaN statistics.
-    """
-
-    index: int
-    x0: tuple[float, ...]
-    status: str
-    startup_alpha: float
-    min_onestep_alpha: float
-    min_mstep_alpha: float
-    alpha_cor3: float
-    warning: bool
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    """All point records of one sweep plus the configuration that ran it."""
+    """The batch run of one sweep plus the set and configuration that ran it.
+
+    ``points`` is the ``(B, n)`` array of initial states and ``runs`` the
+    :class:`BatchRun` of its rows in the same order; reported indices are
+    1-based positions in ``points``.  A failed point is an error row of
+    ``runs`` (see :func:`_records`): it never warns or fails, and its NaN
+    statistics stay out of every minimum.
+    """
 
     set_name: str
     config: AlgorithmConfig
-    records: tuple[PointRecord, ...]
+    points: np.ndarray
+    runs: BatchRun
 
     def failure_indices(self) -> tuple[int, ...]:
         """Points at which the variant's own failure test fired.
@@ -110,46 +98,48 @@ class SweepReport:
           set, where the first plan's one-step degree misses
           ``alpha_bar``.
         * ``alg3``/``alg4`` (watchdog): :meth:`warned_indices`, the
-          points where a warning was issued.  Error records carry
-          ``warning=False``, so they never count.
+          points where a warning was issued.  Error rows have zero
+          warning counts, so they never count.
         """
         if self.config.variant in ("alg1", "alg2"):
-            return tuple(
-                r.index
-                for r in self.records
-                if r.error is None and r.startup_alpha < self.config.alpha_bar
-            )
+            return _indices(self._ran() & (self.runs.startup_onestep_alpha < self.config.alpha_bar))
         return self.warned_indices()
 
     def warned_indices(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.records if r.warning)
+        return _indices(self.runs.warning_count > 0)
 
     def error_indices(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.records if r.error is not None)
+        return _indices(~self._ran())
 
     def statuses(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.status] = counts.get(r.status, 0) + 1
-        return counts
+        return dict(Counter(self.runs.status))
 
     def alpha_cor3_min(self) -> float:
-        return _nan_stat(np.nanmin, [r.alpha_cor3 for r in self.records if r.error is None])
+        return _nan_stat(np.nanmin, self.runs.alpha_cor3[self._ran()])
 
     def aggregates(self) -> dict:
-        clean = [r for r in self.records if r.error is None]
-        cor3 = [r.alpha_cor3 for r in clean]
+        ran = self._ran()
+        cor3 = self.runs.alpha_cor3[ran]
         return {
-            "points": len(self.records),
-            "errors": len(self.records) - len(clean),
-            "warnings": sum(r.warning for r in self.records),
+            "points": len(self.points),
+            "errors": len(self.error_indices()),
+            "warnings": len(self.warned_indices()),
             "failures": len(self.failure_indices()),
             "alpha_cor3_min": _nan_stat(np.nanmin, cor3),
             "alpha_cor3_max": _nan_stat(np.nanmax, cor3),
             "alpha_cor3_mean": _nan_stat(np.nanmean, cor3),
-            "alpha_1step_min": _nan_stat(np.nanmin, [r.min_onestep_alpha for r in clean]),
-            "alpha_mstep_min": _nan_stat(np.nanmin, [r.min_mstep_alpha for r in clean]),
+            "alpha_1step_min": _nan_stat(np.nanmin, self.runs.min_onestep_alpha[ran]),
+            "alpha_mstep_min": _nan_stat(np.nanmin, self.runs.min_window_alpha[ran]),
         }
+
+    def _ran(self) -> np.ndarray:
+        """Whether each point ran, as a boolean column: error rows did not."""
+        return np.array([error is None for error in self.runs.errors or (None,) * len(self.points)], dtype=bool)
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    """The 1-based positions of the true entries of ``mask``."""
+    return tuple((np.flatnonzero(mask) + 1).tolist())
 
 
 def _nan_stat(stat, values) -> float:
@@ -157,21 +147,6 @@ def _nan_stat(stat, values) -> float:
     NumPy's ``RuntimeWarning``, when no value is a number."""
     values = np.asarray(values, dtype=float)
     return float("nan") if np.isnan(values).all() else float(stat(values))
-
-
-def point_records(batch: BatchRun, points: np.ndarray) -> list[PointRecord]:
-    """One record per row of a finished batch, indexed from 1 in the order of ``points``."""
-    stats = zip(
-        batch.status,
-        batch.startup_onestep_alpha.tolist(),
-        batch.min_onestep_alpha.tolist(),
-        batch.min_window_alpha.tolist(),
-        batch.alpha_cor3.tolist(),
-        (batch.warning_count > 0).tolist(),
-        batch.errors or (None,) * len(batch.status),
-    )
-    x0s = np.asarray(points, dtype=float).tolist()
-    return [PointRecord(k, tuple(x0), *row) for k, (x0, row) in enumerate(zip(x0s, stats), start=1)]
 
 
 def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
@@ -194,34 +169,19 @@ def _records(solver: FiniteHorizonSolver, config, points: np.ndarray) -> BatchRu
 
     ``config`` is one configuration or a sequence of one per point, as
     :func:`run_batch` takes it.  A point that fails on its own is an error
-    row (see :func:`_point_run`).  One failing point among ``B`` costs at
-    most ``2 ceil(log2 B) + 1`` runs, batches and single runs together.
+    row: status ``error``, NaN degrees, zero counts and the exception text
+    in ``errors``.  One failing point among ``B`` costs at most
+    ``2 ceil(log2 B) + 1`` batch runs.
     """
-    shared = isinstance(config, AlgorithmConfig)
-    if len(points) == 1:
-        return _point_run(solver, config if shared else config[0], points[0])
     try:
         return run_batch(solver, points, config)
-    except (MpcCertError, np.linalg.LinAlgError):
-        half = len(points) // 2
-        head, rest = (config, config) if shared else (config[:half], config[half:])
-        return _joined(_records(solver, head, points[:half]), _records(solver, rest, points[half:]))
-
-
-def _point_run(solver: FiniteHorizonSolver, config: AlgorithmConfig, x0: np.ndarray) -> BatchRun:
-    """One point run on its own, as a one-row batch.
-
-    A failed run is an error row: status ``error``, NaN degrees, zero
-    counts and the exception text in ``errors``.
-    """
-    try:
-        run = run_closed_loop(solver, x0, config)
     except (MpcCertError, np.linalg.LinAlgError) as exc:
-        nan, zero = np.full(1, np.nan), np.zeros(1, dtype=int)
-        return BatchRun(("error",), nan, nan, nan, nan, zero, zero, zero, zero, errors=(str(exc),))
-    stats = (run.startup_onestep_alpha, run.min_onestep_alpha, run.min_window_alpha, run.alpha_cor3)
-    stats += (run.exit_count, run.warning_count, len(run.certificates), len(run.applied_costs))
-    return BatchRun((run.status,), *(np.array([v]) for v in stats))
+        if len(points) == 1:
+            nan, zero = np.full(1, np.nan), np.zeros(1, dtype=int)
+            return BatchRun(("error",), nan, nan, nan, nan, zero, zero, zero, zero, errors=(str(exc),))
+        half = len(points) // 2
+        head, rest = (config, config) if isinstance(config, AlgorithmConfig) else (config[:half], config[half:])
+        return _joined(_records(solver, head, points[:half]), _records(solver, rest, points[half:]))
 
 
 def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
@@ -239,15 +199,13 @@ def sweep(
 
     All points run as one lockstep batch (see :func:`run_batch`).
     Per-point failures are recorded, not raised: a batch that fails is
-    split in halves and each half runs again, down to single points run
-    through :func:`run_closed_loop`, so each error lands on its own
-    point and every other record is the same as in the whole batch.
-    A set whose points do not match the plant's state dimension raises
-    :class:`ConfigError` before any point runs.
+    split in halves and each half runs again, down to one-row batches,
+    so each error lands on its own point and every other row is the same
+    as in the whole batch.  A set whose points do not match the plant's
+    state dimension raises :class:`ConfigError` before any point runs.
     """
     points = _points(initial_set, solver.lq.state_dim)
-    records = point_records(_records(solver, config, points), points)
-    return SweepReport(set_name=initial_set.name, config=config, records=tuple(records))
+    return SweepReport(initial_set.name, config, points, _records(solver, config, points))
 
 
 def horizon_comparison(
@@ -295,12 +253,14 @@ def horizon_comparison(
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    """One row per initial state, in index order, with a column per coordinate of the records' states."""
-    n = len(report.records[0].x0) if report.records else 0
+    """One row per initial state, in index order, with a column per coordinate of the report's points."""
+    n = report.points.shape[1]
+    runs = report.runs
     row = "{:d}," + "{:.17g}," * n + "{:.17g},{:.17g},{:.17g},{:d},{}"
+    columns = (runs.min_onestep_alpha, runs.min_window_alpha, runs.alpha_cor3, (runs.warning_count > 0).astype(int))
+    rows = zip(report.points.tolist(), *(column.tolist() for column in columns), runs.status)
     lines = [",".join(("k", *(f"x{j}" for j in range(1, n + 1)), *_SWEEP_COLUMNS))] + [
-        row.format(r.index, *r.x0, r.min_onestep_alpha, r.min_mstep_alpha, r.alpha_cor3, int(r.warning), r.status)
-        for r in report.records
+        row.format(k, *x0, *stats) for k, (x0, *stats) in enumerate(rows, start=1)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

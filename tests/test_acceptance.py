@@ -169,15 +169,14 @@ def _single_step_degree_oracle(lq, x0s):
 
 
 def test_criterion_6a_grid_minimum_certified_degree(lq, watchdog_report):
-    records = watchdog_report.records
+    points, runs = watchdog_report.points, watchdog_report.runs
     ks = np.arange(1, 129)
     circle = np.column_stack([np.cos(2.0 * np.pi * ks / 128), np.sin(2.0 * np.pi * ks / 128)])
     oracle = _single_step_degree_oracle(lq, circle)
-    clean = all(r.error is None for r in records)
-    on_circle = [r.index for r in records] == list(ks) and bool(
-        np.allclose([r.x0 for r in records], circle, rtol=0.0, atol=1e-12)
-    )
-    got = np.array([r.alpha_cor3 for r in records])
+    clean = watchdog_report.error_indices() == ()
+    # Row k - 1 of the report is circle point k.
+    on_circle = points.shape == circle.shape and bool(np.allclose(points, circle, rtol=0.0, atol=1e-12))
+    got = runs.alpha_cor3
     worst = float(np.max(np.abs(got - oracle) / np.abs(oracle)))
     computed = watchdog_report.alpha_cor3_min()
     expected = float(oracle.min())

@@ -2,7 +2,7 @@
 
 Every comparison is exact (``==``): the certificate chain's contiguity
 ``v_after == v_before`` needs one value function, whichever path
-evaluated it, and a sweep's records must not depend on which points
+evaluated it, and a sweep's rows must not depend on which points
 share its batch.
 """
 

@@ -149,6 +149,18 @@ def test_sweep_outputs_are_worker_invariant(tmp_path):
     assert "failure_indices = 1,5" in (out1 / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("count,code", ((1, 3), (2, 0)))
+def test_sweep_exits_3_only_when_every_point_fails(count, code, monkeypatch, capsys):
+    # The last point of unit-circle:k is the faulty solver's marker (1, 0):
+    # the one point of unit-circle:1 fails, and one of the two of unit-circle:2.
+    from test_sweep import _FaultySolver
+
+    monkeypatch.setattr("mpccert.cli.LqLadderSolver", _FaultySolver)
+    args = ["--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.01"]
+    assert main(["sweep", *args, "--set", f"unit-circle:{count}"]) == code
+    assert "errors = 1\n" in capsys.readouterr().out
+
+
 def test_horizon_table_matches_library(tmp_path, capsys):
     rc = main(
         [

@@ -202,6 +202,26 @@ def test_pinned_shrink_requests(name):
     assert any(w.horizon == target for w in trace.windows) == (name == "granted")
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    c=st.integers(1, 2),
+    horizon=st.sampled_from((2, 3, 5, 10, 20)),
+)
+def test_bellman_plans_attain_the_value_and_ladder_plans_cost_no_less(seed, n, c, horizon):
+    # The dynamic-programming law is optimal, so its plan costs exactly
+    # x' P_N x; any other law, the ladder's included, costs at least that.
+    # Each law's plans are checked against its own ``value``.  The zero
+    # state has value 0 and needs atol=0 to pass on the relative bound.
+    lq, x0s = random_plant(seed, n, c)
+    X = np.vstack([x0s, np.zeros(n)])
+    bellman = LqBellmanSolver(lq, horizon).plans(X, horizon)
+    ladder = LqLadderSolver(lq, horizon).plans(X, horizon)
+    np.testing.assert_allclose(bellman.stage_costs.sum(axis=1), bellman.value, rtol=1e-10, atol=0)
+    assert np.all(ladder.stage_costs.sum(axis=1) >= ladder.value * (1.0 - 1e-10))
+
+
 def test_oracle_tolerances_are_the_engines():
     # oracle.py writes the engine's two tolerances out instead of importing them.
     assert (oracle.CERT_SLACK, oracle.TERMINATION_RADIUS) == (CERT_SLACK, TERMINATION_RADIUS)

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from mpccert.engine import AlgorithmConfig
+from mpccert.engine import AlgorithmConfig, BatchRun
 from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqLadderSolver
@@ -32,11 +32,29 @@ def _cfg(variant, alpha_bar, horizon=3, **kw):
 
 
 def _one_at_a_time(solver, grid, config):
-    """The records of sweeps of each point of ``grid`` on its own, indexed as in a sweep of the whole set."""
-    return [
-        dataclasses.replace(sweep(solver, InitialSet(grid.name, x0[None]), config).records[0], index=k)
-        for k, x0 in enumerate(grid.points, start=1)
-    ]
+    """A report of ``grid`` whose rows are the runs of sweeps of each of its points on its own."""
+    runs = [sweep(solver, InitialSet(grid.name, x0[None]), config).runs for x0 in grid.points]
+    names = [f.name for f in dataclasses.fields(BatchRun) if isinstance(getattr(runs[0], f.name), np.ndarray)]
+    rows = BatchRun(
+        status=sum((run.status for run in runs), ()),
+        errors=sum((run.errors or (None,) for run in runs), ()),
+        **{name: np.concatenate([getattr(run, name) for run in runs]) for name in names},
+    )
+    return SweepReport(grid.name, config, grid.points, rows)
+
+
+def _rows(report, rows=None):
+    """The statuses, errors, points and statistic columns of a report's ``rows`` (all by default).
+
+    Numbers are kept as bytes, so that two reports compare equal exactly
+    when every bit agrees, NaN statistics included.
+    """
+    runs = report.runs
+    rows = np.arange(len(report.points)) if rows is None else np.asarray(rows)
+    errors = runs.errors or (None,) * len(runs.status)
+    columns = [report.points] + [getattr(runs, f.name) for f in dataclasses.fields(BatchRun)]
+    numbers = [column[rows].tobytes() for column in columns if isinstance(column, np.ndarray)]
+    return [runs.status[i] for i in rows], [errors[i] for i in rows], numbers
 
 
 def test_unit_circle_layout():
@@ -62,10 +80,10 @@ def test_parse_initial_set():
 def test_sweep_records_are_ordered_and_indexed(solver):
     grid = unit_circle(8)
     report = sweep(solver, grid, _cfg("alg1", 0.01))
-    assert [r.index for r in report.records] == list(range(1, 9))
-    for rec, x0 in zip(report.records, grid.points):
-        assert rec.x0 == tuple(x0)
-        assert rec.error is None
+    # Row k - 1 of every column belongs to point k of the set.
+    assert np.array_equal(report.points, grid.points)
+    assert len(report.runs.status) == len(report.runs.alpha_cor3) == 8
+    assert report.runs.errors is None and report.error_indices() == ()
     agg = report.aggregates()
     assert agg["points"] == 8
     assert agg["errors"] == 0
@@ -76,13 +94,13 @@ def test_batched_sweep_matches_one_at_a_time(solver, grid, tmp_path):
     # point on its own (a one-row batch each) must give the same bytes.
     config = _cfg("alg3", 0.01, forced_m=1)
     batched = sweep(solver, grid, config)
-    one_at_a_time = SweepReport(set_name=grid.name, config=config, records=tuple(_one_at_a_time(solver, grid, config)))
+    one_at_a_time = _one_at_a_time(solver, grid, config)
     a = tmp_path / "batched.csv"
     b = tmp_path / "one_at_a_time.csv"
     write_sweep_csv(batched, a)
     write_sweep_csv(one_at_a_time, b)
     assert filecmp.cmp(a, b, shallow=False)
-    assert batched.records == one_at_a_time.records
+    assert _rows(batched) == _rows(one_at_a_time)
 
 
 def test_startup_failure_arcs(solver, grid):
@@ -152,7 +170,7 @@ def _horizon_table_oracle(lq, initial_set, horizons, alpha_bar=0.01, solver_clas
         solver = solver_class(lq, n)
         apriori = sweep(solver, initial_set, _cfg("alg1", 0.0, horizon=n))
         posteriori = sweep(solver, initial_set, _cfg("alg3", alpha_bar, horizon=n, forced_m=1))
-        col_a = float(np.nanmin([r.min_mstep_alpha for r in apriori.records]))
+        col_a = float(np.nanmin(apriori.runs.min_window_alpha))
         rows.append((n, col_a, posteriori.alpha_cor3_min()))
     return rows
 
@@ -170,6 +188,19 @@ def _counting(monkeypatch, module, names):
     for name in names:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def _batch_sizes(monkeypatch, module):
+    """The row counts of the ``run_batch`` calls made through ``module``, in call order."""
+    sizes = []
+    run_batch = module.run_batch
+
+    def counted(solver, X0, *args, **kwargs):
+        sizes.append(len(X0))
+        return run_batch(solver, X0, *args, **kwargs)
+
+    monkeypatch.setattr(module, "run_batch", counted)
+    return sizes
 
 
 def test_horizon_comparison_matches_per_horizon_sweeps(lq, monkeypatch):
@@ -195,9 +226,9 @@ def test_horizon_comparison_isolates_failing_rows(lq, monkeypatch):
     monkeypatch.setattr(sweep_module, "LqLadderSolver", _FaultySolver)
     grid = unit_circle(16)
     oracle = _horizon_table_oracle(lq, grid, (2, 3, 10), solver_class=_FaultySolver)
-    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
+    sizes = _batch_sizes(monkeypatch, sweep_module)
     assert horizon_comparison(lq, grid, (2, 3, 10)) == oracle
-    assert calls["run_closed_loop"] >= 6
+    assert sizes.count(1) >= 6
 
 
 def test_horizon_comparison_validates_input(lq, grid):
@@ -288,7 +319,7 @@ def test_sweep_csv_has_a_column_per_state_coordinate(n, tmp_path):
     xs = ",".join(f"x{j}" for j in range(1, n + 1))
     assert lines[0] == f"k,{xs},alpha_min_1step,alpha_min_mstep,alpha_cor3,warning,status"
     assert [[float(v) for v in line.split(",")[1 : n + 1]] for line in lines[1:]] == points.tolist()
-    assert [line.split(",")[-1] for line in lines[1:]] == [r.status for r in report.records]
+    assert [line.split(",")[-1] for line in lines[1:]] == list(report.runs.status)
 
 
 class _FaultySolver(LqLadderSolver):
@@ -342,19 +373,18 @@ def test_sweep_captures_per_point_errors(lq):
     grid = unit_circle(4)  # point 4 is (1, 0)
     report = sweep(solver, grid, _cfg("alg1", 0.01))
     assert report.error_indices() == (4,)
-    bad = report.records[3]
-    assert bad.status == "error"
-    assert "marker state rejected" in bad.error
-    assert np.isnan(bad.alpha_cor3)
-    good = report.records[0]
-    assert good.error is None
+    runs = report.runs
+    assert runs.status[3] == "error"
+    assert "marker state rejected" in runs.errors[3]
+    assert np.isnan(runs.alpha_cor3[3])
+    assert runs.errors[0] is None
     assert report.aggregates()["errors"] == 1
 
 
 def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
     # Negating the 16-point circle puts the marker (1, 0) at index 8.
     # The failing batch re-runs point by point: the error stays on its
-    # own point and every other record equals the one a clean solver
+    # own point and every other row equals the one a clean solver
     # gives.
     grid = InitialSet(name="negated-circle:16", points=-unit_circle(16).points)
     assert np.allclose(grid.points[7], [1.0, 0.0], rtol=0.0, atol=1e-12)
@@ -364,13 +394,27 @@ def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
     clean_solver = LqLadderSolver(lq, 3)
     clean = sweep(clean_solver, grid, config)
     assert report.error_indices() == (8,)
-    assert report.records[7].status == "error"
-    assert "marker state rejected" in report.records[7].error
+    assert report.runs.status[7] == "error"
+    assert "marker state rejected" in report.runs.errors[7]
     assert clean.error_indices() == ()
-    for k, (rec, ref) in enumerate(zip(report.records, clean.records), start=1):
-        if k != 8:
-            assert rec == ref
+    others = [i for i in range(16) if i != 7]
+    assert _rows(report, others) == _rows(clean, others)
     assert report.aggregates()["errors"] == 1
+
+
+def test_sweep_csv_of_a_failing_point(lq, tmp_path):
+    # The marker (1, 0) is point 8 of the negated 16-point circle.  Its
+    # line keeps its state and writes NaN degrees, no warning and the
+    # status ``error``; every other line is the clean sweep's line.
+    grid = InitialSet(name="negated-circle:16", points=-unit_circle(16).points)
+    config = _cfg("alg3", 0.01)
+    faulty, clean = tmp_path / "faulty.csv", tmp_path / "clean.csv"
+    write_sweep_csv(sweep(_FaultySolver(lq, 3), grid, config), faulty)
+    write_sweep_csv(sweep(LqLadderSolver(lq, 3), grid, config), clean)
+    got, want = faulty.read_text().splitlines(), clean.read_text().splitlines()
+    assert len(got) == len(want) == 17
+    assert got[8] == "8,1,-1.2246467991473532e-16,nan,nan,nan,0,error"
+    assert got[:8] + got[9:] == want[:8] + want[9:]
 
 
 def test_sweep_records_a_non_finite_point_as_an_error(lq):
@@ -381,14 +425,15 @@ def test_sweep_records_a_non_finite_point_as_an_error(lq):
     report = sweep(LqLadderSolver(lq, 3), InitialSet(name="nan:16", points=points), config)
     clean = sweep(LqLadderSolver(lq, 3), unit_circle(16), config)
     assert report.error_indices() == (6,)
-    assert "initial states must be finite" in report.records[5].error
-    assert report.records[:5] + report.records[6:] == clean.records[:5] + clean.records[6:]
+    assert "initial states must be finite" in report.runs.errors[5]
+    others = [i for i in range(16) if i != 5]
+    assert _rows(report, others) == _rows(clean, others)
 
 
 def test_failing_batch_is_bisected(lq, monkeypatch):
     # One marker in 128 points: the failing batch splits in halves down
     # to the marker, so the sweep costs about two batch runs per halving,
-    # not one run per point, and every record is the one-at-a-time record.
+    # not one run per point, and every row is the one-at-a-time row.
     # The package re-exports the function ``sweep`` under the module's name.
     sweep_module = importlib.import_module("mpccert.sweep")
     calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
@@ -396,10 +441,9 @@ def test_failing_batch_is_bisected(lq, monkeypatch):
     config = _cfg("alg1", 0.01)
     solver = _FaultySolver(lq, 3)
     report = sweep(solver, grid, config)
-    assert calls["run_batch"] + calls["run_closed_loop"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
+    # Every run, the isolated marker's included, is a run_batch call.
+    assert calls["run_batch"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
+    assert calls["run_closed_loop"] == 0
     assert report.error_indices() == (128,)
-    one_at_a_time = _one_at_a_time(solver, grid, config)
-    assert list(report.records[:-1]) == one_at_a_time[:-1]
-    bad, ref = report.records[-1], one_at_a_time[-1]
-    assert (bad.index, bad.x0, bad.status, bad.error) == (ref.index, ref.x0, ref.status, ref.error)
-    assert "marker state rejected" in bad.error
+    assert _rows(report) == _rows(_one_at_a_time(solver, grid, config))
+    assert "marker state rejected" in report.runs.errors[-1]

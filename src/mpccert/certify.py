@@ -32,11 +32,7 @@ def alpha_m_step(v_before: float, v_after: float, cost_sum: float) -> float:
     the equilibrium already and certifies 1.  Negative cost sums are
     rejected, stage costs are nonnegative by construction.
     """
-    if cost_sum < 0.0:
-        raise ConfigError(f"cost_sum must be nonnegative, got {cost_sum}")
-    if cost_sum == 0.0:
-        return 1.0
-    return (v_before - v_after) / cost_sum
+    return float(alpha_m_steps(np.array([v_before - v_after]), np.array([cost_sum]))[0])
 
 
 def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:

@@ -390,7 +390,7 @@ def _running_min(current: np.ndarray, new: np.ndarray) -> None:
     np.copyto(current, new, where=new < current)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchRun:
     """Outcome of :func:`run_batch`, one entry per initial state in input order.
 

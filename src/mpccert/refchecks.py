@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import alpha_m_steps
-from .engine import AlgorithmConfig, run_batch
-from .errors import MpcCertError
+from .engine import AlgorithmConfig
 from .model import LinearQuadraticInstance
 from .riccati import FiniteHorizonSolver, LqLadderSolver, value_drop_grid
-from .sweep import SweepReport, sweep, unit_circle
+from .sweep import SweepReport, run_blocks, unit_circle
 
 GRID_POINTS = 128
 
@@ -146,30 +145,14 @@ def reference_checks() -> list[CheckResult]:
     )
 
     # The three closed-loop experiments at horizon 3 run as one lockstep
-    # batch, one block of circle points per configuration.
+    # batch, one block of circle points per configuration.  As in a sweep, a
+    # failing point is an error row of its block, in no count, set or minimum.
     zero_cfg = AlgorithmConfig(variant="alg2", horizon=3, alpha_bar=0.0)
     alg1_cfg = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.01)
     watchdog_cfg = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.01, forced_m=1)
-    configs = (zero_cfg, alg1_cfg, watchdog_cfg)
-    try:
-        batch = run_batch(
-            solver,
-            np.tile(grid.points, (len(configs), 1)),
-            [config for config in configs for _ in grid.points],
-        )
-        zero, alg1, watchdog = (
-            batch.select(slice(k * GRID_POINTS, (k + 1) * GRID_POINTS)) for k in range(len(configs))
-        )
-        alg1_report, watchdog_report = (
-            SweepReport(grid.name, cfg, grid.points, block)
-            for cfg, block in ((alg1_cfg, alg1), (watchdog_cfg, watchdog))
-        )
-    except (MpcCertError, np.linalg.LinAlgError):
-        # As in a sweep, a failing point costs only its own record in the
-        # two threshold experiments; the zero-threshold check counts whole
-        # runs and lets its error through.
-        zero = run_batch(solver, grid.points, zero_cfg)
-        alg1_report, watchdog_report = (sweep(solver, grid, cfg) for cfg in (alg1_cfg, watchdog_cfg))
+    zero, alg1, watchdog = run_blocks(solver, grid.points, (zero_cfg, alg1_cfg, watchdog_cfg))
+    alg1_report = SweepReport(grid.name, alg1_cfg, grid.points, alg1)
+    watchdog_report = SweepReport(grid.name, watchdog_cfg, grid.points, watchdog)
 
     # Re-planning variant at zero threshold: single-step schedules and
     # convergence everywhere.  Every interval spans at least one step, so

@@ -7,14 +7,13 @@ emitters used by the command-line front end.  Value-drop maps need only
 the planner and live in :mod:`mpccert.riccati`.  All floating-point
 output uses ``%.17g`` so that reruns are byte-comparable.
 
-Every experiment takes a solver, which carries its plant (``solver.lq``).  The
-points of a set run as one lockstep batch in this process (see
-:func:`mpccert.engine.run_batch`), and a sweep's report keeps that
-batch's per-row columns as they are: every statistic it reports is read
-from them, without a trace or an object per point.  The horizon table
-runs all its horizons and both its configurations as one batch too,
-since the rows of a batch may differ in configuration, and reads its
-minima from the batch's columns in the same way.
+A sweep takes a solver, which carries its plant (``solver.lq``); the
+horizon table builds one solver for all its horizons from the plant.
+Both run through :func:`run_blocks`, as do the reference checks: every
+configuration of an experiment from every point, as one lockstep batch in
+this process, returned as one block of rows per configuration.  A point
+that fails is an error row of its block.  Every statistic is read from
+the blocks' per-row columns, without a trace or an object per point.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def parse_initial_set(text: str) -> InitialSet:
     raise ConfigError(f"unknown initial set {text!r}, expected 'unit-circle:<count>'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
     """The batch run of one sweep plus the set and configuration that ran it.
 
@@ -164,24 +163,23 @@ def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
     return points
 
 
-def _records(solver: FiniteHorizonSolver, config, points: np.ndarray) -> BatchRun:
+def _records(solver: FiniteHorizonSolver, configs: list, points: np.ndarray) -> BatchRun:
     """The batch run of ``points``, splitting a failing batch in halves until each error has its point.
 
-    ``config`` is one configuration or a sequence of one per point, as
-    :func:`run_batch` takes it.  A point that fails on its own is an error
-    row: status ``error``, NaN degrees, zero counts and the exception text
-    in ``errors``.  One failing point among ``B`` costs at most
-    ``2 ceil(log2 B) + 1`` batch runs.
+    ``configs`` holds one configuration per row of ``points``.  A point
+    that fails on its own is an error row: status ``error``, NaN degrees,
+    zero counts and the exception text in ``errors``.  One failing point
+    among ``B`` costs at most ``2 ceil(log2 B) + 1`` batch runs.
     """
     try:
-        return run_batch(solver, points, config)
+        return run_batch(solver, points, configs)
     except (MpcCertError, np.linalg.LinAlgError) as exc:
         if len(points) == 1:
             nan, zero = np.full(1, np.nan), np.zeros(1, dtype=int)
             return BatchRun(("error",), nan, nan, nan, nan, zero, zero, zero, zero, errors=(str(exc),))
         half = len(points) // 2
-        head, rest = (config, config) if isinstance(config, AlgorithmConfig) else (config[:half], config[half:])
-        return _joined(_records(solver, head, points[:half]), _records(solver, rest, points[half:]))
+        head = _records(solver, configs[:half], points[:half])
+        return _joined(head, _records(solver, configs[half:], points[half:]))
 
 
 def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
@@ -192,12 +190,23 @@ def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
     return BatchRun(status=head.status + rest.status, errors=errors[0] + errors[1], **columns)
 
 
+def run_blocks(solver: FiniteHorizonSolver, points: np.ndarray, configs) -> list[BatchRun]:
+    """Each of ``configs`` run from every row of ``points``, as one block of rows per configuration.
+
+    All the runs form one lockstep batch, split on failure as in
+    :func:`_records`, so a point that fails is an error row of its block.
+    """
+    size = len(points)
+    batch = _records(solver, [config for config in configs for _ in range(size)], np.tile(points, (len(configs), 1)))
+    return [batch.select(slice(k * size, (k + 1) * size)) for k in range(len(configs))]
+
+
 def sweep(
     solver: FiniteHorizonSolver, initial_set: InitialSet, config: AlgorithmConfig
 ) -> SweepReport:
     """Run the configured closed loop from every point of the set.
 
-    All points run as one lockstep batch (see :func:`run_batch`).
+    All points run as one lockstep batch (see :func:`run_blocks`).
     Per-point failures are recorded, not raised: a batch that fails is
     split in halves and each half runs again, down to one-row batches,
     so each error lands on its own point and every other row is the same
@@ -205,7 +214,7 @@ def sweep(
     state dimension raises :class:`ConfigError` before any point runs.
     """
     points = _points(initial_set, solver.lq.state_dim)
-    return SweepReport(initial_set.name, config, points, _records(solver, config, points))
+    return SweepReport(initial_set.name, config, points, run_blocks(solver, points, (config,))[0])
 
 
 def horizon_comparison(
@@ -222,11 +231,11 @@ def horizon_comparison(
     whole-run realized degree under single-step application with a
     watchdog at ``alpha_bar`` (the a-posteriori style bound).
 
-    Every (horizon, configuration, point) row runs in one lockstep batch
-    on one solver, with a failing batch split as in :func:`sweep`; the
-    two minima are read from the batch's columns, and each equals the
-    one the two sweeps at its horizon would give.  A set whose points do
-    not match the plant's state dimension raises :class:`ConfigError`.
+    Every (horizon, configuration) block runs through :func:`run_blocks`
+    on one solver, so a failing point is an error row as in
+    :func:`sweep`; each minimum equals the one the sweep of its block
+    would give.  A set whose points do not match the plant's state
+    dimension raises :class:`ConfigError`.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -240,15 +249,11 @@ def horizon_comparison(
             AlgorithmConfig(variant="alg3", horizon=n, alpha_bar=alpha_bar, forced_m=1),
         )
     ]
-    solver = LqLadderSolver(lq, max(horizons))
-    batch = _records(solver, [config for config in configs for _ in points], np.tile(points, (len(configs), 1)))
-    # Blocks of points, one per (horizon, configuration); error rows are NaN.
-    shape = (len(horizons), 2, len(points))
-    apriori = batch.min_window_alpha.reshape(shape)[:, 0]
-    posteriori = batch.alpha_cor3.reshape(shape)[:, 1]
+    blocks = run_blocks(LqLadderSolver(lq, max(horizons)), points, configs)
+    # Error rows are NaN and stay out of each minimum.
     return [
-        (int(n), _nan_stat(np.nanmin, col_a), _nan_stat(np.nanmin, col_b))
-        for n, col_a, col_b in zip(horizons, apriori, posteriori)
+        (int(n), _nan_stat(np.nanmin, apriori.min_window_alpha), _nan_stat(np.nanmin, posteriori.alpha_cor3))
+        for n, apriori, posteriori in zip(horizons, blocks[0::2], blocks[1::2])
     ]
 
 

@@ -16,7 +16,7 @@ from mpccert.errors import ConfigError
 def test_alpha_m_step_basic():
     assert alpha_m_step(10.0, 4.0, 3.0) == pytest.approx(2.0)
     assert alpha_m_step(5.0, 5.0, 0.0) == 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="got -1.0"):
         alpha_m_step(5.0, 4.0, -1.0)
 
 
@@ -24,7 +24,8 @@ def test_alpha_m_steps_matches_scalar_rule():
     v_before = 5.1
     v_after = np.array([4.0, 5.1, -0.3, 5.1])
     costs = np.array([3.0, 0.0, 0.7, 2.0])
-    expected = [alpha_m_step(v_before, va, c) for va, c in zip(v_after, costs)]
+    # The rule by hand, one stretch at a time: alpha_m_step is built on alpha_m_steps.
+    expected = [(v_before - float(va)) / float(c) if c else 1.0 for va, c in zip(v_after, costs)]
     assert alpha_m_steps(v_before - v_after, costs).tolist() == expected
     with pytest.raises(ConfigError):
         alpha_m_steps(np.array([1.0, 1.0]), np.array([1.0, -1.0]))

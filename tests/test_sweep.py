@@ -89,6 +89,15 @@ def test_sweep_records_are_ordered_and_indexed(solver):
     assert agg["errors"] == 0
 
 
+def test_reports_compare_by_identity(solver):
+    # Reports and batch runs hold array columns; == is identity, not a
+    # ValueError from comparing arrays.
+    grid = unit_circle(4)
+    first, second = (sweep(solver, grid, _cfg("alg1", 0.01)) for _ in range(2))
+    assert (first == second) is False and (first.runs == second.runs) is False
+    assert first == first and first.runs == first.runs
+
+
 def test_batched_sweep_matches_one_at_a_time(solver, grid, tmp_path):
     # A sweep runs its whole set as one lockstep batch; running every
     # point on its own (a one-row batch each) must give the same bytes.

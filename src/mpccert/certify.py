@@ -37,7 +37,7 @@ def alpha_m_step(v_before: float, v_after: float, cost_sum: float) -> float:
 
 def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:
     """:func:`alpha_m_step` over several stretches, given their drops ``v_before - v_after``."""
-    if cost_sums.min(initial=np.inf) > 0.0:
+    if (cost_sums > 0.0).all():
         return drops / cost_sums
     negative = cost_sums < 0.0
     if negative.any():

@@ -207,7 +207,7 @@ class UpdateSchedule:
         return len(self.times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowRecord:
     """What one outer iteration saw and decided.
 
@@ -235,7 +235,7 @@ class WindowRecord:
         return alpha_m_step(self.v_start, self.v_end, self.cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopTrace:
     """Full record of one closed-loop run."""
 

@@ -8,11 +8,12 @@ cost work row-wise on whole batches of states and controls.
 
 Every product of a matrix with states or controls goes through one row
 kernel, :func:`matvec`, with :func:`row_dot` and :func:`quad_form` on top
-of it, or through the plan step of :mod:`mpccert.riccati`.  Both work on
-whole batches with elementwise ufuncs, one IEEE multiply or add per
-element, and add the terms of each sum left to right in
-:func:`_add_terms`.  A row therefore gives the same bits whether it is a
-lone vector, a row of a batch or part of a strided view, and a batch
+of it, through its column form :func:`column_matvec`, or through the plan
+step of :mod:`mpccert.riccati`.  All of them work on whole batches with
+elementwise ufuncs, one IEEE multiply or add per element, and add the
+terms of each sum left to right, in :func:`_add_terms` or, on columns, in
+place.  A row therefore gives the same bits whether it is a lone vector,
+a row of a batch or part of a strided view, and a batch
 costs a fixed number of ufunc calls however many rows it holds, where a
 stacked ``@`` makes one BLAS call per row.
 """
@@ -50,6 +51,21 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _add_terms(np.multiply(M, x[..., None, :], order="F").T).T
 
 
+def column_matvec(M: np.ndarray, columns) -> list[np.ndarray]:
+    """``M x`` on states held as columns (``columns[j]`` is coordinate ``j`` of every state).
+
+    Returns one new column per row of ``M``, summed left to right in place:
+    the order and bits of :func:`matvec`, at most two columns live per sum.
+    """
+    out = []
+    for row in M:
+        acc = row[0] * columns[0]
+        for m, x in zip(row[1:], columns[1:]):
+            acc += m * x
+        out.append(acc)
+    return out
+
+
 def row_dot(x: np.ndarray, y: np.ndarray):
     """``x' y`` for every row: ``x_0 y_0 + x_1 y_1 + ...``, added left to right."""
     return _add_terms(np.multiply(x, y, order="F").T).T
@@ -71,7 +87,7 @@ def _check_symmetric(mat: np.ndarray, name: str) -> None:
         raise ConfigError(f"{name} must be symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearQuadraticInstance:
     """Linear plant ``x+ = A x + B u`` with cost ``x'Qx + u'Ru``.
 

@@ -28,12 +28,12 @@ one with ``[B; R]`` gives ``B u_k`` and ``R u_k``, and it writes
 ``x_{k+1}' P_N x_{k+1}`` and the prefix cost into the views it is given.
 A :class:`PlanWalk` holds a batch's plans step-major, the row axis last,
 and extends them through ``plan_step`` as far as its caller reads, each
-row at its own horizon, and ``plans`` walks whole plans.  ``rollout``
-steps ``(B, n)`` states through the ``[-K; A]`` rows of the stacks,
-``values_of`` evaluates ``x' P_N x`` on them, and :func:`value_drop_grid`
-is one ``rollout`` and two ``values_of`` calls.  Every product multiplies
+row at its own horizon, and ``plans`` walks whole plans.  ``values_of``
+evaluates ``x' P_N x``.  ``rollout`` and :func:`value_drop_grid` use no
+operator: one column step moves coordinate columns through ``-K`` from the
+ladder and the plant's ``A`` and ``B``.  Every product multiplies
 each matrix entry by a row or column of states in one ufunc and adds the
-terms of each sum left to right in :func:`~mpccert.model._add_terms`, so a
+terms of each sum left to right, as :mod:`mpccert.model` does, so a
 row's bits do not depend on the batch around it: a batched result equals
 the single-state one, and a plan's states are what the plant's
 ``dynamics`` gives when it replays the plan's controls.
@@ -46,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .model import LinearQuadraticInstance, _add_terms, matvec, quad_form
+from .model import LinearQuadraticInstance, _add_terms, column_matvec, quad_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpenLoopSolution:
     """An open-loop plan over a finite horizon.
 
@@ -239,11 +239,6 @@ class FiniteHorizonSolver:
             forms = self._kernels[horizon] = tuple(np.ascontiguousarray(M.swapaxes(-1, -2))[..., None] for M in mats)
         return forms
 
-    def _next_state(self, gain_a: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """One :meth:`rollout` step through ``[-K; A]``; returning ``A x + B u`` alone frees the step's product."""
-        c, u_ax = self.lq.control_dim, matvec(gain_a, X)
-        return u_ax[:, c:] + matvec(self.lq.B, u_ax[:, :c])
-
     def plan_step(self, X: np.ndarray, horizon: int, k: int, out: tuple) -> None:
         """Step ``k`` of the ``horizon``-step plans from the columns of the ``(n, B)`` array ``X``.
 
@@ -298,13 +293,19 @@ class FiniteHorizonSolver:
         Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
         plans, costs or values are stored.
         """
-        stacks = self._operator(horizon)[0]
-        if not 0 <= steps <= horizon:
-            raise ConfigError(f"steps must lie in [0, {horizon}], got {steps}")
-        x = self._states(X, 2)
-        for gain_a in stacks[:steps, : self.lq.control_dim + self.lq.state_dim]:
-            x = self._next_state(gain_a, x)
-        return np.array(x)
+        if not 0 <= steps <= horizon or horizon < 1:
+            raise ConfigError(f"steps must lie in [0, {horizon}] and horizon must be positive, got {steps}")
+        return np.stack(self._column_steps(list(self._states(X, 2).T), horizon, steps), axis=-1)
+
+    def _column_steps(self, columns: list, horizon: int, steps: int) -> list[np.ndarray]:
+        """Move the list of coordinate columns ``steps`` steps along the ``horizon``-step plan, in place, with the bits of ``plans``."""
+        self.ladder.extend(horizon)
+        for k in range(steps):
+            u = column_matvec(-self.ladder.gain(self._gain_index(horizon, k)), columns)
+            columns[:] = column_matvec(self.lq.A, columns)
+            for ax, b_i in zip(columns, self.lq.B):  # B u one row at a time holds one column fewer
+                ax += column_matvec([b_i], u)[0]
+        return columns
 
 
 class LqLadderSolver(FiniteHorizonSolver):
@@ -402,6 +403,9 @@ class PlanWalk:
             self.advance(steps > self.steps)
 
 
+_GRID_BLOCK = 4096  # states per value_drop_grid block: 32 KiB per coordinate column
+
+
 def value_drop_grid(
     solver: FiniteHorizonSolver,
     horizon: int,
@@ -413,10 +417,11 @@ def value_drop_grid(
     Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
     ``[-1.5, 1.5]`` and ``drops[i, j]`` is the drop at the state
     ``(axis[i], axis[j])``.  Negative entries mark states where applying
-    ``m`` steps of the plan increases the finite-horizon value.  The
-    whole grid goes through the planner as one batch, see
-    :meth:`FiniteHorizonSolver.rollout` and
-    :meth:`FiniteHorizonSolver.values_of`.
+    ``m`` steps of the plan increases the finite-horizon value.  Blocks
+    of ``_GRID_BLOCK // n`` grid rows (at least one), held as coordinate
+    columns, take ``rollout``'s column steps, so every entry has the bits
+    of ``values_of(x) - values_of(rollout(x))``.  For ``n <= _GRID_BLOCK``
+    no temporary outgrows a 32 KiB column: a pass maps no heap pages.
     """
     if solver.lq.state_dim != 2:
         raise ConfigError(
@@ -426,11 +431,20 @@ def value_drop_grid(
         raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
     if not 1 <= m < horizon:
         raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
-    axis = np.linspace(-1.5, 1.5, n)
-    states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    after = solver.rollout(states, horizon, m)
-    drops = solver.values_of(states, horizon) - solver.values_of(after, horizon)
-    return axis, drops.reshape(n, n)
+    solver.ladder.extend(horizon)
+    P = solver.ladder.matrix(horizon)
+    axis, drops = np.linspace(-1.5, 1.5, n), np.empty((n, n))
+
+    def value(x, out=None):  # x' P x on columns, in the order of quad_form
+        return _add_terms([np.multiply(y_i, x_i, out=y_i) for y_i, x_i in zip(column_matvec(P, x), x)], out=out)
+
+    rows = max(1, _GRID_BLOCK // max(n, 1))
+    for i in range(0, n, rows):
+        first, out = axis[i : i + rows], drops[i : i + rows].reshape(-1)
+        states = [np.repeat(first, n), np.tile(axis, len(first))]
+        value(states, out=out)
+        np.subtract(out, value(solver._column_steps(states, horizon, m)), out=out)
+    return axis, drops
 
 
 def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:

@@ -35,7 +35,7 @@ _SWEEP_COLUMNS = ("alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning",
 _HORIZON_COLUMNS = ("N", "alpha_prop1_min", "alpha_cor3_min")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialSet:
     """A named, ordered collection of initial states."""
 

@@ -20,6 +20,13 @@ def test_alpha_m_step_basic():
         alpha_m_step(5.0, 4.0, -1.0)
 
 
+def test_degree_rule_takes_integer_costs():
+    # Integer arrays take the float rule: a zero cost certifies 1.
+    assert alpha_m_steps(np.array([1]), np.array([2])).tolist() == [0.5]
+    assert alpha_m_steps(np.array([1]), np.array([0])).tolist() == [1.0]
+    assert alpha_m_step(3, 1, 0) == 1.0
+
+
 def test_alpha_m_steps_matches_scalar_rule():
     v_before = 5.1
     v_after = np.array([4.0, 5.1, -0.3, 5.1])

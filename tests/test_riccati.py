@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,7 @@ from mpccert.riccati import (
     LqLadderSolver,
     RiccatiLadder,
     riccati_fixed_point,
+    value_drop_grid,
 )
 
 # Hand-checked second rung: P_2 = Q + A'A - (A'B)(B'B + R)^{-1}(B'A)
@@ -288,3 +295,49 @@ def test_rollout_step_bounds(solver):
         solver.rollout(X, 3, -1)
     with pytest.raises(ConfigError):
         solver.rollout(X, 0, 0)
+
+
+@pytest.mark.parametrize("n", (1, 64, 65, 101))
+@pytest.mark.parametrize("horizon", (2, 3, 10))
+@pytest.mark.parametrize("law", (LqLadderSolver, LqBellmanSolver), ids=lambda cls: cls.__name__)
+def test_value_drop_grid_blocks_match_the_plan_path(lq, law, horizon, n):
+    # The grid runs in blocks of whole rows of at most 4,096 states: n = 1
+    # is one state, 64 one full block, 65 one block and a short one, 101
+    # three blocks.  Every entry keeps the bits of the plan path.
+    solver = law(lq, 2)
+    axis = np.linspace(-1.5, 1.5, n)
+    states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    plans, before = solver.plans(states, horizon), solver.values_of(states, horizon)
+    for m in range(1, horizon):
+        grid_axis, drops = value_drop_grid(solver, horizon, m, n=n)
+        want = before - solver.values_of(plans.trajectory[:, m], horizon)
+        assert grid_axis.tobytes() == axis.tobytes()
+        assert drops.shape == (n, n) and drops.tobytes() == want.tobytes(), m
+
+
+_GRID_PASSES = """
+import resource, statistics
+from mpccert.refchecks import reference_instance
+from mpccert.riccati import LqLadderSolver, value_drop_grid
+
+lq, faults = reference_instance(), []
+for _ in range(40):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for horizon, m in ((3, 1), (3, 2), (10, 1)):
+        value_drop_grid(LqLadderSolver(lq, horizon), horizon, m)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[10:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="MALLOC_MMAP_THRESHOLD_ is a glibc setting")
+def test_drop_grid_passes_stay_off_fresh_heap_pages():
+    # With its mmap threshold set, glibc never raises it, so each array
+    # over 128 KiB is a fresh mapping: a pass through whole-grid (10,201, 2)
+    # arrays took about 2,100 minor faults.  The grid's column blocks keep
+    # every temporary at 32 KiB, inside the heap glibc keeps between passes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _GRID_PASSES], env=env, capture_output=True, text=True, check=True)
+    assert float(proc.stdout) <= 32

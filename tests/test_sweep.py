@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from mpccert.engine import AlgorithmConfig, BatchRun
+from mpccert.engine import AlgorithmConfig, BatchRun, run_closed_loop
 from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqLadderSolver
@@ -96,6 +96,25 @@ def test_reports_compare_by_identity(solver):
     first, second = (sweep(solver, grid, _cfg("alg1", 0.01)) for _ in range(2))
     assert (first == second) is False and (first.runs == second.runs) is False
     assert first == first and first.runs == first.runs
+
+
+def test_array_records_compare_by_identity(lq, solver):
+    # Plants, initial sets, plans, traces and their windows hold arrays
+    # too; == is identity for each, and a plant can be a set member.
+    config = _cfg("alg1", 0.5)
+    x0 = np.array([0.0, 1.0])
+    traces = [run_closed_loop(solver, x0, config) for _ in range(2)]
+    pairs = [
+        [LinearQuadraticInstance(lq.A, lq.B, lq.Q, lq.R) for _ in range(2)],
+        [unit_circle(4) for _ in range(2)],
+        [solver.solve(x0, 3) for _ in range(2)],
+        traces,
+        [trace.windows[0] for trace in traces],
+    ]
+    for first, second in pairs:
+        assert (first == second) is False and (first != second) is True
+        assert first == first
+    assert len({*pairs[0], pairs[0][0]}) == 2
 
 
 def test_batched_sweep_matches_one_at_a_time(solver, grid, tmp_path):

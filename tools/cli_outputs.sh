@@ -27,8 +27,10 @@
 #   * the value-recursion matrices P_1 ... P_20 of the bundled plant
 #     (riccati), and riccati on a plant file with a nonzero
 #     equilibrium_state, which exits 2 with a message that names no path;
-#   * SHA-256 hashes of value_drop_grid on 101 x 101 states for
-#     (N, m) = (3, 1), (3, 2), (10, 1) under both control laws.
+#   * SHA-256 hashes of value_drop_grid on n x n states for n = 1, 64,
+#     65, 101 and 131 (one state, one full block of 4,096 states, and
+#     grids past one and several blocks) at (N, m) = (3, 1), (3, 2),
+#     (10, 1), (20, 1), (20, 10) and (20, 19), under both control laws.
 #
 # Every command runs with --no-timestamp where it writes a summary, under
 # -W error::RuntimeWarning, with TREE/src first on PYTHONPATH.  Each
@@ -128,8 +130,9 @@ from mpccert.riccati import LqBellmanSolver, LqLadderSolver
 
 lq = load_plant(sys.argv[1])
 for law in (LqLadderSolver, LqBellmanSolver):
-    for horizon, m in ((3, 1), (3, 2), (10, 1)):
-        axis, drops = value_drop_grid(law(lq, horizon), horizon, m)
-        digest = hashlib.sha256(axis.tobytes() + drops.tobytes()).hexdigest()
-        print(f"{law.__name__} N={horizon} m={m} {drops.shape} {digest}")
+    for horizon, m in ((3, 1), (3, 2), (10, 1), (20, 1), (20, 10), (20, 19)):
+        for n in (1, 64, 65, 101, 131):
+            axis, drops = value_drop_grid(law(lq, horizon), horizon, m, n=n)
+            digest = hashlib.sha256(axis.tobytes() + drops.tobytes()).hexdigest()
+            print(f"{law.__name__} N={horizon} m={m} {drops.shape} {digest}")
 EOF

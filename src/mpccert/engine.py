@@ -52,7 +52,11 @@ So every row of a batch matches its own one-row run bit for bit,
 whichever rows and configurations share the batch.
 :func:`run_closed_loop` is the one-row case and returns the full
 :class:`ClosedLoopTrace`; batches return per-row statistics, with full
-traces only on request.
+traces only on request.  A traced run walks and decides as an untraced
+one; it logs what the run computes anyway as columns and builds its
+traces from them after the run.  The per-prefix degrees of its windows,
+which the deciding walk stops short of, are rebuilt then by one walk over
+all windows, with the bits of the run's own walks.
 """
 
 from __future__ import annotations
@@ -380,11 +384,6 @@ def _tail_ends_and_costs(plan: PlanWalk, length: np.ndarray) -> tuple[np.ndarray
     return ends, sums
 
 
-def _widen(a: np.ndarray) -> np.ndarray:
-    """Double the time axis (axis 1) of a log buffer."""
-    return np.concatenate([a, np.zeros_like(a)], axis=1)
-
-
 def _running_min(current: np.ndarray, new: np.ndarray) -> None:
     """Row-wise ``min(current, new)`` written into ``current``, keeping ``current`` on ties, like :func:`min`."""
     np.copyto(current, new, where=new < current)
@@ -445,12 +444,12 @@ class _Lockstep:
     """State of a lockstep run over the rows still running.
 
     Every scalar per-row field (:data:`_BLOCKS`), the states ``x`` and the
-    logs hold the running rows only, densely and in one order, and ``ids``
-    maps them back to input order.  Rows that stop are closed, their
-    blocks are copied once into the input-order results, and every block
-    and log is compacted with one index, so no step goes through a row
-    index.  The walk and re-plan buffers are allocated once per run and
-    never compacted: each walk uses their first rows.
+    cost log hold the running rows only, densely and in one order, and
+    ``ids`` maps them back to input order.  Rows that stop are closed,
+    their blocks are copied once into the input-order results, and every
+    block, ``x`` and the cost log are compacted with one index, so no step
+    goes through a row index.  The walk and re-plan buffers are allocated
+    once per run and never compacted: each walk uses their first rows.
 
     Each row carries its own configuration: horizon, threshold,
     iteration cap and the variant's two flags (slack watchdog,
@@ -466,6 +465,10 @@ class _Lockstep:
     column after the first for the ``alg2``/``alg4`` rows still inside
     their windows.  Window costs are added as the steps are applied;
     ``row_sums`` runs only for windows of eight or more steps.
+
+    With traces, ``log`` keeps column logs of every closed interval,
+    window and applied step, tagged with input ids so that they need no
+    compaction, and :meth:`outcome` builds every trace from them.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X0, config, keep_traces: bool):
@@ -476,7 +479,7 @@ class _Lockstep:
         if not np.isfinite(X).all():
             raise ConfigError(f"initial states must be finite, got {X[~np.isfinite(X).all(axis=1)][0]}")
         rows = len(X)
-        self.solver, self.keep = solver, keep_traces
+        self.solver = solver
         self.row_configs = _row_configs(config, rows)
         self.configs, kind = _distinct_configs(self.row_configs)
         self.blocks = [np.zeros((len(names), rows), dtype) for dtype, names in _BLOCKS]
@@ -499,27 +502,22 @@ class _Lockstep:
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
-        self.rule = self.walk = self.replan_buffers = None
+        self.rule = self.walk = self.replan_buffers = self.log = None
         self.x0 = X
         self.x = X.copy()
-        # Applied costs by time; states and controls only for traces.
+        # Applied costs by time.
         self.costs = np.zeros((rows, 16))
-        self.states = self.controls = None
         # Input-order results, written once per row when it stops.
         self.status = np.zeros(rows, dtype=int)  # codes into _STATUSES
         self.results = [np.empty_like(block) for block in self.blocks]
         self.alpha_cor3 = np.empty(rows)
-        self.traces = None
         if keep_traces:
-            self.states = np.zeros((rows, 17, n))
-            self.states[:, 0] = X
-            self.controls = np.zeros((rows, 16, c))
-            self.traces = [None] * rows
-            # Kept by input index, so they need no compaction.
-            self.times = [[0] for _ in range(rows)]
-            self.certificates = [[] for _ in range(rows)]
-            self.slack_values = [[] for _ in range(rows)]
-            self.windows = [[] for _ in range(rows)]
+            # Per event (see _log), int rows | float rows: "close" per closed interval (id, interval index,
+            # sigma, t | v_before, closing value, cost_sum, rho, slack after), "window" per iteration (id,
+            # iteration, time, horizon, m, forced, exit, warning | v_start, v_end, cost), "step" per applied
+            # step (id, time | state after it, control, stage cost).  Each log starts with an empty event.
+            shapes = {"close": (4, 5), "window": (8, 3), "step": (2, n + c + 1)}
+            self.log = {k: [(np.zeros((i, 0), int), np.zeros((f, 0)))] for k, (i, f) in shapes.items()}
 
     def _bind(self) -> None:
         """Point every field name of :data:`_BLOCKS` at its row of its block."""
@@ -527,28 +525,19 @@ class _Lockstep:
             for name, row in zip(names, block):
                 setattr(self, name, row)
 
+    def _log(self, name: str, ints, floats) -> None:
+        """Append one event to the log ``name``: its int and its float columns, copied as the rows of two arrays."""
+        self.log[name].append((np.array(ints), np.array(floats)))
+
     def _close(self, sel, v_here: np.ndarray) -> None:
         """Close the pending interval of the rows ``sel`` (a slice or indices) at value ``v_here``."""
         cost = self.cost_sum[sel]
         v_before = self.v_before[sel]
-        self.slack[sel] += v_before - v_here - self.alpha_bar[sel] * cost
-        if self.keep:
-            rows = np.arange(len(self.ids))[sel]
-            for k, vb, va, cs in zip(rows, v_before, v_here, cost):
-                i = self.ids[k]
-                self.certificates[i].append(
-                    Certificate.build(
-                        n=int(self.intervals[k]),
-                        sigma=int(self.sigma[k]),
-                        m=int(self.t[k] - self.sigma[k]),
-                        v_before=float(vb),
-                        v_after=float(va),
-                        cost_sum=float(cs),
-                        alpha_bar=self.row_configs[i].alpha_bar,
-                    )
-                )
-                self.slack_values[i].append(float(self.slack[k]))
-                self.times[i].append(int(self.t[k]))
+        rho = v_before - v_here - self.alpha_bar[sel] * cost
+        self.slack[sel] += rho
+        if self.log:
+            ints = self.ids[sel], self.intervals[sel], self.sigma[sel], self.t[sel]
+            self._log("close", ints, (v_before, v_here, cost, rho, self.slack[sel]))
         self.intervals[sel] += 1
 
     def run(self) -> None:
@@ -582,15 +571,10 @@ class _Lockstep:
         self.alpha_cor3[ids] = np.where(self.intervals[sel] > 0, realized, np.nan)
         for result, block in zip(self.results, self.blocks):
             result[:, ids] = block[:, sel]
-        if self.keep:
-            for k, i in zip(sel, ids):
-                self.traces[i] = self._trace(k, i)
         keep = (~stop).nonzero()[0]
         self.blocks = [block.take(keep, axis=1) for block in self.blocks]
         self._bind()
         self.x, self.costs = self.x[keep], self.costs[keep]
-        if self.keep:
-            self.states, self.controls = self.states[keep], self.controls[keep]
         self.rule = None
 
     def _shrink(self, iteration: int) -> None:
@@ -622,8 +606,10 @@ class _Lockstep:
         if iteration:
             self._close(slice(None), v_start)
         else:
+            if not np.isfinite(v_start).all():
+                raise ConfigError(f"the value of initial state {self.x[~np.isfinite(v_start)][0]} is not finite")
             self.v_initial[:] = v_start
-        m, exit_event, warning_event, onestep, probe_alphas, probe_rhos = self._probe(plan)
+        m, exit_event, warning_event, onestep = self._probe(plan)
         self.exits += exit_event
         self.warnings += warning_event
         if iteration == 0:
@@ -635,7 +621,6 @@ class _Lockstep:
         window_time = self.t.copy()
         self.sigma[:] = self.t
         self.v_before[:] = v_start
-        self.closes = np.zeros(len(m), dtype=int) if self.keep else None
         self._reserve(int((window_time + m).max()))
         cost = self._apply(plan, m)
         # Windows of eight or more steps cost np.sum's pairwise sum.
@@ -647,28 +632,14 @@ class _Lockstep:
             self.min_window[:] = window_alpha
         else:
             _running_min(self.min_window, window_alpha)
-        if not self.keep:
-            return
-        horizons = self.horizon
-        for k, i in enumerate(self.ids.tolist()):
-            w = horizons[k] - 1
-            self.windows[i].append(
-                WindowRecord(
-                    index=iteration,
-                    time=int(window_time[k]),
-                    horizon=int(horizons[k]),
-                    v_start=float(v_start[k]),
-                    probe_alphas=probe_alphas[k, :w],
-                    probe_rhos=probe_rhos[k, :w],
-                    committed_m=int(m[k]),
-                    forced=bool(self.forced[k]),
-                    exit_event=bool(exit_event[k]),
-                    warning_event=bool(warning_event[k]),
-                    closes=int(self.closes[k]),
-                    v_end=float(self.v_now[k]),
-                    cost=float(cost[k]),
-                )
-            )
+        if self.log:
+            ids, flags = self.ids, (self.forced > 0, exit_event, warning_event)
+            ints = ids, np.full_like(ids, iteration), window_time, self.horizon, m, *flags
+            self._log("window", ints, (v_start, self.v_now, cost))
+            # Row r applied the first m[r] columns of the plan (see _apply).
+            r, j = (np.arange(int(m.max())) < m[:, None]).nonzero()
+            applied = *plan.trajectory[r, j + 1].T, *plan.controls[r, j].T, plan.stage_costs[r, j]
+            self._log("step", (ids[r], window_time[r] + j), applied)
 
     def _probe(self, plan: PlanWalk) -> tuple[np.ndarray, ...]:
         """Walk the plans prefix by prefix, deciding each row's commitment on the way.
@@ -678,48 +649,43 @@ class _Lockstep:
         left unsettled commits one step with an exit event (no account),
         its first rho maximiser when the slack covers it, or one step with
         a warning; a forced row with an account warns when the slack does
-        not cover the best prefix of its forced window.  Without traces the
-        walk stops once every row is settled; with them each row walks its
-        N - 1 prefixes.  Returns ``m``, the exit and warning flags, the
-        one-step degrees and, with traces, every prefix's alpha and rho.
+        not cover the best prefix of its forced window.  The walk stops
+        once every row is settled, traced or not: a trace's per-prefix
+        degrees are rebuilt after the run (:meth:`_traces`).  Returns
+        ``m``, the exit and warning flags and the one-step degrees.
         """
-        watchdog, keep = self.watchdog, self.keep
+        watchdog = self.watchdog
         # Which metrics a step needs: alpha_j decides rows without an
         # account, rho_j rows with one; the first step's alpha is the
         # one-step degree of every row.
-        forced, last, target, accounts, all_accounts, width, (deciding, best, arg) = self.rule
-        rows, m, walking = len(watchdog), self.forced, deciding
-        alphas, rhos = np.zeros((2, rows, plan.width)) if keep else (None, None)
+        forced, last, target, accounts, all_accounts, (deciding, best, arg) = self.rule
+        rows, m = len(watchdog), self.forced
         for k in range(plan.width):
-            plan.advance(walking)
+            plan.advance(deciding)
             drop = plan.value - plan.ends[:, k]
             cost = plan.prefix_costs[:, k]
-            if k == 0 or keep or not all_accounts:
+            if k == 0 or not all_accounts:
                 alpha = metric = alpha_m_steps(drop, cost)
             if k == 0:
                 onestep = alpha
-            if accounts or keep:
-                rho = drop - self.alpha_bar * cost
-            if keep:
-                alphas[:, k], rhos[:, k] = alpha, rho
             if accounts:
+                rho = drop - self.alpha_bar * cost
                 metric = rho if all_accounts else np.where(watchdog, rho, alpha)
                 better = deciding & (rho > best)
                 best, arg = np.where(better, rho, best), np.where(better, k + 1, arg)
             hit = metric >= target
             m = np.where(deciding & hit, k + 1, m)
             deciding = deciding & ~hit & (k + 1 < last)
-            walking = k + 1 < width if keep else deciding
-            if not np.count_nonzero(walking):
+            if not np.count_nonzero(deciding):
                 break
         fallback = m == 0
         if not accounts:
-            return np.maximum(m, 1), fallback, np.zeros(rows, dtype=bool), onestep, alphas, rhos
+            return np.maximum(m, 1), fallback, np.zeros(rows, dtype=bool), onestep
         covered = self.slack + best >= 0.0
         exit_event = fallback & ~watchdog
         warning_event = watchdog & ~covered & (fallback | forced)
         m = np.where(fallback, np.where(watchdog & covered, arg, 1), m)
-        return m, exit_event, warning_event, onestep, alphas, rhos
+        return m, exit_event, warning_event, onestep
 
     def _decision_rule(self, known) -> tuple[tuple, PlanWalk]:
         """The rows' rule for :meth:`_probe` and walk, kept until rows retire, a shrink is due or forced_m moves."""
@@ -729,15 +695,12 @@ class _Lockstep:
         # The first values of the walk's running arrays: nothing writes them in place.
         start = np.ones(rows, dtype=bool), np.full(rows, -np.inf), np.ones(rows, dtype=int)
         walk = PlanWalk(self.solver, self.x, self.horizon, int(width.max()), known, self.walk_buffers)
-        return (forced, last, target, watchdog.any(), watchdog.all(), width, start), walk
+        return (forced, last, target, watchdog.any(), watchdog.all(), start), walk
 
     def _reserve(self, steps: int) -> None:
-        """Grow the logs until they hold ``steps`` applied steps."""
+        """Double the cost log's time axis until it holds ``steps`` applied steps."""
         while steps > self.costs.shape[1]:
-            self.costs = _widen(self.costs)
-            if self.keep:
-                self.states = _widen(self.states)
-                self.controls = _widen(self.controls)
+            self.costs = np.concatenate([self.costs, np.zeros_like(self.costs)], axis=1)
 
     def _apply(self, plan: PlanWalk, m: np.ndarray) -> np.ndarray:
         """Apply the first ``m[i]`` steps of the plan to row ``i``, one column at a time; return the window costs.
@@ -764,9 +727,6 @@ class _Lockstep:
             x, step_cost, t = plan.trajectory[at, j + 1], plan.stage_costs[at, j], self.t[at]
             self.x[at] = x
             self.costs[rows, t] = step_cost
-            if self.keep:
-                self.controls[rows, t] = plan.controls[at, j]
-                self.states[rows, t + 1] = x
             self.t[at] = t + 1
             self.cost_sum[at] += step_cost
             cost[at] += step_cost
@@ -820,9 +780,7 @@ class _Lockstep:
         anchor.trajectory[p, applied + 1 : applied + width + 1] = plan.trajectory[taken, 1 : width + 1]
         anchor.stage_costs[p, steps] = plan.stage_costs[taken, :width]
         anchor.ends[p, steps] = plan.ends[taken, :width]
-        if self.keep:
-            anchor.controls[p, steps] = plan.controls[taken, :width]
-            self.closes[p] += 1
+        anchor.controls[p, steps] = plan.controls[taken, :width]
 
     def _replan_walk(self, rows: np.ndarray, anchor: PlanWalk, applied: int, width: int) -> PlanWalk:
         """A walk of ``width`` steps from the rows' states after ``applied`` steps of ``anchor``.
@@ -850,25 +808,66 @@ class _Lockstep:
             warning_count=result["warnings"],
             intervals=result["intervals"],
             applied_steps=result["t"],
-            traces=None if self.traces is None else tuple(self.traces),
+            traces=self._traces(result) if self.log else None,
         )
 
-    def _trace(self, k: int, i: int) -> ClosedLoopTrace:
-        """The trace of input row ``i``, stored at dense row ``k``."""
-        t = int(self.t[k])
-        return ClosedLoopTrace(
-            config=self.row_configs[i],
-            x0=self.x0[i],
-            status=_STATUSES[self.status[i]],
-            schedule=UpdateSchedule(times=tuple(self.times[i])),
-            states=self.states[k, : t + 1].copy(),
-            applied_controls=self.controls[k, :t].copy(),
-            applied_costs=self.costs[k, :t].copy(),
-            certificates=tuple(self.certificates[i]),
-            slack=SlackAccumulator(total=float(self.slack[k]), values=self.slack_values[i]),
-            windows=tuple(self.windows[i]),
-            exit_count=int(self.exits[k]),
-            warning_count=int(self.warnings[k]),
+    def _joined(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The log ``name`` as one int and one float block, its events by input row, each row's in run order."""
+        ints, floats = (np.concatenate(blocks, axis=1) for blocks in zip(*self.log[name]))
+        order = np.argsort(ints[0], kind="stable")
+        return ints[:, order], floats[:, order]
+
+    def _traces(self, result: dict) -> tuple[ClosedLoopTrace, ...]:
+        """Every row's trace, built from the run's column logs and its input-order results."""
+        rows, n = self.x0.shape
+        ends = result["t"]
+        # Each row's x0, then each applied step's state, control and cost at the time after it.
+        (ids, time), applied = self._joined("step")
+        steps = np.zeros((len(applied), rows, ends.max(initial=0) + 1))
+        steps[:n, :, 0] = self.x0.T
+        steps[:, ids, time + 1] = applied
+        # One certificate per closed interval; each close is a schedule time.
+        (closed, index, sigma, t), (v_before, v_after, cost_sum, rho, slack) = self._joined("close")
+        cert = (index, sigma, t - sigma, v_before, v_after, cost_sum, alpha_m_steps(v_before - v_after, cost_sum), rho)
+        certificates = [Certificate(*f) for f in zip(*(a.tolist() for a in cert))]
+        # A window's closes are the schedule times strictly inside it.
+        (windowed, iteration, time, horizon, m, *flags), (v_start, v_end, cost) = self._joined("window")
+        keys, start = closed * steps.shape[2] + t, windowed * steps.shape[2] + time
+        closes = np.searchsorted(keys, start + m) - np.searchsorted(keys, start, "right")
+        # Each window's prefix degrees: one walk over all windows, to each one's N - 1, with the run's bits.
+        alphas = rhos = ()
+        if len(windowed):
+            walk = PlanWalk(self.solver, steps[:n, windowed, time].T, horizon, int(horizon.max()) - 1, v_start)
+            walk.advance_to(horizon - 1)
+            drop, paid = v_start[:, None] - walk.ends, walk.prefix_costs
+            alphas, rhos = alpha_m_steps(drop, paid), drop - result["alpha_bar"][windowed, None] * paid
+        probes = [(a[:w], r[:w]) for a, r, w in zip(alphas, rhos, (horizon - 1).tolist())]
+        head = zip(iteration.tolist(), time.tolist(), horizon.tolist(), v_start.tolist())
+        flags = (f.astype(bool) for f in flags)
+        tail = zip(*(a.tolist() for a in (m, *flags, closes, v_end, cost)))
+        windows = [WindowRecord(*h, *p, *tl) for h, p, tl in zip(head, probes, tail)]
+        bounds = [np.searchsorted(i, np.arange(rows + 1)).tolist() for i in (closed, windowed)]
+        finals = (result[name].tolist() for name in ("slack", "exits", "warnings"))
+        statuses = (_STATUSES[code] for code in self.status.tolist())
+        times, slack = t.tolist(), slack.tolist()
+        return tuple(
+            ClosedLoopTrace(
+                config=self.row_configs[i],
+                x0=self.x0[i],
+                status=status,
+                schedule=UpdateSchedule(times=(0, *times[c])),
+                states=steps[:n, i, : end + 1].T.copy(),
+                applied_controls=steps[n:-1, i, 1 : end + 1].T.copy(),
+                applied_costs=steps[-1, i, 1 : end + 1].copy(),
+                certificates=tuple(certificates[c]),
+                slack=SlackAccumulator(total=total, values=slack[c]),
+                windows=tuple(windows[w]),
+                exit_count=exits,
+                warning_count=warnings,
+            )
+            for i, (c, w, status, end, total, exits, warnings) in enumerate(
+                zip(*(map(slice, b, b[1:]) for b in bounds), statuses, ends.tolist(), *finals)
+            )
         )
 
 

@@ -124,10 +124,17 @@ class RiccatiLadder:
         self._reduced = P - PB @ Y[:, :n]
 
     def extend(self, horizon: int) -> None:
-        """Grow the ladder so that ``matrix(horizon)`` is available."""
+        """Grow the ladder so that ``matrix(horizon)`` is available.
+
+        A rung that is not finite raises ``SolverError``: the recursion
+        overflowed, and every value and plan built on it would be NaN.
+        """
         A, Q = self.lq.A, self.lq.Q
         while self.horizon < horizon:
             nxt = A.T @ self._reduced @ A + Q
+            if not np.isfinite(nxt).all():
+                j = self.horizon + 1
+                raise SolverError(f"value recursion overflows at ladder step {j}: P_{j} is not finite")
             # Symmetrise to keep round-off from drifting over long ladders.
             self._append(0.5 * (nxt + nxt.T))
 
@@ -349,10 +356,11 @@ class PlanWalk:
     computed unless the caller has those bits.  :meth:`restart` reuses the
     arrays without zeroing, so a step past a row's walked ones holds zero
     or an earlier walk's value (finite, nonnegative); a reader of whole
-    columns must discard those rows, as the engine's ``deciding`` mask and
-    ``[:w]`` trace slices do.  ``buffers`` from :meth:`allocate` may have
-    more rows than ``X``; the walk uses the first ``len(X)``, so a caller
-    can keep one set while its batch shrinks.
+    columns must discard those rows, as the engine's ``deciding`` mask
+    does, and a reader of whole rows the steps past each row's horizon, as
+    the traces' rebuilt prefix degrees do.  ``buffers`` from
+    :meth:`allocate` may have more rows than ``X``; the walk uses the first
+    ``len(X)``, so a caller can keep one set while its batch shrinks.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):

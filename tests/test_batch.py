@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpccert.certify import row_sums
-from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, _Lockstep, run_batch, run_closed_loop
+from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, BatchRun, _Lockstep, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
@@ -311,6 +311,34 @@ def test_batch_run_matches_one_row_runs(engine_solver, config, case):
         assert np.array_equal(getattr(bare, name), getattr(batch, name), equal_nan=True)
 
 
+# One row of each variant, together covering forced lengths (an int and
+# a sequence), a shrink schedule and an iteration cap.
+_EVERY_KIND = (ENGINE_CONFIGS[2], ENGINE_CONFIGS[4], ENGINE_CONFIGS[8], ENGINE_CONFIGS[10])
+
+
+@settings(max_examples=25, deadline=None)
+@given(extra=st.lists(st.sampled_from(ENGINE_CONFIGS), max_size=4), points=st.lists(_point, min_size=1, max_size=3))
+def test_traces_come_from_the_untraced_run(engine_solver, extra, points):
+    # A traced run decides as an untraced one and builds its traces from
+    # logs of that run: its columns are the untraced run's, and each
+    # window's closes and prefix degrees read back consistently.
+    configs = [cfg for cfg in _EVERY_KIND + tuple(extra) for _ in points]
+    X = np.array(points * (len(configs) // len(points)))
+    traced = run_batch(engine_solver, X, configs, traces=True)
+    bare = run_batch(engine_solver, X, configs)
+    assert bare.status == traced.status
+    for f in dataclasses.fields(BatchRun):
+        if isinstance(getattr(bare, f.name), np.ndarray):
+            assert np.array_equal(getattr(bare, f.name), getattr(traced, f.name), equal_nan=True), f.name
+    for trace, intervals in zip(traced.traces, traced.intervals):
+        times = np.array(trace.schedule.times)
+        for w in trace.windows:
+            assert w.closes == np.count_nonzero((times > w.time) & (times < w.time + w.committed_m))
+            assert len(w.probe_alphas) == len(w.probe_rhos) == w.horizon - 1
+        # Every interval closes at a re-plan, at the next window or when the run stops.
+        assert intervals == sum(w.closes for w in trace.windows) + len(trace.windows)
+
+
 def test_batch_config_validation(engine_solver):
     config = ENGINE_CONFIGS[0]
     with pytest.raises(ConfigError, match="one AlgorithmConfig per initial state, got 2 items for 3"):
@@ -491,9 +519,9 @@ class _CountingSolver(LqLadderSolver):
 
 def test_walk_stops_at_the_first_settled_prefix(lq):
     # At N = 20 every row certifies its first prefix at threshold 0, so
-    # without traces each iteration walks one step of the plan; windows
-    # record every prefix, so with traces it walks N - 1 = 19, never the
-    # last one.
+    # each iteration walks one step of the plan, traced or not.  Windows
+    # record every prefix: a traced run rebuilds them after the run with
+    # one walk of N - 1 = 19 steps over all its windows, never the last.
     config = AlgorithmConfig(variant="alg1", horizon=20, alpha_bar=0.0)
     bare_solver, traced_solver = _CountingSolver(lq, 20), _CountingSolver(lq, 20)
     bare = run_batch(bare_solver, CIRCLE, config)
@@ -501,7 +529,7 @@ def test_walk_stops_at_the_first_settled_prefix(lq):
     windows = [w for trace in traced.traces for w in trace.windows]
     assert all(w.committed_m == 1 and len(w.probe_alphas) == len(w.probe_rhos) == 19 for w in windows)
     iterations = max(len(trace.windows) for trace in traced.traces)
-    assert bare_solver.steps == iterations and traced_solver.steps == 19 * iterations
+    assert bare_solver.steps == iterations and traced_solver.steps == iterations + 19
     assert np.array_equal(bare.min_window_alpha, traced.min_window_alpha)
 
 
@@ -521,7 +549,8 @@ def test_replans_walk_only_the_tails_left(lq, monkeypatch, config):
     # re-plans of m (m - 1) / 2 row steps per window, none for one-step
     # windows.  Every window here has equal tails, so no walk steps a row
     # past its own.  The probe walk and the re-plan walks each allocate
-    # their buffers once per run.
+    # their buffers once per run; a traced run allocates one more set
+    # after it, one row per window, for the rebuilt prefix degrees.
     engine = importlib.import_module("mpccert.engine")
     replan, allocate = engine._Lockstep._replan, PlanWalk.allocate
     tried, walked, allocations = [], [], []
@@ -542,9 +571,10 @@ def test_replans_walk_only_the_tails_left(lq, monkeypatch, config):
         for log in (tried, walked, allocations):
             log.clear()
         batch = run_batch(_CountingSolver(lq, 2), CIRCLE, config, traces=traces)
-        assert len(allocations) <= 2
+        assert len(allocations) - traces <= 2
         if traces:
             m = np.array([w.committed_m for trace in batch.traces for w in trace.windows])
+            assert allocations[-1][0] == len(m)
             assert (m > 1).any()
             assert sum(tried) == np.sum(m - 1) and sum(walked) == np.sum(m * (m - 1) // 2)
             counts = sum(tried), sum(walked)

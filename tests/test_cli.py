@@ -212,3 +212,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "P_2" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ("riccati", "run"))
+def test_ladder_overflow_exits_3(command, tmp_path, capsys):
+    # The bundled plant with A[0, 0] = 1e200: P_2 overflows.
+    plant = tmp_path / "overflow.txt"
+    plant.write_text(Path(PLANT).read_text().replace("\n1 1.1\n", "\n1e200 1.1\n"))
+    plant = str(plant)
+    argv = ["riccati", "--plant", plant, "--horizon", "3"]
+    if command == "run":
+        argv = _run_args(tmp_path, "alg1")
+        argv[argv.index("--plant") + 1] = plant
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["solver error: value recursion overflows at ladder step 2: P_2 is not finite"]
+    assert not captured.out
+
+
+@pytest.mark.parametrize("x0,code", (("1e160,0", 2), ("1e150,0", 0)))
+def test_initial_value_overflow_exits_2(x0, code, tmp_path, capsys):
+    # x0' P_3 x0 overflows at 1e160 but not at 1e150, which converges.
+    argv = _run_args(tmp_path, "alg3")
+    argv[argv.index("--x0") + 1] = x0
+    if code:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the value of initial state [1.e+160") and line.endswith("] is not finite")
+        assert not captured.out
+    else:
+        assert main(argv) == code
+        assert "status = converged" in capsys.readouterr().out

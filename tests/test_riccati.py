@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpccert.errors import ConfigError
+from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import (
     LqBellmanSolver,
@@ -34,6 +34,18 @@ def test_ladder_matches_frozen_rungs(lq):
     assert np.allclose(ladder.matrix(3), P3, atol=1e-9)
     assert np.allclose(ladder.matrix(4), P4, atol=1e-9)
     assert np.array_equal(ladder.matrix(0), np.zeros((2, 2)))
+
+
+def test_ladder_overflow_raises_naming_the_step(lq):
+    A = lq.A.copy()
+    A[0, 0] = 1e200
+    plant = LinearQuadraticInstance(A, lq.B, lq.Q, lq.R)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SolverError, match="ladder step 2: P_2"):
+        RiccatiLadder(plant, 3)
+    ladder = RiccatiLadder(plant, 1)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SolverError, match="ladder step 2"):
+        ladder.extend(5)
+    assert ladder.horizon == 1
 
 
 def test_ladder_symmetry_psd_monotone(lq):

@@ -409,6 +409,19 @@ def test_sweep_captures_per_point_errors(lq):
     assert report.aggregates()["errors"] == 1
 
 
+def test_sweep_records_an_initial_value_overflow_as_an_error_row(lq):
+    # x0' P_3 x0 overflows at 1e160 but not at 1e150: only the first is
+    # an error row, and the other rows run as they do without it.
+    points = np.array([[0.0, 1.0], [1e160, 0.0], [1e150, 0.0]])
+    solver, config = LqLadderSolver(lq, 3), _cfg("alg3", 0.5)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = sweep(solver, InitialSet(name="overflow", points=points), config)
+    assert report.error_indices() == (2,) and report.statuses() == {"converged": 2, "error": 1}
+    assert "is not finite" in report.runs.errors[1]
+    clean = sweep(solver, InitialSet(name="clean", points=points[[0, 2]]), config)
+    assert report.runs.alpha_cor3[[0, 2]].tolist() == clean.runs.alpha_cor3.tolist()
+
+
 def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
     # Negating the 16-point circle puts the marker (1, 0) at index 8.
     # The failing batch re-runs point by point: the error stays on its

@@ -14,9 +14,12 @@ change what that process allocates before its timed passes.
 At the end, one line per end-to-end metric and workload of PARENT's
 ``BENCHMARK.json``: both medians, the relative change, the pairs the
 change won by the metric's ``better`` direction (ties count for
-neither), the parent's IQR over its median, and ``PAST BOUND`` when the
-change's median is worse than the parent's by more than the bound.  Then
-each tree's median fault count.  Exits 1 when any run fails, reads
+neither), the parent's IQR over its median, ``PAST BOUND`` when the
+change's median is worse than the parent's by more than the bound, and
+``UNRESOLVED`` when the parent's IQR over its median exceeds the bound:
+then the runs spread too widely to tell a change within the bound from
+noise, unless every run of the change beats every run of the parent.
+Then each tree's median fault count.  Exits 1 when any run fails, reads
 ``correct: false`` or has ``failed > 0``.
 """
 
@@ -52,7 +55,10 @@ def summary(metric: dict, key: str, parent: list, change: list) -> str:
     med_a, med_b = statistics.median(a), statistics.median(b)
     q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
     worse = (med_b - med_a) / med_a if lower else (med_a - med_b) / med_a
+    beats_all = max(b) < min(a) if lower else min(b) > max(a)
     flag = "  PAST BOUND" if worse > metric["bound"] else ""
+    if (q3 - q1) / med_a > metric["bound"] and not beats_all:
+        flag += "  UNRESOLVED"
     return (
         f"{key}: parent {med_a:.6g} change {med_b:.6g} {metric['unit']} ({(med_b - med_a) / med_a:+.2%}), "
         f"change better in {won} of {len(a)}, parent IQR/median {(q3 - q1) / med_a:.2%}{flag}"

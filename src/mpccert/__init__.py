@@ -29,7 +29,6 @@ _SOURCES = {
     "SlackAccumulator": "certify",
     "alpha_m_step": "certify",
     "certificates_to_csv": "certify",
-    "rho": "certify",
     "update_acceptable": "certify",
     "AlgorithmConfig": "engine",
     "BatchRun": "engine",

@@ -46,13 +46,6 @@ def alpha_m_steps(drops: np.ndarray, cost_sums: np.ndarray) -> np.ndarray:
     return np.divide(drops, cost_sums, out=np.ones_like(cost_sums, dtype=float), where=cost_sums != 0.0)
 
 
-def rho(v_before: float, v_after: float, cost_sum: float, alpha_bar: float) -> float:
-    """Slack of the relaxed descent inequality at threshold ``alpha_bar``."""
-    if cost_sum < 0.0:
-        raise ConfigError(f"cost_sum must be nonnegative, got {cost_sum}")
-    return v_before - v_after - alpha_bar * cost_sum
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Descent record for one closed interval of applied controls.
@@ -95,6 +88,7 @@ class Certificate:
         cost_sum: float,
         alpha_bar: float,
     ) -> "Certificate":
+        """The certificate of one interval; ``alpha_m_step`` rejects a negative ``cost_sum``."""
         return cls(
             n=n,
             sigma=sigma,
@@ -103,7 +97,7 @@ class Certificate:
             v_after=v_after,
             cost_sum=cost_sum,
             alpha=alpha_m_step(v_before, v_after, cost_sum),
-            rho=rho(v_before, v_after, cost_sum, alpha_bar),
+            rho=v_before - v_after - alpha_bar * cost_sum,
         )
 
 

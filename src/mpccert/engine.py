@@ -29,24 +29,22 @@ horizon, pending interval, slack account and counts in dense arrays that
 hold the running rows only; rows that stop write their results once and
 drop out.  All rows pass through the same outer iteration together, so
 forced lengths and shrink requests apply per iteration as in a single
-run.  Each iteration walks the plans of all rows one prefix at a time
-through one :class:`~mpccert.riccati.PlanWalk` on buffers allocated
-once per run, with the same arithmetic on each row as on a lone state.
+run.  Each iteration walks the plans of all rows, each at its own
+horizon, one prefix at a time through one
+:class:`~mpccert.riccati.PlanWalk` on buffers allocated once per run,
+with the same arithmetic on each row as on a lone state.
 The walk decides: each prefix's degree and slack are computed once, a
 row's commitment is settled at the first prefix that qualifies, and the
 walk stops once every row is settled; no walk builds a plan's last
 step.  Re-plan budgets are read from the walk's running prefix costs.
-The engine keeps one horizon per row and hands it to the plan layer as
-it is: grouping rows by horizon, and stepping every row of a
-one-horizon walk, are decided in :mod:`mpccert.riccati`.
 The walked plans are the plans the rows apply, so windows need no copy.
 One loop applies them column by column: column ``j`` goes to every row
 still inside its window, and before each column after the first the
 ``alg2``/``alg4`` rows still inside theirs re-plan on buffers allocated
-at the run's first re-plan.  A re-plan walks as far as the window left
-to it and checks only the rule of its rows' variant; an accepted one is
-written over the columns of the plan it replaces, so every row reads
-the same column.  Walk and re-plan buffers are allocated once per run
+at the run's first re-plan.  A re-plan walks as far as the longest
+window left to its rows and checks only the rules of their variants;
+an accepted one is written over the columns of the plan it replaces, so
+every row reads the same column.  Walk and re-plan buffers are allocated once per run
 and each walk uses their first rows, so rows that stop leave them alone.
 So every row of a batch matches its own one-row run bit for bit,
 whichever rows and configurations share the batch.
@@ -431,7 +429,7 @@ class BatchRun:
 # since the loop was last closed (start time, value at its start, cost paid
 # so far), open in every row from its first iteration on and closed once
 # the value at its end state (at the then-current horizon) is known; v_now
-# is the value of each row's state at its horizon, once it has planned.
+# is the value of each row's state at its horizon.
 _BLOCKS = (
     (float, ("alpha_bar", "v_before", "cost_sum", "v_now", "slack", "v_initial", "startup", "min_onestep",
              "min_window")),
@@ -502,6 +500,11 @@ class _Lockstep:
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
+        # The first plans' values: the check reports a state so far out that x'x or x' P_N x overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
+        if not np.isfinite(self.v_now).all():
+            raise ConfigError(f"the value of initial state {X[~np.isfinite(self.v_now)][0]} is not finite")
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x0 = X
         self.x = X.copy()
@@ -556,10 +559,8 @@ class _Lockstep:
     def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
         """Close the rows in ``stop``, write their results, and drop them from every block and log."""
         sel = stop.nonzero()[0]
-        v_final = np.full(sel.size, np.nan)
-        if iteration > 0:
-            # Every row that has planned has an interval pending.
-            v_final = self.v_now[sel]
+        v_final = self.v_now[sel]
+        if iteration > 0:  # every row that has planned has an interval pending
             self._close(sel, v_final)
         ids = self.ids[sel]
         # Codes index _STATUSES: flagged by exits without an account or by warnings with one, else at rest or capped.
@@ -593,9 +594,8 @@ class _Lockstep:
         if iteration < self.forced_until:
             self.forced[:] = np.array([cfg.forced_m_at(iteration) or 0 for cfg in self.configs])[self.kind]
             self.rule = None
-        # Each row's value at its state is the end value the last walk
-        # gave it, unless a shrink was due.  A copy: _apply writes v_now.
-        known = self.v_now.copy() if iteration and iteration not in self.shrinks else None
+        # v_now is each row's value unless a shrink was due; copied, as _apply writes it.
+        known = None if iteration in self.shrinks else self.v_now.copy()
         if self.rule is None:
             self.rule, self.walk = self._decision_rule(known)
         else:
@@ -606,8 +606,6 @@ class _Lockstep:
         if iteration:
             self._close(slice(None), v_start)
         else:
-            if not np.isfinite(v_start).all():
-                raise ConfigError(f"the value of initial state {self.x[~np.isfinite(v_start)][0]} is not finite")
             self.v_initial[:] = v_start
         m, exit_event, warning_event, onestep = self._probe(plan)
         self.exits += exit_event
@@ -661,7 +659,7 @@ class _Lockstep:
         forced, last, target, accounts, all_accounts, (deciding, best, arg) = self.rule
         rows, m = len(watchdog), self.forced
         for k in range(plan.width):
-            plan.advance(deciding)
+            plan.advance()
             drop = plan.value - plan.ends[:, k]
             cost = plan.prefix_costs[:, k]
             if k == 0 or not all_accounts:
@@ -736,8 +734,9 @@ class _Lockstep:
     def _replan(self, rows: np.ndarray, tail: np.ndarray, applied: int, anchor: PlanWalk) -> None:
         """Plan afresh after ``applied`` steps of the window; rows whose check passes switch to the new plan.
 
-        Row ``i`` walks the new plan as far as the ``tail[i]`` steps left in
-        its window, from the value its anchor plan gives the state reached.
+        The new plans are walked as far as the longest tail; row ``i`` reads
+        the ``tail[i]`` steps left in its window, from the value its anchor
+        plan gives the state reached.
         alg2 rows accept when the stretch since the loop was last closed
         still meets the threshold (:func:`budget_met`, the rule of
         :func:`update_acceptable`), alg4 rows when their slack account
@@ -749,8 +748,8 @@ class _Lockstep:
         """
         width = int(tail.max())
         plan = self._replan_walk(rows, anchor, applied, width)
-        for k in range(width):
-            plan.advance(tail > k)
+        for _ in range(width):
+            plan.advance()
         end_value, planned = _tail_ends_and_costs(plan, tail)
         paid = self.cost_sum[rows]
         if applied >= _PAIRWISE:
@@ -792,7 +791,7 @@ class _Lockstep:
         if self.replan_buffers is None:
             lq, width_max = self.solver.lq, len(self.walk_buffers[1]) - 1
             self.replan_buffers = PlanWalk.allocate(len(self.ids), width_max, lq.state_dim, lq.control_dim)
-        horizon = anchor.groups[0][0] if len(anchor.groups) == 1 else self.horizon[rows]
+        horizon = anchor.horizon if isinstance(anchor.horizon, int) else anchor.horizon[rows]
         X, value = anchor.trajectory[rows, applied], anchor.ends[rows, applied - 1]
         return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)
 

@@ -17,26 +17,29 @@ Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
 
-A solver builds one plan operator per horizon on the first request and
-keeps it: the stacks ``[-K; A; Q]`` of every step (the law's negated gain
-on top of ``A`` and ``Q``) and the tail matrices ``P_N, ..., P_1``.
-:meth:`FiniteHorizonSolver.plan_step`, the step kernel of every plan,
-takes step ``k`` from states held as the columns of an ``(n, B)`` array:
-one product with the step's stack gives ``u_k``, ``A x_k`` and ``Q x_k``,
-one with ``[B; R]`` gives ``B u_k`` and ``R u_k``, and it writes
-``x_{k+1}``, ``u_k``, the stage cost, the end value
-``x_{k+1}' P_N x_{k+1}`` and the prefix cost into the views it is given.
-A :class:`PlanWalk` holds a batch's plans step-major, the row axis last,
-and extends them through ``plan_step`` as far as its caller reads, each
-row at its own horizon, and ``plans`` walks whole plans.  ``values_of``
-evaluates ``x' P_N x``.  ``rollout`` and :func:`value_drop_grid` use no
-operator: one column step moves coordinate columns through ``-K`` from the
-ladder and the plant's ``A`` and ``B``.  Every product multiplies
-each matrix entry by a row or column of states in one ufunc and adds the
-terms of each sum left to right, as :mod:`mpccert.model` does, so a
-row's bits do not depend on the batch around it: a batched result equals
-the single-state one, and a plan's states are what the plant's
-``dynamics`` gives when it replays the plan's controls.
+A solver keeps one step-kernel table indexed by ladder rung, rebuilt only
+when a step needs a rung past it: the stack ``[-K_j; A; Q]`` of every
+rung (a negated gain on top of ``A`` and ``Q``) plus one zero stack, the
+matrices ``P_j`` and ``[B; R]``.
+:meth:`FiniteHorizonSolver.plan_step`, the one step of every plan,
+takes step ``k`` from states held as the columns of an ``(n, B)`` array
+at one horizon or one per column: each column reads the stack of the
+rung its law picks at ``(N, k)``, the zero stack once ``k >= N``.  One
+product with the stack gives ``u_k``, ``A x_k`` and ``Q x_k``, one with
+``[B; R]`` gives ``B u_k`` and ``R u_k``, and it writes ``x_{k+1}``,
+``u_k``, the stage cost, the end value ``x_{k+1}' P_N x_{k+1}`` and the
+prefix cost into the views it is given.  A :class:`PlanWalk` holds a
+batch's plans step-major, the row axis last, and steps every row through
+``plan_step`` as far as its caller reads, and ``plans`` walks whole
+plans.  ``values_of`` evaluates ``x' P_N x``.  ``rollout`` and
+:func:`value_drop_grid` use no table: one column step moves coordinate
+columns through ``-K`` from the ladder and the plant's ``A`` and ``B``.
+Every product multiplies each matrix entry by a row or column of states
+in one ufunc and adds the terms of each sum left to right, as
+:mod:`mpccert.model` does, so a row's bits do not depend on the batch
+around it: a batched result equals the single-state one, and a plan's
+states are what the plant's ``dynamics`` gives when it replays the
+plan's controls.
 """
 
 from __future__ import annotations
@@ -128,10 +131,12 @@ class RiccatiLadder:
 
         A rung that is not finite raises ``SolverError``: the recursion
         overflowed, and every value and plan built on it would be NaN.
+        That check stands in for NumPy's overflow warning on the rung.
         """
         A, Q = self.lq.A, self.lq.Q
         while self.horizon < horizon:
-            nxt = A.T @ self._reduced @ A + Q
+            with np.errstate(over="ignore", invalid="ignore"):
+                nxt = A.T @ self._reduced @ A + Q
             if not np.isfinite(nxt).all():
                 j = self.horizon + 1
                 raise SolverError(f"value recursion overflows at ladder step {j}: P_{j} is not finite")
@@ -176,15 +181,14 @@ class FiniteHorizonSolver:
     """Shared machinery for the two linear-quadratic planners.
 
     Instances keep one growing :class:`RiccatiLadder` and reuse it for
-    every horizon up to the largest seen so far, plus one cached plan
-    operator per horizon requested.
+    every horizon up to the largest seen so far, plus one step-kernel
+    table indexed by ladder rung (:meth:`_table`).
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
         self.ladder = RiccatiLadder(lq, horizon)
-        self._operators: dict[int, tuple[np.ndarray, ...]] = {}
-        self._kernels: dict[int, tuple[np.ndarray, ...]] = {}
+        self._kernel: tuple[np.ndarray, ...] | None = None
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -207,48 +211,53 @@ class FiniteHorizonSolver:
     def values_of(self, X, horizon) -> np.ndarray:
         """:meth:`value_of` at every row of the ``(B, n)`` array ``X``.
 
-        ``horizon`` is one horizon for all rows or a ``(B,)`` array of them.
+        ``horizon`` is one horizon for all rows or a ``(B,)`` array of
+        them; per-row horizons give one :func:`quad_form` over the rows'
+        own ``P_N``.
         """
         X = self._states(X, 2)
-        out = np.empty(len(X))
-        for N, rows in _horizon_groups(horizon, len(X)):
-            out[rows] = self._values(X[rows], N)
-        return out
+        horizon = _horizon(horizon, len(X))
+        if isinstance(horizon, int):
+            return self._values(X, horizon)
+        if horizon.min() < 0:
+            raise ConfigError(f"horizon must be nonnegative, got {horizon.min()}")
+        return quad_form(self._table(int(horizon.max()))[2][1].take(horizon, axis=-1).T, X)
 
-    def _gain_index(self, horizon: int, k: int) -> int:
+    def _gain_index(self, horizon, k: int):
+        """The rung of the gain at step ``k`` of the ``horizon``-step plan, for one horizon or an array of them."""
         raise NotImplementedError
 
-    def _operator(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(stacks, tails)``, built once per ``N``: ``stacks[k] = [-K_{g(N, k)}; A; Q]``, ``tails = P_N..P_1``."""
-        op = self._operators.get(horizon)
-        if op is None:
-            if horizon < 1:
-                raise ConfigError(f"horizon must be at least 1, got {horizon}")
-            ladder, lq = self.ladder, self.lq
-            ladder.extend(horizon)
-            gains = [-ladder.gain(self._gain_index(horizon, k)) for k in range(horizon)]
-            stacks = np.stack([np.vstack([gain, lq.A, lq.Q]) for gain in gains])
-            tails = np.stack([ladder.matrix(j) for j in range(horizon, 0, -1)])
-            op = self._operators[horizon] = (stacks, tails)
-        return op
+    def _table(self, horizon: int) -> tuple:
+        """The step kernel of every rung, laid out for :meth:`plan_step`, rebuilt when ``horizon`` is past it.
 
-    def _kernel(self, horizon: int) -> tuple[np.ndarray, ...]:
-        """The stacks, ``P_N`` and ``[B; R]`` laid out for :meth:`plan_step`, built at its first call at ``horizon``.
-
-        Each ``(..., r, c)`` matrix ``M`` is laid out ``(..., c, r, 1)``, so
-        that term ``j`` of ``M x`` is ``M[..., j, :, :] * x[j]``.  A solver
-        that only calls :meth:`rollout` never builds them.
+        ``(inputs, (stacks, ends), tables)``: ``stacks[j] = [-K_j; A; Q]``
+        for every rung ``j`` of the ladder, then one zero stack,
+        ``ends[j] = P_j`` and ``inputs = [B; R]``, each ``(r, c)`` matrix
+        as a contiguous ``(c, r, 1)`` array, so that term ``i`` of ``M x``
+        is ``M[i] * x[i]`` broadcast over the columns of ``x``.  ``tables``
+        joins ``stacks`` and ``ends`` along that last axis, for gathers of
+        one rung per column.  A solver that only calls :meth:`rollout`
+        never builds it.
         """
-        forms = self._kernels.get(horizon)
-        if forms is None:
-            stacks, tails = self._operator(horizon)
-            mats = stacks, tails[0], np.vstack([self.lq.B, self.lq.R])
-            forms = self._kernels[horizon] = tuple(np.ascontiguousarray(M.swapaxes(-1, -2))[..., None] for M in mats)
-        return forms
+        table = self._kernel
+        if table is None or len(table[1][1]) <= horizon:
+            ladder, lq = self.ladder, self.lq
+            ladder.extend(max(horizon, 1))
+            rungs = range(ladder.horizon + 1)
+            mats = [np.vstack([-ladder.gain(j), lq.A, lq.Q]) for j in rungs], [ladder.matrix(j) for j in rungs]
+            stacks, ends = ([np.ascontiguousarray(M.T)[..., None] for M in group] for group in mats)
+            stacks.append(np.zeros_like(stacks[0]))
+            inputs = np.ascontiguousarray(np.vstack([lq.B, lq.R]).T)[..., None]
+            table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
+        return table
 
-    def plan_step(self, X: np.ndarray, horizon: int, k: int, out: tuple) -> None:
+    def plan_step(self, X: np.ndarray, horizon, k: int, out: tuple) -> None:
         """Step ``k`` of the ``horizon``-step plans from the columns of the ``(n, B)`` array ``X``.
 
+        ``horizon`` is one horizon for all columns or a ``(B,)`` array of
+        them.  One horizon broadcasts its rung's stack and ``P_N``; per-row
+        horizons gather each column's own, and a column at ``k >= N``
+        takes the zero stack, so it holds zero state, control and cost.
         ``out`` is ``(x_next, u, cost, end, prefix, paid)``: the step
         writes ``x_{k+1}``, ``u_k``, the stage cost,
         ``x_{k+1}' P_N x_{k+1}`` and ``paid + cost`` (``cost`` at
@@ -258,8 +267,14 @@ class FiniteHorizonSolver:
         """
         x_next, u, cost, end, prefix, paid = out
         c, n = self.lq.control_dim, self.lq.state_dim
-        columns, end_form, inputs = self._kernel(horizon)
-        y = _add_terms(columns[k] * X[:, None])  # [u; A x; Q x]
+        if isinstance(horizon, int):
+            inputs, (stacks, ends), _ = self._table(horizon)
+            step, end_form = stacks[self._gain_index(horizon, k) if k < horizon else -1], ends[horizon]
+        else:
+            inputs, _, (stacks, ends) = self._table(int(horizon.max()))
+            rung = np.where(k < horizon, self._gain_index(horizon, k), -1)
+            step, end_form = stacks.take(rung, axis=-1), ends.take(horizon, axis=-1)
+        y = _add_terms(step * X[:, None])  # [u; A x; Q x]
         u[...] = y[:c]
         z = _add_terms(inputs * u[:, None])  # [B u; R u]
         np.add(y[c : c + n], z[:n], out=x_next)
@@ -274,12 +289,13 @@ class FiniteHorizonSolver:
         ``value`` is the ``(B,)`` array of ``x' P_N x``.
         """
         X = self._states(X, 2)
-        if np.ndim(horizon):
-            raise ConfigError(f"plans takes one horizon for all rows, got shape {np.shape(horizon)}")
+        if np.ndim(horizon) or horizon < 1:
+            raise ConfigError(f"plans takes one horizon for all rows, at least 1, got {horizon}")
         horizon = int(horizon)
         walk = PlanWalk(self, X, horizon, horizon)
         walk.advance_to(horizon)
-        tail_values = quad_form(self._operator(horizon)[1], walk.trajectory[:, :horizon])
+        tails = np.stack([self.ladder.matrix(j) for j in range(horizon, 0, -1)])
+        tail_values = quad_form(tails, walk.trajectory[:, :horizon])
         return OpenLoopSolution(horizon, walk.controls, walk.trajectory, walk.stage_costs, walk.value, tail_values)
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
@@ -324,10 +340,8 @@ class LqLadderSolver(FiniteHorizonSolver):
     scheduler commits to.
     """
 
-    def _gain_index(self, horizon: int, k: int) -> int:
-        if k == horizon - 1:
-            return 0  # zero gain: no control on the final step
-        return horizon - k
+    def _gain_index(self, horizon, k: int):
+        return (horizon - k) * (k != horizon - 1)  # zero gain: no control on the final step
 
 
 class LqBellmanSolver(FiniteHorizonSolver):
@@ -338,7 +352,7 @@ class LqBellmanSolver(FiniteHorizonSolver):
     for optimality cross-checks.
     """
 
-    def _gain_index(self, horizon: int, k: int) -> int:
+    def _gain_index(self, horizon, k: int):
         return horizon - k - 1
 
 
@@ -349,25 +363,27 @@ class PlanWalk:
     ``(width + 1, n, rows)``, controls ``(width, c, rows)`` and
     ``(3, width, rows)`` stage costs, ends (``x_{k+1}' P_N x_{k+1}``) and
     prefix costs (the bits of ``np.cumsum``).  :meth:`advance` writes step
-    ``k = steps`` into them through :meth:`FiniteHorizonSolver.plan_step`,
-    once per horizon group, up to ``width`` steps.  ``trajectory``,
-    ``controls``, ``stage_costs``, ``ends`` and ``prefix_costs`` are the
-    same arrays indexed by row first.  ``value`` is ``x_0' P_N x_0``,
-    computed unless the caller has those bits.  :meth:`restart` reuses the
-    arrays without zeroing, so a step past a row's walked ones holds zero
-    or an earlier walk's value (finite, nonnegative); a reader of whole
-    columns must discard those rows, as the engine's ``deciding`` mask
-    does, and a reader of whole rows the steps past each row's horizon, as
-    the traces' rebuilt prefix degrees do.  ``buffers`` from
-    :meth:`allocate` may have more rows than ``X``; the walk uses the first
-    ``len(X)``, so a caller can keep one set while its batch shrinks.
+    ``k = steps`` of every row into them through one
+    :meth:`FiniteHorizonSolver.plan_step`, up to ``width`` steps; a row
+    stepped past its horizon holds zero state, control and cost.
+    ``trajectory``, ``controls``, ``stage_costs``, ``ends`` and
+    ``prefix_costs`` are the same arrays indexed by row first.  ``value``
+    is ``x_0' P_N x_0``, computed unless the caller has those bits.
+    ``horizon`` is the one horizon of every row as an ``int``, else the
+    ``(rows,)`` array of them.  :meth:`restart` reuses the arrays without
+    zeroing, so a step past the walked ones holds zero or an earlier
+    walk's value (finite, nonnegative), and a reader of whole rows must
+    discard the steps past each row's own length, as the traces' rebuilt
+    prefix degrees do.  ``buffers`` from
+    :meth:`allocate` may have more rows than ``X``; the walk uses the
+    first ``len(X)``, so a caller can keep one set while its batch
+    shrinks.
     """
 
     def __init__(self, solver: FiniteHorizonSolver, X: np.ndarray, horizon, width: int, value=None, buffers=None):
         rows, n, c = len(X), solver.lq.state_dim, solver.lq.control_dim
-        self.solver, self.width, self.horizon = solver, width, horizon
+        self.solver, self.width, self.horizon = solver, width, _horizon(horizon, rows)
         self.step_major = states, inputs, columns = [b[..., :rows] for b in buffers or self.allocate(rows, width, n, c)]
-        self.groups = _horizon_groups(horizon, rows)
         self.trajectory, self.controls = states.transpose(2, 0, 1), inputs.transpose(2, 0, 1)
         self.stage_costs, self.ends, self.prefix_costs = columns.transpose(0, 2, 1)
         self.restart(X, value)
@@ -382,33 +398,18 @@ class PlanWalk:
         self.steps, self.value = 0, self.solver.values_of(X, self.horizon) if value is None else value
         self.step_major[0][0] = X.T
 
-    def advance(self, rows: np.ndarray | None = None) -> None:
-        """Build the next step of the rows in the boolean mask ``rows`` (every row when ``None``).
-
-        A walk at one horizon steps every row in place, which costs no
-        more than a subset; a walk at mixed horizons steps the masked rows
-        of each group into temporaries and scatters them.
-        """
+    def advance(self) -> None:
+        """Build the next step of every row, in place."""
         k = self.steps
         states, inputs, columns = self.step_major
         paid = columns[2, k - 1] if k else None
-        if len(self.groups) == 1:
-            self.solver.plan_step(states[k], self.groups[0][0], k, (states[k + 1], inputs[k], *columns[:, k], paid))
-        else:
-            for N, at in self.groups:
-                at = at if rows is None else at[rows[at]]
-                if not at.size:
-                    continue
-                x_next, u, step = (np.empty((len(a), at.size)) for a in (states[k], inputs[k], columns[:, k]))
-                self.solver.plan_step(states[k][:, at], N, k, (x_next, u, *step, None if paid is None else paid[at]))
-                states[k + 1][:, at], inputs[k][:, at], columns[:, k, at] = x_next, u, step
+        self.solver.plan_step(states[k], self.horizon, k, (states[k + 1], inputs[k], *columns[:, k], paid))
         self.steps = k + 1
 
     def advance_to(self, steps) -> None:
         """Walk on until row ``i`` has ``steps[i]`` steps (one count for all rows, or one per row)."""
-        steps = np.broadcast_to(steps, self.value.shape)
-        while self.steps < steps.max(initial=0):
-            self.advance(steps > self.steps)
+        for _ in range(self.steps, int(np.max(steps, initial=0))):
+            self.advance()
 
 
 _GRID_BLOCK = 4096  # states per value_drop_grid block: 32 KiB per coordinate column
@@ -455,17 +456,12 @@ def value_drop_grid(
     return axis, drops
 
 
-def _horizon_groups(horizon, rows: int) -> list[tuple[int, slice | np.ndarray]]:
-    """The ``rows`` rows grouped by horizon: ``(N, rows at horizon N)``, shortest first.
-
-    ``horizon`` is one horizon for all rows or a ``(rows,)`` integer array
-    of them.  When every row shares ``N`` the one group is
-    ``(N, slice(None))``, else each group's rows are an index array.
-    """
+def _horizon(horizon, rows: int) -> int | np.ndarray:
+    """``horizon`` checked as one horizon for ``rows`` rows or a ``(rows,)`` integer array: an ``int`` when all rows share it."""
     h = np.asarray(horizon)
     if h.ndim:
         if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
             raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
         if (h != h[0]).any():
-            return [(n, np.flatnonzero(h == n)) for n in np.unique(h).tolist()]
-    return [(int(h.flat[0]), slice(None))]
+            return h.astype(np.intp)
+    return int(h.flat[0])

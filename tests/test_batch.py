@@ -63,9 +63,8 @@ def test_batch_matches_single_state(planners, law, horizon, X):
 @given(X=batches, data=st.data())
 def test_per_row_horizons_match_own_horizon_calls(planners, law, X, data):
     # A walk over rows of mixed horizons gives each row, step by step, the
-    # bits of a plan at its own horizon.  Row i walks lengths[i] steps; a
-    # mixed walk leaves the columns past them zero, a one-horizon walk
-    # steps every row.
+    # bits of a plan at its own horizon.  Every row walks as far as the
+    # longest of the lengths; a row stepped past its horizon holds zero.
     s = planners[law]
     horizon = np.array(data.draw(st.lists(st.sampled_from(HORIZONS), min_size=len(X), max_size=len(X))))
     lengths = np.array([data.draw(st.integers(1, n)) for n in horizon])
@@ -73,17 +72,16 @@ def test_per_row_horizons_match_own_horizon_calls(planners, law, X, data):
     walk.advance_to(lengths)
     assert walk.steps == lengths.max()
     assert walk.value.tolist() == s.values_of(X, horizon).tolist()
-    mixed = len(set(horizon.tolist())) > 1
-    for i, (n, length) in enumerate(zip(horizon.tolist(), lengths.tolist())):
+    for i, n in enumerate(horizon.tolist()):
         own = s.solve(X[i], n)
-        walked = length if mixed else walk.steps
+        walked = min(walk.steps, n)
         assert walk.value[i] == own.value == s.value_of(X[i], n)
         assert walk.trajectory[i, : walked + 1].tolist() == own.trajectory[: walked + 1].tolist()
         assert walk.controls[i, :walked].tolist() == own.controls[:walked].tolist()
         assert walk.stage_costs[i, :walked].tolist() == own.stage_costs[:walked].tolist()
         assert walk.prefix_costs[i, :walked].tolist() == np.cumsum(own.stage_costs[:walked]).tolist()
         assert walk.ends[i, :walked].tolist() == [s.value_of(x, n) for x in own.trajectory[1 : walked + 1]]
-        for rest in (walk.trajectory[i, walked + 1 :], walk.controls[i, walked:], walk.stage_costs[i, walked:]):
+        for rest in (walk.trajectory[i, n + 1 :], walk.controls[i, n:], walk.stage_costs[i, n:]):
             assert not rest.any()
 
 
@@ -105,6 +103,11 @@ def test_per_row_horizon_validation(planners):
     for one_per_row in (horizon, np.array([3, 3, 3])):
         with pytest.raises(ConfigError, match="one horizon for all rows"):
             s.plans(X, one_per_row)
+    # Unsigned horizons walk as signed ones, the zero stack past each horizon included.
+    walks = [PlanWalk(s, X, h, 20) for h in (horizon, horizon.astype(np.uint8))]
+    for walk in walks:
+        walk.advance_to(20)
+    assert walks[0].trajectory.tolist() == walks[1].trajectory.tolist()
 
 
 def _drop_grid_oracle(solver, horizon, m, extent=1.5, n=101):
@@ -345,6 +348,8 @@ def test_batch_config_validation(engine_solver):
         run_batch(engine_solver, CIRCLE[:3], [config, config])
     with pytest.raises(ConfigError, match="one AlgorithmConfig per initial state"):
         run_batch(engine_solver, CIRCLE[:2], [config, "alg1"])
+    with pytest.raises(ConfigError, match=r"initial states must have shape \(B, 2\), got \(2, 3\)"):
+        run_batch(engine_solver, np.zeros((2, 3)), config)
     for bad in (np.nan, np.inf, -np.inf):
         X = CIRCLE[:3].copy()
         X[1, 0] = bad
@@ -507,7 +512,7 @@ def test_reused_walk_buffers_and_rules_leak_nothing(engine_solver, monkeypatch, 
 
 
 class _CountingSolver(LqLadderSolver):
-    """Counts plan steps walked (one per horizon and step, the calls of the step primitive) and the rows they step."""
+    """Counts plan steps walked (one per step, the calls of the step primitive) and the rows they step."""
 
     steps = rows = 0
 

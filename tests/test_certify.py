@@ -7,7 +7,6 @@ from mpccert.certify import (
     alpha_m_step,
     alpha_m_steps,
     certificates_to_csv,
-    rho,
     update_acceptable,
 )
 from mpccert.errors import ConfigError
@@ -52,12 +51,10 @@ def test_rho_identity_with_alpha():
     for _ in range(200):
         v0, drop, cost = rng.uniform(0.5, 10.0, size=3)
         alpha_bar = rng.uniform(0.0, 1.0)
-        v1 = v0 - drop
-        r = rho(v0, v1, cost, alpha_bar)
-        a = alpha_m_step(v0, v1, cost)
-        assert r == pytest.approx(cost * (a - alpha_bar), rel=1e-12)
+        cert = Certificate.build(0, 0, 1, v0, v0 - drop, cost, alpha_bar)
+        assert cert.rho == pytest.approx(cost * (cert.alpha - alpha_bar), rel=1e-12)
     with pytest.raises(ConfigError):
-        rho(1.0, 0.5, -0.1, 0.0)
+        Certificate.build(0, 0, 1, 1.0, 0.5, -0.1, 0.0)
 
 
 def test_certificate_build_consistency():

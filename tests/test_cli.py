@@ -101,6 +101,8 @@ def test_run_forced_single_step(tmp_path):
         # A 2-state set on a 1-state plant.
         ["sweep", "--plant", SCALAR_PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8"],
         ["horizon-table", "--plant", SCALAR_PLANT, "--set", "unit-circle:8", "--horizons", "2,3", "--alpha-bar", "0.01"],
+        ["run", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--x0", "0,1", "--forced-m", "2,x"],
+        ["horizon-table", "--plant", PLANT, "--set", "unit-circle:8", "--horizons", "2,x", "--alpha-bar", "0.01"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys, tmp_path):
@@ -214,9 +216,11 @@ def test_module_entry_point(tmp_path):
     assert "P_2" in proc.stdout
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ("riccati", "run"))
 def test_ladder_overflow_exits_3(command, tmp_path, capsys):
-    # The bundled plant with A[0, 0] = 1e200: P_2 overflows.
+    # The bundled plant with A[0, 0] = 1e200: P_2 overflows, reported
+    # with a message and no NumPy warning.
     plant = tmp_path / "overflow.txt"
     plant.write_text(Path(PLANT).read_text().replace("\n1 1.1\n", "\n1e200 1.1\n"))
     plant = str(plant)
@@ -224,21 +228,21 @@ def test_ladder_overflow_exits_3(command, tmp_path, capsys):
     if command == "run":
         argv = _run_args(tmp_path, "alg1")
         argv[argv.index("--plant") + 1] = plant
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(argv) == 3
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["solver error: value recursion overflows at ladder step 2: P_2 is not finite"]
     assert not captured.out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x0,code", (("1e160,0", 2), ("1e150,0", 0)))
 def test_initial_value_overflow_exits_2(x0, code, tmp_path, capsys):
-    # x0' P_3 x0 overflows at 1e160 but not at 1e150, which converges.
+    # x0' P_3 x0 overflows at 1e160 but not at 1e150, which converges; the
+    # overflow is reported with a message and no NumPy warning.
     argv = _run_args(tmp_path, "alg3")
     argv[argv.index("--x0") + 1] = x0
     if code:
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(argv) == code
+        assert main(argv) == code
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith("error: the value of initial state [1.e+160") and line.endswith("] is not finite")

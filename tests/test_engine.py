@@ -37,6 +37,8 @@ def test_config_validation():
         _cfg("alg1", 0.5, forced_m=3)
     with pytest.raises(ConfigError):
         _cfg("alg1", 0.5, forced_m=[1, 0])
+    with pytest.raises(ConfigError, match="forced_m sequence must not be empty"):
+        _cfg("alg1", 0.5, forced_m=[])
     with pytest.raises(ConfigError):
         _cfg("alg1", 0.5, max_iterations=0)
     assert _cfg("alg1", 0.0).alpha_bar == 0.0

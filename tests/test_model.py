@@ -30,6 +30,12 @@ def test_lq_validation_rejects_bad_weights():
         LinearQuadraticInstance(A=a, B=np.zeros((3, 1)), Q=np.eye(2), R=np.eye(1))
     with pytest.raises(ConfigError):
         LinearQuadraticInstance(A=a, B=b, Q=np.array([[-1.0, 0.0], [0.0, 1.0]]), R=np.eye(1))
+    with pytest.raises(ConfigError, match=r"A must be square, got shape \(2, 3\)"):
+        LinearQuadraticInstance(A=np.ones((2, 3)), B=b, Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(ConfigError, match=r"Q must have shape \(2, 2\), got \(3, 3\)"):
+        LinearQuadraticInstance(A=a, B=b, Q=np.eye(3), R=np.eye(1))
+    with pytest.raises(ConfigError, match=r"R must have shape \(1, 1\), got \(2, 2\)"):
+        LinearQuadraticInstance(A=a, B=b, Q=np.eye(2), R=np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -91,6 +97,8 @@ def test_load_shipped_plant_file(lq):
         ("state_dim 2\ncontrol_dim 1\nA\nA\n", 4, "duplicate"),
         ("state_dim 2\ncontrol_dim 1\nA\n1 nan\n", 4, "non-finite"),
         ("state_dim 2\ncontrol_dim 1\nA\n1 0\n0 1\nB\n0\n-inf\n", 8, "non-finite"),
+        ("state_dim 2 3\n", 1, "expected 'state_dim <int>'"),
+        ("state_dim 2\ncontrol_dim 1\nA 1\n", 3, "section header 'A' takes no values on its line"),
     ],
 )
 def test_load_plant_reports_line_numbers(tmp_path, content, line, fragment):
@@ -115,6 +123,16 @@ def test_load_plant_missing_and_misshapen_sections(tmp_path):
     with pytest.raises(PlantFormatError) as err:
         load_plant(path)
     assert "shape" in str(err.value)
+
+    path.write_text("control_dim 1\nA\n1 0\n0 1\nB\n0\n1\nQ\n1 0\n0 1\nR\n1\n")
+    with pytest.raises(PlantFormatError, match="missing state_dim"):
+        load_plant(path)
+
+    path.write_text(
+        "state_dim 2\ncontrol_dim 1\nA\n1 0\n0 1\nB\n0\n1\nQ\n1 0\n0 1\nR\n1\nequilibrium_state\n0 0 0\n"
+    )
+    with pytest.raises(PlantFormatError, match="section equilibrium_state must have 2 entries"):
+        load_plant(path)
 
 
 def test_load_plant_missing_file(tmp_path):

@@ -36,14 +36,15 @@ def test_ladder_matches_frozen_rungs(lq):
     assert np.array_equal(ladder.matrix(0), np.zeros((2, 2)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ladder_overflow_raises_naming_the_step(lq):
     A = lq.A.copy()
     A[0, 0] = 1e200
     plant = LinearQuadraticInstance(A, lq.B, lq.Q, lq.R)
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SolverError, match="ladder step 2: P_2"):
+    with pytest.raises(SolverError, match="ladder step 2: P_2"):
         RiccatiLadder(plant, 3)
     ladder = RiccatiLadder(plant, 1)
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SolverError, match="ladder step 2"):
+    with pytest.raises(SolverError, match="ladder step 2"):
         ladder.extend(5)
     assert ladder.horizon == 1
 
@@ -62,6 +63,8 @@ def test_ladder_symmetry_psd_monotone(lq):
 
 
 def test_ladder_index_bounds(lq):
+    with pytest.raises(ConfigError, match="horizon must be at least 1, got 0"):
+        RiccatiLadder(lq, 0)
     ladder = RiccatiLadder(lq, 3)
     for j in (-1, 4):
         with pytest.raises(ConfigError):
@@ -71,6 +74,13 @@ def test_ladder_index_bounds(lq):
     ladder.extend(5)
     assert ladder.matrix(5).shape == (2, 2)
     assert ladder.gain(5).shape == (1, 2)
+
+
+def test_fixed_point_reports_a_recursion_that_never_settles():
+    # A = I and B = 0: P_{j+1} = P_j + Q grows without bound.
+    plant = LinearQuadraticInstance(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(1))
+    with pytest.raises(SolverError, match="did not settle in 10000 steps"):
+        riccati_fixed_point(plant)
 
 
 def test_fixed_point_matches_frozen_limit(lq):
@@ -281,6 +291,8 @@ def test_solve_alias_and_horizon_validation(solver):
     assert sol.value == plan.value[0] == pytest.approx(solver.value_of(x, 4))
     with pytest.raises(ConfigError):
         solver.solve(x, 0)
+    with pytest.raises(ConfigError, match="at least 1, got 0"):
+        solver.plans(x[None], 0)
     with pytest.raises(ConfigError):
         solver.value_of(x, -1)
 

@@ -22,7 +22,9 @@
 #     tests/test_oracle.py), from x0 = (0.39, 0.99, 1.04) at N = 3,
 #     alpha_bar 0.6 and forced length 2: both converge and reject some
 #     of their re-plans, which no run on the bundled plant does;
-#   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128;
+#   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128, and
+#     for the unsorted N = 20,2,5 over unit-circle:64 at alpha_bar 0.3,
+#     whose rows of mixed horizons share one batch;
 #   * reproduce-paper (10 of 11 checks pass, exit 4);
 #   * the value-recursion matrices P_1 ... P_20 of the bundled plant
 #     (riccati), and riccati on a plant file with a nonzero
@@ -87,6 +89,8 @@ record run-alg3-inside-radius run --plant "$plant" --variant alg3 --horizon 3 --
 
 record horizon-table horizon-table --plant "$plant" --set unit-circle:128 \
     --horizons 2,3,4,5,10,20 --alpha-bar 0.01 --out "$out/horizon-table"
+record horizon-table-unsorted horizon-table --plant "$plant" --set unit-circle:64 \
+    --horizons 20,2,5 --alpha-bar 0.3 --out "$out/horizon-table-unsorted"
 record reproduce-paper reproduce-paper --out "$out/reproduce-paper"
 record riccati riccati --plant "$plant" --horizon 20 --out "$out/riccati"
 # The rejected plant file lives in OUT, so its path differs between trees;

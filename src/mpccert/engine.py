@@ -59,6 +59,7 @@ all windows, with the bits of the run's own walks.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -373,11 +374,14 @@ _PAIRWISE = 8
 
 
 def _tail_ends_and_costs(plan: PlanWalk, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's end value after its first ``length[i]`` steps, and ``np.sum`` of their stage costs."""
-    at = np.arange(len(length))
-    ends, sums = plan.ends[at, length - 1], 0.0 + plan.prefix_costs[at, length - 1]
-    pairwise = length >= _PAIRWISE
-    if np.count_nonzero(pairwise):
+    """Each row's end value after its first ``length[i]`` steps, and ``np.sum`` of their stage costs.
+
+    Read as column slices while every length is the walk's.
+    """
+    at = (slice(None), plan.steps - 1) if length.min() == plan.steps else (np.arange(len(length)), length - 1)
+    ends, sums = plan.ends[at], 0.0 + plan.prefix_costs[at]
+    if plan.steps >= _PAIRWISE:  # the longest tail is the walk's
+        pairwise = length >= _PAIRWISE
         sums[pairwise] = row_sums(plan.stage_costs[pairwise], length[pairwise])
     return ends, sums
 
@@ -441,13 +445,14 @@ _BLOCKS = (
 class _Lockstep:
     """State of a lockstep run over the rows still running.
 
-    Every scalar per-row field (:data:`_BLOCKS`), the states ``x`` and the
-    cost log hold the running rows only, densely and in one order, and
-    ``ids`` maps them back to input order.  Rows that stop are closed,
-    their blocks are copied once into the input-order results, and every
-    block, ``x`` and the cost log are compacted with one index, so no step
-    goes through a row index.  The walk and re-plan buffers are allocated
-    once per run and never compacted: each walk uses their first rows.
+    Every scalar per-row field (:data:`_BLOCKS`) and the states ``x`` hold
+    the running rows only, densely and in one order, and ``ids`` maps them
+    back to input order.  Rows that stop are closed, their blocks are
+    copied once into the input-order results, and every block and ``x``
+    are compacted with one index.  The cost log is written through ``ids``
+    and never compacted, and :meth:`outcome` takes whole-run sums from it
+    once.  The walk and re-plan buffers are allocated once per run and
+    never compacted: each walk uses their first rows.
 
     Each row carries its own configuration: horizon, threshold,
     iteration cap and the variant's two flags (slack watchdog,
@@ -462,7 +467,9 @@ class _Lockstep:
     a time (:meth:`_apply`), with a re-plan (:meth:`_replan`) before each
     column after the first for the ``alg2``/``alg4`` rows still inside
     their windows.  Window costs are added as the steps are applied;
-    ``row_sums`` runs only for windows of eight or more steps.
+    ``row_sums`` runs only for windows of eight or more steps.  Iteration
+    caps, cost-log growth and warning counts are tested only when they
+    can change.
 
     With traces, ``log`` keeps column logs of every closed interval,
     window and applied step, tagged with input ids so that they need no
@@ -500,20 +507,21 @@ class _Lockstep:
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
-        # The first plans' values: the check reports a state so far out that x'x or x' P_N x overflows.
+        # The first plans' values and x0'x0: the check reports a state so far out that either overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
-        if not np.isfinite(self.v_now).all():
-            raise ConfigError(f"the value of initial state {X[~np.isfinite(self.v_now)][0]} is not finite")
+            finite = np.isfinite(self.v_now) & np.isfinite(row_dot(X, X))
+        if not finite.all():
+            raise ConfigError(f"the value of initial state {X[~finite][0]} is not finite")
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x0 = X
         self.x = X.copy()
-        # Applied costs by time.
-        self.costs = np.zeros((rows, 16))
+        # Applied costs by input row and time; no iteration applies more than `widest` steps.
+        self.costs, self.widest = np.zeros((rows, 16)), len(self.walk_buffers[1])
+        self.min_cap = int(self.max_iterations.min(initial=1))
         # Input-order results, written once per row when it stops.
         self.status = np.zeros(rows, dtype=int)  # codes into _STATUSES
         self.results = [np.empty_like(block) for block in self.blocks]
-        self.alpha_cor3 = np.empty(rows)
         if keep_traces:
             # Per event (see _log), int rows | float rows: "close" per closed interval (id, interval index,
             # sigma, t | v_before, closing value, cost_sum, rho, slack after), "window" per iteration (id,
@@ -548,7 +556,7 @@ class _Lockstep:
         while self.ids.size:
             # The solver's plant rests at the origin (LinearQuadraticInstance).
             at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS
-            stop = at_rest | (iteration >= self.max_iterations)
+            stop = at_rest | (iteration >= self.max_iterations) if iteration >= self.min_cap else at_rest
             if np.count_nonzero(stop):
                 self._retire(stop, at_rest, iteration)
                 if not self.ids.size:
@@ -557,25 +565,20 @@ class _Lockstep:
             iteration += 1
 
     def _retire(self, stop: np.ndarray, at_rest: np.ndarray, iteration: int) -> None:
-        """Close the rows in ``stop``, write their results, and drop them from every block and log."""
+        """Close the rows in ``stop``, write their results, and drop them from every block and ``x``."""
         sel = stop.nonzero()[0]
-        v_final = self.v_now[sel]
         if iteration > 0:  # every row that has planned has an interval pending
-            self._close(sel, v_final)
+            self._close(sel, self.v_now[sel])
         ids = self.ids[sel]
         # Codes index _STATUSES: flagged by exits without an account or by warnings with one, else at rest or capped.
         flags = np.where(self.watchdog, self.warnings, self.exits)
         self.status[ids] = np.where(flags > 0, self.watchdog, 3 - at_rest)[sel]
-        # Summed as one block per run length, each row gets the bits of its
-        # own 1-D sum (see row_sums).
-        realized = alpha_m_steps(self.v_initial[sel] - v_final, row_sums(self.costs[sel], self.t[sel]))
-        self.alpha_cor3[ids] = np.where(self.intervals[sel] > 0, realized, np.nan)
         for result, block in zip(self.results, self.blocks):
             result[:, ids] = block[:, sel]
         keep = (~stop).nonzero()[0]
         self.blocks = [block.take(keep, axis=1) for block in self.blocks]
         self._bind()
-        self.x, self.costs = self.x[keep], self.costs[keep]
+        self.x = self.x[keep]
         self.rule = None
 
     def _shrink(self, iteration: int) -> None:
@@ -607,10 +610,16 @@ class _Lockstep:
             self._close(slice(None), v_start)
         else:
             self.v_initial[:] = v_start
-        m, exit_event, warning_event, onestep = self._probe(plan)
+        # The first plan's end values: the check reports a plan that overflows from a finite x0.
+        with np.errstate(over="ignore", invalid="ignore") if iteration == 0 else nullcontext():
+            m, exit_event, warning_event, onestep = self._probe(plan)
         self.exits += exit_event
-        self.warnings += warning_event
+        if self.rule[3]:  # some row keeps an account
+            self.warnings += warning_event
         if iteration == 0:
+            finite = np.isfinite(plan.ends[:, : plan.steps]).all(axis=1)
+            if not finite.all():
+                raise ConfigError(f"the value of initial state {self.x0[self.ids[~finite]][0]} is not finite")
             self.startup[:] = self.min_onestep[:] = onestep
         else:
             _running_min(self.min_onestep, onestep)
@@ -619,12 +628,13 @@ class _Lockstep:
         window_time = self.t.copy()
         self.sigma[:] = self.t
         self.v_before[:] = v_start
-        self._reserve(int((window_time + m).max()))
+        if (iteration + 1) * self.widest > self.costs.shape[1]:
+            self._reserve(int((window_time + m).max()))
         cost = self._apply(plan, m)
         # Windows of eight or more steps cost np.sum's pairwise sum.
         if plan.steps >= _PAIRWISE:
             pairwise = (m >= _PAIRWISE).nonzero()[0]
-            cost[pairwise] = row_sums(self.costs[pairwise], m[pairwise], start=window_time[pairwise])
+            cost[pairwise] = row_sums(self.costs[self.ids[pairwise]], m[pairwise], start=window_time[pairwise])
         window_alpha = alpha_m_steps(v_start - self.v_now, cost)
         if iteration == 0:
             self.min_window[:] = window_alpha
@@ -710,25 +720,25 @@ class _Lockstep:
         columns it replaces, so every row reads the same column.  The
         interval's ``cost_sum`` and the window cost open at 0.0 and add
         each applied cost, left to right as ``np.sum`` adds fewer than
-        eight terms.
+        eight terms; the cost log takes it at row ``ids[i]``.
         """
-        every, shortest = np.arange(len(m)), int(m.min())
+        shortest, longest = int(m.min()), int(m.max())
+        replanning = self.replanning.nonzero()[0] if longest > 1 else None
         cost = np.zeros(len(m))
         self.cost_sum[:] = 0.0
-        for j in range(int(m.max())):
-            rows = every if j < shortest else (m > j).nonzero()[0]
-            at = slice(None) if j < shortest else rows
-            if j:
-                replans = rows[self.replanning[at]]
+        for j in range(longest):
+            at = slice(None) if j < shortest else (m > j).nonzero()[0]
+            if j and replanning.size:
+                replans = replanning if j < shortest else replanning[m[replanning] > j]
                 if replans.size:
                     self._replan(replans, m[replans] - j, j, plan)
             x, step_cost, t = plan.trajectory[at, j + 1], plan.stage_costs[at, j], self.t[at]
             self.x[at] = x
-            self.costs[rows, t] = step_cost
+            self.costs[self.ids[at], t] = step_cost
             self.t[at] = t + 1
             self.cost_sum[at] += step_cost
             cost[at] += step_cost
-        self.v_now[:] = plan.ends[every, m - 1]
+        self.v_now[:] = plan.ends[:, shortest - 1] if shortest == longest else plan.ends[np.arange(len(m)), m - 1]
         return cost
 
     def _replan(self, rows: np.ndarray, tail: np.ndarray, applied: int, anchor: PlanWalk) -> None:
@@ -744,7 +754,7 @@ class _Lockstep:
         evaluates both.  The interval's cost so far is the row's
         ``cost_sum``, which has the bits of ``np.sum`` below eight terms.
         An accepted plan overwrites ``anchor``'s columns from ``applied``
-        on, the steps the row applies next.
+        on, the steps the row applies next, read as slices if all accept.
         """
         width = int(tail.max())
         plan = self._replan_walk(rows, anchor, applied, width)
@@ -757,7 +767,7 @@ class _Lockstep:
             since = self.t[rows] - sigma
             pairwise = since >= _PAIRWISE
             if np.count_nonzero(pairwise):
-                paid[pairwise] = row_sums(self.costs[rows[pairwise]], since[pairwise], start=sigma[pairwise])
+                paid[pairwise] = row_sums(self.costs[self.ids[rows[pairwise]]], since[pairwise], start=sigma[pairwise])
         alpha_bar, watchdog, anchor_value = self.alpha_bar[rows], self.watchdog[rows], self.v_before[rows]
         accounts = np.count_nonzero(watchdog)
         if accounts:
@@ -767,10 +777,10 @@ class _Lockstep:
         if accounts < len(watchdog):
             budget = budget_met(end_value, alpha_bar, paid, planned, anchor_value)
             ok = np.where(watchdog, ok, budget) if accounts else budget
-        taken = ok.nonzero()[0]
-        if not taken.size:
-            return
+        taken = slice(None) if ok.all() else ok.nonzero()[0]
         p, value = rows[taken], plan.value[taken]
+        if not p.size:
+            return
         self._close(p, value)
         self.sigma[p] = self.t[p]
         self.v_before[p] = value
@@ -796,13 +806,15 @@ class _Lockstep:
         return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)
 
     def outcome(self) -> BatchRun:
+        """The input-order results; ``alpha_cor3`` from one ``row_sums`` of every row's costs (batch-invariant bits)."""
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
+        realized = alpha_m_steps(result["v_initial"] - result["v_now"], row_sums(self.costs, result["t"]))
         return BatchRun(
             status=tuple(_STATUSES[code] for code in self.status.tolist()),
             startup_onestep_alpha=result["startup"],
             min_onestep_alpha=result["min_onestep"],
             min_window_alpha=result["min_window"],
-            alpha_cor3=self.alpha_cor3,
+            alpha_cor3=np.where(result["intervals"] > 0, realized, np.nan),
             exit_count=result["exits"],
             warning_count=result["warnings"],
             intervals=result["intervals"],

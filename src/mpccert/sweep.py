@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -258,17 +259,17 @@ def horizon_comparison(
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    """One row per initial state, in index order, with a column per coordinate of the report's points."""
-    n = report.points.shape[1]
-    runs = report.runs
-    row = "{:d}," + "{:.17g}," * n + "{:.17g},{:.17g},{:.17g},{:d},{}"
-    columns = (runs.min_onestep_alpha, runs.min_window_alpha, runs.alpha_cor3, (runs.warning_count > 0).astype(int))
-    rows = zip(report.points.tolist(), *(column.tolist() for column in columns), runs.status)
-    lines = [",".join(("k", *(f"x{j}" for j in range(1, n + 1)), *_SWEEP_COLUMNS))] + [
-        row.format(k, *x0, *stats) for k, (x0, *stats) in enumerate(rows, start=1)
-    ]
+    """One row per initial state, in index order, with a column per coordinate of the report's points.
+
+    One ``%`` template formats the table: ``%.17g`` gives the bytes of ``format(v, ".17g")``, nan, inf and -0 too.
+    """
+    n, runs = report.points.shape[1], report.runs
+    header = ",".join(("k", *(f"x{j}" for j in range(1, n + 1)), *_SWEEP_COLUMNS))
+    row = "\n%d," + "%.17g," * n + "%.17g,%.17g,%.17g,%d,%s"
+    columns = (runs.min_onestep_alpha, runs.min_window_alpha, runs.alpha_cor3, runs.warning_count > 0)
+    rows = zip(range(1, len(report.points) + 1), *report.points.T.tolist(), *(c.tolist() for c in columns), runs.status)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + (row * len(report.points)) % tuple(chain.from_iterable(rows)) + "\n")
 
 
 def write_horizon_csv(rows, path) -> None:

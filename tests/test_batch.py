@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mpccert.certify import row_sums
 from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, BatchRun, _Lockstep, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
+from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
@@ -405,6 +406,79 @@ def test_rows_retiring_at_every_iteration_match_one_row_runs(engine_solver):
             assert _same_float(getattr(batch, name)[row], getattr(single, name)), name
         assert batch.intervals[row] == single.summary()["intervals"]
         assert batch.applied_steps[row] == single.summary()["applied_steps"]
+
+
+def _assert_rows_match_one_row_runs(solver, points, configs, traces=False):
+    """Every column of the batch of ``points``, and its traces when asked for, against each row's own batch."""
+    batch = run_batch(solver, points, configs, traces=traces)
+    for row, (x0, cfg) in enumerate(zip(points, configs)):
+        own = run_batch(solver, x0[None], cfg, traces=traces)
+        assert batch.status[row] == own.status[0]
+        for f in dataclasses.fields(BatchRun):
+            if isinstance(getattr(own, f.name), np.ndarray):
+                assert _same_float(getattr(batch, f.name)[row], getattr(own, f.name)[0]), f.name
+        if traces:
+            _assert_same_run(batch.traces[row], own.traces[0])
+    return batch
+
+
+def test_rows_stopping_at_many_iterations_match_one_row_runs(engine_solver):
+    # Caps 3, 7 and 1000 on configurations that run past 7 iterations,
+    # rows that converge on their own, and a row at rest before its first
+    # plan: rows stop at many iterations, and alpha_cor3, summed from the
+    # cost log after the run, keeps each row's own bits.
+    configs, points = [], []
+    for k, cap in enumerate((3, 7, 1000) * 4):
+        configs.append(dataclasses.replace(ENGINE_CONFIGS[(3 * k) % len(ENGINE_CONFIGS)], max_iterations=cap))
+        points.append((1e3 if k % 2 else 1.0) * CIRCLE[(5 * k) % 16])
+    configs.append(ENGINE_CONFIGS[1])
+    points.append(np.zeros(2))
+    batch = _assert_rows_match_one_row_runs(engine_solver, np.array(points), configs)
+    assert len(set(batch.applied_steps.tolist())) >= 8
+    assert "max-iterations" in batch.status and batch.status[-1] == "converged" and np.isnan(batch.alpha_cor3[-1])
+
+
+# The 3-state plant of tools/cli_outputs.sh and its three initial states,
+# on which alg2 and alg4 reject some re-plans of forced two-step windows.
+_REJECTING = LinearQuadraticInstance(
+    np.array([[0.62, -0.62, -0.56], [-1.21, -1.52, -1.78], [0.57, 1.28, 0.5]]),
+    np.array([[0.29], [0.29], [-0.13]]),
+    np.array([[2.8, -1.42, -1.92], [-1.42, 1.63, -0.06], [-1.92, -0.06, 6.22]]),
+    np.array([[0.66]]),
+)
+_REJECTING_X0 = np.array([[0.39, 0.99, 1.04], [-0.78, -1.98, -2.08], [-0.7, -1.18, -1.06]])
+
+
+@pytest.mark.parametrize("variant", ("alg2", "alg4"))
+def test_replans_accepted_and_rejected_in_one_call_match_one_row_runs(monkeypatch, variant):
+    # Some re-plan calls accept every row (the write-back reads slices),
+    # others accept some rows and reject the rest (it gathers them).
+    engine = importlib.import_module("mpccert.engine")
+    replan, calls = engine._Lockstep._replan, []
+
+    def spying_replan(state, rows, *args):
+        replan(state, rows, *args)
+        # An accepted re-plan opens an interval at the current time.
+        calls.append((np.count_nonzero(state.sigma[rows] == state.t[rows]), len(rows)))
+
+    monkeypatch.setattr(engine._Lockstep, "_replan", spying_replan)
+    points = np.vstack([_REJECTING_X0, np.eye(3)])
+    config = AlgorithmConfig(variant=variant, horizon=3, alpha_bar=0.6, forced_m=2, max_iterations=30)
+    _assert_rows_match_one_row_runs(LqLadderSolver(_REJECTING, 3), points, [config] * len(points), traces=True)
+    assert any(0 < accepted < rows for accepted, rows in calls)
+    assert any(accepted == rows for accepted, rows in calls)
+
+
+def test_cost_log_growing_while_rows_retire_matches_one_row_runs(engine_solver):
+    # 15-step windows at N = 20: the cost log doubles from 16 columns to
+    # 32, 64 and 128 while capped rows retire after 1 to 6 iterations.
+    configs, points = [], []
+    for k in range(12):
+        cap = 1 + k % 6 if k < 10 else 1000
+        configs.append(dataclasses.replace(ENGINE_CONFIGS[5 if k % 2 else 15], max_iterations=cap))
+        points.append((1.0, 1e3, 1e30)[k % 3] * CIRCLE[k])
+    batch = _assert_rows_match_one_row_runs(engine_solver, np.array(points), configs, traces=True)
+    assert batch.applied_steps.max() > 64
 
 
 def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):

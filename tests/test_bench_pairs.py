@@ -1,10 +1,14 @@
 """``tools/bench_pairs.py`` judges each end-to-end metric by the spread of the parent's runs.
 
 The tool is a script, not a module of the package, so it is loaded by
-path, and ``summary`` gets synthetic runs.
+path, and ``summary`` gets synthetic runs.  ``tools/inproc_pairs.py``
+runs as a child process at perfbench's smoke-test sizes.
 """
 
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,23 @@ def test_summary_flags_wide_parent_spread_as_unresolved(bench_pairs, metric, par
     line = bench_pairs.summary(metric, "w/wall_s", _runs(parent), _runs(change))
     assert line.startswith("w/wall_s: parent ")
     assert line[line.index("parent IQR/median") :].split("%", 1)[1] == flags
+
+
+def test_inproc_pairs_prints_one_line_per_workload():
+    # One tree against itself, at perfbench's smoke-test sizes: each tree
+    # loads under its own package name, and every workload gets a ratio,
+    # its quartiles and a win count over the pairs.
+    root = TOOL.parent.parent
+    tool = root / "tools" / "inproc_pairs.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), str(root), str(root), "--pairs", "3", "--tiny"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["circle-sweep", "horizon-table", "drop-grid"]
+    number = r"\d+\.\d{3}"
+    for line in lines:
+        assert re.fullmatch(rf"[a-z-]+: change/parent {number} \(IQR {number}-{number}\), change faster in [0-3] of 3", line)

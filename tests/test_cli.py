@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpccert.cli import main
+from mpccert.engine import AlgorithmConfig
+from mpccert.model import load_plant
 from mpccert.refchecks import reference_instance
-from mpccert.sweep import horizon_comparison, unit_circle
+from mpccert.riccati import LqLadderSolver
+from mpccert.sweep import InitialSet, horizon_comparison, sweep, unit_circle
 
 PLANT = str(Path(__file__).resolve().parent.parent / "plants" / "spiral2d.txt")
 # Stands for a 1-state plant file that test_config_errors_exit_2 writes.
@@ -250,3 +254,53 @@ def test_initial_value_overflow_exits_2(x0, code, tmp_path, capsys):
     else:
         assert main(argv) == code
         assert "status = converged" in capsys.readouterr().out
+
+
+# Plants on which a state passes the value check x0' P_3 x0 and still
+# overflows, as edits of the bundled plant file and that state: with
+# Q = 1e-20 I the square norm x0' x0 overflows at 1e160; with A = 10 I and
+# R = 1e10 the first plan's end values overflow at 1e152, where x0' x0
+# and x0' P_3 x0 are finite.
+OVERFLOWING = {
+    "tiny-q": ({"Q\n1 0\n0 1\n": "Q\n1e-20 0\n0 1e-20\n"}, [1e160, 0.0]),
+    "growing": ({"A\n1 1.1\n-1.1 1\n": "A\n10 0\n0 10\n", "R\n1\n": "R\n1e10\n"}, [1e152, 0.0]),
+}
+
+
+def _overflowing_plant(tmp_path, name) -> str:
+    text = Path(PLANT).read_text()
+    for old, new in OVERFLOWING[name][0].items():
+        assert old in text
+        text = text.replace(old, new)
+    plant = tmp_path / f"{name}.txt"
+    plant.write_text(text)
+    return str(plant)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_overflowing_state_with_a_finite_value_exits_2(name, tmp_path, capsys):
+    argv = _run_args(tmp_path / "out", "alg3")
+    argv[argv.index("--plant") + 1] = _overflowing_plant(tmp_path, name)
+    argv[argv.index("--x0") + 1] = ",".join(map(str, OVERFLOWING[name][1]))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line == f"error: the value of initial state {np.array(OVERFLOWING[name][1])} is not finite"
+    assert not captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_sweep_turns_an_overflowing_state_into_an_error_row(name, tmp_path):
+    # The other rows run as they do without it; the cap keeps their
+    # growing states finite on these plants.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, name)), 3)
+    config = AlgorithmConfig(variant="alg3", horizon=3, alpha_bar=0.5, max_iterations=20)
+    points = np.array([[1.0, 0.0], OVERFLOWING[name][1], [0.0, 1.0]])
+    report = sweep(solver, InitialSet(name="overflow", points=points), config)
+    assert report.error_indices() == (2,)
+    assert report.runs.errors[1].endswith("is not finite")
+    clean = sweep(solver, InitialSet(name="clean", points=points[[0, 2]]), config)
+    assert report.runs.alpha_cor3[[0, 2]].tolist() == clean.runs.alpha_cor3.tolist()
+    assert report.runs.status[::2] == clean.runs.status

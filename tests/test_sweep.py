@@ -10,6 +10,7 @@ from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqLadderSolver
 from mpccert.sweep import (
+    _SWEEP_COLUMNS,
     InitialSet,
     SweepReport,
     horizon_comparison,
@@ -348,6 +349,44 @@ def test_sweep_csv_has_a_column_per_state_coordinate(n, tmp_path):
     assert lines[0] == f"k,{xs},alpha_min_1step,alpha_min_mstep,alpha_cor3,warning,status"
     assert [[float(v) for v in line.split(",")[1 : n + 1]] for line in lines[1:]] == points.tolist()
     assert [line.split(",")[-1] for line in lines[1:]] == list(report.runs.status)
+
+
+def _format_sweep_csv(report) -> str:
+    """The sweep CSV as ``str.format`` rendered it, one row at a time: the oracle of ``write_sweep_csv``."""
+    n, runs = report.points.shape[1], report.runs
+    row = "{:d}," + "{:.17g}," * n + "{:.17g},{:.17g},{:.17g},{:d},{}"
+    columns = (runs.min_onestep_alpha, runs.min_window_alpha, runs.alpha_cor3, (runs.warning_count > 0).astype(int))
+    rows = zip(report.points.tolist(), *(column.tolist() for column in columns), runs.status)
+    lines = [",".join(("k", *(f"x{j}" for j in range(1, n + 1)), *_SWEEP_COLUMNS))] + [
+        row.format(k, *x0, *stats) for k, (x0, *stats) in enumerate(rows, start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_csv_bytes_match_str_format(solver, tmp_path):
+    # 3-coordinate points and statistics at every special value: NaN, both
+    # infinities, both zeros, subnormals and 17-digit floats, with warned
+    # rows (counts 1 and 7) and error rows.
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 0.1, 1 / 3, -1e300, 0.6666666666666666]
+    rows = len(special)
+    stats = [np.array(special[k:] + special[:k]) for k in (0, 3, 7)]
+    warnings = np.array([0, 1, 0, 7, 0, 0, 2, 0, 0, 0])
+    status = ("converged", "warning-issued", "error", "max-iterations", "error") + ("exit-strategy-failed",) * 5
+    errors = tuple("boom" if s == "error" else None for s in status)
+    zero = np.zeros(rows, dtype=int)
+    runs = BatchRun(status, stats[0], stats[1], stats[2], stats[0], zero, warnings, zero, zero, errors=errors)
+    points = np.array([special, special[::-1], special[2:] + special[:2]]).T
+    report = SweepReport("special", _cfg("alg3", 0.5), points, runs)
+    path = tmp_path / "points.csv"
+    write_sweep_csv(report, path)
+    assert path.read_bytes() == _format_sweep_csv(report).encode()
+    assert "nan" in path.read_text() and ",-0," in path.read_text() and ",inf," in path.read_text()
+    # A report of real runs, and one of no points.
+    real = sweep(solver, unit_circle(8), _cfg("alg2", 0.6))
+    empty = SweepReport("empty", _cfg("alg1", 0.0), np.zeros((0, 2)), real.runs.select(slice(0)))
+    for report in (real, empty):
+        write_sweep_csv(report, path)
+        assert path.read_bytes() == _format_sweep_csv(report).encode()
 
 
 class _FaultySolver(LqLadderSolver):

@@ -31,6 +31,7 @@ from .refchecks import format_results, reference_checks
 from .riccati import LqLadderSolver, RiccatiLadder
 from .sweep import (
     horizon_comparison,
+    horizon_csv,
     parse_initial_set,
     sweep,
     write_horizon_csv,
@@ -172,9 +173,7 @@ def cmd_horizon_table(args) -> int:
     horizons = _parse_horizons(args.horizons)
     _check_workers(args)
     rows = horizon_comparison(lq, initial_set, horizons, alpha_bar=args.alpha_bar)
-    print("N,alpha_prop1_min,alpha_cor3_min")
-    for n, col_a, col_b in rows:
-        print(f"{n},{col_a:.17g},{col_b:.17g}")
+    print(horizon_csv(rows), end="")
     out = _ensure_out(args)
     if out is not None:
         write_horizon_csv(rows, os.path.join(out, "horizon_table.csv"))

@@ -59,9 +59,8 @@ all windows, with the bits of the run's own walks.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -442,6 +441,27 @@ _BLOCKS = (
 )
 
 
+class _Rule(NamedTuple):
+    """The running rows' decision rule for :meth:`_Lockstep._probe`.
+
+    ``forced`` marks the rows with a forced length, ``last`` is each row's
+    last prefix length and ``target`` the metric its prefix must reach
+    (``inf`` on forced rows); ``accounts`` and ``all_accounts`` say
+    whether some or every row keeps a slack account.  ``deciding``,
+    ``best`` and ``arg`` are the first values of the walk's running
+    arrays: nothing writes them in place.
+    """
+
+    forced: np.ndarray
+    last: np.ndarray
+    target: np.ndarray
+    accounts: bool
+    all_accounts: bool
+    deciding: np.ndarray
+    best: np.ndarray
+    arg: np.ndarray
+
+
 class _Lockstep:
     """State of a lockstep run over the rows still running.
 
@@ -469,7 +489,8 @@ class _Lockstep:
     their windows.  Window costs are added as the steps are applied;
     ``row_sums`` runs only for windows of eight or more steps.  Iteration
     caps, cost-log growth and warning counts are tested only when they
-    can change.
+    can change.  Overflow is tested on the first iteration's values and
+    plans and on every row's final slack (:meth:`outcome`).
 
     With traces, ``log`` keeps column logs of every closed interval,
     window and applied step, tagged with input ids so that they need no
@@ -507,12 +528,7 @@ class _Lockstep:
                 self.shrinks.setdefault(iteration, []).append((k, n_new))
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
-        # The first plans' values and x0'x0: the check reports a state so far out that either overflows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
-            finite = np.isfinite(self.v_now) & np.isfinite(row_dot(X, X))
-        if not finite.all():
-            raise ConfigError(f"the value of initial state {X[~finite][0]} is not finite")
+        self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x0 = X
         self.x = X.copy()
@@ -610,14 +626,12 @@ class _Lockstep:
             self._close(slice(None), v_start)
         else:
             self.v_initial[:] = v_start
-        # The first plan's end values: the check reports a plan that overflows from a finite x0.
-        with np.errstate(over="ignore", invalid="ignore") if iteration == 0 else nullcontext():
-            m, exit_event, warning_event, onestep = self._probe(plan)
+        m, exit_event, warning_event, onestep = self._probe(plan)
         self.exits += exit_event
-        if self.rule[3]:  # some row keeps an account
+        if self.rule.accounts:
             self.warnings += warning_event
         if iteration == 0:
-            finite = np.isfinite(plan.ends[:, : plan.steps]).all(axis=1)
+            finite = np.isfinite(plan.ends[:, : plan.steps]).all(axis=1) & np.isfinite(v_start + row_dot(self.x, self.x))
             if not finite.all():
                 raise ConfigError(f"the value of initial state {self.x0[self.ids[~finite]][0]} is not finite")
             self.startup[:] = self.min_onestep[:] = onestep
@@ -662,48 +676,47 @@ class _Lockstep:
         degrees are rebuilt after the run (:meth:`_traces`).  Returns
         ``m``, the exit and warning flags and the one-step degrees.
         """
-        watchdog = self.watchdog
+        rule, watchdog = self.rule, self.watchdog
         # Which metrics a step needs: alpha_j decides rows without an
         # account, rho_j rows with one; the first step's alpha is the
         # one-step degree of every row.
-        forced, last, target, accounts, all_accounts, (deciding, best, arg) = self.rule
+        deciding, best, arg = rule.deciding, rule.best, rule.arg
         rows, m = len(watchdog), self.forced
         for k in range(plan.width):
             plan.advance()
             drop = plan.value - plan.ends[:, k]
             cost = plan.prefix_costs[:, k]
-            if k == 0 or not all_accounts:
+            if k == 0 or not rule.all_accounts:
                 alpha = metric = alpha_m_steps(drop, cost)
             if k == 0:
                 onestep = alpha
-            if accounts:
+            if rule.accounts:
                 rho = drop - self.alpha_bar * cost
-                metric = rho if all_accounts else np.where(watchdog, rho, alpha)
+                metric = rho if rule.all_accounts else np.where(watchdog, rho, alpha)
                 better = deciding & (rho > best)
                 best, arg = np.where(better, rho, best), np.where(better, k + 1, arg)
-            hit = metric >= target
+            hit = metric >= rule.target
             m = np.where(deciding & hit, k + 1, m)
-            deciding = deciding & ~hit & (k + 1 < last)
+            deciding = deciding & ~hit & (k + 1 < rule.last)
             if not np.count_nonzero(deciding):
                 break
         fallback = m == 0
-        if not accounts:
+        if not rule.accounts:
             return np.maximum(m, 1), fallback, np.zeros(rows, dtype=bool), onestep
         covered = self.slack + best >= 0.0
         exit_event = fallback & ~watchdog
-        warning_event = watchdog & ~covered & (fallback | forced)
+        warning_event = watchdog & ~covered & (fallback | rule.forced)
         m = np.where(fallback, np.where(watchdog & covered, arg, 1), m)
         return m, exit_event, warning_event, onestep
 
-    def _decision_rule(self, known) -> tuple[tuple, PlanWalk]:
+    def _decision_rule(self, known) -> tuple[_Rule, PlanWalk]:
         """The rows' rule for :meth:`_probe` and walk, kept until rows retire, a shrink is due or forced_m moves."""
         forced, width, watchdog, rows = self.forced > 0, self.horizon - 1, self.watchdog, len(self.x)
         last = np.where(forced, self.forced, width)
         target = np.where(forced, np.inf, np.where(watchdog, 0.0, self.alpha_bar))
-        # The first values of the walk's running arrays: nothing writes them in place.
         start = np.ones(rows, dtype=bool), np.full(rows, -np.inf), np.ones(rows, dtype=int)
         walk = PlanWalk(self.solver, self.x, self.horizon, int(width.max()), known, self.walk_buffers)
-        return (forced, last, target, watchdog.any(), watchdog.all(), start), walk
+        return _Rule(forced, last, target, watchdog.any(), watchdog.all(), *start), walk
 
     def _reserve(self, steps: int) -> None:
         """Double the cost log's time axis until it holds ``steps`` applied steps."""
@@ -808,6 +821,10 @@ class _Lockstep:
     def outcome(self) -> BatchRun:
         """The input-order results; ``alpha_cor3`` from one ``row_sums`` of every row's costs (batch-invariant bits)."""
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
+        # Every closed interval's values and cost pass through the slack account, so an overflow leaves it not finite.
+        finite = np.isfinite(result["slack"])
+        if not finite.all():
+            raise ConfigError(f"the run from initial state {self.x0[~finite][0]} overflows")
         realized = alpha_m_steps(result["v_initial"] - result["v_now"], row_sums(self.costs, result["t"]))
         return BatchRun(
             status=tuple(_STATUSES[code] for code in self.status.tolist()),
@@ -912,11 +929,13 @@ def run_batch(
     per row; rows may then differ in variant, horizon, threshold, forced
     lengths and shrink schedule.  Every row's run is the same as its own
     one-row batch, bit for bit: rows share solver calls but no
-    arithmetic.  An error in any row's run aborts the whole batch.
+    arithmetic.  An error in any row's run aborts the whole batch, and a
+    run that overflows raises ``ConfigError``, not NumPy's warnings.
     """
-    state = _Lockstep(solver, X0, config, traces)
-    state.run()
-    return state.outcome()
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _Lockstep(solver, X0, config, traces)
+        state.run()
+        return state.outcome()
 
 
 def run_closed_loop(solver: FiniteHorizonSolver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:

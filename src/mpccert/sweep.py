@@ -34,6 +34,7 @@ from .riccati import value_drop_grid  # noqa: F401  (perfbench calls and traces 
 # The sweep CSV's columns after k and one x1..xn column per state coordinate.
 _SWEEP_COLUMNS = ("alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
 _HORIZON_COLUMNS = ("N", "alpha_prop1_min", "alpha_cor3_min")
+_ARRAY_FIELDS = tuple(f.name for f in fields(BatchRun) if f.type == "np.ndarray")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +175,10 @@ def _records(solver: FiniteHorizonSolver, configs: list, points: np.ndarray) -> 
     """
     try:
         return run_batch(solver, points, configs)
-    except (MpcCertError, np.linalg.LinAlgError) as exc:
+    except MpcCertError as exc:
         if len(points) == 1:
-            nan, zero = np.full(1, np.nan), np.zeros(1, dtype=int)
-            return BatchRun(("error",), nan, nan, nan, nan, zero, zero, zero, zero, errors=(str(exc),))
+            columns = {name: np.full(1, np.nan if "alpha" in name else 0) for name in _ARRAY_FIELDS}
+            return BatchRun(status=("error",), errors=(str(exc),), **columns)
         half = len(points) // 2
         head = _records(solver, configs[:half], points[:half])
         return _joined(head, _records(solver, configs[half:], points[half:]))
@@ -185,8 +186,7 @@ def _records(solver: FiniteHorizonSolver, configs: list, points: np.ndarray) -> 
 
 def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
     """The rows of ``head`` followed by those of ``rest``, without traces."""
-    names = [f.name for f in fields(BatchRun) if isinstance(getattr(head, f.name), np.ndarray)]
-    columns = {name: np.concatenate([getattr(head, name), getattr(rest, name)]) for name in names}
+    columns = {name: np.concatenate([getattr(head, name), getattr(rest, name)]) for name in _ARRAY_FIELDS}
     errors = [run.errors or (None,) * len(run.status) for run in (head, rest)]
     return BatchRun(status=head.status + rest.status, errors=errors[0] + errors[1], **columns)
 
@@ -272,9 +272,12 @@ def write_sweep_csv(report: SweepReport, path) -> None:
         fh.write(header + (row * len(report.points)) % tuple(chain.from_iterable(rows)) + "\n")
 
 
+def horizon_csv(rows) -> str:
+    """The table of :func:`horizon_comparison` as CSV text: the header, then one line per horizon."""
+    return "".join([",".join(_HORIZON_COLUMNS) + "\n", *(f"{n:d},{a:.17g},{b:.17g}\n" for n, a, b in rows)])
+
+
 def write_horizon_csv(rows, path) -> None:
-    """One row per horizon from :func:`horizon_comparison`."""
+    """Write :func:`horizon_csv` of ``rows`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_HORIZON_COLUMNS) + "\n")
-        for n, col_a, col_b in rows:
-            fh.write(f"{n:d},{col_a:.17g},{col_b:.17g}\n")
+        fh.write(horizon_csv(rows))

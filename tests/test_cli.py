@@ -1,13 +1,15 @@
 import filecmp
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpccert.cli import main
-from mpccert.engine import AlgorithmConfig
+from mpccert.engine import AlgorithmConfig, BatchRun, run_batch
+from mpccert.errors import ConfigError
 from mpccert.model import load_plant
 from mpccert.refchecks import reference_instance
 from mpccert.riccati import LqLadderSolver
@@ -266,6 +268,13 @@ OVERFLOWING = {
     "growing": ({"A\n1 1.1\n-1.1 1\n": "A\n10 0\n0 10\n", "R\n1\n": "R\n1e10\n"}, [1e152, 0.0]),
 }
 
+# States from which a run on the same plants passes every check of its
+# first iteration and overflows later, under alg1 at N = 3 and alpha_bar
+# 0.5: with Q = 1e-20 I the run from (1, 0) diverges and its value
+# overflows after about 950 of its 1000 iterations; with A = 10 I and
+# R = 1e10 the value from (1e150, 0) overflows on the third iteration.
+DIVERGING = {"tiny-q": [1.0, 0.0], "growing": [1e150, 0.0]}
+
 
 def _overflowing_plant(tmp_path, name) -> str:
     text = Path(PLANT).read_text()
@@ -304,3 +313,44 @@ def test_sweep_turns_an_overflowing_state_into_an_error_row(name, tmp_path):
     clean = sweep(solver, InitialSet(name="clean", points=points[[0, 2]]), config)
     assert report.runs.alpha_cor3[[0, 2]].tolist() == clean.runs.alpha_cor3.tolist()
     assert report.runs.status[::2] == clean.runs.status
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", DIVERGING)
+def test_run_that_overflows_mid_run_exits_2(name, tmp_path, capsys):
+    argv = _run_args(tmp_path / "out", "alg1")
+    argv[argv.index("--plant") + 1] = _overflowing_plant(tmp_path, name)
+    argv[argv.index("--x0") + 1] = ",".join(map(str, DIVERGING[name]))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line == f"error: the run from initial state {np.array(DIVERGING[name])} overflows"
+    assert not captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", DIVERGING)
+def test_run_batch_with_traces_raises_on_a_run_that_overflows(name, tmp_path):
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, name)), 3)
+    config = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5)
+    message = f"the run from initial state {np.array(DIVERGING[name])} overflows"
+    with pytest.raises(ConfigError) as excinfo:
+        run_batch(solver, np.array([DIVERGING[name]]), config, traces=True)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_turns_a_run_that_overflows_mid_run_into_an_error_row(tmp_path):
+    # The cap keeps the growing states of the other rows finite.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
+    config = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5, max_iterations=20)
+    points = np.array([[1.0, 0.0], DIVERGING["growing"], [0.0, 1.0]])
+    report = sweep(solver, InitialSet(name="overflow", points=points), config)
+    assert report.error_indices() == (2,)
+    assert report.runs.errors[1].endswith("overflows")
+    clean = sweep(solver, InitialSet(name="clean", points=points[[0, 2]]), config)
+    assert report.runs.status[::2] == clean.runs.status
+    for field in fields(BatchRun):
+        column = getattr(clean.runs, field.name)
+        if isinstance(column, np.ndarray):
+            assert getattr(report.runs, field.name)[::2].tobytes() == column.tobytes(), field.name

@@ -9,7 +9,7 @@
 #   * 28 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
 #     alpha_bar 0.01, 0.6, and at N = 3 and alpha_bar 0.6 with
 #     --max-iterations 7 (every run stops at the cap);
-#   * 16 single runs.  13 start from x0 = (0, 1) on the bundled plant:
+#   * 19 single runs.  13 start from x0 = (0, 1) on the bundled plant:
 #     alg1-alg4 at N = 3 and alpha_bar 0.5, at N = 3 and alpha_bar 0.01
 #     with forced lengths 2,1, and at N = 20 and alpha_bar 0.01 with
 #     forced length 15 (windows and re-plan budgets of 8 and more steps,
@@ -21,7 +21,13 @@
 #     3-state plant that this script writes (the "alg2-n3-N3" plant of
 #     tests/test_oracle.py), from x0 = (0.39, 0.99, 1.04) at N = 3,
 #     alpha_bar 0.6 and forced length 2: both converge and reject some
-#     of their re-plans, which no run on the bundled plant does;
+#     of their re-plans, which no run on the bundled plant does.  3 run
+#     alg3 at N = 3 and alpha_bar 0.5 from initial states whose first
+#     iteration overflows, and exit 2: the bundled plant from (1e160, 0),
+#     where x0' x0, x0' P_3 x0 and the first plan's end values all
+#     overflow, and two plants this script writes as edits of it: with
+#     Q = 1e-20 I from (1e160, 0), where only x0' x0 does, and with
+#     A = 10 I and R = 1e10 from (1e152, 0), where only the end values do;
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128, and
 #     for the unsorted N = 20,2,5 over unit-circle:64 at alpha_bar 0.3,
 #     whose rows of mixed horizons share one batch;
@@ -97,6 +103,14 @@ record riccati riccati --plant "$plant" --horizon 20 --out "$out/riccati"
 # the error message must not contain it.
 { cat "$plant"; printf 'equilibrium_state\n1 0\n'; } >"$out/nonzero-equilibrium.txt"
 record riccati-nonzero-equilibrium riccati --plant "$out/nonzero-equilibrium.txt" --horizon 3
+
+# Initial states whose first iteration overflows (see the header).
+sed '/^Q$/,/^$/{s/^1 0$/1e-20 0/;s/^0 1$/0 1e-20/}' "$plant" >"$out/tiny-q.txt"
+sed 's/^1 1\.1$/10 0/;s/^-1\.1 1$/0 10/;/^R$/,${s/^1$/1e10/}' "$plant" >"$out/growing.txt"
+overflow_args=(run --variant alg3 --horizon 3 --alpha-bar 0.5)
+record run-overflow-spiral2d "${overflow_args[@]}" --plant "$plant" --x0 1e160,0
+record run-overflow-tiny-q "${overflow_args[@]}" --plant "$out/tiny-q.txt" --x0 1e160,0
+record run-overflow-growing "${overflow_args[@]}" --plant "$out/growing.txt" --x0 1e152,0
 
 # A 3-state plant on which alg2 and alg4 reject re-plans.
 rejecting="$out/rejecting3.txt"

@@ -162,9 +162,7 @@ def cmd_sweep(args) -> int:
     if out is not None:
         write_sweep_csv(report, os.path.join(out, "sweep_points.csv"))
         _write_summary(os.path.join(out, "summary.txt"), entries, not args.no_timestamp)
-    if set(report.runs.status) == {"error"}:
-        return 3
-    return 0
+    return 3 if set(report.runs.status) == {"error"} else 0
 
 
 def cmd_horizon_table(args) -> int:

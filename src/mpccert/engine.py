@@ -84,7 +84,8 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_EXIT_FAILED = "exit-strategy-failed"
 STATUS_WARNING = "warning-issued"
-_STATUSES = (STATUS_EXIT_FAILED, STATUS_WARNING, STATUS_CONVERGED, STATUS_MAX_ITERATIONS)
+STATUS_ERROR = "error"
+_STATUSES = (STATUS_EXIT_FAILED, STATUS_WARNING, STATUS_CONVERGED, STATUS_MAX_ITERATIONS, STATUS_ERROR)
 
 #: A run stops as converged once its state is at most this far (2-norm)
 #: from the equilibrium, the origin.
@@ -392,14 +393,14 @@ def _running_min(current: np.ndarray, new: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BatchRun:
-    """Outcome of :func:`run_batch`, one entry per initial state in input order.
+    """Outcome of :func:`run_batch` or :func:`run_rows`, one entry per initial state in input order.
 
     Each statistic equals the :class:`ClosedLoopTrace` property (or
     ``summary()`` entry) of the same name for that row's run.  ``traces``
     holds the full traces when they were asked for and is ``None``
-    otherwise.  ``errors`` holds each row's exception text (``None`` for a
-    row that ran) when a sweep assembled the batch from runs that failed
-    in part; a failed row has status ``error``, NaN degrees and zero counts.
+    otherwise.  ``errors`` is ``None`` when every row ran, else each row's
+    error text (``None`` for a row that ran): a failed row is an error row
+    (:func:`error_rows`) of the one run, and such a batch has no traces.
     """
 
     status: tuple[str, ...]
@@ -416,12 +417,8 @@ class BatchRun:
 
     def select(self, rows: slice) -> "BatchRun":
         """The runs of the rows in the slice ``rows``, as a batch of their own."""
-        return BatchRun(
-            **{
-                f.name: None if getattr(self, f.name) is None else getattr(self, f.name)[rows]
-                for f in fields(self)
-            }
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return BatchRun(**{name: None if value is None else value[rows] for name, value in values.items()})
 
 
 # Every scalar per-row field of _Lockstep, by dtype: each field is one row
@@ -489,8 +486,10 @@ class _Lockstep:
     their windows.  Window costs are added as the steps are applied;
     ``row_sums`` runs only for windows of eight or more steps.  Iteration
     caps, cost-log growth and warning counts are tested only when they
-    can change.  Overflow is tested on the first iteration's values and
-    plans and on every row's final slack (:meth:`outcome`).
+    can change.  A row whose initial state, or first values and plans, are
+    not finite has its cap cut to the next stop test; later overflow shows
+    in the final slack (:meth:`outcome`).  ``errors`` holds each failed
+    input row's first text, and the outcome makes it an error row.
 
     With traces, ``log`` keeps column logs of every closed interval,
     window and applied step, tagged with input ids so that they need no
@@ -502,8 +501,6 @@ class _Lockstep:
         n, c = solver.lq.state_dim, solver.lq.control_dim
         if X.ndim != 2 or X.shape[1] != n:
             raise ConfigError(f"initial states must have shape (B, {n}), got {X.shape}")
-        if not np.isfinite(X).all():
-            raise ConfigError(f"initial states must be finite, got {X[~np.isfinite(X).all(axis=1)][0]}")
         rows = len(X)
         self.solver = solver
         self.row_configs = _row_configs(config, rows)
@@ -515,6 +512,10 @@ class _Lockstep:
         self.horizon[:] = np.array([cfg.horizon for cfg in cfgs])[kind]
         self.alpha_bar[:] = np.array([cfg.alpha_bar for cfg in cfgs])[kind]
         self.max_iterations[:] = np.array([cfg.max_iterations for cfg in cfgs])[kind]
+        self.x0, self.errors = X, {}
+        if not np.isfinite(X).all():  # rows whose states are not finite stop at iteration 0
+            for i in np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist():
+                self.errors[i], self.max_iterations[i] = f"initial states must be finite, got {X[i]}", 0
         self.watchdog[:] = np.array([cfg.variant in ("alg3", "alg4") for cfg in cfgs])[kind]
         self.replanning[:] = np.array([cfg.variant in ("alg2", "alg4") for cfg in cfgs])[kind]
         # A row that stops before its first plan reports NaN degrees.
@@ -530,7 +531,6 @@ class _Lockstep:
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
         self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
         self.rule = self.walk = self.replan_buffers = self.log = None
-        self.x0 = X
         self.x = X.copy()
         # Applied costs by input row and time; no iteration applies more than `widest` steps.
         self.costs, self.widest = np.zeros((rows, 16)), len(self.walk_buffers[1])
@@ -632,8 +632,10 @@ class _Lockstep:
             self.warnings += warning_event
         if iteration == 0:
             finite = np.isfinite(plan.ends[:, : plan.steps]).all(axis=1) & np.isfinite(v_start + row_dot(self.x, self.x))
-            if not finite.all():
-                raise ConfigError(f"the value of initial state {self.x0[self.ids[~finite]][0]} is not finite")
+            if not finite.all():  # such rows stop at iteration 1
+                self.max_iterations[~finite] = self.min_cap = 1
+                for i in self.ids[~finite].tolist():
+                    self.errors[i] = f"the value of initial state {self.x0[i]} is not finite"
             self.startup[:] = self.min_onestep[:] = onestep
         else:
             _running_min(self.min_onestep, onestep)
@@ -819,14 +821,14 @@ class _Lockstep:
         return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)
 
     def outcome(self) -> BatchRun:
-        """The input-order results; ``alpha_cor3`` from one ``row_sums`` of every row's costs (batch-invariant bits)."""
+        """Input-order results, traced if no row failed; ``alpha_cor3`` from one ``row_sums`` of all costs."""
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
         # Every closed interval's values and cost pass through the slack account, so an overflow leaves it not finite.
-        finite = np.isfinite(result["slack"])
-        if not finite.all():
-            raise ConfigError(f"the run from initial state {self.x0[~finite][0]} overflows")
+        overflows = np.flatnonzero(~np.isfinite(result["slack"])).tolist()
+        self.errors = {i: f"the run from initial state {self.x0[i]} overflows" for i in overflows} | self.errors
+        self.status[list(self.errors)] = _STATUSES.index(STATUS_ERROR)
         realized = alpha_m_steps(result["v_initial"] - result["v_now"], row_sums(self.costs, result["t"]))
-        return BatchRun(
+        run = BatchRun(
             status=tuple(_STATUSES[code] for code in self.status.tolist()),
             startup_onestep_alpha=result["startup"],
             min_onestep_alpha=result["min_onestep"],
@@ -836,8 +838,9 @@ class _Lockstep:
             warning_count=result["warnings"],
             intervals=result["intervals"],
             applied_steps=result["t"],
-            traces=self._traces(result) if self.log else None,
+            traces=self._traces(result) if self.log and not self.errors else None,
         )
+        return error_rows([self.errors.get(i) for i in range(len(self.x0))], run) if self.errors else run
 
     def _joined(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """The log ``name`` as one int and one float block, its events by input row, each row's in run order."""
@@ -916,12 +919,28 @@ def _distinct_configs(config: list[AlgorithmConfig]) -> tuple[list[AlgorithmConf
     return list(index), np.array([kind_of[id(cfg)] for cfg in config], dtype=int)
 
 
+def error_rows(errors: Sequence[str | None], run: BatchRun | None = None) -> BatchRun:
+    """``run`` with NaN degrees and zero counts where ``errors`` holds a text; without ``run``, only error rows."""
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    fills = dict.fromkeys(("startup_onestep_alpha", "min_onestep_alpha", "min_window_alpha", "alpha_cor3"), np.nan)
+    fills.update(dict.fromkeys(("exit_count", "warning_count", "intervals", "applied_steps"), 0))
+    columns = {name: np.where(failed, fill, getattr(run, name) if run else fill) for name, fill in fills.items()}
+    return BatchRun(status=run.status if run else (STATUS_ERROR,) * len(errors), errors=tuple(errors), **columns)
+
+
+def run_rows(solver: FiniteHorizonSolver, X0, config, *, traces: bool = False) -> BatchRun:
+    """:func:`run_batch`, with each failed row an error row (:func:`error_rows`) instead of an error.
+
+    Errors of the whole batch, such as a bad ``X0`` shape or a ladder ``SolverError``, still raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _Lockstep(solver, X0, config, traces)
+        state.run()
+        return state.outcome()
+
+
 def run_batch(
-    solver: FiniteHorizonSolver,
-    X0,
-    config: AlgorithmConfig | Sequence[AlgorithmConfig],
-    *,
-    traces: bool = False,
+    solver: FiniteHorizonSolver, X0, config: AlgorithmConfig | Sequence[AlgorithmConfig], *, traces: bool = False
 ) -> BatchRun:
     """Run the configured variant from every row of the ``(B, n)`` array ``X0`` in lockstep.
 
@@ -929,13 +948,13 @@ def run_batch(
     per row; rows may then differ in variant, horizon, threshold, forced
     lengths and shrink schedule.  Every row's run is the same as its own
     one-row batch, bit for bit: rows share solver calls but no
-    arithmetic.  An error in any row's run aborts the whole batch, and a
-    run that overflows raises ``ConfigError``, not NumPy's warnings.
+    arithmetic.  After the run, the first failed row in input order (see
+    :func:`run_rows`) raises its ``ConfigError``; NumPy's warnings stay off.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = _Lockstep(solver, X0, config, traces)
-        state.run()
-        return state.outcome()
+    run = run_rows(solver, X0, config, traces=traces)
+    if run.errors:
+        raise ConfigError(next(filter(None, run.errors)))
+    return run
 
 
 def run_closed_loop(solver: FiniteHorizonSolver, x0, config: AlgorithmConfig) -> ClosedLoopTrace:

@@ -10,7 +10,7 @@ output uses ``%.17g`` so that reruns are byte-comparable.
 A sweep takes a solver, which carries its plant (``solver.lq``); the
 horizon table builds one solver for all its horizons from the plant.
 Both run through :func:`run_blocks`, as do the reference checks: every
-configuration of an experiment from every point, as one lockstep batch in
+configuration of an experiment from every point, as one engine run in
 this process, returned as one block of rows per configuration.  A point
 that fails is an error row of its block.  Every statistic is read from
 the blocks' per-row columns, without a trace or an object per point.
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .engine import AlgorithmConfig, BatchRun, run_batch
+from .engine import AlgorithmConfig, BatchRun, error_rows, run_rows
 from .engine import run_closed_loop  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
@@ -34,7 +34,6 @@ from .riccati import value_drop_grid  # noqa: F401  (perfbench calls and traces 
 # The sweep CSV's columns after k and one x1..xn column per state coordinate.
 _SWEEP_COLUMNS = ("alpha_min_1step", "alpha_min_mstep", "alpha_cor3", "warning", "status")
 _HORIZON_COLUMNS = ("N", "alpha_prop1_min", "alpha_cor3_min")
-_ARRAY_FIELDS = tuple(f.name for f in fields(BatchRun) if f.type == "np.ndarray")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,36 +165,21 @@ def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
 
 
 def _records(solver: FiniteHorizonSolver, configs: list, points: np.ndarray) -> BatchRun:
-    """The batch run of ``points``, splitting a failing batch in halves until each error has its point.
+    """The one engine run of ``points``, one configuration per row, whose failed points are error rows.
 
-    ``configs`` holds one configuration per row of ``points``.  A point
-    that fails on its own is an error row: status ``error``, NaN degrees,
-    zero counts and the exception text in ``errors``.  One failing point
-    among ``B`` costs at most ``2 ceil(log2 B) + 1`` batch runs.
+    An error of the whole batch, such as a ladder ``SolverError``, makes every row an error row with its text.
     """
     try:
-        return run_batch(solver, points, configs)
+        return run_rows(solver, points, configs)
     except MpcCertError as exc:
-        if len(points) == 1:
-            columns = {name: np.full(1, np.nan if "alpha" in name else 0) for name in _ARRAY_FIELDS}
-            return BatchRun(status=("error",), errors=(str(exc),), **columns)
-        half = len(points) // 2
-        head = _records(solver, configs[:half], points[:half])
-        return _joined(head, _records(solver, configs[half:], points[half:]))
-
-
-def _joined(head: BatchRun, rest: BatchRun) -> BatchRun:
-    """The rows of ``head`` followed by those of ``rest``, without traces."""
-    columns = {name: np.concatenate([getattr(head, name), getattr(rest, name)]) for name in _ARRAY_FIELDS}
-    errors = [run.errors or (None,) * len(run.status) for run in (head, rest)]
-    return BatchRun(status=head.status + rest.status, errors=errors[0] + errors[1], **columns)
+        return error_rows((str(exc),) * len(points))
 
 
 def run_blocks(solver: FiniteHorizonSolver, points: np.ndarray, configs) -> list[BatchRun]:
     """Each of ``configs`` run from every row of ``points``, as one block of rows per configuration.
 
-    All the runs form one lockstep batch, split on failure as in
-    :func:`_records`, so a point that fails is an error row of its block.
+    All the runs form one engine run (:func:`_records`), so a point that
+    fails is an error row of its block and every other row is as if alone.
     """
     size = len(points)
     batch = _records(solver, [config for config in configs for _ in range(size)], np.tile(points, (len(configs), 1)))
@@ -207,12 +191,10 @@ def sweep(
 ) -> SweepReport:
     """Run the configured closed loop from every point of the set.
 
-    All points run as one lockstep batch (see :func:`run_blocks`).
-    Per-point failures are recorded, not raised: a batch that fails is
-    split in halves and each half runs again, down to one-row batches,
-    so each error lands on its own point and every other row is the same
-    as in the whole batch.  A set whose points do not match the plant's
-    state dimension raises :class:`ConfigError` before any point runs.
+    All points form one engine run (see :func:`run_blocks`).  A point
+    that fails is an error row, not an error, and every other row is as in
+    a run without it.  A set whose points do not match the plant's state
+    dimension raises :class:`ConfigError` before any point runs.
     """
     points = _points(initial_set, solver.lq.state_dim)
     return SweepReport(initial_set.name, config, points, run_blocks(solver, points, (config,))[0])
@@ -232,10 +214,10 @@ def horizon_comparison(
     whole-run realized degree under single-step application with a
     watchdog at ``alpha_bar`` (the a-posteriori style bound).
 
-    Every (horizon, configuration) block runs through :func:`run_blocks`
-    on one solver, so a failing point is an error row as in
-    :func:`sweep`; each minimum equals the one the sweep of its block
-    would give.  A set whose points do not match the plant's state
+    Every (horizon, configuration) block runs in the one engine run of
+    :func:`run_blocks` on one solver, so a failing point is an error row
+    as in :func:`sweep`; each minimum equals the one the sweep of its
+    block would give.  A set whose points do not match the plant's state
     dimension raises :class:`ConfigError`.
     """
     horizons = tuple(horizons)

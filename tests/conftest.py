@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mpccert.refchecks import reference_instance
@@ -23,3 +25,17 @@ def bellman(lq):
 @pytest.fixture(scope="session")
 def grid():
     return unit_circle(128)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The row count of each engine run (``run_rows`` call) that :mod:`mpccert.sweep` makes, in call order."""
+    module = sys.modules["mpccert.sweep"]  # the package's ``sweep`` is the function
+    run_rows, sizes = module.run_rows, []
+
+    def counted(solver, X0, *args, **kwargs):
+        sizes.append(len(X0))
+        return run_rows(solver, X0, *args, **kwargs)
+
+    monkeypatch.setattr(module, "run_rows", counted)
+    return sizes

@@ -13,7 +13,7 @@ from mpccert.errors import ConfigError
 from mpccert.model import load_plant
 from mpccert.refchecks import reference_instance
 from mpccert.riccati import LqLadderSolver
-from mpccert.sweep import InitialSet, horizon_comparison, sweep, unit_circle
+from mpccert.sweep import InitialSet, horizon_comparison, parse_initial_set, sweep, unit_circle
 
 PLANT = str(Path(__file__).resolve().parent.parent / "plants" / "spiral2d.txt")
 # Stands for a 1-state plant file that test_config_errors_exit_2 writes.
@@ -159,11 +159,15 @@ def test_sweep_outputs_are_worker_invariant(tmp_path):
 
 @pytest.mark.parametrize("count,code", ((1, 3), (2, 0)))
 def test_sweep_exits_3_only_when_every_point_fails(count, code, monkeypatch, capsys):
-    # The last point of unit-circle:k is the faulty solver's marker (1, 0):
-    # the one point of unit-circle:1 fails, and one of the two of unit-circle:2.
-    from test_sweep import _FaultySolver
+    # The last point of unit-circle:k, (1, 0), moves to (1e160, 0), whose
+    # value overflows: the one point of unit-circle:1 fails, and one of the
+    # two of unit-circle:2.
+    def overflowing_last(text):
+        initial_set = parse_initial_set(text)
+        initial_set.points[-1] *= 1e160
+        return initial_set
 
-    monkeypatch.setattr("mpccert.cli.LqLadderSolver", _FaultySolver)
+    monkeypatch.setattr("mpccert.cli.parse_initial_set", overflowing_last)
     args = ["--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.01"]
     assert main(["sweep", *args, "--set", f"unit-circle:{count}"]) == code
     assert "errors = 1\n" in capsys.readouterr().out
@@ -354,3 +358,53 @@ def test_sweep_turns_a_run_that_overflows_mid_run_into_an_error_row(tmp_path):
         column = getattr(clean.runs, field.name)
         if isinstance(column, np.ndarray):
             assert getattr(report.runs, field.name)[::2].tobytes() == column.tobytes(), field.name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sweep_with_every_kind_of_row_fault_is_one_engine_run(tmp_path, engine_calls):
+    # On the growing plant: a point that is not finite, one whose first plan
+    # overflows, one whose run overflows later, and one that fails the
+    # first two checks, which gives the first one's text.  The sweep is one
+    # engine run, and each clean row has the clean sweep's bits.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
+    config = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5, max_iterations=20)
+    grid = unit_circle(8)
+    faults = {1: [np.nan, 1.0], 3: OVERFLOWING["growing"][1], 4: DIVERGING["growing"], 6: [np.inf, 1e152]}
+    points = grid.points.copy()
+    points[list(faults)] = list(faults.values())
+    report = sweep(solver, InitialSet(name="faulty", points=points), config)
+    assert engine_calls == [8]
+    assert report.error_indices() == (2, 4, 5, 7)
+    texts = ("initial states must be finite, got {}", "the value of initial state {} is not finite")
+    texts += ("the run from initial state {} overflows", texts[0])
+    assert [report.runs.errors[i] for i in faults] == [t.format(points[i]) for t, i in zip(texts, faults)]
+    clean, others = sweep(solver, grid, config), [i for i in range(8) if i not in faults]
+    assert [report.runs.status[i] for i in others] == [clean.runs.status[i] for i in others]
+    for field in fields(BatchRun):
+        column = getattr(clean.runs, field.name)
+        if isinstance(column, np.ndarray):
+            assert getattr(report.runs, field.name)[others].tobytes() == column[others].tobytes(), field.name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sweep_whose_every_point_diverges_is_one_engine_run(tmp_path, engine_calls):
+    # Every point of the 128-point circle diverges on the growing plant
+    # under the default cap: 128 error rows from one engine run.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
+    report = sweep(solver, unit_circle(128), AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5))
+    assert engine_calls == [128]
+    assert report.statuses() == {"error": 128}
+    assert all(error.endswith("overflows") for error in report.runs.errors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_batch_raises_the_error_of_its_first_failed_row(tmp_path):
+    # Of the two failed rows, the first overflows late in its run and the
+    # second on its first plan: the first one's error is raised, in input
+    # order, not the one found first.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
+    config = AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5, max_iterations=20)
+    X = np.array([[1.0, 0.0], DIVERGING["growing"], OVERFLOWING["growing"][1]])
+    with pytest.raises(ConfigError) as excinfo:
+        run_batch(solver, X, config, traces=True)
+    assert str(excinfo.value) == f"the run from initial state {X[1]} overflows"

@@ -1,11 +1,9 @@
 """The bundled reference checks: batched helpers against their one-state form."""
 
 import importlib
+import sys
 
-import numpy as np
-
-from mpccert.engine import _Lockstep
-from mpccert.errors import MpcCertError, SolverError
+from mpccert.errors import MpcCertError
 from mpccert.refchecks import GRID_POINTS, reference_checks, two_step_values
 
 
@@ -29,25 +27,11 @@ def test_two_step_values_batch_matches_one_state_calls(solver, grid):
         assert single == _two_step_oracle(solver, x) == tuple(float(column[i]) for column in batch)
 
 
-def _counted_run_batch(monkeypatch):
-    """A list that gains one entry, the row count, per ``run_batch`` call made through :mod:`mpccert.sweep`."""
-    sweep_module = importlib.import_module("mpccert.sweep")
-    run_batch = sweep_module.run_batch
-    sizes = []
-
-    def counted(solver, X0, *args, **kwargs):
-        sizes.append(len(X0))
-        return run_batch(solver, X0, *args, **kwargs)
-
-    monkeypatch.setattr(sweep_module, "run_batch", counted)
-    return sizes
-
-
-def test_reference_checks_run_one_closed_loop_batch(monkeypatch):
-    sizes = _counted_run_batch(monkeypatch)
+def test_reference_checks_run_one_closed_loop_batch(engine_calls):
     results = reference_checks()
-    assert sizes == [3 * GRID_POINTS]
-    assert not hasattr(importlib.import_module("mpccert.refchecks"), "run_batch")
+    assert engine_calls == [3 * GRID_POINTS]
+    refchecks = importlib.import_module("mpccert.refchecks")
+    assert not hasattr(refchecks, "run_batch") and not hasattr(refchecks, "run_rows")
     failing = [r for r in results if not r.passed]
     assert len(results) == 11 and [r.name for r in failing] == ["grid-min-realized-degree"]
     assert "computed 0.666827" in failing[0].detail
@@ -56,40 +40,50 @@ def test_reference_checks_run_one_closed_loop_batch(monkeypatch):
     assert details["startup-failure-set"] == "44 of 128 points below threshold 0.01 at startup"
 
 
-def test_reference_checks_failing_batch_is_bisected(monkeypatch):
-    # A run error in the mixed batch splits it, as in a sweep; with no
-    # point actually failing, every result is the same as from the one batch.
-    sweep_module = importlib.import_module("mpccert.sweep")
+def test_reference_checks_whole_batch_error_makes_every_closed_loop_row_an_error_row(monkeypatch):
+    # An error of the whole mixed batch, after its one engine run, leaves
+    # every closed-loop row an error row: in no count, set or minimum.
     expected = reference_checks()
-    run_batch = sweep_module.run_batch
+    sizes = []
 
-    def failing_mixed_batch(solver, X0, config, **kwargs):
-        if len(X0) > GRID_POINTS:
-            raise MpcCertError("injected")
-        return run_batch(solver, X0, config, **kwargs)
+    def failing_run_rows(solver, X0, *args, **kwargs):
+        sizes.append(len(X0))
+        raise MpcCertError("injected")
 
-    monkeypatch.setattr(sweep_module, "run_batch", failing_mixed_batch)
-    assert reference_checks() == expected
-
-
-def test_a_failing_point_is_an_error_row_of_each_closed_loop_check(monkeypatch):
-    # Every batch that holds the circle's last point, (1, 0), fails; the
-    # point becomes one error row per block instead of aborting the bundle.
-    clean = {r.name: r for r in reference_checks()}
-    run = _Lockstep.run
-    failed = []
-
-    def failing_run(self):
-        if np.isclose(self.x0, [1.0, 0.0], rtol=0.0, atol=1e-12).all(axis=1).any():
-            failed.append(len(self.x0))
-            raise SolverError("injected at (1, 0)")
-        return run(self)
-
-    monkeypatch.setattr(_Lockstep, "run", failing_run)
-    sizes = _counted_run_batch(monkeypatch)
+    monkeypatch.setattr(sys.modules["mpccert.sweep"], "run_rows", failing_run_rows)
     results = reference_checks()
-    # Three error rows, one per block, each isolated by halving.
-    assert len(sizes) == 47 and failed.count(1) == 3
+    assert sizes == [3 * GRID_POINTS]
+    closed_loop = {
+        "zero-threshold-standard-mpc": "0/128 single-step schedules, 0/128 converged",
+        "startup-failure-set": "0 of 128 points below threshold 0.01 at startup",
+        "grid-min-realized-degree": "computed nan, reference 0.52307 within 0.001",
+        "warning-set-coincidence": "startup failure set has 0 points, warning set 0; identical",
+    }
+    for r, clean in zip(results, expected):
+        assert r.name == clean.name
+        if r.name in closed_loop:
+            assert not r.passed and r.detail == closed_loop[r.name]
+        else:
+            assert r == clean
+
+
+def test_a_failing_point_is_an_error_row_of_each_closed_loop_check(monkeypatch, engine_calls):
+    # The closed-loop runs see the circle with its last point, (1, 0),
+    # moved to (1e160, 0), whose value overflows: one error row per block
+    # of the one engine run, instead of an aborted bundle.
+    refchecks = importlib.import_module("mpccert.refchecks")
+    clean = {r.name: r for r in reference_checks()}
+    engine_calls.clear()
+    run_blocks = refchecks.run_blocks
+
+    def faulty_grid(solver, points, configs):
+        points = points.copy()
+        points[-1] = [1e160, 0.0]
+        return run_blocks(solver, points, configs)
+
+    monkeypatch.setattr(refchecks, "run_blocks", faulty_grid)
+    results = reference_checks()
+    assert engine_calls == [3 * GRID_POINTS]
     assert [r.name for r in results] == list(clean)
     failing = [r.name for r in results if not r.passed]
     assert failing == ["zero-threshold-standard-mpc", "grid-min-realized-degree"]

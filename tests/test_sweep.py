@@ -192,11 +192,11 @@ def test_horizon_comparison_rows(lq, grid, tmp_path):
     assert len(lines) == 4
 
 
-def _horizon_table_oracle(lq, initial_set, horizons, alpha_bar=0.01, solver_class=LqLadderSolver):
+def _horizon_table_oracle(lq, initial_set, horizons, alpha_bar=0.01):
     """The per-horizon loop horizon_comparison replaced: one solver and two sweeps per N."""
     rows = []
     for n in horizons:
-        solver = solver_class(lq, n)
+        solver = LqLadderSolver(lq, n)
         apriori = sweep(solver, initial_set, _cfg("alg1", 0.0, horizon=n))
         posteriori = sweep(solver, initial_set, _cfg("alg3", alpha_bar, horizon=n, forced_m=1))
         col_a = float(np.nanmin(apriori.runs.min_window_alpha))
@@ -219,17 +219,11 @@ def _counting(monkeypatch, module, names):
     return calls
 
 
-def _batch_sizes(monkeypatch, module):
-    """The row counts of the ``run_batch`` calls made through ``module``, in call order."""
-    sizes = []
-    run_batch = module.run_batch
-
-    def counted(solver, X0, *args, **kwargs):
-        sizes.append(len(X0))
-        return run_batch(solver, X0, *args, **kwargs)
-
-    monkeypatch.setattr(module, "run_batch", counted)
-    return sizes
+def _with_point(initial_set, index, point, name="faulty"):
+    """``initial_set`` with its point ``index`` replaced by ``point``."""
+    points = initial_set.points.copy()
+    points[index] = point
+    return InitialSet(name=name, points=points)
 
 
 def test_horizon_comparison_matches_per_horizon_sweeps(lq, monkeypatch):
@@ -238,26 +232,25 @@ def test_horizon_comparison_matches_per_horizon_sweeps(lq, monkeypatch):
     grid = unit_circle(32)
     horizons = (2, 3, 4, 5, 10, 20)
     oracle = _horizon_table_oracle(lq, grid, horizons)
-    calls = _counting(monkeypatch, importlib.import_module("mpccert.sweep"), ("run_batch", "run_closed_loop"))
+    calls = _counting(monkeypatch, importlib.import_module("mpccert.sweep"), ("run_rows", "run_closed_loop"))
     assert horizon_comparison(lq, grid, horizons) == oracle
-    assert calls == {"run_batch": 1, "run_closed_loop": 0}
+    assert calls == {"run_rows": 1, "run_closed_loop": 0}
     assert horizon_comparison(lq, grid, (20, 2, 5), alpha_bar=0.3) == _horizon_table_oracle(
         lq, grid, (20, 2, 5), alpha_bar=0.3
     )
 
 
-def test_horizon_comparison_isolates_failing_rows(lq, monkeypatch):
-    # The marker (1, 0) is the last point of the circle, so each of the six
-    # blocks of the one batch holds a failing row.  Halving runs each of
-    # them on its own, and the table equals the per-horizon sweeps on the
-    # same faulty solver, which leave that point out of both minima.
-    sweep_module = importlib.import_module("mpccert.sweep")
-    monkeypatch.setattr(sweep_module, "LqLadderSolver", _FaultySolver)
-    grid = unit_circle(16)
-    oracle = _horizon_table_oracle(lq, grid, (2, 3, 10), solver_class=_FaultySolver)
-    sizes = _batch_sizes(monkeypatch, sweep_module)
+def test_horizon_comparison_isolates_failing_rows(lq, engine_calls):
+    # The value of (1e160, 0) overflows at every horizon, so each of the six
+    # blocks of the one run holds an error row.  The table equals the
+    # per-horizon sweeps of the same set, and the table of the set without
+    # that point: error rows stay out of both minima.
+    grid = _with_point(unit_circle(16), 15, [1e160, 0.0])
+    oracle = _horizon_table_oracle(lq, grid, (2, 3, 10))
+    engine_calls.clear()
     assert horizon_comparison(lq, grid, (2, 3, 10)) == oracle
-    assert sizes.count(1) >= 6
+    assert engine_calls == [6 * 16]
+    assert oracle == _horizon_table_oracle(lq, InitialSet(name="clean", points=grid.points[:15]), (2, 3, 10))
 
 
 def test_horizon_comparison_validates_input(lq, grid):
@@ -275,13 +268,13 @@ def test_a_set_of_another_dimension_is_a_configuration_error(points, monkeypatch
     # reaches the batch, which would record one error per point.
     grid = InitialSet(name="wrong", points=points)
     sweep_module = importlib.import_module("mpccert.sweep")
-    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
+    calls = _counting(monkeypatch, sweep_module, ("run_rows", "run_closed_loop"))
     lq = LinearQuadraticInstance(A=[[1.2]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     with pytest.raises(ConfigError, match=r"the plant needs \(B, 1\)"):
         sweep(LqLadderSolver(lq, 3), grid, _cfg("alg1", 0.5))
     with pytest.raises(ConfigError, match=r"the plant needs \(B, 1\)"):
         horizon_comparison(lq, grid, (2, 3))
-    assert calls == {"run_batch": 0, "run_closed_loop": 0}
+    assert calls == {"run_rows": 0, "run_closed_loop": 0}
     # A set of the plant's dimension runs.
     line = InitialSet(name="line", points=np.array([[1.0], [-0.5]]))
     assert sweep(LqLadderSolver(lq, 3), line, _cfg("alg1", 0.5)).error_indices() == ()
@@ -390,7 +383,7 @@ def test_sweep_csv_bytes_match_str_format(solver, tmp_path):
 
 
 class _FaultySolver(LqLadderSolver):
-    """Raises for one marker state so error capture can be exercised.
+    """Raises for one marker state, an error of the whole batch.
 
     Faults in the plan step, which ``plans`` and the engine's plan walks
     both go through, so a batch that holds the marker fails as a whole
@@ -435,15 +428,17 @@ def test_statistics_at_the_equilibrium_are_nan_without_warnings(lq, solver):
     assert all(np.isnan(a) and np.isnan(b) for _, a, b in rows)
 
 
-def test_sweep_captures_per_point_errors(lq):
-    solver = _FaultySolver(lq, 3)
-    grid = unit_circle(4)  # point 4 is (1, 0)
-    report = sweep(solver, grid, _cfg("alg1", 0.01))
+def test_sweep_captures_per_point_errors(solver):
+    # The value of (1e160, 0) overflows after its first plan: an error row
+    # of NaN degrees and zero counts, though it ran one iteration.
+    report = sweep(solver, _with_point(unit_circle(4), 3, [1e160, 0.0]), _cfg("alg1", 0.01))
     assert report.error_indices() == (4,)
     runs = report.runs
     assert runs.status[3] == "error"
-    assert "marker state rejected" in runs.errors[3]
-    assert np.isnan(runs.alpha_cor3[3])
+    assert runs.errors[3] == f"the value of initial state {np.array([1e160, 0.0])} is not finite"
+    for column in (runs.startup_onestep_alpha, runs.min_onestep_alpha, runs.min_window_alpha, runs.alpha_cor3):
+        assert np.isnan(column[3])
+    assert [int(c[3]) for c in (runs.exit_count, runs.warning_count, runs.intervals, runs.applied_steps)] == [0] * 4
     assert runs.errors[0] is None
     assert report.aggregates()["errors"] == 1
 
@@ -462,39 +457,37 @@ def test_sweep_records_an_initial_value_overflow_as_an_error_row(lq):
     assert report.runs.alpha_cor3[[0, 2]].tolist() == clean.runs.alpha_cor3.tolist()
 
 
-def test_sweep_isolates_an_error_in_the_middle_of_the_set(lq):
-    # Negating the 16-point circle puts the marker (1, 0) at index 8.
-    # The failing batch re-runs point by point: the error stays on its
-    # own point and every other row equals the one a clean solver
-    # gives.
-    grid = InitialSet(name="negated-circle:16", points=-unit_circle(16).points)
-    assert np.allclose(grid.points[7], [1.0, 0.0], rtol=0.0, atol=1e-12)
+def test_sweep_isolates_an_error_in_the_middle_of_the_set(solver, engine_calls):
+    # Point 8 of the 16-point circle moves to (1e160, 0), whose value
+    # overflows.  The one run keeps the error on its own point, and every
+    # other row equals the one the clean set gives.
+    clean_grid = unit_circle(16)
+    grid = _with_point(clean_grid, 7, [1e160, 0.0])
     config = _cfg("alg3", 0.01)
-    solver = _FaultySolver(lq, 3)
     report = sweep(solver, grid, config)
-    clean_solver = LqLadderSolver(lq, 3)
-    clean = sweep(clean_solver, grid, config)
+    assert engine_calls == [16]
+    clean = sweep(solver, clean_grid, config)
     assert report.error_indices() == (8,)
     assert report.runs.status[7] == "error"
-    assert "marker state rejected" in report.runs.errors[7]
+    assert report.runs.errors[7].endswith("is not finite")
     assert clean.error_indices() == ()
     others = [i for i in range(16) if i != 7]
     assert _rows(report, others) == _rows(clean, others)
     assert report.aggregates()["errors"] == 1
 
 
-def test_sweep_csv_of_a_failing_point(lq, tmp_path):
-    # The marker (1, 0) is point 8 of the negated 16-point circle.  Its
-    # line keeps its state and writes NaN degrees, no warning and the
-    # status ``error``; every other line is the clean sweep's line.
-    grid = InitialSet(name="negated-circle:16", points=-unit_circle(16).points)
+def test_sweep_csv_of_a_failing_point(solver, tmp_path):
+    # Point 8 of the 16-point circle moves to (NaN, 1).  Its line keeps
+    # its state and writes NaN degrees, no warning and the status
+    # ``error``; every other line is the clean sweep's line.
+    grid = unit_circle(16)
     config = _cfg("alg3", 0.01)
     faulty, clean = tmp_path / "faulty.csv", tmp_path / "clean.csv"
-    write_sweep_csv(sweep(_FaultySolver(lq, 3), grid, config), faulty)
-    write_sweep_csv(sweep(LqLadderSolver(lq, 3), grid, config), clean)
+    write_sweep_csv(sweep(solver, _with_point(grid, 7, [np.nan, 1.0]), config), faulty)
+    write_sweep_csv(sweep(solver, grid, config), clean)
     got, want = faulty.read_text().splitlines(), clean.read_text().splitlines()
     assert len(got) == len(want) == 17
-    assert got[8] == "8,1,-1.2246467991473532e-16,nan,nan,nan,0,error"
+    assert got[8] == "8,nan,1,nan,nan,nan,0,error"
     assert got[:8] + got[9:] == want[:8] + want[9:]
 
 
@@ -511,20 +504,15 @@ def test_sweep_records_a_non_finite_point_as_an_error(lq):
     assert _rows(report, others) == _rows(clean, others)
 
 
-def test_failing_batch_is_bisected(lq, monkeypatch):
-    # One marker in 128 points: the failing batch splits in halves down
-    # to the marker, so the sweep costs about two batch runs per halving,
-    # not one run per point, and every row is the one-at-a-time row.
-    # The package re-exports the function ``sweep`` under the module's name.
+def test_an_error_of_the_whole_batch_makes_every_row_an_error_row(lq, monkeypatch):
+    # One marker in 128 points fails the batch as a whole, so after one
+    # engine run every row is an error row with the marker's text.
     sweep_module = importlib.import_module("mpccert.sweep")
-    calls = _counting(monkeypatch, sweep_module, ("run_batch", "run_closed_loop"))
+    calls = _counting(monkeypatch, sweep_module, ("run_rows", "run_closed_loop"))
     grid = unit_circle(128)  # point 128 is (1, 0)
-    config = _cfg("alg1", 0.01)
-    solver = _FaultySolver(lq, 3)
-    report = sweep(solver, grid, config)
-    # Every run, the isolated marker's included, is a run_batch call.
-    assert calls["run_batch"] <= 2 * int(np.ceil(np.log2(len(grid)))) + 1
-    assert calls["run_closed_loop"] == 0
-    assert report.error_indices() == (128,)
-    assert _rows(report) == _rows(_one_at_a_time(solver, grid, config))
-    assert "marker state rejected" in report.runs.errors[-1]
+    report = sweep(_FaultySolver(lq, 3), grid, _cfg("alg1", 0.01))
+    assert calls == {"run_rows": 1, "run_closed_loop": 0}
+    assert report.error_indices() == tuple(range(1, 129)) and report.statuses() == {"error": 128}
+    assert report.runs.errors == ("marker state rejected",) * 128
+    _assert_nan_statistics(report)
+    assert not report.runs.warning_count.any() and not report.runs.applied_steps.any()

@@ -9,7 +9,10 @@
 #   * 28 sweeps over unit-circle:128: alg1-alg4 at N = 3, 10, 20 and
 #     alpha_bar 0.01, 0.6, and at N = 3 and alpha_bar 0.6 with
 #     --max-iterations 7 (every run stops at the cap);
-#   * 19 single runs.  13 start from x0 = (0, 1) on the bundled plant:
+#   * a sweep of alg1 at N = 3 and alpha_bar 0.5 over unit-circle:4 on
+#     the plant with A = 10 I and R = 1e10 (below), where every run
+#     overflows: four error rows, and exit 3;
+#   * 20 single runs.  13 start from x0 = (0, 1) on the bundled plant:
 #     alg1-alg4 at N = 3 and alpha_bar 0.5, at N = 3 and alpha_bar 0.01
 #     with forced lengths 2,1, and at N = 20 and alpha_bar 0.01 with
 #     forced length 15 (windows and re-plan budgets of 8 and more steps,
@@ -27,7 +30,10 @@
 #     where x0' x0, x0' P_3 x0 and the first plan's end values all
 #     overflow, and two plants this script writes as edits of it: with
 #     Q = 1e-20 I from (1e160, 0), where only x0' x0 does, and with
-#     A = 10 I and R = 1e10 from (1e152, 0), where only the end values do;
+#     A = 10 I and R = 1e10 from (1e152, 0), where only the end values do.
+#     1 runs alg1 at N = 3 and alpha_bar 0.5 on the Q = 1e-20 I plant from
+#     (1, 0): it passes its first iteration, diverges, overflows late in
+#     its run, and exits 2;
 #   * the horizon table for N = 2,3,4,5,10,20 over unit-circle:128, and
 #     for the unsorted N = 20,2,5 over unit-circle:64 at alpha_bar 0.3,
 #     whose rows of mixed horizons share one batch;
@@ -111,6 +117,11 @@ overflow_args=(run --variant alg3 --horizon 3 --alpha-bar 0.5)
 record run-overflow-spiral2d "${overflow_args[@]}" --plant "$plant" --x0 1e160,0
 record run-overflow-tiny-q "${overflow_args[@]}" --plant "$out/tiny-q.txt" --x0 1e160,0
 record run-overflow-growing "${overflow_args[@]}" --plant "$out/growing.txt" --x0 1e152,0
+# Runs that overflow after their first iteration (see the header).
+diverging_args=(--variant alg1 --horizon 3 --alpha-bar 0.5)
+record run-diverging-tiny-q run "${diverging_args[@]}" --plant "$out/tiny-q.txt" --x0 1,0
+record sweep-diverging-growing sweep "${diverging_args[@]}" --plant "$out/growing.txt" \
+    --set unit-circle:4 --out "$out/sweep-diverging-growing" --no-timestamp
 
 # A 3-state plant on which alg2 and alg4 reject re-plans.
 rejecting="$out/rejecting3.txt"

@@ -118,12 +118,18 @@ class SlackAccumulator:
         return self.total
 
 
+# np.sum adds fewer terms than this one by one from the first; from this
+# many on it adds them pairwise.
+_PAIRWISE = 8
+
+
 def row_sums(a: np.ndarray, length, start=None) -> np.ndarray:
     """``np.sum(a[i, start[i]:start[i] + length[i]])`` for every row ``i`` of ``a``.
 
     ``start`` defaults to 0.  Rows of equal length are summed as one
     C-contiguous block: ``np.sum`` over its last axis reduces each row
-    exactly like the 1-D sum of that row (pairwise beyond 8 terms), so
+    exactly like the 1-D sum of that row (pairwise from 8 terms on,
+    which :func:`np_sums` adds to left-to-right running sums), so
     the result does not depend on which rows share a call.  Padding rows
     to a common length with zeros would not keep that.
     """
@@ -144,6 +150,24 @@ def _block_sums(a: np.ndarray, rows: np.ndarray, start: np.ndarray, n: int) -> n
         # The sum of one term adds it to 0.0, as np.sum does (-0.0 gives 0.0).
         return 0.0 + a[rows, start]
     return np.sum(a[rows[:, None], start[:, None] + np.arange(n)], axis=1)
+
+
+def np_sums(sums: np.ndarray, bound: int, a: np.ndarray, start, end, rows=None, at=None) -> np.ndarray:
+    """``sums`` made ``np.sum(a[rows[p], start[p]:end[p]])``, with ``p = at[i]`` for entry ``i``, in place.
+
+    ``sums[i]`` holds that sum from 0.0 left to right, which below 8 terms
+    is ``np.sum``'s already; only longer rows are summed again.  ``start``
+    None starts every row at 0, and ``rows`` and ``at`` default to every
+    row.  ``bound`` is an int no length exceeds: below 8, nothing is read.
+    """
+    if bound >= _PAIRWISE:
+        p = slice(None) if at is None else at
+        length = end[p] - (0 if start is None else start[p])
+        long = (length >= _PAIRWISE).nonzero()[0]
+        if long.size:
+            q = long if at is None else at[long]
+            sums[long] = row_sums(a[q if rows is None else rows[q]], length[long], None if start is None else start[q])
+    return sums
 
 
 def update_acceptable(

@@ -21,10 +21,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .certify import certificates_to_csv
-from .engine import AlgorithmConfig, run_closed_loop
+from .engine import VARIANTS, AlgorithmConfig, run_closed_loop
 from .errors import ConfigError, MpcCertError, SolverError
 from .model import load_plant
 from .refchecks import format_results, reference_checks
@@ -39,26 +37,13 @@ from .sweep import (
 )
 
 
-def _parse_x0(text: str) -> np.ndarray:
+def _parse_list(text: str, option: str, kind=int) -> list:
+    """The comma list ``text`` of the option ``--option``, each entry an ``int`` or a ``float`` (``kind``)."""
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        return [kind(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"invalid --x0 value {text!r}, expected comma-separated numbers") from None
-
-
-def _parse_forced_m(text: str):
-    try:
-        values = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"invalid --forced-m value {text!r}, expected comma-separated integers") from None
-    return values[0] if len(values) == 1 else values
-
-
-def _parse_horizons(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"invalid --horizons value {text!r}, expected comma-separated integers") from None
+        noun = "numbers" if kind is float else "integers"
+        raise ConfigError(f"invalid --{option} value {text!r}, expected comma-separated {noun}") from None
 
 
 def _check_workers(args) -> None:
@@ -114,12 +99,13 @@ def cmd_riccati(args) -> int:
 
 
 def _make_config(args) -> AlgorithmConfig:
+    forced = _parse_list(args.forced_m, "forced-m") if args.forced_m else None
     return AlgorithmConfig(
         variant=args.variant,
         horizon=args.horizon,
         alpha_bar=args.alpha_bar,
         max_iterations=args.max_iterations,
-        forced_m=_parse_forced_m(args.forced_m) if args.forced_m else None,
+        forced_m=forced[0] if forced and len(forced) == 1 else forced,
     )
 
 
@@ -127,7 +113,7 @@ def cmd_run(args) -> int:
     lq = load_plant(args.plant)
     config = _make_config(args)
     solver = LqLadderSolver(lq, config.horizon)
-    trace = run_closed_loop(solver, _parse_x0(args.x0), config)
+    trace = run_closed_loop(solver, _parse_list(args.x0, "x0", float), config)
 
     entries = {"x0": args.x0, **trace.summary()}
     _print_summary(entries)
@@ -168,7 +154,7 @@ def cmd_sweep(args) -> int:
 def cmd_horizon_table(args) -> int:
     lq = load_plant(args.plant)
     initial_set = parse_initial_set(args.set)
-    horizons = _parse_horizons(args.horizons)
+    horizons = _parse_list(args.horizons, "horizons")
     _check_workers(args)
     rows = horizon_comparison(lq, initial_set, horizons, alpha_bar=args.alpha_bar)
     print(horizon_csv(rows), end="")
@@ -210,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_run_options(p):
-        p.add_argument("--variant", required=True, choices=("alg1", "alg2", "alg3", "alg4"))
+        p.add_argument("--variant", required=True, choices=VARIANTS)
         p.add_argument("--horizon", required=True, type=int, help="planning horizon N")
         p.add_argument("--alpha-bar", required=True, type=float, help="required degree in [0, 1]")
         p.add_argument("--max-iterations", type=int, default=1000)

@@ -71,6 +71,7 @@ from .certify import (
     alpha_m_step,
     alpha_m_steps,
     budget_met,
+    np_sums,
     row_sums,
     update_acceptable,  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 )
@@ -79,6 +80,8 @@ from .model import row_dot
 from .riccati import FiniteHorizonSolver, PlanWalk
 
 VARIANTS = ("alg1", "alg2", "alg3", "alg4")
+#: The variants that keep a slack account (the watchdog) and those that re-plan mid-stretch.
+WATCHDOG, REPLANNING = ("alg3", "alg4"), ("alg2", "alg4")
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
@@ -90,6 +93,9 @@ _STATUSES = (STATUS_EXIT_FAILED, STATUS_WARNING, STATUS_CONVERGED, STATUS_MAX_IT
 #: A run stops as converged once its state is at most this far (2-norm)
 #: from the equilibrium, the origin.
 TERMINATION_RADIUS = 1e-8
+
+# The error text of a row whose run overflows after its first iteration, formatted with its x0.
+_OVERFLOWS = "the run from initial state {} overflows"
 
 
 @dataclass(frozen=True)
@@ -368,24 +374,6 @@ def shrink_horizon_check(
     return ok if X.ndim == 2 else bool(ok[0])
 
 
-# np.sum adds fewer terms than this one by one from the first, with the
-# bits of a prefix column; from this many on it adds them pairwise.
-_PAIRWISE = 8
-
-
-def _tail_ends_and_costs(plan: PlanWalk, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's end value after its first ``length[i]`` steps, and ``np.sum`` of their stage costs.
-
-    Read as column slices while every length is the walk's.
-    """
-    at = (slice(None), plan.steps - 1) if length.min() == plan.steps else (np.arange(len(length)), length - 1)
-    ends, sums = plan.ends[at], 0.0 + plan.prefix_costs[at]
-    if plan.steps >= _PAIRWISE:  # the longest tail is the walk's
-        pairwise = length >= _PAIRWISE
-        sums[pairwise] = row_sums(plan.stage_costs[pairwise], length[pairwise])
-    return ends, sums
-
-
 def _running_min(current: np.ndarray, new: np.ndarray) -> None:
     """Row-wise ``min(current, new)`` written into ``current``, keeping ``current`` on ties, like :func:`min`."""
     np.copyto(current, new, where=new < current)
@@ -483,13 +471,15 @@ class _Lockstep:
     arrays of the iteration's plan are what the rows apply, one column at
     a time (:meth:`_apply`), with a re-plan (:meth:`_replan`) before each
     column after the first for the ``alg2``/``alg4`` rows still inside
-    their windows.  Window costs are added as the steps are applied;
-    ``row_sums`` runs only for windows of eight or more steps.  Iteration
-    caps, cost-log growth and warning counts are tested only when they
-    can change.  A row whose initial state, or first values and plans, are
-    not finite has its cap cut to the next stop test; later overflow shows
-    in the final slack (:meth:`outcome`).  ``errors`` holds each failed
-    input row's first text, and the outcome makes it an error row.
+    their windows.  Window and re-plan costs add each applied cost, and
+    :func:`~mpccert.certify.np_sums` gives them ``np.sum``'s bits.
+    Iteration caps, cost-log growth and warning counts are tested only
+    when they can change.  A row fails through :meth:`_fail`, which keeps
+    its first text in ``errors`` and cuts its cap: an initial state, or
+    first values and plans, that are not finite, a slack or value that is
+    not finite at a power-of-two iteration (:meth:`run`), or a final slack
+    that is not finite (:meth:`_retire`).  The outcome makes each an error
+    row; a row that never planned reports NaN degrees.
 
     With traces, ``log`` keeps column logs of every closed interval,
     window and applied step, tagged with input ids so that they need no
@@ -512,14 +502,15 @@ class _Lockstep:
         self.horizon[:] = np.array([cfg.horizon for cfg in cfgs])[kind]
         self.alpha_bar[:] = np.array([cfg.alpha_bar for cfg in cfgs])[kind]
         self.max_iterations[:] = np.array([cfg.max_iterations for cfg in cfgs])[kind]
+        self.watchdog[:] = np.array([cfg.variant in WATCHDOG for cfg in cfgs])[kind]
+        self.replanning[:] = np.array([cfg.variant in REPLANNING for cfg in cfgs])[kind]
+        # A row that stops before its first plan reports NaN; in outcome() for the minima.
+        self.v_initial[:] = self.startup[:] = np.nan
+        self.min_onestep[:] = self.min_window[:] = np.inf
         self.x0, self.errors = X, {}
+        self.min_cap = int(self.max_iterations.min(initial=1))
         if not np.isfinite(X).all():  # rows whose states are not finite stop at iteration 0
-            for i in np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist():
-                self.errors[i], self.max_iterations[i] = f"initial states must be finite, got {X[i]}", 0
-        self.watchdog[:] = np.array([cfg.variant in ("alg3", "alg4") for cfg in cfgs])[kind]
-        self.replanning[:] = np.array([cfg.variant in ("alg2", "alg4") for cfg in cfgs])[kind]
-        # A row that stops before its first plan reports NaN degrees.
-        self.v_initial[:] = self.startup[:] = self.min_onestep[:] = self.min_window[:] = np.nan
+            self._fail(np.flatnonzero(~np.isfinite(X).all(axis=1)), "initial states must be finite, got {}", 0)
         # Forced lengths change only while some sequence has entries left;
         # shrink requests are looked up by iteration.
         self.forced_until = max(len(cfg._forced_values()) for cfg in cfgs) if rows else 0
@@ -534,7 +525,6 @@ class _Lockstep:
         self.x = X.copy()
         # Applied costs by input row and time; no iteration applies more than `widest` steps.
         self.costs, self.widest = np.zeros((rows, 16)), len(self.walk_buffers[1])
-        self.min_cap = int(self.max_iterations.min(initial=1))
         # Input-order results, written once per row when it stops.
         self.status = np.zeros(rows, dtype=int)  # codes into _STATUSES
         self.results = [np.empty_like(block) for block in self.blocks]
@@ -567,9 +557,21 @@ class _Lockstep:
             self._log("close", ints, (v_before, v_here, cost, rho, self.slack[sel]))
         self.intervals[sel] += 1
 
+    def _fail(self, rows: np.ndarray, text: str, cap: int) -> None:
+        """Stop the running rows ``rows`` at iteration ``cap``, each keeping its first text (``text`` with its x0)."""
+        for i in self.ids[rows].tolist():
+            self.errors.setdefault(i, text.format(self.x0[i]))
+        self.max_iterations[rows] = cap
+        self.min_cap = min(self.min_cap, cap)
+
     def run(self) -> None:
-        iteration = 0
+        iteration, checkpoint = 0, 1
         while self.ids.size:
+            if iteration == checkpoint:  # at every power of two, rows that have overflowed stop
+                checkpoint *= 2
+                overflowed = ~(np.isfinite(self.slack) & np.isfinite(self.v_now))
+                if np.count_nonzero(overflowed):
+                    self._fail(overflowed.nonzero()[0], _OVERFLOWS, iteration)
             # The solver's plant rests at the origin (LinearQuadraticInstance).
             at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS
             stop = at_rest | (iteration >= self.max_iterations) if iteration >= self.min_cap else at_rest
@@ -585,6 +587,10 @@ class _Lockstep:
         sel = stop.nonzero()[0]
         if iteration > 0:  # every row that has planned has an interval pending
             self._close(sel, self.v_now[sel])
+            # Every closed interval's values and cost pass through the slack, so an overflow leaves it not finite.
+            overflowed = sel[~np.isfinite(self.slack[sel])]
+            if overflowed.size:
+                self._fail(overflowed, _OVERFLOWS, iteration)
         ids = self.ids[sel]
         # Codes index _STATUSES: flagged by exits without an account or by warnings with one, else at rest or capped.
         flags = np.where(self.watchdog, self.warnings, self.exits)
@@ -624,21 +630,16 @@ class _Lockstep:
         v_start = plan.value
         if iteration:
             self._close(slice(None), v_start)
-        else:
-            self.v_initial[:] = v_start
         m, exit_event, warning_event, onestep = self._probe(plan)
         self.exits += exit_event
         if self.rule.accounts:
             self.warnings += warning_event
-        if iteration == 0:
+        if not iteration:
+            self.v_initial[:], self.startup[:] = v_start, onestep
             finite = np.isfinite(plan.ends[:, : plan.steps]).all(axis=1) & np.isfinite(v_start + row_dot(self.x, self.x))
             if not finite.all():  # such rows stop at iteration 1
-                self.max_iterations[~finite] = self.min_cap = 1
-                for i in self.ids[~finite].tolist():
-                    self.errors[i] = f"the value of initial state {self.x0[i]} is not finite"
-            self.startup[:] = self.min_onestep[:] = onestep
-        else:
-            _running_min(self.min_onestep, onestep)
+                self._fail((~finite).nonzero()[0], "the value of initial state {} is not finite", 1)
+        _running_min(self.min_onestep, onestep)
 
         # Open every row's interval at the plan's start and apply its window.
         window_time = self.t.copy()
@@ -646,16 +647,8 @@ class _Lockstep:
         self.v_before[:] = v_start
         if (iteration + 1) * self.widest > self.costs.shape[1]:
             self._reserve(int((window_time + m).max()))
-        cost = self._apply(plan, m)
-        # Windows of eight or more steps cost np.sum's pairwise sum.
-        if plan.steps >= _PAIRWISE:
-            pairwise = (m >= _PAIRWISE).nonzero()[0]
-            cost[pairwise] = row_sums(self.costs[self.ids[pairwise]], m[pairwise], start=window_time[pairwise])
-        window_alpha = alpha_m_steps(v_start - self.v_now, cost)
-        if iteration == 0:
-            self.min_window[:] = window_alpha
-        else:
-            _running_min(self.min_window, window_alpha)
+        cost = np_sums(self._apply(plan, m), plan.steps, self.costs, window_time, self.t, self.ids)
+        _running_min(self.min_window, alpha_m_steps(v_start - self.v_now, cost))
         if self.log:
             ids, flags = self.ids, (self.forced > 0, exit_event, warning_event)
             ints = ids, np.full_like(ids, iteration), window_time, self.horizon, m, *flags
@@ -766,8 +759,8 @@ class _Lockstep:
         still meets the threshold (:func:`budget_met`, the rule of
         :func:`update_acceptable`), alg4 rows when their slack account
         stays nonnegative; only a batch whose re-planning rows mix the two
-        evaluates both.  The interval's cost so far is the row's
-        ``cost_sum``, which has the bits of ``np.sum`` below eight terms.
+        evaluates both.  The interval's ``cost_sum`` and the tail's prefix
+        cost get ``np.sum``'s bits from :func:`~mpccert.certify.np_sums`.
         An accepted plan overwrites ``anchor``'s columns from ``applied``
         on, the steps the row applies next, read as slices if all accept.
         """
@@ -775,14 +768,10 @@ class _Lockstep:
         plan = self._replan_walk(rows, anchor, applied, width)
         for _ in range(width):
             plan.advance()
-        end_value, planned = _tail_ends_and_costs(plan, tail)
-        paid = self.cost_sum[rows]
-        if applied >= _PAIRWISE:
-            sigma = self.sigma[rows]
-            since = self.t[rows] - sigma
-            pairwise = since >= _PAIRWISE
-            if np.count_nonzero(pairwise):
-                paid[pairwise] = row_sums(self.costs[self.ids[rows[pairwise]]], since[pairwise], start=sigma[pairwise])
+        # Read as column slices while every tail is the walk's.
+        at = (slice(None), width - 1) if tail.min() == width else (np.arange(len(tail)), tail - 1)
+        end_value, planned = plan.ends[at], np_sums(0.0 + plan.prefix_costs[at], width, plan.stage_costs, None, tail)
+        paid = np_sums(self.cost_sum[rows], applied, self.costs, self.sigma, self.t, self.ids, at=rows)
         alpha_bar, watchdog, anchor_value = self.alpha_bar[rows], self.watchdog[rows], self.v_before[rows]
         accounts = np.count_nonzero(watchdog)
         if accounts:
@@ -823,17 +812,15 @@ class _Lockstep:
     def outcome(self) -> BatchRun:
         """Input-order results, traced if no row failed; ``alpha_cor3`` from one ``row_sums`` of all costs."""
         result = {name: row for (_, names), block in zip(_BLOCKS, self.results) for name, row in zip(names, block)}
-        # Every closed interval's values and cost pass through the slack account, so an overflow leaves it not finite.
-        overflows = np.flatnonzero(~np.isfinite(result["slack"])).tolist()
-        self.errors = {i: f"the run from initial state {self.x0[i]} overflows" for i in overflows} | self.errors
         self.status[list(self.errors)] = _STATUSES.index(STATUS_ERROR)
         realized = alpha_m_steps(result["v_initial"] - result["v_now"], row_sums(self.costs, result["t"]))
+        closed = result["intervals"] > 0  # every row that planned has closed an interval
         run = BatchRun(
             status=tuple(_STATUSES[code] for code in self.status.tolist()),
             startup_onestep_alpha=result["startup"],
-            min_onestep_alpha=result["min_onestep"],
-            min_window_alpha=result["min_window"],
-            alpha_cor3=np.where(result["intervals"] > 0, realized, np.nan),
+            min_onestep_alpha=np.where(closed, result["min_onestep"], np.nan),
+            min_window_alpha=np.where(closed, result["min_window"], np.nan),
+            alpha_cor3=np.where(closed, realized, np.nan),
             exit_count=result["exits"],
             warning_count=result["warnings"],
             intervals=result["intervals"],

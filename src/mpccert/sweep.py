@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import AlgorithmConfig, BatchRun, error_rows, run_rows
+from .engine import WATCHDOG, AlgorithmConfig, BatchRun, error_rows, run_rows
 from .engine import run_closed_loop  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
@@ -101,9 +101,9 @@ class SweepReport:
           points where a warning was issued.  Error rows have zero
           warning counts, so they never count.
         """
-        if self.config.variant in ("alg1", "alg2"):
-            return _indices(self._ran() & (self.runs.startup_onestep_alpha < self.config.alpha_bar))
-        return self.warned_indices()
+        if self.config.variant in WATCHDOG:
+            return self.warned_indices()
+        return _indices(self._ran() & (self.runs.startup_onestep_alpha < self.config.alpha_bar))
 
     def warned_indices(self) -> tuple[int, ...]:
         return _indices(self.runs.warning_count > 0)

@@ -39,3 +39,18 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(module, "run_rows", counted)
     return sizes
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """A list that gains one entry per outer iteration (``_Lockstep._iterate`` call) of every engine run."""
+    from mpccert.engine import _Lockstep
+
+    iterate, calls = _Lockstep._iterate, []
+
+    def counted(self, iteration):
+        calls.append(iteration)
+        return iterate(self, iteration)
+
+    monkeypatch.setattr(_Lockstep, "_iterate", counted)
+    return calls

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpccert.certify import row_sums
+from mpccert.certify import np_sums, row_sums
 from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, BatchRun, _Lockstep, run_batch, run_closed_loop
 from mpccert.errors import ConfigError
 from mpccert.model import LinearQuadraticInstance
@@ -166,6 +166,27 @@ def test_row_sums_match_one_row_sums(spans, seed):
     length = np.array([n for _, n in spans])
     sums = row_sums(a, length, start=start)
     assert sums.tolist() == [np.sum(a[i, s : s + n]) for i, (s, n) in enumerate(spans)]
+
+
+def test_np_sums_resum_only_rows_of_eight_or_more_terms():
+    # Lengths 1-20 from random starts: a row under eight terms keeps its
+    # running sum, which has np.sum's bits there; a longer row gets
+    # np.sum of its segment.  With a bound under eight nothing is read.
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 1e3, size=(20, 40))
+    length, start = np.arange(1, 21), rng.integers(0, 20, size=20)
+    running = np.array([sum(a[i, s : s + n].tolist(), 0.0) for i, (s, n) in enumerate(zip(start, length))])
+    sums = np_sums(running.copy(), 20, a, start, start + length)
+    segments = [np.sum(a[i, s : s + n]) for i, (s, n) in enumerate(zip(start, length))]
+    assert sums[:7].tolist() == running[:7].tolist() == segments[:7]
+    assert sums[7:].tolist() == segments[7:] != running[7:].tolist()
+    assert np_sums(running.copy(), 7, a, start, start + length).tolist() == running.tolist()
+    # Entry i reads span at[i] of row rows[at[i]]: the same sums from shuffled rows and reversed spans.
+    flip, perm = np.arange(19, -1, -1), rng.permutation(20)
+    shuffled = np.empty_like(a)
+    shuffled[perm] = a
+    spans = start[flip], (start + length)[flip]
+    assert np_sums(running.copy(), 20, shuffled, *spans, perm[flip], flip).tolist() == sums.tolist()
 
 
 def test_row_sums_of_one_term_keep_np_sum_signs():

@@ -387,14 +387,29 @@ def test_a_sweep_with_every_kind_of_row_fault_is_one_engine_run(tmp_path, engine
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_sweep_whose_every_point_diverges_is_one_engine_run(tmp_path, engine_calls):
+def test_a_sweep_whose_every_point_diverges_is_one_engine_run(tmp_path, engine_calls, iterations):
     # Every point of the 128-point circle diverges on the growing plant
-    # under the default cap: 128 error rows from one engine run.
+    # under the default cap: 128 error rows from one engine run, which
+    # stops at the first power-of-two iteration after the overflow (the
+    # 256th, about 100 after it), not at the cap of 1000.
     solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
     report = sweep(solver, unit_circle(128), AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5))
     assert engine_calls == [128]
+    assert len(iterations) <= 257
     assert report.statuses() == {"error": 128}
     assert all(error.endswith("overflows") for error in report.runs.errors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_run_that_diverges_stops_at_the_next_power_of_two_iteration(tmp_path, iterations):
+    # From (1, 0) on the growing plant the run overflows after about 150
+    # iterations and stops at iteration 256, with the text of the check at
+    # the end of a run.
+    solver = LqLadderSolver(load_plant(_overflowing_plant(tmp_path, "growing")), 3)
+    with pytest.raises(ConfigError) as excinfo:
+        run_batch(solver, np.array([[1.0, 0.0]]), AlgorithmConfig(variant="alg1", horizon=3, alpha_bar=0.5))
+    assert str(excinfo.value) == f"the run from initial state {np.array([1.0, 0.0])} overflows"
+    assert len(iterations) <= 257
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -134,22 +134,22 @@ def row_sums(a: np.ndarray, length, start=None) -> np.ndarray:
     to a common length with zeros would not keep that.
     """
     length = np.asarray(length)
-    start = np.zeros_like(length) if start is None else np.asarray(start)
+    start = None if start is None else np.asarray(start)
     if length.size and length.min() == length.max():
         return _block_sums(a, np.arange(len(a)), start, int(length[0]))
     out = np.empty(len(a))
     for n in set(length.tolist()):
         sel = np.flatnonzero(length == n)
-        out[sel] = _block_sums(a, sel, start[sel], n)
+        out[sel] = _block_sums(a, sel, None if start is None else start[sel], n)
     return out
 
 
-def _block_sums(a: np.ndarray, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-    """:func:`row_sums` of the given rows, all of length ``n``."""
-    if n == 1:
-        # The sum of one term adds it to 0.0, as np.sum does (-0.0 gives 0.0).
-        return 0.0 + a[rows, start]
-    return np.sum(a[rows[:, None], start[:, None] + np.arange(n)], axis=1)
+def _block_sums(a: np.ndarray, rows: np.ndarray, start, n: int) -> np.ndarray:
+    """:func:`row_sums` of the given rows, all of length ``n``, from column 0 when ``start`` is None."""
+    # Either index gives the same C-contiguous block; from column 0 a slice needs no 2-D index.
+    block = a[rows, :n] if start is None else a[rows[:, None], start[:, None] + np.arange(n)]
+    # The sum of one term adds it to 0.0, as np.sum does (-0.0 gives 0.0).
+    return 0.0 + block[:, 0] if n == 1 else np.sum(block, axis=1)
 
 
 def np_sums(sums: np.ndarray, bound: int, a: np.ndarray, start, end, rows=None, at=None) -> np.ndarray:

@@ -474,12 +474,17 @@ class _Lockstep:
     their windows.  Window and re-plan costs add each applied cost, and
     :func:`~mpccert.certify.np_sums` gives them ``np.sum``'s bits.
     Iteration caps, cost-log growth and warning counts are tested only
-    when they can change.  A row fails through :meth:`_fail`, which keeps
-    its first text in ``errors`` and cuts its cap: an initial state, or
-    first values and plans, that are not finite, a slack or value that is
-    not finite at a power-of-two iteration (:meth:`run`), or a final slack
-    that is not finite (:meth:`_retire`).  The outcome makes each an error
-    row; a row that never planned reports NaN degrees.
+    when they can change: the log grows only when ``t_end``, a Python
+    int no running row's applied steps exceed, passes its width.  The
+    stop test runs only once some row's value is at most ``rest_value``,
+    above which no state is within :data:`TERMINATION_RADIUS` of the
+    origin at any rung of the solver's table.  A row fails through
+    :meth:`_fail`, which keeps its first text in ``errors`` and cuts its
+    cap: an initial state, or first values and plans, that are not
+    finite, a slack or value that is not finite at a power-of-two
+    iteration (:meth:`run`), or a final slack that is not finite
+    (:meth:`_retire`).  The outcome makes each an error row; a row that
+    never planned reports NaN degrees.
 
     With traces, ``log`` keeps column logs of every closed interval,
     window and applied step, tagged with input ids so that they need no
@@ -521,10 +526,14 @@ class _Lockstep:
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
         self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
+        # |x' P x| <= g |x|^2 for g the sum of P's absolute entries.  So with G the largest g of any rung,
+        # no row valued above 2 G R^2 (2 covers rounding) is within R = TERMINATION_RADIUS of the origin.
+        ends = solver._table(int(self.horizon.max(initial=2)))[2][1]
+        self.rest_value = 2.0 * TERMINATION_RADIUS**2 * np.abs(ends).sum(axis=(0, 1)).max()
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x = X.copy()
-        # Applied costs by input row and time; no iteration applies more than `widest` steps.
-        self.costs, self.widest = np.zeros((rows, 16)), len(self.walk_buffers[1])
+        # Applied costs by input row and time; no running row has applied more than t_end steps.
+        self.costs, self.t_end = np.zeros((rows, 16)), 0
         # Input-order results, written once per row when it stops.
         self.status = np.zeros(rows, dtype=int)  # codes into _STATUSES
         self.results = [np.empty_like(block) for block in self.blocks]
@@ -572,8 +581,10 @@ class _Lockstep:
                 overflowed = ~(np.isfinite(self.slack) & np.isfinite(self.v_now))
                 if np.count_nonzero(overflowed):
                     self._fail(overflowed.nonzero()[0], _OVERFLOWS, iteration)
-            # The solver's plant rests at the origin (LinearQuadraticInstance).
-            at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS
+            # The solver's plant rests at the origin (LinearQuadraticInstance).  Only rows valued at most
+            # rest_value can be there, so the test runs once some row is, or some value is NaN.
+            near = not self.v_now.min() > self.rest_value
+            at_rest = np.sqrt(row_dot(self.x, self.x)) <= TERMINATION_RADIUS if near else False
             stop = at_rest | (iteration >= self.max_iterations) if iteration >= self.min_cap else at_rest
             if np.count_nonzero(stop):
                 self._retire(stop, at_rest, iteration)
@@ -642,19 +653,22 @@ class _Lockstep:
         _running_min(self.min_onestep, onestep)
 
         # Open every row's interval at the plan's start and apply its window.
-        window_time = self.t.copy()
+        window_time, longest = self.t.copy(), int(m.max())
         self.sigma[:] = self.t
         self.v_before[:] = v_start
-        if (iteration + 1) * self.widest > self.costs.shape[1]:
-            self._reserve(int((window_time + m).max()))
-        cost = np_sums(self._apply(plan, m), plan.steps, self.costs, window_time, self.t, self.ids)
-        _running_min(self.min_window, alpha_m_steps(v_start - self.v_now, cost))
+        self.t_end += longest
+        if self.t_end > self.costs.shape[1]:
+            self.t_end = int((window_time + m).max())
+            self._reserve(self.t_end)
+        cost = np_sums(self._apply(plan, m, longest), longest, self.costs, window_time, self.t, self.ids)
+        # A one-step window ran no re-plan: its degree is its plan's one-step degree, bit for bit.
+        _running_min(self.min_window, onestep if longest == 1 else alpha_m_steps(v_start - self.v_now, cost))
         if self.log:
             ids, flags = self.ids, (self.forced > 0, exit_event, warning_event)
             ints = ids, np.full_like(ids, iteration), window_time, self.horizon, m, *flags
             self._log("window", ints, (v_start, self.v_now, cost))
             # Row r applied the first m[r] columns of the plan (see _apply).
-            r, j = (np.arange(int(m.max())) < m[:, None]).nonzero()
+            r, j = (np.arange(longest) < m[:, None]).nonzero()
             applied = *plan.trajectory[r, j + 1].T, *plan.controls[r, j].T, plan.stage_costs[r, j]
             self._log("step", (ids[r], window_time[r] + j), applied)
 
@@ -718,19 +732,20 @@ class _Lockstep:
         while steps > self.costs.shape[1]:
             self.costs = np.concatenate([self.costs, np.zeros_like(self.costs)], axis=1)
 
-    def _apply(self, plan: PlanWalk, m: np.ndarray) -> np.ndarray:
+    def _apply(self, plan: PlanWalk, m: np.ndarray, longest: int) -> np.ndarray:
         """Apply the first ``m[i]`` steps of the plan to row ``i``, one column at a time; return the window costs.
 
-        Column ``j`` goes to every row still inside its window, read
-        without a gather while that is every row.  Before each column
-        after the first, the re-planning rows still inside their windows
-        re-plan (:meth:`_replan`); an accepted re-plan is written over the
+        Column ``j < longest``, where ``longest = max(m)``, goes to
+        every row still inside its window, read without a gather while
+        that is every row.  Before each column after the first, the
+        re-planning rows still inside their windows re-plan
+        (:meth:`_replan`); an accepted re-plan is written over the
         columns it replaces, so every row reads the same column.  The
         interval's ``cost_sum`` and the window cost open at 0.0 and add
         each applied cost, left to right as ``np.sum`` adds fewer than
         eight terms; the cost log takes it at row ``ids[i]``.
         """
-        shortest, longest = int(m.min()), int(m.max())
+        shortest = int(m.min())
         replanning = self.replanning.nonzero()[0] if longest > 1 else None
         cost = np.zeros(len(m))
         self.cost_sum[:] = 0.0

@@ -15,7 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpccert.certify import np_sums, row_sums
-from mpccert.engine import _BLOCKS, VARIANTS, AlgorithmConfig, BatchRun, _Lockstep, run_batch, run_closed_loop
+from mpccert.engine import (
+    _BLOCKS,
+    TERMINATION_RADIUS,
+    VARIANTS,
+    AlgorithmConfig,
+    BatchRun,
+    _Lockstep,
+    run_batch,
+    run_closed_loop,
+)
 from mpccert.errors import ConfigError
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
@@ -500,6 +509,45 @@ def test_cost_log_growing_while_rows_retire_matches_one_row_runs(engine_solver):
         points.append((1.0, 1e3, 1e30)[k % 3] * CIRCLE[k])
     batch = _assert_rows_match_one_row_runs(engine_solver, np.array(points), configs, traces=True)
     assert batch.applied_steps.max() > 64
+
+
+def test_alpha_cor3_of_a_log_that_doubles_three_times_matches_the_traces(engine_solver):
+    # The N = 2 alg1 row applies 72 one-step windows, so the cost log
+    # doubles past 16, 32 and 64 columns; beside it, N = 20 rows forced to
+    # 19 steps (pairwise sums, re-plans) stop after two or three windows.
+    # Each row's alpha_cor3, summed from the log after the run, must have
+    # the bits of its trace's np.sum over its applied costs.
+    points = np.vstack([CIRCLE[7], CIRCLE[::4], 1e3 * CIRCLE[1::4]])
+    configs = [AlgorithmConfig("alg1", 2, 0.01)] + [AlgorithmConfig(v, 20, 0.01, forced_m=19) for v in VARIANTS] * 2
+    batch = _assert_rows_match_one_row_runs(engine_solver, points, configs, traces=True)
+    assert batch.applied_steps[0] == 72 and batch.applied_steps[1:].max() == 57
+    assert batch.alpha_cor3.tolist() == [trace.alpha_cor3 for trace in batch.traces]
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("horizon", (2, 3, 10))
+def test_one_step_windows_keep_their_one_step_degree(lq, law, horizon):
+    # Under forced length 1 every window is its plan's one-step prefix:
+    # each row's min_window_alpha is its min_onestep_alpha and its trace's
+    # minimum over window degrees, bit for bit, and NaN for the row at
+    # the origin, which never plans.  (Bellman plans at N = 2 diverge.)
+    X = np.vstack([CIRCLE, 1e3 * CIRCLE[::4], np.zeros((1, 2))])
+    configs = [AlgorithmConfig(v, horizon, 0.3, forced_m=1, max_iterations=60) for v in VARIANTS for _ in X]
+    batch = run_batch(law(lq, 2), np.tile(X, (len(VARIANTS), 1)), configs, traces=True)
+    windows = [trace.min_window_alpha for trace in batch.traces]
+    assert np.array_equal(batch.min_window_alpha, batch.min_onestep_alpha, equal_nan=True)
+    assert np.array_equal(batch.min_window_alpha, windows, equal_nan=True)
+    assert np.isnan(batch.min_window_alpha[len(X) - 1])
+
+
+def test_a_row_just_outside_the_radius_beside_circle_rows_matches_one_row_runs(engine_solver):
+    # The row at 1.001 times the termination radius keeps the stop test
+    # running while it runs; the circle rows skip it until their values
+    # near rest, and every row must stop where it stops alone.
+    points = np.vstack([[0.0, 1.001 * TERMINATION_RADIUS], CIRCLE])
+    configs = [ENGINE_CONFIGS[k % len(ENGINE_CONFIGS)] for k in range(len(points))]
+    batch = _assert_rows_match_one_row_runs(engine_solver, points, configs, traces=True)
+    assert batch.traces[0].iterations > 0 and batch.status[0] == "converged"
 
 
 def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):

@@ -2,7 +2,8 @@
 
 The tool is a script, not a module of the package, so it is loaded by
 path, and ``summary`` gets synthetic runs.  ``tools/inproc_pairs.py``
-runs as a child process at perfbench's smoke-test sizes.
+runs as a child process at perfbench's smoke-test sizes, and
+``tools/engine_share.py`` at its own.
 """
 
 import importlib.util
@@ -70,3 +71,26 @@ def test_inproc_pairs_prints_one_line_per_workload():
     number = r"\d+\.\d{3}"
     for line in lines:
         assert re.fullmatch(rf"[a-z-]+: change/parent {number} \(IQR {number}-{number}\), change faster in [0-3] of 3", line)
+
+
+def test_engine_share_prints_one_line_per_batch():
+    # The tool's smoke-test size on this tree: each batch gets its
+    # run_blocks time, its plan-step calls, time and share, its
+    # iterations and the time per iteration besides the plan steps.
+    root = TOOL.parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "engine_share.py"), str(root), "--tiny"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["circle-sweep", "horizon-table N=3", "horizon-table N=10"]
+    ms = r"\d+\.\d\d ms"
+    for line in lines:
+        assert re.fullmatch(
+            rf"[a-z-]+( N=\d+)?: run_blocks {ms} \(best of 3\), \d+ plan steps {ms} \(\d+ %\), "
+            rf"\d+ iterations, -?\d+ us per iteration besides plan steps",
+            line,
+        ), line

@@ -24,6 +24,7 @@ from mpccert.certify import CERT_SLACK
 from mpccert.engine import TERMINATION_RADIUS, VARIANTS, AlgorithmConfig, run_batch
 from mpccert.model import LinearQuadraticInstance
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver
+from mpccert.sweep import unit_circle
 
 LAWS = (LqLadderSolver, LqBellmanSolver)
 
@@ -200,6 +201,31 @@ def test_pinned_shrink_requests(name):
     [(_, target)] = case[7]
     assert trace.status == "converged"
     assert any(w.horizon == target for w in trace.windows) == (name == "granted")
+
+
+# Initial states at these multiples of TERMINATION_RADIUS, on both sides of it.
+RADII = (0.5, 0.999, 1.001, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("plant", ("bundled", 145, 817))
+def test_rows_near_the_termination_radius_match_the_oracle(lq, plant, law):
+    # The engine runs its stop test only once some row's value is small
+    # enough for its state to be at rest, by a bound that must hold at
+    # every horizon.  Rows just inside and just outside the radius, at
+    # horizons 2 and 10 in one batch, must stop where the scalar loop does;
+    # their directions are four on the unit circle and the one in which
+    # x' P_10 x is largest.
+    if plant != "bundled":
+        lq, _ = random_plant(plant, 2, 1)
+    top = np.linalg.eigh(law(lq, 10).ladder.matrix(10))[1][:, -1]
+    points = [r * TERMINATION_RADIUS * d for r in RADII for d in (*unit_circle(4).points, top)]
+    rows = [(x0, AlgorithmConfig(v, N, 0.5, max_iterations=30)) for v in VARIANTS for N in (2, 10) for x0 in points]
+    X, configs = np.array([x0 for x0, _ in rows]), [config for _, config in rows]
+    batch = run_batch(law(lq, 2), X, configs, traces=True)
+    for trace, x0, config in zip(batch.traces, X, configs):
+        _assert_matches(trace, closed_loop(law(lq, 2), x0, config))
+        assert (trace.iterations == 0) == (np.linalg.norm(x0) < TERMINATION_RADIUS)
 
 
 @settings(max_examples=40, deadline=None)

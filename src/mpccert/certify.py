@@ -128,28 +128,20 @@ def row_sums(a: np.ndarray, length, start=None) -> np.ndarray:
 
     ``start`` defaults to 0.  Rows of equal length are summed as one
     C-contiguous block: ``np.sum`` over its last axis reduces each row
-    exactly like the 1-D sum of that row (pairwise from 8 terms on,
-    which :func:`np_sums` adds to left-to-right running sums), so
-    the result does not depend on which rows share a call.  Padding rows
-    to a common length with zeros would not keep that.
+    exactly like the 1-D sum of that row (one term ``t`` gives ``0.0 + t``,
+    pairwise from 8 terms on, which :func:`np_sums` adds to left-to-right
+    running sums), so the result does not depend on which rows share a
+    call.  Padding rows to a common length with zeros would not keep that.
     """
     length = np.asarray(length)
     start = None if start is None else np.asarray(start)
-    if length.size and length.min() == length.max():
-        return _block_sums(a, np.arange(len(a)), start, int(length[0]))
     out = np.empty(len(a))
     for n in set(length.tolist()):
-        sel = np.flatnonzero(length == n)
-        out[sel] = _block_sums(a, sel, None if start is None else start[sel], n)
+        rows = np.flatnonzero(length == n)
+        # Either index gives the same C-contiguous block; from column 0 a slice needs no 2-D index.
+        block = a[rows, :n] if start is None else a[rows[:, None], start[rows, None] + np.arange(n)]
+        out[rows] = np.sum(block, axis=1)
     return out
-
-
-def _block_sums(a: np.ndarray, rows: np.ndarray, start, n: int) -> np.ndarray:
-    """:func:`row_sums` of the given rows, all of length ``n``, from column 0 when ``start`` is None."""
-    # Either index gives the same C-contiguous block; from column 0 a slice needs no 2-D index.
-    block = a[rows, :n] if start is None else a[rows[:, None], start[:, None] + np.arange(n)]
-    # The sum of one term adds it to 0.0, as np.sum does (-0.0 gives 0.0).
-    return 0.0 + block[:, 0] if n == 1 else np.sum(block, axis=1)
 
 
 def np_sums(sums: np.ndarray, bound: int, a: np.ndarray, start, end, rows=None, at=None) -> np.ndarray:

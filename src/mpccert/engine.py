@@ -59,6 +59,7 @@ all windows, with the bits of the run's own walks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -141,22 +142,21 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         for name in ("horizon", "max_iterations"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if isinstance(self.forced_m, (int, np.integer)):
-            object.__setattr__(self, "forced_m", int(self.forced_m))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if np.iterable(self.forced_m):
+            object.__setattr__(self, "forced_m", tuple(_integer(v, "forced_m") for v in self.forced_m))
         elif self.forced_m is not None:
-            object.__setattr__(self, "forced_m", tuple(int(v) for v in self.forced_m))
+            object.__setattr__(self, "forced_m", _integer(self.forced_m, "forced_m"))
         if self.shrink_schedule is not None:
-            schedule = tuple(sorted((int(i), int(n)) for i, n in dict(self.shrink_schedule).items()))
+            pairs = dict(self.shrink_schedule).items()
+            schedule = tuple(sorted((_integer(i, "shrink_schedule"), _integer(n, "shrink_schedule")) for i, n in pairs))
             object.__setattr__(self, "shrink_schedule", schedule or None)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.horizon < 2:
             raise ConfigError(f"horizon must be at least 2, got {self.horizon}")
-        if not 0.0 <= self.alpha_bar <= 1.0:
-            raise ConfigError(f"alpha_bar must lie in [0, 1], got {self.alpha_bar}")
+        if not isinstance(self.alpha_bar, numbers.Real) or not 0.0 <= self.alpha_bar <= 1.0:
+            raise ConfigError(f"alpha_bar must lie in [0, 1], got {self.alpha_bar!r}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.forced_m is not None:
@@ -194,6 +194,13 @@ class AlgorithmConfig:
         if not values:
             return None
         return values[min(iteration, len(values) - 1)]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; anything but a Python or NumPy integer raises :class:`ConfigError`, nothing is rounded."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -528,7 +535,7 @@ class _Lockstep:
         self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
         # |x' P x| <= g |x|^2 for g the sum of P's absolute entries.  So with G the largest g of any rung,
         # no row valued above 2 G R^2 (2 covers rounding) is within R = TERMINATION_RADIUS of the origin.
-        ends = solver._table(int(self.horizon.max(initial=2)))[2][1]
+        ends = solver.value_table(int(self.horizon.max(initial=2)))
         self.rest_value = 2.0 * TERMINATION_RADIUS**2 * np.abs(ends).sum(axis=(0, 1)).max()
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x = X.copy()
@@ -814,12 +821,13 @@ class _Lockstep:
         """A walk of ``width`` steps from the rows' states after ``applied`` steps of ``anchor``.
 
         It runs on the run's re-plan buffers, allocated at the first
-        re-plan for every running row and the widest tail: no walk reads a
-        column it has not written.
+        re-plan for every running row and ``anchor``'s width: rows only
+        retire and horizons only shrink, so no later walk is wider or has
+        more rows, and no walk reads a column it has not written.
         """
         if self.replan_buffers is None:
-            lq, width_max = self.solver.lq, len(self.walk_buffers[1]) - 1
-            self.replan_buffers = PlanWalk.allocate(len(self.ids), width_max, lq.state_dim, lq.control_dim)
+            lq = self.solver.lq
+            self.replan_buffers = PlanWalk.allocate(len(self.ids), anchor.width, lq.state_dim, lq.control_dim)
         horizon = anchor.horizon if isinstance(anchor.horizon, int) else anchor.horizon[rows]
         X, value = anchor.trajectory[rows, applied], anchor.ends[rows, applied - 1]
         return PlanWalk(self.solver, X, horizon, width, value, self.replan_buffers)

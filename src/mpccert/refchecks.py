@@ -200,15 +200,14 @@ def reference_checks() -> list[CheckResult]:
         )
     )
 
-    fa = alg1_report.failure_indices()
-    fb = watchdog_report.failure_indices()
-    same = fa == fb
+    warned = watchdog_report.failure_indices()
+    same = failures == warned
     results.append(
         CheckResult(
             name="warning-set-coincidence",
-            passed=same and len(fa) > 0,
+            passed=same and len(failures) > 0,
             detail=(
-                f"startup failure set has {len(fa)} points, warning set {len(fb)}; "
+                f"startup failure set has {len(failures)} points, warning set {len(warned)}; "
                 f"{'identical' if same else 'different'}"
             ),
         )

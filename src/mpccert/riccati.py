@@ -31,7 +31,9 @@ product with the stack gives ``u_k``, ``A x_k`` and ``Q x_k``, one with
 prefix cost into the views it is given.  A :class:`PlanWalk` holds a
 batch's plans step-major, the row axis last, and steps every row through
 ``plan_step`` as far as its caller reads, and ``plans`` walks whole
-plans.  ``values_of`` evaluates ``x' P_N x``.  ``rollout`` and
+plans.  ``values_of``, ``value_of`` and the tail values of ``plans`` are
+one :func:`quad_form` each over ``P_j`` read from the table
+(:meth:`FiniteHorizonSolver.value_table`).  ``rollout`` and
 :func:`value_drop_grid` use no table: one column step moves coordinate
 columns through ``-K`` from the ladder and the plant's ``A`` and ``B``.
 Every product multiplies each matrix entry by a row or column of states
@@ -98,7 +100,7 @@ class RiccatiLadder:
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int):
-        if horizon < 1:
+        if _horizon(horizon) < 1:
             raise ConfigError(f"horizon must be at least 1, got {horizon}")
         self.lq = lq
         n = lq.state_dim
@@ -154,10 +156,6 @@ class RiccatiLadder:
         self.matrix(j)
         return self._gains[j]
 
-    def value(self, x, j: int):
-        """Return ``x' P_j x``, row-wise when ``x`` stacks several states."""
-        return quad_form(self.matrix(j), np.asarray(x, dtype=float))
-
     def matrices(self) -> list[np.ndarray]:
         """Return ``[P_1, ..., P_N]``."""
         return list(self._matrices[1:])
@@ -182,7 +180,8 @@ class FiniteHorizonSolver:
 
     Instances keep one growing :class:`RiccatiLadder` and reuse it for
     every horizon up to the largest seen so far, plus one step-kernel
-    table indexed by ladder rung (:meth:`_table`).
+    table indexed by ladder rung (:meth:`_table`), from which every
+    value is read (:meth:`value_table`).
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
@@ -198,30 +197,21 @@ class FiniteHorizonSolver:
             raise ConfigError(f"state must have shape {want}, got {x.shape}")
         return x
 
-    def _values(self, x: np.ndarray, horizon: int):
-        if horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {horizon}")
-        self.ladder.extend(max(horizon, 1))
-        return self.ladder.value(x, horizon)
-
     def value_of(self, x, horizon: int) -> float:
-        """Value of the ``horizon``-step problem at ``x``, no plan built."""
-        return float(self._values(self._states(x, 1), horizon))
+        """Value of the ``horizon``-step problem at ``x``, no plan built: :meth:`values_of` of one row."""
+        return float(self.values_of(self._states(x, 1)[None], horizon)[0])
 
     def values_of(self, X, horizon) -> np.ndarray:
-        """:meth:`value_of` at every row of the ``(B, n)`` array ``X``.
+        """``x' P_N x`` at every row ``x`` of the ``(B, n)`` array ``X``.
 
         ``horizon`` is one horizon for all rows or a ``(B,)`` array of
-        them; per-row horizons give one :func:`quad_form` over the rows'
-        own ``P_N``.
+        them, checked by :func:`_horizon`.  Either way the values are one
+        :func:`quad_form` over the rows' ``P_N``, read from
+        :meth:`value_table`: one matrix for all rows, or one per row.
         """
         X = self._states(X, 2)
         horizon = _horizon(horizon, len(X))
-        if isinstance(horizon, int):
-            return self._values(X, horizon)
-        if horizon.min() < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {horizon.min()}")
-        return quad_form(self._table(int(horizon.max()))[2][1].take(horizon, axis=-1).T, X)
+        return quad_form(self.value_table(int(np.max(horizon))).take(horizon, axis=-1).T, X)
 
     def _gain_index(self, horizon, k: int):
         """The rung of the gain at step ``k`` of the ``horizon``-step plan, for one horizon or an array of them."""
@@ -250,6 +240,10 @@ class FiniteHorizonSolver:
             inputs = np.ascontiguousarray(np.vstack([lq.B, lq.R]).T)[..., None]
             table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
         return table
+
+    def value_table(self, horizon: int) -> np.ndarray:
+        """The table's ``(n, n, J)`` block of ``P_j.T``, ``J > horizon``: ``take(j, -1).T`` is ``P_j`` (a stack for an array ``j``)."""
+        return self._table(horizon)[2][1]
 
     def plan_step(self, X: np.ndarray, horizon, k: int, out: tuple) -> None:
         """Step ``k`` of the ``horizon``-step plans from the columns of the ``(n, B)`` array ``X``.
@@ -291,11 +285,10 @@ class FiniteHorizonSolver:
         X = self._states(X, 2)
         if np.ndim(horizon) or horizon < 1:
             raise ConfigError(f"plans takes one horizon for all rows, at least 1, got {horizon}")
-        horizon = int(horizon)
         walk = PlanWalk(self, X, horizon, horizon)
+        horizon = walk.horizon
         walk.advance_to(horizon)
-        tails = np.stack([self.ladder.matrix(j) for j in range(horizon, 0, -1)])
-        tail_values = quad_form(tails, walk.trajectory[:, :horizon])
+        tail_values = quad_form(self.value_table(horizon)[..., horizon:0:-1].T, walk.trajectory[:, :horizon])
         return OpenLoopSolution(horizon, walk.controls, walk.trajectory, walk.stage_costs, walk.value, tail_values)
 
     def solve(self, x, horizon: int) -> OpenLoopSolution:
@@ -316,7 +309,8 @@ class FiniteHorizonSolver:
         Row ``i`` equals ``solve(X[i], horizon).trajectory[steps]``; no
         plans, costs or values are stored.
         """
-        if not 0 <= steps <= horizon or horizon < 1:
+        horizon, steps = _horizon(horizon), _horizon(steps, name="steps")
+        if steps > horizon or horizon < 1:
             raise ConfigError(f"steps must lie in [0, {horizon}] and horizon must be positive, got {steps}")
         return np.stack(self._column_steps(list(self._states(X, 2).T), horizon, steps), axis=-1)
 
@@ -436,6 +430,7 @@ def value_drop_grid(
         raise ConfigError(
             f"value_drop_grid needs a 2-state plant, got state_dim={solver.lq.state_dim}"
         )
+    horizon, m, n = _horizon(horizon), _horizon(m, name="m"), _horizon(n, name="n")
     if horizon < 2:
         raise ConfigError(f"value_drop_grid needs horizon >= 2, got {horizon}")
     if not 1 <= m < horizon:
@@ -456,12 +451,18 @@ def value_drop_grid(
     return axis, drops
 
 
-def _horizon(horizon, rows: int) -> int | np.ndarray:
-    """``horizon`` checked as one horizon for ``rows`` rows or a ``(rows,)`` integer array: an ``int`` when all rows share it."""
+def _horizon(horizon, rows: int = 0, name: str = "horizon") -> int | np.ndarray:
+    """``horizon`` checked as one horizon or one per row of ``rows >= 1`` rows; an ``int`` when all rows share it.
+
+    Every horizon, step count and point count is a Python or NumPy integer
+    (or an integer array's entry) and nonnegative, else :class:`ConfigError`
+    names it ``name``.  Differing per-row horizons come back as ``intp``.
+    """
+    if isinstance(horizon, (int, np.integer)) and horizon >= 0:  # the common case, at a fifth of the array path's cost
+        return int(horizon)
     h = np.asarray(horizon)
-    if h.ndim:
-        if h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu":
-            raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
-        if (h != h[0]).any():
-            return h.astype(np.intp)
-    return int(h.flat[0])
+    if h.ndim and (h.shape != (rows,) or rows == 0 or h.dtype.kind not in "iu"):
+        raise ConfigError(f"need one integer horizon per row of {rows}, got {h.dtype} {h.shape}")
+    if h.dtype.kind not in "iu" or h.min() < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {horizon!r}")
+    return h.astype(np.intp) if h.ndim and (h != h[0]).any() else int(h.flat[0])

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import WATCHDOG, AlgorithmConfig, BatchRun, error_rows, run_rows
+from .engine import WATCHDOG, AlgorithmConfig, BatchRun, _integer, error_rows, run_rows
 from .engine import run_closed_loop  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .errors import ConfigError, MpcCertError
 from .riccati import FiniteHorizonSolver, LqLadderSolver
@@ -53,7 +53,7 @@ def unit_circle(k_max: int) -> InitialSet:
     ``k`` runs from 1 to ``k_max``, so the last point is ``(1, 0)`` and
     indices reported by sweeps refer to this 1-based ``k``.
     """
-    if k_max < 1:
+    if _integer(k_max, "k_max") < 1:
         raise ConfigError(f"k_max must be positive, got {k_max}")
     ks = np.arange(1, k_max + 1)
     angles = 2.0 * math.pi * ks / k_max
@@ -82,7 +82,7 @@ class SweepReport:
     ``points`` is the ``(B, n)`` array of initial states and ``runs`` the
     :class:`BatchRun` of its rows in the same order; reported indices are
     1-based positions in ``points``.  A failed point is an error row of
-    ``runs`` (see :func:`_records`): it never warns or fails, and its NaN
+    ``runs`` (see :func:`run_blocks`): it never warns or fails, and its NaN
     statistics stay out of every minimum.
     """
 
@@ -164,25 +164,19 @@ def _points(initial_set: InitialSet, state_dim: int) -> np.ndarray:
     return points
 
 
-def _records(solver: FiniteHorizonSolver, configs: list, points: np.ndarray) -> BatchRun:
-    """The one engine run of ``points``, one configuration per row, whose failed points are error rows.
-
-    An error of the whole batch, such as a ladder ``SolverError``, makes every row an error row with its text.
-    """
-    try:
-        return run_rows(solver, points, configs)
-    except MpcCertError as exc:
-        return error_rows((str(exc),) * len(points))
-
-
 def run_blocks(solver: FiniteHorizonSolver, points: np.ndarray, configs) -> list[BatchRun]:
     """Each of ``configs`` run from every row of ``points``, as one block of rows per configuration.
 
-    All the runs form one engine run (:func:`_records`), so a point that
-    fails is an error row of its block and every other row is as if alone.
+    All the runs form one engine run, so a point that fails is an error
+    row of its block and every other row is as if alone.  An error of the
+    whole run, such as a ladder ``SolverError``, makes every row an error
+    row with its text.
     """
     size = len(points)
-    batch = _records(solver, [config for config in configs for _ in range(size)], np.tile(points, (len(configs), 1)))
+    try:
+        batch = run_rows(solver, np.tile(points, (len(configs), 1)), [config for config in configs for _ in range(size)])
+    except MpcCertError as exc:
+        batch = error_rows((str(exc),) * (size * len(configs)))
     return [batch.select(slice(k * size, (k + 1) * size)) for k in range(len(configs))]
 
 

@@ -29,6 +29,25 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
+def test_src_loads_only_numpy_and_the_standard_library():
+    # SciPy and Hypothesis are installed for the tests, so an import of
+    # either from src would pass every other test here.
+    code = """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+import mpccert.cli, mpccert.refchecks
+from mpccert.engine import AlgorithmConfig
+from mpccert.riccati import LqLadderSolver
+from mpccert.sweep import sweep, unit_circle
+solver = LqLadderSolver(mpccert.refchecks.reference_instance(), 3)
+sweep(solver, unit_circle(8), AlgorithmConfig("alg4", 3, 0.01))
+mpccert.refchecks.reference_checks()
+loaded = {name.partition(".")[0] for name in sys.modules} - before
+print(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "mpccert"}))
+"""
+    assert _fresh(code).strip() == "[]"
+
+
 def test_every_exported_name_resolves_once():
     names = mpccert.__all__
     assert len(names) == len(set(names))

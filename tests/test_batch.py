@@ -26,7 +26,7 @@ from mpccert.engine import (
     run_closed_loop,
 )
 from mpccert.errors import ConfigError
-from mpccert.model import LinearQuadraticInstance
+from mpccert.model import LinearQuadraticInstance, quad_form
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
@@ -107,6 +107,16 @@ def test_per_row_horizon_validation(planners):
             PlanWalk(s, X, bad, 3)
     with pytest.raises(ConfigError):
         s.values_of(X, np.array([3, -1, 2]))
+    # One horizon passes the same check, also where a known start value skips values_of.
+    for bad in (-1, np.int64(-1), 2.5, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="horizon must be a nonnegative integer"):
+            s.value_of(X[0], bad)
+        with pytest.raises(ConfigError, match="horizon must be a nonnegative integer"):
+            s.values_of(X, bad)
+        with pytest.raises(ConfigError, match="horizon must be a nonnegative integer"):
+            PlanWalk(s, X, bad, 1)
+        with pytest.raises(ConfigError, match="horizon must be a nonnegative integer"):
+            PlanWalk(s, X, bad, 2, value=np.zeros(len(X)))
     assert s.values_of(X, np.array([3, 0, 2]))[1] == s.value_of(X[1], 0)
     with pytest.raises(ConfigError, match=r"state must have shape \(B, 2\)"):
         s.values_of(X[:, None], 3)
@@ -118,6 +128,25 @@ def test_per_row_horizon_validation(planners):
     for walk in walks:
         walk.advance_to(20)
     assert walks[0].trajectory.tolist() == walks[1].trajectory.tolist()
+
+
+def test_every_value_reads_the_one_table(planners):
+    # values_of, value_of and the tail values of plans read P_N from the
+    # solver's table: each has the bits of quad_form on the ladder's own
+    # P_N, at one horizon and at per-row ones.  P_0 values +0.0.
+    s = planners[LqLadderSolver]
+    X = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, -0.1]])
+    for horizon in (0, 1, 3, np.array([3, 0, 2]), np.array([5, 5, 5])):
+        values = s.values_of(X, horizon)
+        per_row = np.broadcast_to(horizon, len(X)).tolist()
+        assert values.tolist() == [quad_form(s.ladder.matrix(n), x) for x, n in zip(X, per_row)]
+        assert values.tolist() == [s.value_of(x, n) for x, n in zip(X, per_row)]
+    plan = s.plans(X, 4)
+    for k in range(4):
+        assert plan.tail_values[:, k].tolist() == quad_form(s.ladder.matrix(4 - k), plan.trajectory[:, k]).tolist()
+    for zero in (0, np.zeros(3, int), np.array([0, 2, 0])):
+        values = s.values_of(X, zero)[np.broadcast_to(zero, len(X)) == 0]
+        assert values.tolist() == [0.0] * len(values) and not np.signbit(values).any()
 
 
 def _drop_grid_oracle(solver, horizon, m, extent=1.5, n=101):

@@ -33,6 +33,8 @@ def test_config_validation():
         _cfg("alg1", 1.5)
     with pytest.raises(ConfigError):
         _cfg("alg1", -0.1)
+    with pytest.raises(ConfigError, match="alpha_bar must lie in"):
+        _cfg("alg1", "0.1")
     with pytest.raises(ConfigError):
         _cfg("alg1", 0.5, forced_m=3)
     with pytest.raises(ConfigError):
@@ -47,13 +49,27 @@ def test_config_validation():
 
 def test_config_rejects_non_integral_counts(solver):
     # A fractional horizon would run at its floor while summary() reported
-    # the fraction, and a fractional cap would stop at its ceiling.
-    for kw in ({"horizon": 3.5}, {"horizon": 3.0}, {"max_iterations": 2.5}, {"max_iterations": "5"}):
+    # the fraction, and a fractional cap would stop at its ceiling.  A
+    # fractional forced length or shrink request would be rounded down.
+    for kw in (
+        {"horizon": 3.5},
+        {"horizon": 3.0},
+        {"max_iterations": 2.5},
+        {"max_iterations": "5"},
+        {"forced_m": 1.5},
+        {"forced_m": [1.5]},
+        {"forced_m": [2.9]},
+        {"shrink_schedule": {1.5: 3.9}},
+    ):
         with pytest.raises(ConfigError, match="must be an integer"):
             _cfg("alg1", 0.5, **kw)
     numpy_ints = _cfg("alg1", 0.5, horizon=np.int64(3), max_iterations=np.int32(5))
     assert numpy_ints == _cfg("alg1", 0.5, horizon=3, max_iterations=5)
     assert type(numpy_ints.horizon) is int and type(numpy_ints.max_iterations) is int
+    counts = _cfg("alg3", 0.5, 5, forced_m=[np.int64(1), 2], shrink_schedule={np.int32(1): np.int64(3)})
+    assert counts == _cfg("alg3", 0.5, 5, forced_m=(1, 2), shrink_schedule={1: 3})
+    assert [type(v) for v in counts.forced_m + counts.shrink_schedule[0]] == [int] * 4
+    assert type(_cfg("alg1", 0.5, forced_m=np.int64(2)).forced_m) is int
     trace = run_closed_loop(solver, X_A, numpy_ints)
     assert trace.summary()["horizon"] == 3 and trace.iterations <= 5
 

@@ -321,6 +321,27 @@ def test_rollout_step_bounds(solver):
         solver.rollout(X, 0, 0)
 
 
+_ROW = np.array([[0.3, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: s.plans(_ROW, 2.5), "horizon"),
+        (lambda s: RiccatiLadder(s.lq, 2.5), "horizon"),
+        (lambda s: s.rollout(_ROW, 2.5, 1), "horizon"),
+        (lambda s: value_drop_grid(s, 3, 1.5), "m"),
+        (lambda s: value_drop_grid(s, 3, 1, n=2.5), "n"),
+        (lambda s: value_drop_grid(s, 3, 1, n=-1), "n"),
+    ],
+    ids=("plans", "ladder", "rollout", "grid-m", "grid-n", "grid-negative-n"),
+)
+def test_horizons_and_counts_are_nonnegative_integers(solver, call, name):
+    # Rounding would plan 2 steps for 2.5 but build 3 rungs for it.
+    with pytest.raises(ConfigError, match=f"^{name} must be a nonnegative integer"):
+        call(solver)
+
+
 @pytest.mark.parametrize("n", (1, 64, 65, 101))
 @pytest.mark.parametrize("horizon", (2, 3, 10))
 @pytest.mark.parametrize("law", (LqLadderSolver, LqBellmanSolver), ids=lambda cls: cls.__name__)

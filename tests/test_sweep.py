@@ -68,6 +68,11 @@ def test_unit_circle_layout():
     angle = 2.0 * np.pi * k / 128.0
     assert np.allclose(grid.points[k - 1], [np.cos(angle), np.sin(angle)], atol=1e-15)
     assert np.allclose(grid.points[-1], [1.0, 0.0], atol=1e-12)
+    # A fractional count would space its points 2 pi / 2.5 apart.
+    with pytest.raises(ConfigError, match="k_max must be an integer"):
+        unit_circle(2.5)
+    assert unit_circle(np.int64(8)).name == "unit-circle:8"
+    assert unit_circle(np.int64(8)).points.tolist() == unit_circle(8).points.tolist()
 
 
 def test_parse_initial_set():
@@ -300,6 +305,8 @@ def test_value_drop_grid_validates_m(solver):
         value_drop_grid(solver, 3, 0)
     with pytest.raises(ConfigError):
         value_drop_grid(solver, 3, 3)
+    axis, drops = value_drop_grid(solver, 3, 1, n=0)
+    assert axis.shape == (0,) and drops.shape == (0, 0)
 
 
 def test_value_drop_grid_rejects_short_horizon(solver):

@@ -20,7 +20,7 @@ stacked ``@`` makes one BLAS call per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,7 +92,10 @@ class LinearQuadraticInstance:
     """Linear plant ``x+ = A x + B u`` with cost ``x'Qx + u'Ru``.
 
     ``Q`` must be symmetric positive semidefinite and ``R`` symmetric
-    positive definite.  The equilibrium is the origin.
+    positive definite.  The equilibrium is the origin.  The plant keeps
+    read-only copies of the four arrays it is given, so nothing built
+    from them can go stale: :mod:`mpccert.riccati` keeps the plant's one
+    Riccati ladder, shared by every solver of the plant, in ``_ladder``.
 
     Attributes
     ----------
@@ -106,12 +109,10 @@ class LinearQuadraticInstance:
     B: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    _ladder: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_2d(np.asarray(self.B, dtype=float))
-        q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        r = np.atleast_2d(np.asarray(self.R, dtype=float))
+        a, b, q, r = (np.array(mat, dtype=float, ndmin=2) for mat in (self.A, self.B, self.Q, self.R))
         n = a.shape[0]
         if a.shape != (n, n):
             raise ConfigError(f"A must be square, got shape {a.shape}")
@@ -133,10 +134,9 @@ class LinearQuadraticInstance:
             raise ConfigError("Q must be positive semidefinite")
         if np.min(np.linalg.eigvalsh(r)) <= 0.0:
             raise ConfigError("R must be positive definite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "R", r)
+        for name, mat in (("A", a), ("B", b), ("Q", q), ("R", r)):
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     @property
     def state_dim(self) -> int:

@@ -17,10 +17,14 @@ Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
 
-A solver keeps one step-kernel table indexed by ladder rung, rebuilt only
-when a step needs a rung past it: the stack ``[-K_j; A; Q]`` of every
-rung (a negated gain on top of ``A`` and ``Q``) plus one zero stack, the
-matrices ``P_j`` and ``[B; R]``.
+The ladder and its step-kernel table belong to the plant: every solver
+of one :class:`~mpccert.model.LinearQuadraticInstance` reads and extends
+the plant's one ladder (:meth:`RiccatiLadder.of`), so a study of many
+horizons builds each rung once, and a solver is its plant plus its law,
+which picks the rung of each step.  The table is indexed by ladder rung
+and rebuilt only when a step needs a rung past it: the stack
+``[-K_j; A; Q]`` of every rung (a negated gain on top of ``A`` and
+``Q``) plus one zero stack, the matrices ``P_j`` and ``[B; R]``.
 :meth:`FiniteHorizonSolver.plan_step`, the one step of every plan,
 takes step ``k`` from states held as the columns of an ``(n, B)`` array
 at one horizon or one per column: each column reads the stack of the
@@ -91,24 +95,43 @@ class OpenLoopSolution:
 
 
 class RiccatiLadder:
-    """The matrices ``P_0, P_1, ..., P_N`` of the value recursion.
+    """The matrices ``P_0, P_1, ..., P_N`` of the value recursion, and the step-kernel table built on them.
 
     ``P_0`` is the zero matrix, ``P_1 = Q``.  Appending a rung ``P_j``
     solves ``B' P_j B + R`` once, against ``[B' P_j | B' P_j A]``: the
     first block gives the correction that builds ``P_{j+1}``, the second
     the feedback gain ``K_j = (B' P_j B + R)^{-1} B' P_j A``.
+    ``RiccatiLadder(lq, N)`` is a ladder of its own; :meth:`of` gives the
+    plant's, which its solvers share.  A ladder holds the plant's
+    read-only matrices, not the plant, so the plant that keeps its
+    ladder is freed with it.
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int):
-        if _horizon(horizon) < 1:
-            raise ConfigError(f"horizon must be at least 1, got {horizon}")
-        self.lq = lq
+        _check_horizon(horizon)
+        self.A, self.B, self.Q, self.R = lq.A, lq.B, lq.Q, lq.R
         n = lq.state_dim
         self._matrices: list[np.ndarray] = []
         self._gains: list[np.ndarray] = []
+        self._kernel: tuple | None = None
         self._append(np.zeros((n, n)))
         self._append(lq.Q.copy())
         self.extend(horizon)
+
+    @classmethod
+    def of(cls, lq: LinearQuadraticInstance, horizon: int) -> RiccatiLadder:
+        """The plant's own ladder, built on first use and kept on the plant, extended to ``horizon``.
+
+        A rung that overflows is not kept, so every later call that needs
+        it raises the same ``SolverError``, and shorter horizons still work.
+        """
+        _check_horizon(horizon)
+        ladder = lq._ladder
+        if ladder is None:
+            ladder = cls(lq, 1)
+            object.__setattr__(lq, "_ladder", ladder)
+        ladder.extend(horizon)
+        return ladder
 
     @property
     def horizon(self) -> int:
@@ -116,10 +139,10 @@ class RiccatiLadder:
 
     def _append(self, P: np.ndarray) -> None:
         """Add ``P`` as the next rung, with its gain and the reduced matrix for the rung after."""
-        A, B, n = self.lq.A, self.lq.B, self.lq.state_dim
+        A, B, n = self.A, self.B, len(P)
         PB = P @ B
         try:
-            Y = np.linalg.solve(B.T @ PB + self.lq.R, np.hstack([PB.T, PB.T @ A]))
+            Y = np.linalg.solve(B.T @ PB + self.R, np.hstack([PB.T, PB.T @ A]))
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"singular control weight at ladder step {len(self._matrices)}"
@@ -135,7 +158,7 @@ class RiccatiLadder:
         overflowed, and every value and plan built on it would be NaN.
         That check stands in for NumPy's overflow warning on the rung.
         """
-        A, Q = self.lq.A, self.lq.Q
+        A, Q, horizon = self.A, self.Q, _horizon(horizon)
         while self.horizon < horizon:
             with np.errstate(over="ignore", invalid="ignore"):
                 nxt = A.T @ self._reduced @ A + Q
@@ -145,20 +168,47 @@ class RiccatiLadder:
             # Symmetrise to keep round-off from drifting over long ladders.
             self._append(0.5 * (nxt + nxt.T))
 
+    def _rung(self, j) -> int:
+        """``j`` checked by :func:`_horizon` and against the rungs built."""
+        rung = _horizon(j, name="ladder index")
+        if rung > self.horizon:
+            raise ConfigError(f"ladder index {j} outside [0, {self.horizon}]")
+        return rung
+
     def matrix(self, j: int) -> np.ndarray:
         """Return ``P_j`` for ``0 <= j <= horizon``."""
-        if j < 0 or j > self.horizon:
-            raise ConfigError(f"ladder index {j} outside [0, {self.horizon}]")
-        return self._matrices[j]
+        return self._matrices[self._rung(j)]
 
     def gain(self, j: int) -> np.ndarray:
         """Return ``K_j`` for ``0 <= j <= horizon``; ``K_0`` is the zero gain."""
-        self.matrix(j)
-        return self._gains[j]
+        return self._gains[self._rung(j)]
 
     def matrices(self) -> list[np.ndarray]:
         """Return ``[P_1, ..., P_N]``."""
         return list(self._matrices[1:])
+
+    def table(self, horizon: int) -> tuple:
+        """The step kernel of every rung, laid out for :meth:`FiniteHorizonSolver.plan_step`, rebuilt when ``horizon`` is past it.
+
+        ``(inputs, (stacks, ends), tables)``: ``stacks[j] = [-K_j; A; Q]``
+        for every rung ``j`` of the ladder, then one zero stack,
+        ``ends[j] = P_j`` and ``inputs = [B; R]``, each ``(r, c)`` matrix
+        as a contiguous ``(c, r, 1)`` array, so that term ``i`` of ``M x``
+        is ``M[i] * x[i]`` broadcast over the columns of ``x``.  ``tables``
+        joins ``stacks`` and ``ends`` along that last axis, for gathers of
+        one rung per column.  The table does not depend on the control
+        law, and a ladder whose solvers only call
+        :meth:`FiniteHorizonSolver.rollout` never builds it.
+        """
+        table = self._kernel
+        if table is None or len(table[1][1]) <= horizon:
+            self.extend(max(horizon, 1))
+            mats = [np.vstack([-K, self.A, self.Q]) for K in self._gains], self._matrices
+            stacks, ends = ([np.ascontiguousarray(M.T)[..., None] for M in group] for group in mats)
+            stacks.append(np.zeros_like(stacks[0]))
+            inputs = np.ascontiguousarray(np.vstack([self.B, self.R]).T)[..., None]
+            table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
+        return table
 
 
 def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
@@ -178,16 +228,17 @@ def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
 class FiniteHorizonSolver:
     """Shared machinery for the two linear-quadratic planners.
 
-    Instances keep one growing :class:`RiccatiLadder` and reuse it for
-    every horizon up to the largest seen so far, plus one step-kernel
-    table indexed by ladder rung (:meth:`_table`), from which every
-    value is read (:meth:`value_table`).
+    A solver is its plant plus its law (:meth:`_gain_index`).  It reads
+    and extends the plant's one :class:`RiccatiLadder`, shared with every
+    other solver of the plant, and that ladder's step-kernel table
+    (:meth:`RiccatiLadder.table`), from which every value is read
+    (:meth:`value_table`).
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
-        self.ladder = RiccatiLadder(lq, horizon)
-        self._kernel: tuple[np.ndarray, ...] | None = None
+        self.ladder = RiccatiLadder.of(lq, horizon)
+        self._table = self.ladder.table  # bound once: plan_step looks the table up on every step
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -216,30 +267,6 @@ class FiniteHorizonSolver:
     def _gain_index(self, horizon, k: int):
         """The rung of the gain at step ``k`` of the ``horizon``-step plan, for one horizon or an array of them."""
         raise NotImplementedError
-
-    def _table(self, horizon: int) -> tuple:
-        """The step kernel of every rung, laid out for :meth:`plan_step`, rebuilt when ``horizon`` is past it.
-
-        ``(inputs, (stacks, ends), tables)``: ``stacks[j] = [-K_j; A; Q]``
-        for every rung ``j`` of the ladder, then one zero stack,
-        ``ends[j] = P_j`` and ``inputs = [B; R]``, each ``(r, c)`` matrix
-        as a contiguous ``(c, r, 1)`` array, so that term ``i`` of ``M x``
-        is ``M[i] * x[i]`` broadcast over the columns of ``x``.  ``tables``
-        joins ``stacks`` and ``ends`` along that last axis, for gathers of
-        one rung per column.  A solver that only calls :meth:`rollout`
-        never builds it.
-        """
-        table = self._kernel
-        if table is None or len(table[1][1]) <= horizon:
-            ladder, lq = self.ladder, self.lq
-            ladder.extend(max(horizon, 1))
-            rungs = range(ladder.horizon + 1)
-            mats = [np.vstack([-ladder.gain(j), lq.A, lq.Q]) for j in rungs], [ladder.matrix(j) for j in rungs]
-            stacks, ends = ([np.ascontiguousarray(M.T)[..., None] for M in group] for group in mats)
-            stacks.append(np.zeros_like(stacks[0]))
-            inputs = np.ascontiguousarray(np.vstack([lq.B, lq.R]).T)[..., None]
-            table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
-        return table
 
     def value_table(self, horizon: int) -> np.ndarray:
         """The table's ``(n, n, J)`` block of ``P_j.T``, ``J > horizon``: ``take(j, -1).T`` is ``P_j`` (a stack for an array ``j``)."""
@@ -449,6 +476,12 @@ def value_drop_grid(
         value(states, out=out)
         np.subtract(out, value(solver._column_steps(states, horizon, m)), out=out)
     return axis, drops
+
+
+def _check_horizon(horizon) -> None:
+    """A ladder's horizon: a nonnegative integer (:func:`_horizon`) of at least 1, else :class:`ConfigError`."""
+    if _horizon(horizon) < 1:
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
 
 
 def _horizon(horizon, rows: int = 0, name: str = "horizon") -> int | np.ndarray:

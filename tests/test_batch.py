@@ -27,6 +27,7 @@ from mpccert.engine import (
 )
 from mpccert.errors import ConfigError
 from mpccert.model import LinearQuadraticInstance, quad_form
+from mpccert.refchecks import reference_instance
 from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
@@ -577,6 +578,18 @@ def test_a_row_just_outside_the_radius_beside_circle_rows_matches_one_row_runs(e
     configs = [ENGINE_CONFIGS[k % len(ENGINE_CONFIGS)] for k in range(len(points))]
     batch = _assert_rows_match_one_row_runs(engine_solver, points, configs, traces=True)
     assert batch.traces[0].iterations > 0 and batch.status[0] == "converged"
+
+
+def test_rest_bound_reads_only_the_batch_rungs():
+    # Solvers of one plant share its table, which another solver may have
+    # grown to N = 20; an N = 3 batch's rest bound still covers rungs 0-3 only.
+    X, configs = CIRCLE[:4], [AlgorithmConfig("alg1", 3, 0.01)] * 4
+    alone = _Lockstep(LqLadderSolver(reference_instance(), 3), X, configs, keep_traces=False).rest_value
+    lq = reference_instance()
+    LqBellmanSolver(lq, 20).value_table(20)
+    shared = LqLadderSolver(lq, 3)
+    assert len(shared.value_table(3)[0, 0]) == 21
+    assert _Lockstep(shared, X, configs, keep_traces=False).rest_value == alone
 
 
 def test_block_fields_stay_views_of_their_blocks(engine_solver, monkeypatch):

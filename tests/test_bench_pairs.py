@@ -56,7 +56,8 @@ def test_summary_flags_wide_parent_spread_as_unresolved(bench_pairs, metric, par
 def test_inproc_pairs_prints_one_line_per_workload():
     # One tree against itself, at perfbench's smoke-test sizes: each tree
     # loads under its own package name, and every workload gets a ratio,
-    # its quartiles and a win count over the pairs.
+    # its quartiles, a win count over the pairs and each tree's median
+    # minor page faults per pass.
     root = TOOL.parent.parent
     tool = root / "tools" / "inproc_pairs.py"
     proc = subprocess.run(
@@ -70,7 +71,11 @@ def test_inproc_pairs_prints_one_line_per_workload():
     assert [line.split(":")[0] for line in lines] == ["circle-sweep", "horizon-table", "drop-grid"]
     number = r"\d+\.\d{3}"
     for line in lines:
-        assert re.fullmatch(rf"[a-z-]+: change/parent {number} \(IQR {number}-{number}\), change faster in [0-3] of 3", line)
+        assert re.fullmatch(
+            rf"[a-z-]+: change/parent {number} \(IQR {number}-{number}\), change faster in [0-3] of 3;"
+            r" minor faults per pass parent \d+\.\d, change \d+\.\d",
+            line,
+        )
 
 
 def test_engine_share_prints_one_line_per_batch():

@@ -61,6 +61,20 @@ def test_lq_validation_rejects_non_finite_matrices(name, bad):
         LinearQuadraticInstance(**mats)
 
 
+def test_plant_keeps_read_only_copies_of_its_arrays():
+    # Solvers of one plant share the ladder built from its arrays, so the
+    # plant must neither see its caller's later writes nor accept its own.
+    mats = {"A": np.array([[1.0, 1.1], [-1.1, 1.0]]), "B": np.array([[0.0], [1.0]]), "Q": np.eye(2), "R": np.eye(1)}
+    lq = LinearQuadraticInstance(**mats)
+    for name, given in mats.items():
+        kept = getattr(lq, name)
+        assert kept is not given and np.array_equal(kept, given)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 5.0
+        given[0, 0] = 5.0  # the caller's array stays writable
+        assert kept[0, 0] != 5.0
+
+
 def test_load_plant_roundtrip(lq, tmp_path):
     path = tmp_path / "plant.txt"
     path.write_text(

@@ -9,6 +9,7 @@ the bundled plant never takes.  Cases also draw horizon-shrink
 schedules, and the pinned plants run every variant in one batch.
 """
 
+import dataclasses
 import warnings
 from itertools import accumulate
 
@@ -23,7 +24,7 @@ from oracle import closed_loop
 from mpccert.certify import CERT_SLACK
 from mpccert.engine import TERMINATION_RADIUS, VARIANTS, AlgorithmConfig, run_batch
 from mpccert.model import LinearQuadraticInstance
-from mpccert.riccati import LqBellmanSolver, LqLadderSolver
+from mpccert.riccati import LqBellmanSolver, LqLadderSolver, value_drop_grid
 from mpccert.sweep import unit_circle
 
 LAWS = (LqLadderSolver, LqBellmanSolver)
@@ -246,6 +247,39 @@ def test_bellman_plans_attain_the_value_and_ladder_plans_cost_no_less(seed, n, c
     ladder = LqLadderSolver(lq, horizon).plans(X, horizon)
     np.testing.assert_allclose(bellman.stage_costs.sum(axis=1), bellman.value, rtol=1e-10, atol=0)
     assert np.all(ladder.stage_costs.sum(axis=1) >= ladder.value * (1.0 - 1e-10))
+
+
+SHARED = tuple((law, horizon) for law in LAWS for horizon in (2, 3, 5, 10))
+
+
+def _same_bits(got, want, name: str) -> None:
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 2), order=st.permutations(SHARED))
+def test_solvers_sharing_a_plant_match_solvers_of_a_fresh_copy(seed, n, c, order):
+    # Solvers of one plant share its ladder and table, which each one may
+    # find built past its horizon, or short of it, and extend.  Built in
+    # any horizon order under both laws, each gives the bits of the same
+    # solver alone on a fresh copy of the plant.
+    lq, X = random_plant(seed, n, c)
+    for law, horizon in order:
+        shared, alone = law(lq, horizon), law(LinearQuadraticInstance(lq.A, lq.B, lq.Q, lq.R), horizon)
+        got, want = shared.plans(X, horizon), alone.plans(X, horizon)
+        for name in ("controls", "trajectory", "stage_costs", "value", "tail_values"):
+            _same_bits(getattr(got, name), getattr(want, name), name)
+        per_row = np.array([1, horizon, 2])
+        _same_bits(shared.values_of(X, per_row), alone.values_of(X, per_row), "values_of")
+        if n == 2:
+            for m in (1, horizon - 1):
+                _same_bits(value_drop_grid(shared, horizon, m, n=5)[1], value_drop_grid(alone, horizon, m, n=5)[1], "grid")
+        config = AlgorithmConfig("alg4", horizon, 0.3, forced_m=max(1, horizon // 2), max_iterations=30)
+        got, want = run_batch(shared, X, config), run_batch(alone, X, config)
+        assert got.status == want.status
+        for f in dataclasses.fields(got):
+            if isinstance(getattr(got, f.name), np.ndarray):
+                _same_bits(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 def test_oracle_tolerances_are_the_engines():

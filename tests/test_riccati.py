@@ -1,7 +1,9 @@
+import gc
 import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
+from mpccert.refchecks import reference_instance
 from mpccert.riccati import (
     LqBellmanSolver,
     LqLadderSolver,
@@ -74,6 +77,54 @@ def test_ladder_index_bounds(lq):
     ladder.extend(5)
     assert ladder.matrix(5).shape == (2, 2)
     assert ladder.gain(5).shape == (1, 2)
+
+
+def test_solvers_of_a_plant_share_its_ladder_and_table(monkeypatch):
+    # The first solver builds the plant's ladder and table to N = 10; later
+    # solvers of either law at N <= 10 append no rung and rebuild no table.
+    lq, X = reference_instance(), np.array([[0.3, 0.8], [-1.0, 0.2]])
+    first = LqLadderSolver(lq, 10)
+    table = first.value_table(10)
+    appended = []
+    append = RiccatiLadder._append
+    monkeypatch.setattr(RiccatiLadder, "_append", lambda ladder, P: (appended.append(P), append(ladder, P)))
+    for law, horizon in ((LqBellmanSolver, 10), (LqLadderSolver, 3), (LqBellmanSolver, 1), (LqLadderSolver, 10)):
+        solver = law(lq, horizon)
+        assert solver.ladder is first.ladder
+        solver.plans(X, horizon)
+        value_drop_grid(solver, 10, 3, n=5)
+    assert appended == [] and first.value_table(10) is table
+    assert first.ladder is not LqLadderSolver(reference_instance(), 10).ladder
+
+
+def test_an_overflowing_plant_raises_the_same_error_on_every_solver(lq):
+    # The rung that overflows is never kept, so every solver that needs it
+    # raises the same text, and solvers that stop short of it still work.
+    A = lq.A.copy()
+    A[0, 0] = 1e200
+    plant = LinearQuadraticInstance(A, lq.B, lq.Q, lq.R)
+    texts = []
+    for law, horizon in ((LqLadderSolver, 3), (LqBellmanSolver, 3), (LqLadderSolver, 2), (LqBellmanSolver, 5)):
+        with pytest.raises(SolverError) as info:
+            law(plant, horizon)
+        texts.append(str(info.value))
+    assert texts == ["value recursion overflows at ladder step 2: P_2 is not finite"] * 4
+    X = np.array([[0.0, 1.0], [0.0, -0.5]])
+    short = LqBellmanSolver(plant, 1).plans(X, 1)
+    fresh = LqBellmanSolver(LinearQuadraticInstance(A, lq.B, lq.Q, lq.R), 1).plans(X, 1)
+    for name in ("controls", "trajectory", "stage_costs", "value", "tail_values"):
+        assert getattr(short, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_a_plant_and_its_ladder_are_freed_together():
+    # The plant keeps its ladder, and the ladder keeps only the plant's
+    # matrices, so nothing keeps a plant alive once its callers drop it.
+    lq = reference_instance()
+    LqLadderSolver(lq, 5).plans(np.array([[0.3, 0.8]]), 5)
+    plant, ladder = weakref.ref(lq), weakref.ref(lq._ladder)
+    del lq
+    gc.collect()
+    assert plant() is None and ladder() is None
 
 
 def test_fixed_point_reports_a_recursion_that_never_settles():
@@ -333,8 +384,12 @@ _ROW = np.array([[0.3, 0.8]])
         (lambda s: value_drop_grid(s, 3, 1.5), "m"),
         (lambda s: value_drop_grid(s, 3, 1, n=2.5), "n"),
         (lambda s: value_drop_grid(s, 3, 1, n=-1), "n"),
+        (lambda s: RiccatiLadder(s.lq, 2).extend(2.5), "horizon"),
+        (lambda s: s.ladder.matrix(2.5), "ladder index"),
+        (lambda s: s.ladder.gain(2.5), "ladder index"),
+        (lambda s: s.ladder.matrix(-1), "ladder index"),
     ],
-    ids=("plans", "ladder", "rollout", "grid-m", "grid-n", "grid-negative-n"),
+    ids=("plans", "ladder", "rollout", "grid-m", "grid-n", "grid-negative-n", "extend", "matrix", "gain", "matrix-negative"),
 )
 def test_horizons_and_counts_are_nonnegative_integers(solver, call, name):
     # Rounding would plan 2 steps for 2.5 but build 3 rungs for it.

@@ -19,8 +19,13 @@ perfbench's relative plant path resolves; outputs go to a temporary
 directory.
 
 Per workload it prints the median of the pairs' change/parent ratios,
-their interquartile range, and the number of pairs the change won
-(ratio below 1).  ``--tiny`` uses perfbench's smoke-test sizes.
+their interquartile range, the number of pairs the change won (ratio
+below 1), and each tree's median minor page faults per pass
+(``ru_minflt`` read around every call).  A pass that maps fresh heap
+pages takes faults (drop-grid's whole-grid arrays took 187 a pass) where
+a warm one takes none, so the counts tell a gain of the code from a
+flip of the heap's state.
+``--tiny`` uses perfbench's smoke-test sizes.
 
 Two copies of one tree (an A/A run) read horizon-table's median at
 1.000, 1.003 and 0.998 in three runs of 100 pairs on a 2-vCPU Xeon, with
@@ -35,6 +40,7 @@ import importlib
 import importlib.util
 import os
 import random
+import resource
 import statistics
 import sys
 import tempfile
@@ -66,23 +72,28 @@ def program(run, name: str):
     )
 
 
-def timed_pair(run, workloads: dict, out: str, rng: random.Random) -> dict:
-    """Raw seconds of one pass of each tree's workload, their calls interleaved, stdout discarded.
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed_pair(run, workloads: dict, out: str, rng: random.Random) -> tuple[dict, dict]:
+    """Raw seconds and minor page faults of one pass of each tree's workload, their calls interleaved, stdout discarded.
 
     Call ``k`` of the pass runs in both trees back to back, in an order
     shuffled per call, so the two passes see the same drift of the host.
     """
-    seconds = dict.fromkeys(workloads, 0.0)
+    seconds, faults = dict.fromkeys(workloads, 0.0), dict.fromkeys(workloads, 0)
     jobs = [[(side, job) for job in workload.jobs(None)] for side, workload in workloads.items()]
     with contextlib.redirect_stdout(run._Discard()):
         for calls in zip(*jobs):
             calls = list(calls)
             rng.shuffle(calls)
             for side, job in calls:
-                start = time.perf_counter()
+                flt, start = minor_faults(), time.perf_counter()
                 job.call(out, workloads[side].workers)
                 seconds[side] += time.perf_counter() - start
-    return seconds
+                faults[side] += minor_faults() - flt
+    return seconds, faults
 
 
 def main(argv) -> int:
@@ -112,13 +123,19 @@ def main(argv) -> int:
             pairs = [{side: workloads[side][w] for side in trees} for workloads in loads]
             for pair in pairs:
                 timed_pair(run, pair, out, rng)  # warm-up
-            ratios = []
+            ratios, faults = [], {side: [] for side in trees}
             for i in range(args.pairs):
-                seconds = timed_pair(run, pairs[i % 2], out, rng)
+                seconds, pass_faults = timed_pair(run, pairs[i % 2], out, rng)
                 ratios.append(seconds["change"] / seconds["parent"])
+                for side in trees:
+                    faults[side].append(pass_faults[side])
             q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
             wins = sum(r < 1.0 for r in ratios)
-            print(f"{w}: change/parent {median:.3f} (IQR {q1:.3f}-{q3:.3f}), change faster in {wins} of {len(ratios)}")
+            flt = ", ".join(f"{side} {statistics.median(faults[side]):.1f}" for side in trees)
+            print(
+                f"{w}: change/parent {median:.3f} (IQR {q1:.3f}-{q3:.3f}), change faster in {wins} of {len(ratios)};"
+                f" minor faults per pass {flt}"
+            )
     return 0
 
 

@@ -485,9 +485,9 @@ class _Lockstep:
     int no running row's applied steps exceed, passes its width.  The
     stop test runs only once some row's value is at most ``rest_value``,
     above which no state is within :data:`TERMINATION_RADIUS` of the
-    origin at any rung up to the batch's longest horizon.  A row fails
-    through :meth:`_fail`, which keeps its first text in ``errors`` and
-    cuts its cap: an initial state, or first values and plans, that are not
+    origin at any rung of the solver's table.  A row fails through
+    :meth:`_fail`, which keeps its first text in ``errors`` and cuts its
+    cap: an initial state, or first values and plans, that are not
     finite, a slack or value that is not finite at a power-of-two
     iteration (:meth:`run`), or a final slack that is not finite
     (:meth:`_retire`).  The outcome makes each an error row; a row that
@@ -533,11 +533,9 @@ class _Lockstep:
         # Walk buffers for the widest horizon, reused by every iteration.
         self.walk_buffers = PlanWalk.allocate(rows, int(self.horizon.max(initial=2)) - 1, n, c)
         self.v_now[:] = solver.values_of(X, self.horizon) if rows else ()
-        # |x' P x| <= g |x|^2 for g the sum of P's absolute entries.  So with G the largest g of any rung a row
-        # can reach (0 to the batch's longest horizon, whatever else the plant's shared table holds), no row
-        # valued above 2 G R^2 (2 covers rounding) is within R = TERMINATION_RADIUS of the origin.
-        longest = int(self.horizon.max(initial=2))
-        ends = solver.value_table(longest)[..., : longest + 1]
+        # |x' P x| <= g |x|^2 for g the sum of P's absolute entries.  So with G the largest g of any rung,
+        # no row valued above 2 G R^2 (2 covers rounding) is within R = TERMINATION_RADIUS of the origin.
+        ends = solver.value_table(int(self.horizon.max(initial=2)))
         self.rest_value = 2.0 * TERMINATION_RADIUS**2 * np.abs(ends).sum(axis=(0, 1)).max()
         self.rule = self.walk = self.replan_buffers = self.log = None
         self.x = X.copy()

@@ -17,14 +17,14 @@ Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
 
-The ladder and its step-kernel table belong to the plant: every solver
-of one :class:`~mpccert.model.LinearQuadraticInstance` reads and extends
-the plant's one ladder (:meth:`RiccatiLadder.of`), so a study of many
-horizons builds each rung once, and a solver is its plant plus its law,
-which picks the rung of each step.  The table is indexed by ladder rung
-and rebuilt only when a step needs a rung past it: the stack
-``[-K_j; A; Q]`` of every rung (a negated gain on top of ``A`` and
-``Q``) plus one zero stack, the matrices ``P_j`` and ``[B; R]``.
+The ladder belongs to the plant: every solver of one
+:class:`~mpccert.model.LinearQuadraticInstance` reads and extends the
+plant's one ladder (:meth:`RiccatiLadder.of`), so a study of many
+horizons builds each rung once.  A solver keeps one step-kernel table of
+its own, indexed by ladder rung from 0 to the longest horizon it was
+built for or asked for, and rebuilt only when a step needs a rung past
+it: the stack ``[-K_j; A; Q]`` of every rung (a negated gain on top of
+``A`` and ``Q``) plus one zero stack, the matrices ``P_j`` and ``[B; R]``.
 :meth:`FiniteHorizonSolver.plan_step`, the one step of every plan,
 takes step ``k`` from states held as the columns of an ``(n, B)`` array
 at one horizon or one per column: each column reads the stack of the
@@ -95,7 +95,7 @@ class OpenLoopSolution:
 
 
 class RiccatiLadder:
-    """The matrices ``P_0, P_1, ..., P_N`` of the value recursion, and the step-kernel table built on them.
+    """The matrices ``P_0, P_1, ..., P_N`` of the value recursion.
 
     ``P_0`` is the zero matrix, ``P_1 = Q``.  Appending a rung ``P_j``
     solves ``B' P_j B + R`` once, against ``[B' P_j | B' P_j A]``: the
@@ -113,7 +113,6 @@ class RiccatiLadder:
         n = lq.state_dim
         self._matrices: list[np.ndarray] = []
         self._gains: list[np.ndarray] = []
-        self._kernel: tuple | None = None
         self._append(np.zeros((n, n)))
         self._append(lq.Q.copy())
         self.extend(horizon)
@@ -187,29 +186,6 @@ class RiccatiLadder:
         """Return ``[P_1, ..., P_N]``."""
         return list(self._matrices[1:])
 
-    def table(self, horizon: int) -> tuple:
-        """The step kernel of every rung, laid out for :meth:`FiniteHorizonSolver.plan_step`, rebuilt when ``horizon`` is past it.
-
-        ``(inputs, (stacks, ends), tables)``: ``stacks[j] = [-K_j; A; Q]``
-        for every rung ``j`` of the ladder, then one zero stack,
-        ``ends[j] = P_j`` and ``inputs = [B; R]``, each ``(r, c)`` matrix
-        as a contiguous ``(c, r, 1)`` array, so that term ``i`` of ``M x``
-        is ``M[i] * x[i]`` broadcast over the columns of ``x``.  ``tables``
-        joins ``stacks`` and ``ends`` along that last axis, for gathers of
-        one rung per column.  The table does not depend on the control
-        law, and a ladder whose solvers only call
-        :meth:`FiniteHorizonSolver.rollout` never builds it.
-        """
-        table = self._kernel
-        if table is None or len(table[1][1]) <= horizon:
-            self.extend(max(horizon, 1))
-            mats = [np.vstack([-K, self.A, self.Q]) for K in self._gains], self._matrices
-            stacks, ends = ([np.ascontiguousarray(M.T)[..., None] for M in group] for group in mats)
-            stacks.append(np.zeros_like(stacks[0]))
-            inputs = np.ascontiguousarray(np.vstack([self.B, self.R]).T)[..., None]
-            table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
-        return table
-
 
 def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
     """Iterate the ladder until it stops moving; the infinite-horizon limit.
@@ -228,17 +204,17 @@ def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
 class FiniteHorizonSolver:
     """Shared machinery for the two linear-quadratic planners.
 
-    A solver is its plant plus its law (:meth:`_gain_index`).  It reads
-    and extends the plant's one :class:`RiccatiLadder`, shared with every
-    other solver of the plant, and that ladder's step-kernel table
-    (:meth:`RiccatiLadder.table`), from which every value is read
-    (:meth:`value_table`).
+    Instances read and extend the plant's one :class:`RiccatiLadder`,
+    shared with every other solver of the plant, and keep one step-kernel
+    table of their own indexed by ladder rung (:meth:`_table`), from
+    which every value is read (:meth:`value_table`).
     """
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
         self.ladder = RiccatiLadder.of(lq, horizon)
-        self._table = self.ladder.table  # bound once: plan_step looks the table up on every step
+        self._top = int(horizon)  # the table's last rung, at least
+        self._kernel: tuple[np.ndarray, ...] | None = None
 
     def _states(self, x, ndim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -267,6 +243,33 @@ class FiniteHorizonSolver:
     def _gain_index(self, horizon, k: int):
         """The rung of the gain at step ``k`` of the ``horizon``-step plan, for one horizon or an array of them."""
         raise NotImplementedError
+
+    def _table(self, horizon: int) -> tuple:
+        """The step kernel of every rung, laid out for :meth:`plan_step`, rebuilt when ``horizon`` is past it.
+
+        ``(inputs, (stacks, ends), tables)``: ``stacks[j] = [-K_j; A; Q]``
+        for every rung ``j`` from 0 to the larger of ``horizon`` and the
+        solver's horizon, then one zero stack, ``ends[j] = P_j`` and
+        ``inputs = [B; R]``, each ``(r, c)`` matrix as a contiguous
+        ``(c, r, 1)`` array, so that term ``i`` of ``M x`` is
+        ``M[i] * x[i]`` broadcast over the columns of ``x``.  ``tables``
+        joins ``stacks`` and ``ends`` along that last axis, for gathers of
+        one rung per column.  The table holds no rung that only other
+        solvers of the plant asked for, and a solver that only calls
+        :meth:`rollout` never builds it.
+        """
+        table = self._kernel
+        if table is None or len(table[1][1]) <= horizon:
+            ladder, lq = self.ladder, self.lq
+            self._top = top = max(horizon, self._top)
+            ladder.extend(top)
+            rungs = range(top + 1)
+            mats = [np.vstack([-ladder.gain(j), lq.A, lq.Q]) for j in rungs], [ladder.matrix(j) for j in rungs]
+            stacks, ends = ([np.ascontiguousarray(M.T)[..., None] for M in group] for group in mats)
+            stacks.append(np.zeros_like(stacks[0]))
+            inputs = np.ascontiguousarray(np.vstack([lq.B, lq.R]).T)[..., None]
+            table = self._kernel = inputs, (stacks, ends), (np.concatenate(stacks, axis=-1), np.concatenate(ends, axis=-1))
+        return table
 
     def value_table(self, horizon: int) -> np.ndarray:
         """The table's ``(n, n, J)`` block of ``P_j.T``, ``J > horizon``: ``take(j, -1).T`` is ``P_j`` (a stack for an array ``j``)."""

@@ -47,8 +47,10 @@ batches = st.lists(_rows, min_size=1, max_size=16).map(
 
 
 @pytest.fixture(scope="module")
-def planners(lq):
-    return {cls: cls(lq, 2) for cls in LAWS}
+def planners():
+    # Each on a plant of its own, so that its ladder grows from N = 2
+    # whatever other solvers of the session's plant have built.
+    return {cls: cls(reference_instance(), 2) for cls in LAWS}
 
 
 @pytest.mark.parametrize("horizon", HORIZONS)
@@ -174,12 +176,14 @@ def test_value_drop_grid_matches_oracle(lq, law, horizon, m):
 def test_plan_cache_is_keyed_per_horizon(lq, law):
     # One solver whose ladder grows between requests must plan exactly
     # like a fresh solver at each horizon, before and after the growth.
+    # Each builds its ladder on a copy of the plant, as solvers of one
+    # plant share that plant's ladder.
     x = np.array([0.4, -1.1])
     X = np.array([[0.4, -1.1], [-2.0, 0.5]])
-    reused = law(lq, 2)
+    reused = law(LinearQuadraticInstance(lq.A, lq.B, lq.Q, lq.R), 2)
     for horizon in (3, 10, 3):
         plan = reused.solve(x, horizon)
-        fresh_solver = law(lq, horizon)
+        fresh_solver = law(LinearQuadraticInstance(lq.A, lq.B, lq.Q, lq.R), horizon)
         fresh = fresh_solver.solve(x, horizon)
         for name in ("controls", "trajectory", "stage_costs", "tail_values"):
             assert np.array_equal(getattr(plan, name), getattr(fresh, name))
@@ -308,8 +312,8 @@ def _assert_same_run(a, b):
 
 
 @pytest.fixture(scope="module")
-def engine_solver(lq):
-    return LqLadderSolver(lq, 2)
+def engine_solver():
+    return LqLadderSolver(reference_instance(), 2)  # a plant of its own, as for planners
 
 
 def _config_of(config, i: int) -> AlgorithmConfig:
@@ -580,15 +584,16 @@ def test_a_row_just_outside_the_radius_beside_circle_rows_matches_one_row_runs(e
     assert batch.traces[0].iterations > 0 and batch.status[0] == "converged"
 
 
-def test_rest_bound_reads_only_the_batch_rungs():
-    # Solvers of one plant share its table, which another solver may have
-    # grown to N = 20; an N = 3 batch's rest bound still covers rungs 0-3 only.
+def test_rest_bound_ignores_longer_solvers_of_the_plant():
+    # Solvers of one plant share its ladder, which another solver may have
+    # grown to N = 20, but each keeps its own table, so an N = 3 batch's
+    # rest bound still covers rungs 0-3 only.
     X, configs = CIRCLE[:4], [AlgorithmConfig("alg1", 3, 0.01)] * 4
     alone = _Lockstep(LqLadderSolver(reference_instance(), 3), X, configs, keep_traces=False).rest_value
     lq = reference_instance()
     LqBellmanSolver(lq, 20).value_table(20)
     shared = LqLadderSolver(lq, 3)
-    assert len(shared.value_table(3)[0, 0]) == 21
+    assert shared.ladder.horizon == 20 and shared.value_table(3).shape[-1] == 4
     assert _Lockstep(shared, X, configs, keep_traces=False).rest_value == alone
 
 

@@ -7,12 +7,18 @@ runs as a child process at perfbench's smoke-test sizes, and
 """
 
 import importlib.util
+import io
+import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mpccert.refchecks import reference_instance
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.22}
@@ -76,6 +82,29 @@ def test_inproc_pairs_prints_one_line_per_workload():
             r" minor faults per pass parent \d+\.\d, change \d+\.\d",
             line,
         )
+
+
+def test_inproc_pairs_fresh_plant_gives_every_pass_a_new_copy():
+    # perfbench keeps one plant per tree; --fresh-plant swaps in an equal
+    # new one before each pass, so nothing kept on the plant outlives it.
+    spec = importlib.util.spec_from_file_location("inproc_pairs", TOOL.parent / "inproc_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seen = []
+
+    class Workload:
+        workers = 1
+        program = types.SimpleNamespace(lq=reference_instance())
+
+        def jobs(self, rng):
+            return [types.SimpleNamespace(call=lambda out, workers: seen.append(self.program.lq))] * 2
+
+    run, workload = types.SimpleNamespace(_Discard=io.StringIO), Workload()
+    first = workload.program.lq
+    for fresh in (False, True, True):
+        tool.timed_pair(run, {"parent": workload}, "", random.Random(0), fresh)
+    assert seen[:2] == [first] * 2 and seen[2] is seen[3] and seen[4] is seen[5]
+    assert len({id(lq) for lq in seen}) == 3 and all(np.array_equal(lq.A, first.A) for lq in seen)
 
 
 def test_engine_share_prints_one_line_per_batch():

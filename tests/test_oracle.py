@@ -259,8 +259,8 @@ def _same_bits(got, want, name: str) -> None:
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 2), order=st.permutations(SHARED))
 def test_solvers_sharing_a_plant_match_solvers_of_a_fresh_copy(seed, n, c, order):
-    # Solvers of one plant share its ladder and table, which each one may
-    # find built past its horizon, or short of it, and extend.  Built in
+    # Solvers of one plant share its ladder, which each one may find built
+    # past its horizon, or short of it, and extend.  Built in
     # any horizon order under both laws, each gives the bits of the same
     # solver alone on a fresh copy of the plant.
     lq, X = random_plant(seed, n, c)

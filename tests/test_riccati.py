@@ -79,9 +79,10 @@ def test_ladder_index_bounds(lq):
     assert ladder.gain(5).shape == (1, 2)
 
 
-def test_solvers_of_a_plant_share_its_ladder_and_table(monkeypatch):
-    # The first solver builds the plant's ladder and table to N = 10; later
-    # solvers of either law at N <= 10 append no rung and rebuild no table.
+def test_solvers_of_a_plant_share_its_ladder(monkeypatch):
+    # The first solver builds the plant's ladder to N = 10; later solvers
+    # of either law at N <= 10 append no rung.  Each keeps a step-kernel
+    # table of its own, over the rungs of its own horizon.
     lq, X = reference_instance(), np.array([[0.3, 0.8], [-1.0, 0.2]])
     first = LqLadderSolver(lq, 10)
     table = first.value_table(10)
@@ -92,6 +93,7 @@ def test_solvers_of_a_plant_share_its_ladder_and_table(monkeypatch):
         solver = law(lq, horizon)
         assert solver.ladder is first.ladder
         solver.plans(X, horizon)
+        assert solver.value_table(horizon).shape[-1] == horizon + 1
         value_drop_grid(solver, 10, 3, n=5)
     assert appended == [] and first.value_table(10) is table
     assert first.ladder is not LqLadderSolver(reference_instance(), 10).ladder

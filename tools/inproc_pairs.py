@@ -1,6 +1,6 @@
 """Compare two checkouts' benchmark passes in one process, over alternating pairs.
 
-    python3 tools/inproc_pairs.py PARENT CHANGE [--pairs 50] [--workload all] [--tiny]
+    python3 tools/inproc_pairs.py PARENT CHANGE [--pairs 50] [--workload all] [--tiny] [--fresh-plant]
 
 Each tree's ``src/mpccert`` is loaded twice, under a package name of
 its own each time (``mpccert_parent0``, ``mpccert_change0``, then
@@ -26,6 +26,13 @@ pages takes faults (drop-grid's whole-grid arrays took 187 a pass) where
 a warm one takes none, so the counts tell a gain of the code from a
 flip of the heap's state.
 ``--tiny`` uses perfbench's smoke-test sizes.
+
+perfbench loads each tree's plant once and hands the same plant object
+to every pass, so whatever a tree keeps on the plant (its Riccati
+ladder) outlives the pass that built it.  ``--fresh-plant`` gives each
+tree's workload a new copy of its plant before every pass, outside the
+timed calls, as a caller that loads its plant for one study would see
+it.  The CLI workloads load their plant inside every call anyway.
 
 Two copies of one tree (an A/A run) read horizon-table's median at
 1.000, 1.003 and 0.998 in three runs of 100 pairs on a 2-vCPU Xeon, with
@@ -76,12 +83,17 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def timed_pair(run, workloads: dict, out: str, rng: random.Random) -> tuple[dict, dict]:
+def timed_pair(run, workloads: dict, out: str, rng: random.Random, fresh_plant: bool = False) -> tuple[dict, dict]:
     """Raw seconds and minor page faults of one pass of each tree's workload, their calls interleaved, stdout discarded.
 
     Call ``k`` of the pass runs in both trees back to back, in an order
     shuffled per call, so the two passes see the same drift of the host.
+    With ``fresh_plant`` each tree's pass starts on a new copy of its plant.
     """
+    if fresh_plant:
+        for workload in workloads.values():
+            lq = workload.program.lq
+            workload.program.lq = type(lq)(lq.A, lq.B, lq.Q, lq.R)
     seconds, faults = dict.fromkeys(workloads, 0.0), dict.fromkeys(workloads, 0)
     jobs = [[(side, job) for job in workload.jobs(None)] for side, workload in workloads.items()]
     with contextlib.redirect_stdout(run._Discard()):
@@ -103,6 +115,7 @@ def main(argv) -> int:
     parser.add_argument("--pairs", type=int, default=50)
     parser.add_argument("--workload", default="all")
     parser.add_argument("--tiny", action="store_true", help="perfbench's smoke-test sizes")
+    parser.add_argument("--fresh-plant", action="store_true", help="a new copy of each tree's plant for every pass")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     os.chdir(trees["parent"])
@@ -122,10 +135,10 @@ def main(argv) -> int:
         for w in names:
             pairs = [{side: workloads[side][w] for side in trees} for workloads in loads]
             for pair in pairs:
-                timed_pair(run, pair, out, rng)  # warm-up
+                timed_pair(run, pair, out, rng, args.fresh_plant)  # warm-up
             ratios, faults = [], {side: [] for side in trees}
             for i in range(args.pairs):
-                seconds, pass_faults = timed_pair(run, pairs[i % 2], out, rng)
+                seconds, pass_faults = timed_pair(run, pairs[i % 2], out, rng, args.fresh_plant)
                 ratios.append(seconds["change"] / seconds["parent"])
                 for side in trees:
                     faults[side].append(pass_faults[side])

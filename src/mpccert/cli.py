@@ -56,7 +56,10 @@ def _check_workers(args) -> None:
 def _ensure_out(args) -> str | None:
     if args.out is None:
         return None
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out} cannot be a directory: {exc.strerror}") from None
     return args.out
 
 

@@ -175,11 +175,17 @@ def load_plant(path) -> LinearQuadraticInstance:
     current: str | None = None
 
     try:
-        fh = open(path, encoding="utf-8")
+        # A byte that is not UTF-8 reads as a lone surrogate, so its line is known.
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise PlantFormatError(f"cannot read plant file {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise PlantFormatError(f"byte 0x{byte:02x} is not UTF-8 text", line=lineno) from None
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue

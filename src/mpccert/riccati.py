@@ -5,14 +5,13 @@ quadratic form ``x' P_N x``, where ``P_1 = Q`` and
 
     P_{j+1} = A'[P_j - P_j B (B' P_j B + R)^{-1} B' P_j] A + Q.
 
-Two open-loop control laws are provided on top of the same ladder:
-
-* :class:`LqLadderSolver` applies the descending-gain law: step ``k``
-  of an ``N``-step plan uses the gain built from ``P_{N-k}``, and the
-  final step applies zero control.
-* :class:`LqBellmanSolver` applies the dynamic-programming minimiser:
-  step ``k`` uses the gain built from ``P_{N-k-1}`` with ``P_0 = 0``.
-
+Two open-loop control laws run on the same ladder, and one rung rule
+states both: step ``k`` of an ``N``-step plan applies ``u = -K_j x`` with
+``j = (N - k - lag) * (k != N - 1)``, so the final step applies zero
+control.  :class:`LqLadderSolver` (``lag = 0``) applies the
+descending-gain law, rungs ``N, N-1, ..., 2, 0``;
+:class:`LqBellmanSolver` (``lag = 1``) applies the dynamic-programming
+minimiser, rungs ``N-1, ..., 1, 0`` (the gain built from ``P_{N-k-1}``).
 Both report ``value = x' P_N x``.  The Bellman plan attains that value
 exactly; the descending-gain plan is the law the closed-loop scheduler
 applies, and its realized open-loop cost can exceed the value.
@@ -202,13 +201,16 @@ def riccati_fixed_point(lq: LinearQuadraticInstance) -> np.ndarray:
 
 
 class FiniteHorizonSolver:
-    """Shared machinery for the two linear-quadratic planners.
+    """Shared machinery for the two linear-quadratic planners, which differ only in ``lag``.
 
     Instances read and extend the plant's one :class:`RiccatiLadder`,
     shared with every other solver of the plant, and keep one step-kernel
     table of their own indexed by ladder rung (:meth:`_table`), from
-    which every value is read (:meth:`value_table`).
+    which every value is read (:meth:`value_table`).  The law is the one
+    rung rule of :meth:`_gain_index`, ``(N - k - lag) * (k != N - 1)``.
     """
+
+    lag: int  # the law's rung offset: 0 for the ladder law, 1 for the Bellman law
 
     def __init__(self, lq: LinearQuadraticInstance, horizon: int = 1):
         self.lq = lq
@@ -241,8 +243,8 @@ class FiniteHorizonSolver:
         return quad_form(self.value_table(int(np.max(horizon))).take(horizon, axis=-1).T, X)
 
     def _gain_index(self, horizon, k: int):
-        """The rung of the gain at step ``k`` of the ``horizon``-step plan, for one horizon or an array of them."""
-        raise NotImplementedError
+        """The rung of the gain at step ``k < N`` of the ``N``-step plan, for one horizon or an array of them."""
+        return (horizon - k - self.lag) * (k != horizon - 1)  # rung 0, zero gain: no control on the final step
 
     def _table(self, horizon: int) -> tuple:
         """The step kernel of every rung, laid out for :meth:`plan_step`, rebuilt when ``horizon`` is past it.
@@ -356,28 +358,26 @@ class FiniteHorizonSolver:
 
 
 class LqLadderSolver(FiniteHorizonSolver):
-    """Planner using the descending-gain law.
+    """Planner using the descending-gain law, ``lag = 0``.
 
-    Step ``k`` of an ``N``-step plan applies ``u = -K_{N-k} x``; the
-    last step applies zero control (the index reaches ``K_1``-territory
-    but the law switches off instead).  This is the law the closed-loop
+    Step ``k`` of an ``N``-step plan applies ``u = -K_{N-k} x``, rungs
+    ``N, N-1, ..., 2``; the last step applies zero control (rung 0) where
+    the index would reach ``K_1``.  This is the law the closed-loop
     scheduler commits to.
     """
 
-    def _gain_index(self, horizon, k: int):
-        return (horizon - k) * (k != horizon - 1)  # zero gain: no control on the final step
+    lag = 0
 
 
 class LqBellmanSolver(FiniteHorizonSolver):
-    """Planner using the dynamic-programming minimiser.
+    """Planner using the dynamic-programming minimiser, ``lag = 1``.
 
-    Step ``k`` applies ``u = -K_{N-k-1} x`` with ``K_0 = 0``.  The plan
-    attains ``value`` exactly, which makes this solver the reference
-    for optimality cross-checks.
+    Step ``k`` applies ``u = -K_{N-k-1} x``, rungs ``N-1, ..., 1, 0``
+    with ``K_0 = 0``.  The plan attains ``value`` exactly, which makes
+    this solver the reference for optimality cross-checks.
     """
 
-    def _gain_index(self, horizon, k: int):
-        return horizon - k - 1
+    lag = 1
 
 
 class PlanWalk:

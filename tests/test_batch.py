@@ -28,7 +28,7 @@ from mpccert.engine import (
 from mpccert.errors import ConfigError
 from mpccert.model import LinearQuadraticInstance, quad_form
 from mpccert.refchecks import reference_instance
-from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk
+from mpccert.riccati import LqBellmanSolver, LqLadderSolver, PlanWalk, RiccatiLadder
 from mpccert.sweep import horizon_comparison, unit_circle, value_drop_grid
 
 LAWS = (LqLadderSolver, LqBellmanSolver)
@@ -572,6 +572,25 @@ def test_one_step_windows_keep_their_one_step_degree(lq, law, horizon):
     assert np.array_equal(batch.min_window_alpha, batch.min_onestep_alpha, equal_nan=True)
     assert np.array_equal(batch.min_window_alpha, windows, equal_nan=True)
     assert np.isnan(batch.min_window_alpha[len(X) - 1])
+
+
+def test_ladder_loop_at_n_is_the_bellman_loop_at_n_plus_one(lq, grid):
+    # The ladder law's rungs at N are N, ..., 2, 0 and the Bellman law's
+    # at N + 1 are N, ..., 1, 0: the same first gain, so under forced
+    # length 1 the two loops trace the same states bit for bit.  Their
+    # values differ: x0' P_N x0 for the ladder law, x0' P_{N+1} x0 for the
+    # Bellman law.  One batch per law over every horizon.
+    horizons, points = (2, 3, 4, 5, 10), grid.points
+    X = np.tile(points, (len(horizons), 1))
+    traces = {}
+    for law, lag in ((LqLadderSolver, 0), (LqBellmanSolver, 1)):
+        configs = [AlgorithmConfig("alg1", N + lag, 0.0, forced_m=1) for N in horizons for _ in points]
+        traces[law] = run_batch(law(lq, 2), X, configs, traces=True).traces
+    for i, (ladder, bellman) in enumerate(zip(traces[LqLadderSolver], traces[LqBellmanSolver])):
+        N = horizons[i // len(points)]
+        assert ladder.states.shape == bellman.states.shape and ladder.states.tobytes() == bellman.states.tobytes()
+        assert ladder.v_initial == quad_form(RiccatiLadder(lq, N).matrix(N), X[i])
+        assert bellman.v_initial == quad_form(RiccatiLadder(lq, N + 1).matrix(N + 1), X[i])
 
 
 def test_a_row_just_outside_the_radius_beside_circle_rows_matches_one_row_runs(engine_solver):

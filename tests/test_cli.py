@@ -119,6 +119,37 @@ def test_config_errors_exit_2(argv, capsys, tmp_path):
     assert captured.err.count("error:") == 1 and not captured.out
 
 
+def test_plant_file_that_is_not_utf8_exits_2(tmp_path):
+    plant = tmp_path / "bad.txt"
+    plant.write_bytes(Path(PLANT).read_bytes().replace(b"R\n1", b"R\n1\xff"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpccert.cli", "riccati", "--plant", str(plant), "--horizon", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 21: byte 0xff is not UTF-8 text\n" and not proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riccati", "--plant", PLANT, "--horizon", "2"],
+        ["sweep", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8"],
+    ],
+    ids=["riccati", "sweep"],
+)
+def test_out_that_cannot_be_a_directory_exits_2(argv, tmp_path, capsys):
+    # An existing regular file, and a path below it.
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "sub"):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} cannot be a directory: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
+
+
 def test_missing_required_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--plant", PLANT, "--variant", "alg1"])

@@ -35,6 +35,12 @@ PLANTS = {
     ),
 }
 LAWS = (LqLadderSolver, LqBellmanSolver)
+# Each law's rung at steps k = 0, ..., N - 1 of an N-step plan, written
+# out: the ladder law N, N - 1, ..., 2, 0 and the Bellman law N - 1, ..., 1, 0.
+RUNGS = {
+    LqLadderSolver: {1: (0,), 2: (2, 0), 3: (3, 2, 0), 5: (5, 4, 3, 2, 0)},
+    LqBellmanSolver: {1: (0,), 2: (1, 0), 3: (2, 1, 0), 5: (4, 3, 2, 1, 0)},
+}
 
 # Entries over many magnitudes, so the rounding of every term matters.
 _entries = st.one_of(
@@ -133,7 +139,7 @@ def test_kernel_matches_python_float_oracle(n, rows, data):
 @given(data=st.data())
 def test_plan_steps_are_plant_steps(n, law, data):
     lq = PLANTS[n]
-    horizon = data.draw(st.sampled_from((2, 3, 5)))
+    horizon = data.draw(st.sampled_from((1, 2, 3, 5)))
     X = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), n), elements=_entries))
     solver = law(lq, 1)
     plan = solver.plans(X, horizon)
@@ -142,7 +148,7 @@ def test_plan_steps_are_plant_steps(n, law, data):
     for k in range(horizon):
         x, u = plan.trajectory[:, k], plan.controls[:, k]
         assert _bits(plan.trajectory[:, k + 1]) == _bits(lq.dynamics(x, u))
-        assert _bits(u) == _bits(matvec(-solver.ladder.gain(solver._gain_index(horizon, k)), x))
+        assert _bits(u) == _bits(matvec(-solver.ladder.gain(RUNGS[law][horizon][k]), x))
     ends = solver.rollout(X, horizon, horizon)
     for i, x in enumerate(X):
         one = solver.solve(x, horizon)
@@ -164,8 +170,8 @@ def test_walk_steps_match_lone_row_calls(n, law, data):
     rows, spare = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
     X = data.draw(arrays(np.float64, (rows, n), elements=_entries))
     solver = law(lq, 1)
-    one = data.draw(st.sampled_from((2, 3, 5)))
-    mixed = np.array(data.draw(st.lists(st.sampled_from((2, 3, 5)), min_size=rows, max_size=rows)))
+    one = data.draw(st.sampled_from((1, 2, 3, 5)))
+    mixed = np.array(data.draw(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=rows, max_size=rows)))
     lengths = np.array([data.draw(st.integers(1, N)) for N in mixed])
     buffers = tuple(np.full_like(b, np.nan) for b in PlanWalk.allocate(rows + spare, one, n, c))
     for horizon, walk, steps in (
@@ -180,10 +186,23 @@ def test_walk_steps_match_lone_row_calls(n, law, data):
             for k in range(walked):
                 x, u = np.array(walk.trajectory[i, k]), np.array(walk.controls[i, k])
                 x_next = np.array(walk.trajectory[i, k + 1])
-                gain = solver.ladder.gain(solver._gain_index(N, k))
+                gain = solver.ladder.gain(RUNGS[law][N][k])
                 assert _bits(u) == _bits(matvec(-gain, x))
                 assert _bits(x_next) == _bits(lq.dynamics(x, u))
                 assert _bits(walk.stage_costs[i, k]) == _bits(lq.stage_cost(x, u))
                 assert _bits(walk.ends[i, k]) == _bits(quad_form(P, x_next))
             costs = np.array(walk.stage_costs[i, :walked])
             assert _bits(walk.prefix_costs[i, :walked]) == _bits(np.cumsum(costs))
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda cls: cls.__name__)
+def test_each_law_takes_its_written_rungs(law):
+    # The one rung rule against each law's rungs, for one horizon and for
+    # a per-row horizon array; the tests above check the controls.
+    solver, rungs = law(PLANTS[2], 1), RUNGS[law]
+    horizons = np.array(sorted(rungs))
+    for N, want in rungs.items():
+        assert [solver._gain_index(N, k) for k in range(N)] == list(want)
+    for k in range(horizons.max()):
+        live = k < horizons
+        assert solver._gain_index(horizons, k)[live].tolist() == [rungs[N][k] for N in horizons[live].tolist()]

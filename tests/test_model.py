@@ -113,11 +113,13 @@ def test_load_shipped_plant_file(lq):
         ("state_dim 2\ncontrol_dim 1\nA\n1 0\n0 1\nB\n0\n-inf\n", 8, "non-finite"),
         ("state_dim 2 3\n", 1, "expected 'state_dim <int>'"),
         ("state_dim 2\ncontrol_dim 1\nA 1\n", 3, "section header 'A' takes no values on its line"),
+        # UTF-8 in a comment, then a 0xff byte, which is not UTF-8.
+        ("# caf\u00e9\nstate_dim 1\ncontrol_dim 1\nR\n1\udcff\n", 5, "byte 0xff is not UTF-8 text"),
     ],
 )
 def test_load_plant_reports_line_numbers(tmp_path, content, line, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content.encode("utf-8", "surrogateescape"))
     with pytest.raises(PlantFormatError) as err:
         load_plant(path)
     assert f"line {line}" in str(err.value)

@@ -11,7 +11,10 @@ them returns the same bits: every field of ``plans(X, N)`` (controls,
 trajectory, stage costs, value, tail values) and ``rollout(X, N, m)`` for
 every ``m`` in ``0..N``, at N = 2, 3, 5 and 20 from the initial states of
 each plant below.  The CLI prints only part of these, so this catches
-changes ``tools/cli_outputs.sh`` cannot see.  Under both control laws:
+changes ``tools/cli_outputs.sh`` cannot see.  :func:`feed` walks every
+field of each trace's ``AlgorithmConfig``, so a change that adds a config
+field moves this line even when no result moves, and must say so in
+CHANGES.md.  Under both control laws:
 
   * the bundled plant from 22 initial states (16 on the unit circle,
     4 of them scaled by 1e3, the origin, and a point inside the

@@ -53,14 +53,14 @@ def _check_workers(args) -> None:
         raise ConfigError(f"workers must be positive, got {args.workers}")
 
 
-def _ensure_out(args) -> str | None:
+def _ensure_out(args) -> None:
+    """Make the ``--out`` directory, if one is given, before a command loads or runs anything."""
     if args.out is None:
-        return None
+        return
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {args.out} cannot be a directory: {exc.strerror}") from None
-    return args.out
 
 
 def _format_value(value) -> str:
@@ -89,11 +89,10 @@ def cmd_riccati(args) -> int:
         print(f"P_{j} =")
         for row in mat:
             print("  " + "  ".join(f"{v:.12g}" for v in row))
-    out = _ensure_out(args)
-    if out is not None:
+    if args.out is not None:
         n = lq.state_dim
         header = ["j"] + [f"p{r + 1}{c + 1}" for r in range(n) for c in range(n)]
-        with open(os.path.join(out, "riccati.csv"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, "riccati.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for j, mat in enumerate(ladder.matrices(), start=1):
                 flat = ",".join(f"{v:.17g}" for v in mat.ravel())
@@ -120,12 +119,11 @@ def cmd_run(args) -> int:
 
     entries = {"x0": args.x0, **trace.summary()}
     _print_summary(entries)
-    out = _ensure_out(args)
-    if out is not None:
+    if args.out is not None:
         certificates_to_csv(
-            trace.certificates, trace.slack.values, os.path.join(out, "certificates.csv")
+            trace.certificates, trace.slack.values, os.path.join(args.out, "certificates.csv")
         )
-        _write_summary(os.path.join(out, "summary.txt"), entries, not args.no_timestamp)
+        _write_summary(os.path.join(args.out, "summary.txt"), entries, not args.no_timestamp)
     return 0 if trace.status == "converged" else 4
 
 
@@ -147,10 +145,9 @@ def cmd_sweep(args) -> int:
         "warned_indices": ",".join(str(i) for i in report.warned_indices()),
     }
     _print_summary(entries)
-    out = _ensure_out(args)
-    if out is not None:
-        write_sweep_csv(report, os.path.join(out, "sweep_points.csv"))
-        _write_summary(os.path.join(out, "summary.txt"), entries, not args.no_timestamp)
+    if args.out is not None:
+        write_sweep_csv(report, os.path.join(args.out, "sweep_points.csv"))
+        _write_summary(os.path.join(args.out, "summary.txt"), entries, not args.no_timestamp)
     return 3 if set(report.runs.status) == {"error"} else 0
 
 
@@ -161,9 +158,8 @@ def cmd_horizon_table(args) -> int:
     _check_workers(args)
     rows = horizon_comparison(lq, initial_set, horizons, alpha_bar=args.alpha_bar)
     print(horizon_csv(rows), end="")
-    out = _ensure_out(args)
-    if out is not None:
-        write_horizon_csv(rows, os.path.join(out, "horizon_table.csv"))
+    if args.out is not None:
+        write_horizon_csv(rows, os.path.join(args.out, "horizon_table.csv"))
     return 0
 
 
@@ -172,9 +168,8 @@ def cmd_reproduce(args) -> int:
     results = reference_checks()
     text = format_results(results)
     print(text)
-    out = _ensure_out(args)
-    if out is not None:
-        with open(os.path.join(out, "reference_checks.txt"), "w", encoding="utf-8") as fh:
+    if args.out is not None:
+        with open(os.path.join(args.out, "reference_checks.txt"), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0 if all(r.passed for r in results) else 4
 
@@ -255,6 +250,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _ensure_out(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

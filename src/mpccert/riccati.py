@@ -39,7 +39,12 @@ one :func:`quad_form` each over ``P_j`` read from the table
 (:meth:`FiniteHorizonSolver.value_table`).  ``rollout`` and
 :func:`value_drop_grid` use no table: one column step moves coordinate
 columns through ``-K`` from the ladder and the plant's ``A`` and ``B``.
-Every product multiplies each matrix entry by a row or column of states
+The grid's axis is exactly antisymmetric (``linspace``'s lower half,
+its exact negation above it, ``+0.0`` at an odd centre), and only its
+lower half of rows is planned: a linear plan and quadratic values make
+the drop even, and negating a state negates every product and sum of
+the plan exactly, so the upper half is the lower half reversed, bit for
+bit.  Every product multiplies each matrix entry by a row or column of states
 in one ufunc and adds the terms of each sum left to right, as
 :mod:`mpccert.model` does, so a row's bits do not depend on the batch
 around it: a batched result equals the single-state one, and a plan's
@@ -450,10 +455,21 @@ def value_drop_grid(
     Returns ``(axis, drops)`` where ``axis`` has ``n`` points spanning
     ``[-1.5, 1.5]`` and ``drops[i, j]`` is the drop at the state
     ``(axis[i], axis[j])``.  Negative entries mark states where applying
-    ``m`` steps of the plan increases the finite-horizon value.  Blocks
-    of ``_GRID_BLOCK // n`` grid rows (at least one), held as coordinate
-    columns, take ``rollout``'s column steps, so every entry has the bits
-    of ``values_of(x) - values_of(rollout(x))``.  For ``n <= _GRID_BLOCK``
+    ``m`` steps of the plan increases the finite-horizon value.  Every
+    entry has the bits of ``values_of(x) - values_of(rollout(x))``.
+
+    The axis is exactly antisymmetric: the lower half of
+    ``np.linspace(-1.5, 1.5, n)``, its exact negation reversed in the
+    upper half, and ``+0.0`` at the centre of an odd grid (``n <= 1``
+    keeps ``linspace``'s axis).  The plan is linear and the values
+    quadratic, so the drop is even, and negating a state negates every
+    product and every sum of the plan exactly (round to nearest is
+    symmetric in sign), which leaves each value's bits as they are.  So
+    only the first ``ceil(n / 2)`` rows are planned, the centre row with
+    the origin among them, and the last ``n // 2`` rows are those rows
+    reversed both ways.  The planned rows go in blocks of
+    ``_GRID_BLOCK // n`` grid rows (at least one), held as coordinate
+    columns, through ``rollout``'s column steps.  For ``n <= _GRID_BLOCK``
     no temporary outgrows a 32 KiB column: a pass maps no heap pages.
     """
     if solver.lq.state_dim != 2:
@@ -467,17 +483,23 @@ def value_drop_grid(
         raise ConfigError(f"m must lie in [1, {horizon - 1}], got {m}")
     solver.ladder.extend(horizon)
     P = solver.ladder.matrix(horizon)
-    axis, drops = np.linspace(-1.5, 1.5, n), np.empty((n, n))
+    axis, drops, half = np.linspace(-1.5, 1.5, n), np.empty((n, n)), n // 2
+    top = n - half  # rows planned; the last half mirror the first
+    if n > 1:
+        axis[top:] = -axis[:half][::-1]
+        axis[half:top] = 0.0  # an odd grid's centre
 
     def value(x, out=None):  # x' P x on columns, in the order of quad_form
         return _add_terms([np.multiply(y_i, x_i, out=y_i) for y_i, x_i in zip(column_matvec(P, x), x)], out=out)
 
     rows = max(1, _GRID_BLOCK // max(n, 1))
-    for i in range(0, n, rows):
-        first, out = axis[i : i + rows], drops[i : i + rows].reshape(-1)
+    for i in range(0, top, rows):
+        first = axis[i : min(i + rows, top)]
+        out = drops[i : i + len(first)].reshape(-1)
         states = [np.repeat(first, n), np.tile(axis, len(first))]
         value(states, out=out)
         np.subtract(out, value(solver._column_steps(states, horizon, m)), out=out)
+    drops[top:] = drops[:half][::-1, ::-1]
     return axis, drops
 
 

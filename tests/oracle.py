@@ -60,6 +60,21 @@ def _degree(v_before: float, v_after: float, cost: float) -> float:
     return 1.0 if cost == 0.0 else (v_before - v_after) / cost
 
 
+def grid_axis(n: int, extent: float = 1.5) -> np.ndarray:
+    """``value_drop_grid``'s axis, written out one entry at a time.
+
+    The lower half of ``np.linspace(-extent, extent, n)``, entry ``n - 1 - i``
+    the exact negation of entry ``i``, and ``+0.0`` at an odd grid's centre;
+    one point stays at ``-extent``.
+    """
+    axis = np.linspace(-extent, extent, n)
+    for i in range(n // 2):
+        axis[n - 1 - i] = -axis[i]
+    if n % 2 and n > 1:
+        axis[n // 2] = 0.0
+    return axis
+
+
 def closed_loop(solver, x0, config) -> Run:
     """Run ``config`` (an ``AlgorithmConfig``) from ``x0`` on ``solver``."""
     variant, horizon, alpha_bar = config.variant, config.horizon, config.alpha_bar

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import grid_axis
 
 from mpccert.certify import np_sums, row_sums
 from mpccert.engine import (
@@ -153,8 +154,8 @@ def test_every_value_reads_the_one_table(planners):
 
 
 def _drop_grid_oracle(solver, horizon, m, extent=1.5, n=101):
-    """The one-plan-per-state double loop that value_drop_grid replaced."""
-    axis = np.linspace(-extent, extent, n)
+    """The one-plan-per-state double loop that value_drop_grid replaced, on every state of its axis."""
+    axis = grid_axis(n, extent)
     drops = np.empty((n, n))
     for i, x1 in enumerate(axis):
         for j, x2 in enumerate(axis):
@@ -891,3 +892,25 @@ def test_scaling_by_a_power_of_two_scales_values_exactly(engine_solver, config, 
         assert wa.committed_m == wb.committed_m
         assert np.array_equal(wa.probe_alphas, wb.probe_alphas)
         assert wb.v_start == 4.0**k * wa.v_start
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=st.sampled_from(ENGINE_CONFIGS), x0=_point, c=st.sampled_from((3.0, 0.1, 7.5)))
+@example(config=ENGINE_CONFIGS[5], x0=1e3 * CIRCLE[3], c=7.5)
+@example(config=ENGINE_CONFIGS[12], x0=CIRCLE[11], c=0.1)
+def test_scaling_by_other_factors_scales_values_to_rounding(engine_solver, config, x0, c):
+    # Scaling by 3, 0.1 or 7.5 rounds, so the two runs agree only to a few
+    # ulps: degrees within 1e-9 and values scaled by c**2 within 1e-12,
+    # relative.  A commitment may differ only where a probe degree of either
+    # run lies within 1e-9 of its threshold; the runs part there.
+    s = engine_solver
+    a = run_closed_loop(s, x0, config)
+    b = run_closed_loop(s, c * x0, config)
+    common = max(min(len(a.windows), len(b.windows)) - 1, 0)
+    for wa, wb in zip(a.windows[:common], b.windows[:common]):
+        np.testing.assert_allclose(wb.probe_alphas, wa.probe_alphas, rtol=1e-9, atol=0.0)
+        assert wb.v_start == pytest.approx(c**2 * wa.v_start, rel=1e-12, abs=0.0)
+        if wa.committed_m != wb.committed_m:
+            alphas = np.concatenate([wa.probe_alphas, wb.probe_alphas])
+            assert (np.abs(alphas - config.alpha_bar) <= 1e-9).any()
+            break

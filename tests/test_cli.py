@@ -135,17 +135,23 @@ def test_plant_file_that_is_not_utf8_exits_2(tmp_path):
     "argv",
     [
         ["riccati", "--plant", PLANT, "--horizon", "2"],
+        ["run", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--x0", "0,1"],
         ["sweep", "--plant", PLANT, "--variant", "alg1", "--horizon", "3", "--alpha-bar", "0.5", "--set", "unit-circle:8"],
+        ["horizon-table", "--plant", PLANT, "--set", "unit-circle:8", "--horizons", "2,3", "--alpha-bar", "0.5"],
+        ["reproduce-paper"],
     ],
-    ids=["riccati", "sweep"],
+    ids=["riccati", "run", "sweep", "horizon-table", "reproduce-paper"],
 )
 def test_out_that_cannot_be_a_directory_exits_2(argv, tmp_path, capsys):
-    # An existing regular file, and a path below it.
+    # An existing regular file, and a path below it.  The directory is
+    # checked before the command loads or runs anything, so nothing is
+    # printed.
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     for out in (taken, taken / "sub"):
         assert main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
+        assert printed == ""
         assert err.startswith(f"error: --out {out} cannot be a directory: ") and err.count("\n") == 1
     assert taken.read_text() == "kept\n"
 

@@ -282,6 +282,28 @@ def test_solvers_sharing_a_plant_match_solvers_of_a_fresh_copy(seed, n, c, order
                 _same_bits(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 2),
+    law=st.sampled_from(LAWS),
+    horizon=st.sampled_from((2, 3, 5)),
+    n=st.integers(0, 70),
+)
+@example(seed=66, c=1, law=LqBellmanSolver, horizon=5, n=65)
+def test_value_drop_grid_matches_the_plan_path_on_random_plants(seed, c, law, horizon, n):
+    # The mirrored upper half of the grid keeps the bits of whole plans
+    # from every state of its axis, on plants of either sign structure.
+    lq, _ = random_plant(seed, 2, c)
+    solver = law(lq, horizon)
+    for m in range(1, horizon):
+        axis, drops = value_drop_grid(solver, horizon, m, n=n)
+        _same_bits(axis, oracle.grid_axis(n), "axis")
+        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        ends = solver.plans(X, horizon).trajectory[:, m]
+        _same_bits(drops.reshape(-1), solver.values_of(X, horizon) - solver.values_of(ends, horizon), "grid")
+
+
 def test_oracle_tolerances_are_the_engines():
     # oracle.py writes the engine's two tolerances out instead of importing them.
     assert (oracle.CERT_SLACK, oracle.TERMINATION_RADIUS) == (CERT_SLACK, TERMINATION_RADIUS)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import grid_axis
 
 from mpccert.errors import ConfigError, SolverError
 from mpccert.model import LinearQuadraticInstance
@@ -399,22 +400,40 @@ def test_horizons_and_counts_are_nonnegative_integers(solver, call, name):
         call(solver)
 
 
-@pytest.mark.parametrize("n", (1, 64, 65, 101))
+@pytest.mark.parametrize("n", (1, 64, 65, 101, 131))
 @pytest.mark.parametrize("horizon", (2, 3, 10))
 @pytest.mark.parametrize("law", (LqLadderSolver, LqBellmanSolver), ids=lambda cls: cls.__name__)
 def test_value_drop_grid_blocks_match_the_plan_path(lq, law, horizon, n):
-    # The grid runs in blocks of whole rows of at most 4,096 states: n = 1
-    # is one state, 64 one full block, 65 one block and a short one, 101
-    # three blocks.  Every entry keeps the bits of the plan path.
+    # The grid plans its first ceil(n / 2) rows in blocks of whole rows of
+    # at most 4,096 states and mirrors the rest: n = 1 is one state, 64
+    # and 65 one block, 101 two blocks and 131 three.  Every entry keeps
+    # the bits of the plan path.
     solver = law(lq, 2)
-    axis = np.linspace(-1.5, 1.5, n)
+    axis = grid_axis(n)
     states = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     plans, before = solver.plans(states, horizon), solver.values_of(states, horizon)
     for m in range(1, horizon):
-        grid_axis, drops = value_drop_grid(solver, horizon, m, n=n)
+        got_axis, drops = value_drop_grid(solver, horizon, m, n=n)
         want = before - solver.values_of(plans.trajectory[:, m], horizon)
-        assert grid_axis.tobytes() == axis.tobytes()
+        assert got_axis.tobytes() == axis.tobytes()
         assert drops.shape == (n, n) and drops.tobytes() == want.tobytes(), m
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 40, 41, 64, 65, 101, 131))
+def test_value_drop_grid_is_even_on_an_antisymmetric_axis(lq, n):
+    # The drop is even and negating a state is exact, so on an axis that is
+    # its own exact negation reversed the grid is its own double reversal,
+    # bit for bit: the upper half is the planned lower half mirrored.
+    # The lower half is linspace's own, and an odd grid's centre is +0.0
+    # (one point stays at -1.5).
+    half = n // 2
+    for law, horizon, m in ((LqLadderSolver, 3, 1), (LqBellmanSolver, 3, 2), (LqLadderSolver, 20, 10)):
+        axis, drops = value_drop_grid(law(lq, horizon), horizon, m, n=n)
+        assert axis[:half].tobytes() == np.linspace(-1.5, 1.5, n)[:half].tobytes()
+        assert axis[n - half :].tobytes() == (-axis[:half][::-1]).tobytes()
+        if n % 2:
+            assert axis[half].tobytes() == np.float64(-1.5 if n == 1 else 0.0).tobytes()
+        assert drops.tobytes() == drops[::-1, ::-1].tobytes()
 
 
 _GRID_PASSES = """

@@ -42,9 +42,12 @@
 #     (riccati), and riccati on a plant file with a nonzero
 #     equilibrium_state, which exits 2 with a message that names no path;
 #   * SHA-256 hashes of value_drop_grid on n x n states for n = 1, 64,
-#     65, 101 and 131 (one state, one full block of 4,096 states, and
-#     grids past one and several blocks) at (N, m) = (3, 1), (3, 2),
-#     (10, 1), (20, 1), (20, 10) and (20, 19), under both control laws.
+#     65, 101 and 131 (one state, grids of one planned block, and grids
+#     past one and several blocks) at (N, m) = (3, 1), (3, 2), (10, 1),
+#     (20, 1), (20, 10) and (20, 19), under both control laws.  Beside
+#     each hash: whether the axis is exactly antisymmetric
+#     (axis == -axis[::-1]) and whether the grid's bytes equal those of
+#     its double reversal drops[::-1, ::-1].
 #
 # Every command runs with --no-timestamp where it writes a summary, under
 # -W error::RuntimeWarning, with TREE/src first on PYTHONPATH.  Each
@@ -163,5 +166,7 @@ for law in (LqLadderSolver, LqBellmanSolver):
         for n in (1, 64, 65, 101, 131):
             axis, drops = value_drop_grid(law(lq, horizon), horizon, m, n=n)
             digest = hashlib.sha256(axis.tobytes() + drops.tobytes()).hexdigest()
-            print(f"{law.__name__} N={horizon} m={m} {drops.shape} {digest}")
+            antisymmetric = bool((axis == -axis[::-1]).all())
+            even = drops.tobytes() == drops[::-1, ::-1].tobytes()
+            print(f"{law.__name__} N={horizon} m={m} {drops.shape} {digest} antisymmetric={antisymmetric} even={even}")
 EOF
